@@ -11,6 +11,7 @@ import numpy as np
 from .config import DIMENET, GEMNET, ModelConfig
 from .engine import ModelTape
 from .graph import build_graph
+from .neighbours import neighbour_pairs
 from .params import ModelParams, init_params
 from .partition import CommModel, comm_volume
 from .runtime import WorkerGroup
@@ -47,11 +48,8 @@ def sample_smooth_system(
     for _ in range(max_tries):
         system = random_cloud(n, density, rng)
         _, geometry = build_graph(system, cutoff)
-        pos = system.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        iu = np.triu_indices(n, k=1)
-        if np.any(np.abs(dist[iu] - cutoff) < cutoff_margin):
+        _, _, dist = neighbour_pairs(system.positions, cutoff + cutoff_margin)
+        if np.any(np.abs(dist - cutoff) < cutoff_margin):
             continue
         ang = geometry.angles
         if ang.size and (np.any(ang < angle_margin) or np.any(ang > np.pi - angle_margin)):

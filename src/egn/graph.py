@@ -4,6 +4,10 @@ Edges are directed and enumerated for every ordered pair within the cutoff,
 sorted by (source, receiver). A triplet is an ordered pair of adjacent
 directed edges (k -> j), (j -> i) with k != i, sorted by (out_edge, in_edge).
 All downstream determinism relies on these orderings.
+
+Edges come from a cell-list neighbour search (``egn.neighbours``); triplets
+and reverse edges are found by sorting and searching integer keys. Building
+a graph therefore costs O(n + N_e + N_t) memory and, up to the sorts, time.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .neighbours import concat_ranges, neighbour_pairs
 from .system import AtomicSystem
 
 # Below this sine magnitude a triplet is treated as collinear and the angle
@@ -43,16 +48,19 @@ class GraphTopology:
         Raises ValueError when some edge has no reverse partner; cutoff
         graphs always have one by symmetry of the distance criterion.
         """
-        key = {}
-        for idx in range(self.num_edges):
-            key[(int(self.edge_src[idx]), int(self.edge_recv[idx]))] = idx
-        rev = np.empty(self.num_edges, dtype=np.int64)
-        for idx in range(self.num_edges):
+        n = self.num_nodes
+        key = self.edge_src * n + self.edge_recv
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        wanted = self.edge_recv * n + self.edge_src
+        # The last of equal keys, as a map from (src, recv) to edge would keep.
+        slot = np.searchsorted(sorted_key, wanted, side="right") - 1
+        missing = (slot < 0) | (sorted_key[slot] != wanted)
+        if missing.any():
+            idx = int(np.argmax(missing))
             pair = (int(self.edge_recv[idx]), int(self.edge_src[idx]))
-            if pair not in key:
-                raise ValueError(f"edge {idx} has no reverse edge {pair}")
-            rev[idx] = key[pair]
-        return rev
+            raise ValueError(f"edge {idx} has no reverse edge {pair}")
+        return order[slot]
 
     def validate(self) -> None:
         if self.num_edges and (
@@ -86,18 +94,11 @@ def build_graph(system: AtomicSystem, cutoff: float) -> tuple[GraphTopology, Geo
     pos = system.positions
     n = system.n
 
-    diff = pos[None, :, :] - pos[:, None, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    mask = (dist > 0.0) & (dist <= cutoff)
-    np.fill_diagonal(mask, False)
-    src, recv = np.nonzero(mask)  # row-major: sorted by (source, receiver)
-    src = src.astype(np.int64)
-    recv = recv.astype(np.int64)
-
+    # Coincident atoms are rejected by AtomicSystem, so every pair has d > 0.
+    src, recv, distances = neighbour_pairs(pos, cutoff)
     trip_in, trip_out = enumerate_triplets(n, src, recv)
     topology = GraphTopology(n, src, recv, trip_in, trip_out)
 
-    distances = edge_distances(pos, src, recv)
     units = edge_unit_vectors(pos, src, recv)
     angles = triplet_angles(pos, topology)
     return topology, Geometry(distances, units, angles)
@@ -125,18 +126,13 @@ def enumerate_triplets(
     order = np.argsort(edge_recv, kind="stable").astype(np.int64)
     bounds = np.searchsorted(edge_recv[order], np.arange(num_nodes + 1))
 
-    ins, outs = [], []
-    for out_edge in range(n_e):
-        j = edge_src[out_edge]
-        cand = order[bounds[j] : bounds[j + 1]]
-        cand = cand[edge_src[cand] != edge_recv[out_edge]]
-        if cand.size:
-            ins.append(cand)
-            outs.append(np.full(cand.size, out_edge, dtype=np.int64))
-    if not ins:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(ins), np.concatenate(outs)
+    # Pair each out-edge (j -> i) with every in-edge of j, then drop k == i.
+    first = bounds[edge_src]
+    count = bounds[edge_src + 1] - first
+    trip_out = np.repeat(np.arange(n_e, dtype=np.int64), count)
+    trip_in = order[concat_ranges(first, count)]
+    keep = edge_src[trip_in] != edge_recv[trip_out]
+    return trip_in[keep], trip_out[keep]
 
 
 def edge_distances(positions: np.ndarray, src: np.ndarray, recv: np.ndarray) -> np.ndarray:

@@ -363,7 +363,8 @@ class WorkerGroup:
 
         contexts[0].finish_timing()
         fwd0, bundle0 = outputs[0]
-        energies = {out[0]["energy"] for out in outputs}
+        # Bit patterns, not values: identical NaNs agree, since NaN != NaN.
+        energies = {np.float64(out[0]["energy"]).tobytes() for out in outputs}
         if len(energies) != 1:
             raise WorkerGroupError("finalize", 0, AssertionError("worker outputs diverged"))
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import SYMBOL_TO_Z, symbol_of
+from .neighbours import neighbour_pairs
 
 # Two atoms closer than this are treated as coincident and rejected.
 MIN_SEPARATION = 1e-12
@@ -47,7 +48,7 @@ class AtomicSystem:
             raise ValueError("atomic numbers must be >= 1")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        if pos.shape[0] > 1 and min_pair_distance(pos) <= MIN_SEPARATION:
+        if neighbour_pairs(pos, MIN_SEPARATION)[0].size:
             raise ValueError("two atoms share (nearly) identical coordinates")
 
     @property
@@ -59,14 +60,16 @@ class AtomicSystem:
 
 
 def min_pair_distance(positions: np.ndarray) -> float:
-    """Smallest distance between any two distinct rows of ``positions``."""
+    """Smallest distance between any two distinct rows of ``positions``.
+
+    Takes O(n^2) time but only O(n) memory, one row against the rest at a time.
+    """
     pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape[0] < 2:
-        return np.inf
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    iu = np.triu_indices(pos.shape[0], k=1)
-    return float(dist[iu].min())
+    best = np.inf
+    for row in range(pos.shape[0] - 1):
+        diff = pos[row + 1 :] - pos[row]
+        best = min(best, float(np.sqrt((diff * diff).sum(axis=1)).min()))
+    return best
 
 
 def parse_xyz(text: str, identifier: str | None = None) -> AtomicSystem:
@@ -99,18 +102,16 @@ def parse_xyz(text: str, identifier: str | None = None) -> AtomicSystem:
                 positions[row, axis] = float(fields[axis + 1])
             except ValueError:
                 raise XyzParseError(lineno, f"non-numeric coordinate {fields[axis + 1]!r}") from None
+            if not np.isfinite(positions[row, axis]):
+                raise XyzParseError(lineno, f"non-finite coordinate {fields[axis + 1]!r}")
 
     for extra in range(n + 2, len(lines)):
         if lines[extra].strip():
             raise XyzParseError(extra + 1, f"unexpected content {lines[extra].strip()!r}")
 
-    if n > 1:
-        diff = positions[:, None, :] - positions[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() <= MIN_SEPARATION:
-            second = int(np.argwhere(dist <= MIN_SEPARATION).max())
-            raise XyzParseError(second + 3, "duplicate atom positions")
+    src, _, _ = neighbour_pairs(positions, MIN_SEPARATION)
+    if src.size:  # pairs come both ways, so src holds the later atom of each
+        raise XyzParseError(int(src.max()) + 3, "duplicate atom positions")
     return AtomicSystem(positions, numbers, identifier)
 
 

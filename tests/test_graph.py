@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egn.graph import (
+    Geometry,
     GraphTopology,
     build_graph,
+    edge_distances,
+    edge_unit_vectors,
     enumerate_triplets,
     triplet_angles,
 )
@@ -180,3 +185,200 @@ def test_collinear_angle_uses_atan2_not_nan():
     assert np.all(np.isfinite(geom.angles))
     angles = triplet_angles(collinear_chain(1.0).positions, topo)
     np.testing.assert_allclose(angles, np.pi)
+
+
+# ---------------------------------------------------------------------------
+# Dense reference builder: the O(n^2) pair search, per-edge triplet loop and
+# dict-based reverse map that the cell-list graph must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def dense_triplets(num_nodes, edge_src, edge_recv):
+    n_e = edge_src.shape[0]
+    empty = np.empty(0, dtype=np.int64)
+    if n_e == 0:
+        return empty, empty
+    order = np.argsort(edge_recv, kind="stable").astype(np.int64)
+    bounds = np.searchsorted(edge_recv[order], np.arange(num_nodes + 1))
+    ins, outs = [], []
+    for out_edge in range(n_e):
+        j = edge_src[out_edge]
+        cand = order[bounds[j] : bounds[j + 1]]
+        cand = cand[edge_src[cand] != edge_recv[out_edge]]
+        if cand.size:
+            ins.append(cand)
+            outs.append(np.full(cand.size, out_edge, dtype=np.int64))
+    if not ins:
+        return empty, empty
+    return np.concatenate(ins), np.concatenate(outs)
+
+
+def dense_reverse_edges(topology):
+    key = {}
+    for idx in range(topology.num_edges):
+        key[(int(topology.edge_src[idx]), int(topology.edge_recv[idx]))] = idx
+    rev = np.empty(topology.num_edges, dtype=np.int64)
+    for idx in range(topology.num_edges):
+        pair = (int(topology.edge_recv[idx]), int(topology.edge_src[idx]))
+        if pair not in key:
+            raise ValueError(f"edge {idx} has no reverse edge {pair}")
+        rev[idx] = key[pair]
+    return rev
+
+
+def dense_graph(system, cutoff):
+    pos = system.positions
+    n = system.n
+    diff = pos[None, :, :] - pos[:, None, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    mask = (dist > 0.0) & (dist <= cutoff)
+    np.fill_diagonal(mask, False)
+    src, recv = np.nonzero(mask)  # row-major: sorted by (source, receiver)
+    src = src.astype(np.int64)
+    recv = recv.astype(np.int64)
+    trip_in, trip_out = dense_triplets(n, src, recv)
+    topology = GraphTopology(n, src, recv, trip_in, trip_out)
+    geometry = Geometry(
+        edge_distances(pos, src, recv),
+        edge_unit_vectors(pos, src, recv),
+        triplet_angles(pos, topology),
+    )
+    return topology, geometry, dist[src, recv]
+
+
+def assert_bitwise_equal(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_matches_dense(system, cutoff):
+    topo, geom = build_graph(system, cutoff)
+    ref_topo, ref_geom, ref_dist = dense_graph(system, cutoff)
+    assert topo.num_nodes == ref_topo.num_nodes
+    for name in ("edge_src", "edge_recv", "trip_in", "trip_out"):
+        assert_bitwise_equal(getattr(topo, name), getattr(ref_topo, name))
+    for name in ("distances", "unit_vectors", "angles"):
+        assert_bitwise_equal(getattr(geom, name), getattr(ref_geom, name))
+    assert_bitwise_equal(geom.distances, ref_dist)
+    assert_bitwise_equal(topo.reverse_edges(), dense_reverse_edges(ref_topo))
+    return topo
+
+
+def _atoms(pos):
+    pos = np.asarray(pos, dtype=float)
+    return AtomicSystem(pos, np.ones(len(pos), dtype=np.int64))
+
+
+def _layout(name, n, rng):
+    if name == "cloud":
+        return rng.uniform(0.0, (n / 0.9) ** (1 / 3), size=(n, 3))
+    if name == "lattice":  # spacing 0.75: pairs at exactly 0.75, 1.5 and 2.25
+        cells = rng.choice(64, size=n, replace=False)
+        return 0.75 * np.stack([cells // 16, cells // 4 % 4, cells % 4], axis=1).astype(float)
+    if name == "plane":
+        pos = rng.uniform(0.0, n**0.5, size=(n, 3))
+        pos[:, 2] = 0.0
+        return pos
+    pos = np.zeros((n, 3))  # line
+    pos[:, 0] = rng.permutation(n) * rng.uniform(0.3, 1.5)
+    return pos
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    layout=st.sampled_from(["cloud", "lattice", "plane", "line"]),
+    origin=st.sampled_from([0.0, -3.7, 1e6]),
+    cutoff=st.sampled_from([0.75, 1.0, 1.5, 2.25, 100.0]),
+)
+def test_graph_matches_dense_reference(seed, n, layout, origin, cutoff):
+    rng = np.random.default_rng(seed)
+    pos = _layout(layout, n, rng) + origin
+    assert_matches_dense(_atoms(pos), cutoff)
+
+
+def _lattice(side, spacing):
+    idx = np.arange(side, dtype=float)
+    grid = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1).reshape(-1, 3)
+    return _atoms(spacing * grid)
+
+
+def _cluster_with_outlier(offset):
+    cluster = random_cloud(40, 0.9, np.random.default_rng(8)).positions
+    return _atoms(np.vstack([cluster[:20], [offset], cluster[20:]]))
+
+
+def test_pairs_exactly_at_cutoff_are_edges():
+    topo = assert_matches_dense(dimer(1.5), 1.5)
+    assert topo.num_edges == 2
+    topo = assert_matches_dense(_lattice(5, 1.5), 1.5)
+    assert topo.num_edges == 2 * 3 * 5 * 5 * 4  # every axis-aligned neighbour pair
+    # Atoms 1 and 2 are exactly 1.5 apart, but rounding in the offsets from
+    # atom 0 puts them two cutoff-wide cells apart along x.
+    x = [-0.31183145201048545, 1.1881685479895143, 2.6881685479895143]
+    topo = assert_matches_dense(_atoms([[v, 0.0, 0.0] for v in x]), 1.5)
+    assert (1, 2) in zip(topo.edge_src.tolist(), topo.edge_recv.tolist())
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        pytest.param(_atoms([[0.3, -1.0, 2.0]]), id="single-atom"),
+        pytest.param(_atoms([[0.0, 0, 0], [10.0, 0, 0], [0, 0, 20.0]]), id="no-edges"),
+        pytest.param(collinear_chain(0.7, n=9), id="collinear"),
+        pytest.param(_atoms(_lattice(4, 0.9).positions[::4] + [0, 0, 2.0]), id="coplanar"),
+        pytest.param(_cluster_with_outlier([1e9, 0.0, 0.0]), id="far-outlier"),
+        pytest.param(_cluster_with_outlier([-1e9, 1e9, 3e8]), id="far-outlier-diagonal"),
+        pytest.param(
+            _atoms(random_cloud(60, 0.9, np.random.default_rng(9)).positions + 1e6),
+            id="offset-1e6",
+        ),
+    ],
+)
+def test_graph_matches_dense_reference_on_edge_cases(system):
+    assert_matches_dense(system, 1.5)
+
+
+def test_reverse_edges_on_unsorted_hand_built_topology():
+    edges = [(2, 0), (0, 1), (1, 2), (0, 2), (2, 1), (1, 0)]
+    src, recv = (np.array(column, dtype=np.int64) for column in zip(*edges))
+    empty = np.empty(0, dtype=np.int64)
+    topo = GraphTopology(3, src, recv, empty, empty)
+    rev = topo.reverse_edges()
+    np.testing.assert_array_equal(rev, dense_reverse_edges(topo))
+    np.testing.assert_array_equal(rev, [3, 5, 4, 0, 2, 1])
+
+    missing = GraphTopology(3, src[:5], recv[:5], empty, empty)  # (1, 0) dropped
+    with pytest.raises(ValueError, match=r"edge 1 has no reverse edge \(1, 0\)"):
+        missing.reverse_edges()
+
+
+def test_triplets_of_unsorted_edge_list_match_loop():
+    rng = np.random.default_rng(5)
+    topo, _ = build_graph(random_cloud(25, 0.9, rng), cutoff=1.5)
+    perm = rng.permutation(topo.num_edges)
+    src, recv = topo.edge_src[perm], topo.edge_recv[perm]
+    t_in, t_out = enumerate_triplets(topo.num_nodes, src, recv)
+    ref_in, ref_out = dense_triplets(topo.num_nodes, src, recv)
+    assert_bitwise_equal(t_in, ref_in)
+    assert_bitwise_equal(t_out, ref_out)
+
+
+def test_ten_thousand_atoms_build_in_linear_memory():
+    # A jittered lattice: random_cloud's rejection sampler is itself quadratic.
+    idx = np.arange(22, dtype=float)
+    grid = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1).reshape(-1, 3)[:10_000]
+    pos = grid + np.random.default_rng(0).uniform(-0.1, 0.1, size=grid.shape)
+    tracemalloc.start()
+    try:
+        system = _atoms(pos)
+        topo, _ = build_graph(system, cutoff=1.2)
+        topo.reverse_edges()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert topo.num_triplets > 10 * system.n
+    assert peak < 24 * (system.n + topo.num_edges + topo.num_triplets) * 8
+    assert peak < 0.05 * system.n**2 * 3 * 8  # one dense n x n x 3 float64 array

@@ -91,3 +91,29 @@ def test_random_cloud_min_distance_and_determinism():
 def test_random_cloud_impossible_packing():
     with pytest.raises(RuntimeError):
         random_cloud(200, 1e6, np.random.default_rng(0), max_tries_per_atom=20)
+
+
+@pytest.mark.parametrize(
+    "pos",
+    [
+        [[0.0, 0, 0], [0, 0, 1e-12]],  # exactly at the separation limit
+        [[0.0, 0, 0], [0, 0, 2e-12]],
+        [[1e9, 0, 0], [0.0, 0, 0], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5 + 5e-13]],
+        [[1e9, 0, 0], [0.0, 0, 0], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5 + 5e-12]],
+        [[1e6, 1e6, 1e6], [1e6, 1e6, 1e6 + 1.0], [1e6, 1e6, 1e6]],
+    ],
+)
+def test_coincident_check_agrees_with_min_pair_distance(pos):
+    pos = np.array(pos)
+    coincident = min_pair_distance(pos) <= 1e-12
+    if coincident:
+        with pytest.raises(ValueError, match="identical coordinates"):
+            AtomicSystem(pos, np.ones(len(pos), dtype=np.int64))
+    else:
+        AtomicSystem(pos, np.ones(len(pos), dtype=np.int64))
+
+
+def test_parse_non_finite_coordinate_reports_line():
+    with pytest.raises(XyzParseError) as info:
+        parse_xyz("2\n\nH 0 0 0\nH nan 0 1")
+    assert info.value.line == 4

@@ -225,3 +225,16 @@ def test_relax_aborts_on_non_finite_forces(rng, monkeypatch):
     monkeypatch.setattr(tasks, "predict", bad_predict)
     with pytest.raises(RuntimeError):
         tasks.relax(system, params, fmax_threshold=1e-3)
+
+
+def test_nan_energy_is_the_same_result_at_any_worker_count(rng):
+    system = sample_system(rng, 20)
+    params = init_params(ModelConfig(variant="gemnet-style", blocks=1))
+    arrays = dict(params.arrays)
+    arrays["energy_head.b"] = np.full_like(arrays["energy_head.b"], np.nan)
+    broken = ModelParams(params.config, arrays)
+    for workers in (1, 2):
+        energy, _ = predict(system, broken, workers=workers)
+        assert np.isnan(energy)
+        with pytest.raises(RuntimeError, match="non-finite loss"):
+            train_simple([(system, 0.0, None)], broken, lr=1e-3, epochs=1, workers=workers)
