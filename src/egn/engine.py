@@ -24,7 +24,7 @@ from .elements import MAX_Z
 from .graph import Geometry, GraphTopology, build_graph
 from .params import ModelParams, param_specs
 from .system import AtomicSystem
-from .tape import Tape, silu
+from .tape import Tape, scatter_add, silu
 
 
 @dataclass(frozen=True)
@@ -255,10 +255,7 @@ def np_force_head(
     num_rows: int,
 ) -> np.ndarray:
     scale = m[edge_sel] @ arrays["force_head.w"].T
-    scaled = scale * units[edge_sel]
-    out = np.zeros((num_rows, 3), dtype=np.float64)
-    np.add.at(out, seg, scaled)
-    return out
+    return scatter_add(seg, scale * units[edge_sel], num_rows)
 
 
 def initial_state(
@@ -325,20 +322,12 @@ class ModelTape:
     position gradients.
     """
 
-    def __init__(
-        self,
-        system: AtomicSystem,
-        params: ModelParams,
-        prebuilt: tuple[GraphTopology, Geometry] | None = None,
-    ):
+    def __init__(self, system: AtomicSystem, params: ModelParams):
         config = params.config
         self.system = system
         self.params = params
         self.config = config
-        if prebuilt is None:
-            topology, geometry = build_graph(system, config.cutoff)
-        else:
-            topology, geometry = prebuilt
+        topology, geometry = build_graph(system, config.cutoff)
         self.topology = topology
         self.geometry = geometry
 
@@ -436,8 +425,3 @@ class ModelTape:
         if d_pos is None:
             d_pos = np.zeros_like(self.system.positions)
         return GradientBundle(d_params, d_pos)
-
-
-def sequential_forward(system: AtomicSystem, params: ModelParams) -> ModelTape:
-    """Convenience wrapper; builds the graph and records the forward pass."""
-    return ModelTape(system, params)

@@ -147,23 +147,41 @@ def edge_unit_vectors(positions: np.ndarray, src: np.ndarray, recv: np.ndarray) 
 
 
 def _triplet_vectors(positions: np.ndarray, topology: GraphTopology):
-    k = topology.edge_src[topology.trip_in]
-    j = topology.edge_recv[topology.trip_in]
-    i = topology.edge_recv[topology.trip_out]
-    v1 = positions[k] - positions[j]
-    v2 = positions[i] - positions[j]
-    return k, j, i, v1, v2
+    """v1 = x_k - x_j and v2 = x_i - x_j per triplet, as (3, N_t) components.
+
+    Both are gathered from per-edge differences, one gather per vector
+    instead of two gathers of atom positions. Each edge is differenced in
+    both directions, rather than one negated, because -(a - b) is -0.0
+    where b - a is +0.0.
+    """
+    cols = np.ascontiguousarray(positions.T)
+    src, recv = topology.edge_src, topology.edge_recv
+    v1 = np.take(cols[:, src] - cols[:, recv], topology.trip_in, axis=1)
+    v2 = np.take(cols[:, recv] - cols[:, src], topology.trip_out, axis=1)
+    return v1, v2
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over (3, N) components, with np.cross's products and differences."""
+    out = np.empty_like(a)
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
+    return out
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm over (3, N) components, summed in the order of a row sum."""
+    return np.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
 def triplet_angles(positions: np.ndarray, topology: GraphTopology) -> np.ndarray:
     """Bond angle at the shared atom j, in [0, pi], via atan2 for stability."""
     if topology.num_triplets == 0:
         return np.empty(0, dtype=np.float64)
-    _, _, _, v1, v2 = _triplet_vectors(positions, topology)
-    cross = np.cross(v1, v2)
-    s = np.sqrt((cross * cross).sum(axis=1))
-    c = (v1 * v2).sum(axis=1)
-    return np.arctan2(s, c)
+    v1, v2 = _triplet_vectors(positions, topology)
+    c = v1[0] * v2[0] + v1[1] * v2[1] + v1[2] * v2[2]
+    return np.arctan2(_norm(_cross(v1, v2)), c)
 
 
 def angle_gradients(positions: np.ndarray, topology: GraphTopology):
@@ -177,20 +195,19 @@ def angle_gradients(positions: np.ndarray, topology: GraphTopology):
     if n_t == 0:
         z = np.zeros((0, 3), dtype=np.float64)
         return z, z, z
-    _, _, _, v1, v2 = _triplet_vectors(positions, topology)
-    cross = np.cross(v1, v2)
-    s = np.sqrt((cross * cross).sum(axis=1))
+    v1, v2 = _triplet_vectors(positions, topology)
+    cross = _cross(v1, v2)
+    s = _norm(cross)
     ok = s > _COLLINEAR_EPS
-    safe_s = np.where(ok, s, 1.0)
-    nhat = cross / safe_s[:, None]
-    n1 = np.sqrt((v1 * v1).sum(axis=1))
-    n2 = np.sqrt((v2 * v2).sum(axis=1))
-    g_k = np.cross(v1 / n1[:, None], nhat) / n1[:, None]
-    g_i = np.cross(nhat, v2 / n2[:, None]) / n2[:, None]
-    g_k[~ok] = 0.0
-    g_i[~ok] = 0.0
+    nhat = cross / np.where(ok, s, 1.0)
+    n1 = _norm(v1)
+    n2 = _norm(v2)
+    g_k = _cross(v1 / n1, nhat) / n1
+    g_i = _cross(nhat, v2 / n2) / n2
+    g_k[:, ~ok] = 0.0
+    g_i[:, ~ok] = 0.0
     g_j = -(g_k + g_i)
-    return g_k, g_j, g_i
+    return g_k.T, g_j.T, g_i.T
 
 
 def distance_gradients(positions: np.ndarray, src: np.ndarray, recv: np.ndarray):

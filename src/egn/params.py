@@ -87,9 +87,6 @@ class ModelParams:
             if arr.shape != spec.shape or arr.dtype != np.float64:
                 raise ValueError(f"{spec.name}: expected float64 {spec.shape}, got {arr.dtype} {arr.shape}")
 
-    def map_arrays(self, fn) -> dict[str, np.ndarray]:
-        return {name: fn(arr) for name, arr in self.arrays.items()}
-
 
 def init_params(config: ModelConfig) -> ModelParams:
     """Initialize all weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
@@ -111,10 +108,6 @@ def init_params(config: ModelConfig) -> ModelParams:
 def zero_params(config: ModelConfig) -> ModelParams:
     arrays = {s.name: np.zeros(s.shape, dtype=np.float64) for s in param_specs(config)}
     return ModelParams(config, arrays)
-
-
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
 
 
 def save_params(params: ModelParams, path) -> None:

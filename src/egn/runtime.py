@@ -58,11 +58,11 @@ from .engine import (
     record_sym,
     record_tu,
 )
-from .graph import angle_gradients, build_graph
+from .graph import build_graph
 from .params import ModelParams, param_specs
 from .partition import GraphPartition, partition_graph
 from .system import AtomicSystem
-from .tape import Tape
+from .tape import Tape, scatter_add, scatter_angle_grads, scatter_edge_ends
 
 ALLOWED_LEVELS = frozenset({"edge", "node", "global", "position", "param"})
 
@@ -636,40 +636,26 @@ class WorkerGroup:
         )
         d_in_bar = (sbf_bar * d_in_part).sum(axis=1)
         ang_bar = (sbf_bar * d_ang_part).sum(axis=1)
-        dist_bar = np.zeros_like(geom.distances)
-        np.add.at(dist_bar, topo.trip_in, d_in_bar)
+        dist_bar = scatter_add(topo.trip_in, d_in_bar, topo.num_edges)
         dist_bar += (rbf_bar * rbf_features_ddist(geom.distances, cfg.k_rbf, cfg.cutoff)).sum(axis=1)
 
         # Each geometry op accumulates into its own buffer and the buffers
         # are added in reverse recording order, matching the tape's
         # association so a single worker reproduces the sequential engine.
-        pos_bar = np.zeros_like(self.system.positions)
+        pos = self.system.positions
+        pos_bar = np.zeros_like(pos)
         if topo.num_triplets:
-            g_k, g_j, g_i = angle_gradients(self.system.positions, topo)
-            k = topo.edge_src[topo.trip_in]
-            j = topo.edge_recv[topo.trip_in]
-            i = topo.edge_recv[topo.trip_out]
-            buf = np.zeros_like(pos_bar)
-            np.add.at(buf, k, ang_bar[:, None] * g_k)
-            np.add.at(buf, i, ang_bar[:, None] * g_i)
-            np.add.at(buf, j, ang_bar[:, None] * g_j)
-            pos_bar = pos_bar + buf
+            pos_bar = pos_bar + scatter_angle_grads(ang_bar, pos, topo)
         if gemnet and topo.num_edges:
-            diff = self.system.positions[topo.edge_recv] - self.system.positions[topo.edge_src]
+            diff = pos[topo.edge_recv] - pos[topo.edge_src]
             d = geom.distances
             unit = diff / d[:, None]
             proj = (units_bar * unit).sum(axis=1, keepdims=True)
             contrib = (units_bar - proj * unit) / d[:, None]
-            buf = np.zeros_like(pos_bar)
-            np.add.at(buf, topo.edge_recv, contrib)
-            np.add.at(buf, topo.edge_src, -contrib)
-            pos_bar = pos_bar + buf
+            pos_bar = pos_bar + scatter_edge_ends(contrib, topo.edge_src, topo.edge_recv, len(pos))
         if topo.num_edges:
             contrib = dist_bar[:, None] * geom.unit_vectors
-            buf = np.zeros_like(pos_bar)
-            np.add.at(buf, topo.edge_recv, contrib)
-            np.add.at(buf, topo.edge_src, -contrib)
-            pos_bar = pos_bar + buf
+            pos_bar = pos_bar + scatter_edge_ends(contrib, topo.edge_src, topo.edge_recv, len(pos))
 
         ctx.set_stage("backward.reduce")
         pos_grad = ar(pos_bar, "position", -1, "positions")

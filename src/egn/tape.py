@@ -12,6 +12,7 @@ gaussian_rbf, angular_sbf, quadratic_well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,52 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def _silu_grad(x: np.ndarray) -> np.ndarray:
     s = _sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
+
+
+def scatter_add(idx: np.ndarray, x: np.ndarray, num: int) -> np.ndarray:
+    """Sum the rows of ``x`` into ``num`` rows: ``out[idx[r]] += x[r]``.
+
+    Returns float64 of shape ``(num,) + x.shape[1:]``. Rows are added in
+    index order into zeros, so the result is bit-identical to ``np.add.at``
+    into zeros; one ``np.bincount`` over the flattened ``idx * d + col``
+    does it without ``add.at``'s per-element dispatch. An index outside
+    ``[0, num)`` raises IndexError.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    x = np.asarray(x, dtype=np.float64)
+    tail = x.shape[1:]
+    if idx.shape != x.shape[:1]:
+        raise ValueError(f"index shape {idx.shape} does not match {x.shape[0]} rows")
+    if idx.size and idx.min() < 0:
+        raise IndexError(f"scatter index out of range [0, {num})")
+    d = math.prod(tail)
+    flat = idx if d == 1 else (idx[:, None] * d + np.arange(d, dtype=np.int64)).ravel()
+    out = np.bincount(flat, weights=x.ravel(), minlength=num * d)
+    if out.shape[0] != num * d:  # bincount grows its output past the largest index
+        raise IndexError(f"scatter index out of range [0, {num})")
+    # bincount returns int64 for an empty index, even with weights.
+    return out.astype(np.float64, copy=False).reshape((num,) + tail)
+
+
+def scatter_edge_ends(contrib: np.ndarray, src: np.ndarray, recv: np.ndarray, n: int):
+    """+contrib at each edge's receiver, then -contrib at its source, as one scatter."""
+    return scatter_add(np.concatenate([recv, src]), np.concatenate([contrib, -contrib]), n)
+
+
+def scatter_angle_grads(
+    ang_bar: np.ndarray, positions: np.ndarray, topology: _graph.GraphTopology
+) -> np.ndarray:
+    """Position gradient of sum(ang_bar * angles): the outer atom k, then i, then j."""
+    g_k, g_j, g_i = _graph.angle_gradients(positions, topology)
+    k = topology.edge_src[topology.trip_in]
+    j = topology.edge_recv[topology.trip_in]
+    i = topology.edge_recv[topology.trip_out]
+    w = ang_bar[:, None]
+    return scatter_add(
+        np.concatenate([k, i, j]),
+        np.concatenate([w * g_k, w * g_i, w * g_j]),
+        positions.shape[0],
+    )
 
 
 # Forward rules: fn(input_values, aux) -> value.
@@ -131,19 +178,14 @@ def _gather_fwd(vals, aux):
 
 
 def _gather_vjp(g, vals, out, aux):
-    gx = np.zeros_like(vals[0])
-    np.add.at(gx, aux["idx"], g)
-    return (gx,)
+    return (scatter_add(aux["idx"], g, vals[0].shape[0]),)
 
 
 _op("gather")((_gather_fwd, _gather_vjp))
 
 
 def _segment_sum_fwd(vals, aux):
-    x = vals[0]
-    out = np.zeros((aux["num"],) + x.shape[1:], dtype=x.dtype)
-    np.add.at(out, aux["seg"], x)
-    return out
+    return scatter_add(aux["seg"], vals[0], aux["num"])
 
 
 _op("segment_sum")(
@@ -168,10 +210,7 @@ def _edge_distances_fwd(vals, aux):
 def _edge_distances_vjp(g, vals, out, aux):
     unit = (vals[0][aux["recv"]] - vals[0][aux["src"]]) / out[:, None]
     contrib = g[:, None] * unit
-    gx = np.zeros_like(vals[0])
-    np.add.at(gx, aux["recv"], contrib)
-    np.add.at(gx, aux["src"], -contrib)
-    return (gx,)
+    return (scatter_edge_ends(contrib, aux["src"], aux["recv"], vals[0].shape[0]),)
 
 
 _op("edge_distances")((_edge_distances_fwd, _edge_distances_vjp))
@@ -187,10 +226,7 @@ def _edge_units_vjp(g, vals, out, aux):
     unit = diff / d[:, None]
     proj = (g * unit).sum(axis=1, keepdims=True)
     contrib = (g - proj * unit) / d[:, None]
-    gx = np.zeros_like(vals[0])
-    np.add.at(gx, aux["recv"], contrib)
-    np.add.at(gx, aux["src"], -contrib)
-    return (gx,)
+    return (scatter_edge_ends(contrib, aux["src"], aux["recv"], vals[0].shape[0]),)
 
 
 _op("edge_units")((_edge_units_fwd, _edge_units_vjp))
@@ -201,16 +237,7 @@ def _triplet_angles_fwd(vals, aux):
 
 
 def _triplet_angles_vjp(g, vals, out, aux):
-    topo = aux["topology"]
-    g_k, g_j, g_i = _graph.angle_gradients(vals[0], topo)
-    k = topo.edge_src[topo.trip_in]
-    j = topo.edge_recv[topo.trip_in]
-    i = topo.edge_recv[topo.trip_out]
-    gx = np.zeros_like(vals[0])
-    np.add.at(gx, k, g[:, None] * g_k)
-    np.add.at(gx, i, g[:, None] * g_i)
-    np.add.at(gx, j, g[:, None] * g_j)
-    return (gx,)
+    return (scatter_angle_grads(g, vals[0], aux["topology"]),)
 
 
 _op("triplet_angles")((_triplet_angles_fwd, _triplet_angles_vjp))
@@ -353,7 +380,9 @@ class Tape:
         ``seeds`` maps node id to the upstream gradient of that node's
         output. Returns a per-node list of gradients (None where no
         gradient flowed). Accumulation runs in reverse recording order,
-        which makes the result deterministic.
+        which makes the result deterministic. The gradients may share
+        memory with the seeds and with each other, so treat them as
+        read-only.
         """
         if check_replay:
             self.verify_replay()
@@ -365,7 +394,7 @@ class Tape:
                     f"seed shape {seed.shape} does not match node {nid} "
                     f"value shape {self._nodes[nid].value.shape}"
                 )
-            grads[nid] = seed.copy() if grads[nid] is None else grads[nid] + seed
+            grads[nid] = seed if grads[nid] is None else grads[nid] + seed
         for nid in range(len(self._nodes) - 1, -1, -1):
             g = grads[nid]
             node = self._nodes[nid]
@@ -376,8 +405,7 @@ class Tape:
             for iid, ig in zip(node.inputs, input_grads):
                 if ig is None:
                     continue
-                if grads[iid] is None:
-                    grads[iid] = ig.copy()
-                else:
-                    grads[iid] = grads[iid] + ig
+                # Never accumulate in place: gradients may alias seeds,
+                # each other and views of recorded values.
+                grads[iid] = ig if grads[iid] is None else grads[iid] + ig
         return grads

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from egn.graph import (
     Geometry,
     GraphTopology,
+    angle_gradients,
     build_graph,
     edge_distances,
     edge_unit_vectors,
@@ -226,6 +227,43 @@ def dense_reverse_edges(topology):
     return rev
 
 
+def reference_triplet_vectors(pos, topology):
+    k = topology.edge_src[topology.trip_in]
+    j = topology.edge_recv[topology.trip_in]
+    i = topology.edge_recv[topology.trip_out]
+    return pos[k] - pos[j], pos[i] - pos[j]
+
+
+def reference_triplet_angles(pos, topology):
+    """Per-atom gathers and np.cross: the formula triplet_angles must reproduce."""
+    if topology.num_triplets == 0:
+        return np.empty(0, dtype=np.float64)
+    v1, v2 = reference_triplet_vectors(pos, topology)
+    cross = np.cross(v1, v2)
+    s = np.sqrt((cross * cross).sum(axis=1))
+    c = (v1 * v2).sum(axis=1)
+    return np.arctan2(s, c)
+
+
+def reference_angle_gradients(pos, topology):
+    """The closed-form angle gradient over per-atom gathers and np.cross."""
+    if topology.num_triplets == 0:
+        z = np.zeros((0, 3), dtype=np.float64)
+        return z, z, z
+    v1, v2 = reference_triplet_vectors(pos, topology)
+    cross = np.cross(v1, v2)
+    s = np.sqrt((cross * cross).sum(axis=1))
+    ok = s > 1e-14
+    nhat = cross / np.where(ok, s, 1.0)[:, None]
+    n1 = np.sqrt((v1 * v1).sum(axis=1))
+    n2 = np.sqrt((v2 * v2).sum(axis=1))
+    g_k = np.cross(v1 / n1[:, None], nhat) / n1[:, None]
+    g_i = np.cross(nhat, v2 / n2[:, None]) / n2[:, None]
+    g_k[~ok] = 0.0
+    g_i[~ok] = 0.0
+    return g_k, -(g_k + g_i), g_i
+
+
 def dense_graph(system, cutoff):
     pos = system.positions
     n = system.n
@@ -241,7 +279,7 @@ def dense_graph(system, cutoff):
     geometry = Geometry(
         edge_distances(pos, src, recv),
         edge_unit_vectors(pos, src, recv),
-        triplet_angles(pos, topology),
+        reference_triplet_angles(pos, topology),
     )
     return topology, geometry, dist[src, recv]
 
@@ -297,6 +335,33 @@ def test_graph_matches_dense_reference(seed, n, layout, origin, cutoff):
     rng = np.random.default_rng(seed)
     pos = _layout(layout, n, rng) + origin
     assert_matches_dense(_atoms(pos), cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    layout=st.sampled_from(["cloud", "lattice", "plane", "line"]),
+    origin=st.sampled_from([0.0, -3.7, 1e6]),
+)
+def test_angle_gradients_match_reference(seed, n, layout, origin):
+    # Lattice, plane and line layouts give zero coordinate differences,
+    # whose sign must match too, and line layouts give collinear triplets.
+    rng = np.random.default_rng(seed)
+    system = _atoms(_layout(layout, n, rng) + origin)
+    topo, _ = build_graph(system, 1.5)
+    actual = angle_gradients(system.positions, topo)
+    for got, want in zip(actual, reference_angle_gradients(system.positions, topo)):
+        assert_bitwise_equal(got, want)
+
+
+def test_angle_gradients_of_collinear_triplets_match_reference():
+    system = collinear_chain(0.7, n=6)
+    topo, _ = build_graph(system, 1.5)
+    g_k, g_j, g_i = angle_gradients(system.positions, topo)
+    assert topo.num_triplets and not g_k.any() and not g_j.any() and not g_i.any()
+    for got, want in zip((g_k, g_j, g_i), reference_angle_gradients(system.positions, topo)):
+        assert_bitwise_equal(got, want)
 
 
 def _lattice(side, spacing):

@@ -1,9 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from egn.config import DIMENET, GEMNET, ModelConfig
+from egn.engine import ModelTape
 from egn.graph import build_graph
+from egn.params import init_params
 from egn.system import random_cloud
-from egn.tape import Tape, TapeConsistencyError
+from egn.tape import Tape, TapeConsistencyError, scatter_add
 
 from conftest import rel_err
 
@@ -220,3 +228,88 @@ def test_multiple_consumers_accumulate(rng):
     s = _sigmoid(x0)
     expected = s * (1 + x0 * (1 - s)) + 2 * x0
     np.testing.assert_allclose(grads[x], expected, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num=st.integers(1, 9),
+    tail=st.sampled_from([(), (3,), (2, 4)]),
+    rows=st.integers(1, 40),
+    data=st.data(),
+)
+def test_scatter_add_matches_add_at_bit_for_bit(num, tail, rows, data):
+    # Few output rows and many input rows: indices repeat, unsorted.
+    idx = np.array(data.draw(st.lists(st.integers(0, num - 1), min_size=rows, max_size=rows)))
+    size = rows * int(np.prod(tail, dtype=np.int64))
+    special = st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+    values = data.draw(st.lists(st.floats() | special, min_size=size, max_size=size))
+    x = np.array(values, dtype=np.float64).reshape((rows,) + tail)
+    expected = np.zeros((num,) + tail)
+    np.add.at(expected, idx, x)
+    actual = scatter_add(idx, x, num)
+    assert actual.dtype == np.float64 and actual.shape == expected.shape
+    # Where two NaNs meet, add.at keeps the first operand's sign bit for
+    # scalar rows and the second's for longer rows, so a NaN's bits are
+    # not pinned; every other value is.
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (2, 4)])
+def test_scatter_add_empty_index_gives_float_zeros(tail):
+    out = scatter_add(np.empty(0, dtype=np.int64), np.empty((0,) + tail), 5)
+    assert out.dtype == np.float64 and out.shape == (5,) + tail
+    np.testing.assert_array_equal(out.view(np.int64), np.zeros((5,) + tail).view(np.int64))
+
+
+@pytest.mark.parametrize("tail", [(), (2,)])
+@pytest.mark.parametrize("bad", [5, 6, -1])
+def test_scatter_add_index_out_of_range_raises(bad, tail):
+    with pytest.raises(IndexError):
+        scatter_add(np.array([0, bad, 1]), np.ones((3,) + tail), 5)
+
+
+def test_scatter_add_rejects_index_of_wrong_length():
+    with pytest.raises(ValueError):
+        scatter_add(np.array([0, 1]), np.ones((3, 2)), 5)
+
+
+def _frozen(tape: Tape, seeds: dict) -> dict:
+    """Make every recorded value and every seed read-only."""
+    for node in tape._nodes:
+        node.value.flags.writeable = False
+    frozen = {}
+    for nid, seed in seeds.items():
+        frozen[nid] = np.array(seed, dtype=np.float64)
+        frozen[nid].flags.writeable = False
+    return frozen
+
+
+@pytest.mark.parametrize("variant", [DIMENET, GEMNET])
+def test_backward_never_writes_into_its_inputs(variant, rng):
+    cfg = ModelConfig(variant=variant, blocks=2)
+    model = ModelTape(random_cloud(12, 0.9, rng), init_params(cfg))
+    seeds = {model.energy_id: np.array([[0.7]])}
+    if model.forces_id is not None:
+        seeds[model.forces_id] = rng.standard_normal(model.forces.shape)
+    expected = model.tape.backward(seeds)
+    actual = model.tape.backward(_frozen(model.tape, seeds))
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert (got is None) == (want is None)
+        if got is not None:
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_no_ufunc_at_under_src():
+    """Every scatter goes through tape.scatter_add, the one scatter kernel."""
+    src = Path(__file__).resolve().parents[1] / "src" / "egn"
+    paths = sorted(src.rglob("*.py"))
+    assert paths, f"no sources under {src}"
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "at":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"ufunc.at found at {found}; use tape.scatter_add"
