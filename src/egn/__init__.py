@@ -3,7 +3,7 @@
 from .basis import BasisFeatures, compute_basis, rbf_features, sbf_features
 from .config import DIMENET, GEMNET, ModelConfig
 from .engine import FeatureState, GradientBundle, ModelTape, block_forward, initial_state
-from .gradients import GeometryGrads, backward, forces_energy_centric, geometry_grads
+from .gradients import GeometryGrads, forces_energy_centric, geometry_grads
 from .graph import Geometry, GraphTopology, build_graph, enumerate_triplets
 from .params import ModelParams, init_params, load_params, param_specs, save_params
 from .partition import CommModel, GraphPartition, comm_volume, partition_graph
@@ -18,7 +18,7 @@ __all__ = [
     "GradientBundle", "GraphPartition", "GraphTopology", "ModelConfig",
     "ModelParams", "ModelTape", "ParallelRunResult", "RelaxationResult",
     "Tape", "TapeConsistencyError", "WorkerGroup", "XyzParseError",
-    "backward", "block_forward", "build_graph", "comm_volume", "compute_basis",
+    "block_forward", "build_graph", "comm_volume", "compute_basis",
     "enumerate_triplets", "forces_energy_centric", "format_xyz",
     "geometry_grads", "init_params", "initial_state", "load_params",
     "param_specs", "parse_xyz", "partition_graph", "predict",

@@ -88,7 +88,7 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _equivalence_check(config, seeds, p_list, fault) -> CheckResult:
+def _equivalence_check(config, seeds, p_list) -> CheckResult:
     for seed in seeds:
         rng = np.random.default_rng(seed)
         system = sample_system(rng, n=int(rng.integers(8, 24)))
@@ -103,7 +103,7 @@ def _equivalence_check(config, seeds, p_list, fault) -> CheckResult:
             seq_f = -seq_grad.d_positions
         for p in p_list:
             run = ModelParams(params.config.replace(workers=p), params.arrays)
-            group = WorkerGroup(system, run, fault=fault)
+            group = WorkerGroup(system, run)
             result, bundle = group.forward_backward(d_energy=1.0)
             par_f = result.forces if config.variant == GEMNET else -bundle.d_positions
             if not _rel_close(result.energy, seq_e):
@@ -223,11 +223,10 @@ def verify_suite(
     config: ModelConfig,
     seeds: list[int],
     p_list: list[int],
-    fault: str | None = None,
 ) -> list[CheckResult]:
     """Run the invariant suite; one result per named check."""
     return [
-        _equivalence_check(config, seeds, p_list, fault),
+        _equivalence_check(config, seeds, p_list),
         _fd_forces_check(config, seeds[:2]),
         _rigid_motion_check(config, seeds[:2]),
         _permutation_check(config, seeds[:2]),

@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="run the invariant suite")
     p_verify.add_argument("--p-list", type=_parse_int_list, default=[1, 2, 3])
     p_verify.add_argument("--seeds", type=_parse_int_list, default=[0, 1])
-    p_verify.add_argument("--fault", default=None, help=argparse.SUPPRESS)  # test hook
 
     p_relax = sub.add_parser("relax", parents=[common], help="relax a structure")
     p_relax.add_argument("xyz", type=Path)
@@ -116,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "verify":
-        results = verify_suite(config, args.seeds, args.p_list, fault=args.fault)
+        results = verify_suite(config, args.seeds, args.p_list)
         failed = False
         for res in results:
             if res.passed:

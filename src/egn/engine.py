@@ -7,9 +7,13 @@ the two directed messages on each undirected edge, and finally the global
 update (GU). The dimenet-style variant is energy-centric (forces come from
 the position gradient); the gemnet-style variant adds a direct force head.
 
-The stage recorders here are shared with the multi-worker runtime: a worker
-records the same primitives over its index shard, so a single-worker run
-reproduces this engine bit for bit.
+Each stage has one definition, a ``record_*`` function that takes the tape
+first. The sequential forward (``record_model``) chains them on one tape;
+the multi-worker runtime records the same functions over a worker's index
+shard, so a single-worker run reproduces this engine bit for bit. Where no
+backward follows (inference, replicated values, ``initial_state`` and
+``block_forward``) they run on an ``Evaluator``, which computes the same
+values and keeps no tape.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .elements import MAX_Z
 from .graph import Geometry, GraphTopology, build_graph
 from .params import ModelParams, param_specs
 from .system import AtomicSystem
-from .tape import Tape, scatter_add, silu
+from .tape import Evaluator, Tape
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,10 @@ def receiver_plan(topology: GraphTopology, node_lo: int, node_hi: int):
 
 
 # ---------------------------------------------------------------------------
-# Stage recorders (tape) and their plain-array mirrors. The mirrors apply the
-# identical sequence of array operations, so both paths agree bitwise.
+# Stage recorders: the one definition of each stage. Run on a Tape they record
+# for a backward pass; run on an Evaluator they return the values and keep
+# nothing. Rows given as np.arange(n) cover the whole buffer, and that gather
+# reproduces the buffer bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -101,18 +107,9 @@ def record_mlp2(tape: Tape, x: int, pl: ParamLeaves, prefix: str) -> int:
     return tape.linear(tape.silu(h), pl[prefix + ".w2"], pl[prefix + ".b2"])
 
 
-def np_mlp2(x: np.ndarray, arrays: dict, prefix: str) -> np.ndarray:
-    h = x @ arrays[prefix + ".w1"].T + arrays[prefix + ".b1"]
-    return silu(h) @ arrays[prefix + ".w2"].T + arrays[prefix + ".b2"]
-
-
 def record_edge_init(tape: Tape, pl: ParamLeaves, rbf_id: int, rows: np.ndarray) -> int:
     rbf_rows = tape.gather(rbf_id, rows)
     return tape.linear(rbf_rows, pl["edge_init.w"], pl["edge_init.b"])
-
-
-def np_edge_init(rbf: np.ndarray, arrays: dict) -> np.ndarray:
-    return rbf @ arrays["edge_init.w"].T + arrays["edge_init.b"]
 
 
 def record_tu(
@@ -158,11 +155,6 @@ def record_eu(
     return tape.add(m_rows, record_mlp2(tape, x, pl, f"block{block}.eu"))
 
 
-def np_eu(m: np.ndarray, ta: np.ndarray, arrays: dict, block: int) -> np.ndarray:
-    x = np.concatenate([m, ta], axis=1)
-    return m + np_mlp2(x, arrays, f"block{block}.eu")
-
-
 def record_ea_nu(
     tape: Tape,
     pl: ParamLeaves,
@@ -200,10 +192,6 @@ def record_sym(
     return tape.add(own, tape.linear(mirrored, pl[f"block{block}.sym.w"]))
 
 
-def np_sym(m2: np.ndarray, rev: np.ndarray, arrays: dict, block: int) -> np.ndarray:
-    return m2 + m2[rev] @ arrays[f"block{block}.sym.w"].T
-
-
 def record_gu_head(
     tape: Tape, pl: ParamLeaves, block: int, v_id: int, rows: np.ndarray
 ) -> int:
@@ -217,18 +205,8 @@ def record_gu_tail(tape: Tape, pl: ParamLeaves, block: int, z_id: int, u_id: int
     return tape.add(u_id, tape.linear(tape.silu(pre), pl[p + ".w2"], pl[p + ".b2"]))
 
 
-def np_gu_tail(z: np.ndarray, u: np.ndarray, arrays: dict, block: int) -> np.ndarray:
-    p = f"block{block}.gu"
-    pre = z + arrays[p + ".b1"][None, :]
-    return u + (silu(pre) @ arrays[p + ".w2"].T + arrays[p + ".b2"])
-
-
 def record_energy(tape: Tape, pl: ParamLeaves, u_id: int) -> int:
     return tape.linear(u_id, pl["energy_head.w"], pl["energy_head.b"])
-
-
-def np_energy(u: np.ndarray, arrays: dict) -> np.ndarray:
-    return u @ arrays["energy_head.w"].T + arrays["energy_head.b"]
 
 
 def record_force_head(
@@ -246,18 +224,6 @@ def record_force_head(
     return tape.segment_sum(scaled, seg, num_rows)
 
 
-def np_force_head(
-    m: np.ndarray,
-    units: np.ndarray,
-    arrays: dict,
-    edge_sel: np.ndarray,
-    seg: np.ndarray,
-    num_rows: int,
-) -> np.ndarray:
-    scale = m[edge_sel] @ arrays["force_head.w"].T
-    return scatter_add(seg, scale * units[edge_sel], num_rows)
-
-
 def initial_state(
     atomic_numbers: np.ndarray,
     topology: GraphTopology,
@@ -269,7 +235,9 @@ def initial_state(
     c = params.config
     idx = embedding_indices(atomic_numbers)
     node = params.arrays["atom_embedding"][idx]
-    edge = np_edge_init(basis.edge_rbf, params.arrays)
+    ev = Evaluator()
+    all_edges = np.arange(topology.num_edges, dtype=np.int64)
+    edge = record_edge_init(ev, ParamLeaves(ev, params), basis.edge_rbf, all_edges)
     triplet = np.zeros((topology.num_triplets, c.d_t), dtype=np.float64)
     glob = np.zeros((1, c.d_u), dtype=np.float64)
     return FeatureState(glob, node, edge, triplet, topology, geometry, basis)
@@ -278,12 +246,14 @@ def initial_state(
 def block_forward(state: FeatureState, params: ModelParams, block: int) -> FeatureState:
     """Apply one interaction block to a feature state and return the update.
 
-    Records a fresh tape over the given buffers; useful for inspecting a
-    single block. The full engine chains the same recorders on one tape.
+    Runs the block's recorders on an Evaluator over the given buffers, so no
+    tape is kept; useful for inspecting a single block. ``record_model``
+    chains the same recorders, and the chain of these calls reproduces its
+    feature buffers bit for bit.
     """
     c = params.config
     topology = state.topology
-    tape = Tape()
+    tape = Evaluator()
     pl = ParamLeaves(tape, params)
     m_id = tape.leaf(state.edge_features)
     u_id = tape.leaf(state.global_features)
@@ -314,69 +284,84 @@ def block_forward(state: FeatureState, params: ModelParams, block: int) -> Featu
     )
 
 
+@dataclass(frozen=True)
+class ModelHandles:
+    """Handles of one model forward; on an Evaluator they are the values."""
+
+    topology: GraphTopology
+    geometry: Geometry
+    basis: BasisFeatures
+    param_leaves: ParamLeaves
+    positions: int
+    m: int
+    v: int
+    u: int
+    t: int | None
+    energy: int
+    forces: int | None  # force-centric variant only
+
+
+def record_model(tape: Tape, system: AtomicSystem, params: ModelParams) -> ModelHandles:
+    """The sequential forward over a whole system, from positions to readout."""
+    config = params.config
+    topology, geometry = build_graph(system, config.cutoff)
+    src, recv = topology.edge_src, topology.edge_recv
+    pos_id = tape.leaf(system.positions)
+    dist_id = tape.edge_distances(pos_id, src, recv)
+    units_id = tape.edge_units(pos_id, src, recv) if config.variant == GEMNET else None
+    ang_id = tape.triplet_angles(pos_id, topology)
+    rbf_id = tape.gaussian_rbf(dist_id, config.k_rbf, config.cutoff)
+    d_in_id = tape.gather(dist_id, topology.trip_in)
+    sbf_id = tape.angular_sbf(d_in_id, ang_id, config.k_rbf, config.l_sbf, config.cutoff)
+    basis = BasisFeatures(tape.value(rbf_id), tape.value(sbf_id))
+
+    pl = ParamLeaves(tape, params)
+    v_id = tape.gather(pl["atom_embedding"], embedding_indices(system.atomic_numbers))
+    all_edges = np.arange(topology.num_edges, dtype=np.int64)
+    all_trips = np.arange(topology.num_triplets, dtype=np.int64)
+    all_nodes = np.arange(topology.num_nodes, dtype=np.int64)
+    edge_sel, seg = receiver_plan(topology, 0, topology.num_nodes)
+    rev = topology.reverse_edges() if config.variant == GEMNET else None
+
+    m_id = record_edge_init(tape, pl, rbf_id, all_edges)
+    u_id = tape.leaf(np.zeros((1, config.d_u)))
+    t_id = None
+    for b in range(config.blocks):
+        t_id, ta_id = record_tu(tape, pl, b, config, m_id, rbf_id, sbf_id, all_trips, topology)
+        m_id = record_eu(tape, pl, b, m_id, ta_id, all_edges)
+        v_id = record_ea_nu(tape, pl, b, m_id, edge_sel, seg, topology.num_nodes)
+        if config.variant == GEMNET:
+            m_id = record_eu2(tape, pl, b, m_id, v_id, all_edges, topology)
+            m_id = record_sym(tape, pl, b, m_id, all_edges, rev)
+        g_id = record_gu_head(tape, pl, b, v_id, all_nodes)
+        u_id = record_gu_tail(tape, pl, b, g_id, u_id)
+
+    energy_id = record_energy(tape, pl, u_id)
+    forces_id = None
+    if config.variant == GEMNET:
+        forces_id = record_force_head(tape, pl, m_id, units_id, edge_sel, seg, topology.num_nodes)
+    return ModelHandles(
+        topology, geometry, basis, pl, pos_id, m_id, v_id, u_id, t_id, energy_id, forces_id
+    )
+
+
 class ModelTape:
     """One recorded sequential forward pass over a system.
 
     Exposes the energy, the direct forces for the force-centric variant,
     the final feature buffers, and a backward() that yields parameter and
-    position gradients.
+    position gradients. Inference that needs no backward runs
+    ``record_model`` on an ``Evaluator`` instead.
     """
 
     def __init__(self, system: AtomicSystem, params: ModelParams):
-        config = params.config
         self.system = system
         self.params = params
-        self.config = config
-        topology, geometry = build_graph(system, config.cutoff)
-        self.topology = topology
-        self.geometry = geometry
-
-        tape = Tape()
-        self.tape = tape
-        src, recv = topology.edge_src, topology.edge_recv
-        self.pos_id = tape.leaf(system.positions)
-        dist_id = tape.edge_distances(self.pos_id, src, recv)
-        self.units_id = (
-            tape.edge_units(self.pos_id, src, recv) if config.variant == GEMNET else None
-        )
-        ang_id = tape.triplet_angles(self.pos_id, topology)
-        rbf_id = tape.gaussian_rbf(dist_id, config.k_rbf, config.cutoff)
-        d_in_id = tape.gather(dist_id, topology.trip_in)
-        sbf_id = tape.angular_sbf(d_in_id, ang_id, config.k_rbf, config.l_sbf, config.cutoff)
-        self.basis = BasisFeatures(tape.value(rbf_id), tape.value(sbf_id))
-
-        pl = ParamLeaves(tape, params)
-        self.param_leaves = pl
-
-        emb_idx = embedding_indices(system.atomic_numbers)
-        self.v0_id = tape.gather(pl["atom_embedding"], emb_idx)
-        all_edges = np.arange(topology.num_edges, dtype=np.int64)
-        all_trips = np.arange(topology.num_triplets, dtype=np.int64)
-        all_nodes = np.arange(topology.num_nodes, dtype=np.int64)
-        edge_sel, seg = receiver_plan(topology, 0, topology.num_nodes)
-        rev = topology.reverse_edges() if config.variant == GEMNET else None
-
-        m_id = record_edge_init(tape, pl, rbf_id, all_edges)
-        u_id = tape.leaf(np.zeros((1, config.d_u)))
-        t_id = None
-        v_id = self.v0_id
-        for b in range(config.blocks):
-            t_id, ta_id = record_tu(tape, pl, b, config, m_id, rbf_id, sbf_id, all_trips, topology)
-            m_id = record_eu(tape, pl, b, m_id, ta_id, all_edges)
-            v_id = record_ea_nu(tape, pl, b, m_id, edge_sel, seg, topology.num_nodes)
-            if config.variant == GEMNET:
-                m_id = record_eu2(tape, pl, b, m_id, v_id, all_edges, topology)
-                m_id = record_sym(tape, pl, b, m_id, all_edges, rev)
-            g_id = record_gu_head(tape, pl, b, v_id, all_nodes)
-            u_id = record_gu_tail(tape, pl, b, g_id, u_id)
-
-        self.m_id, self.v_id, self.u_id, self.t_id = m_id, v_id, u_id, t_id
-        self.energy_id = record_energy(tape, pl, u_id)
-        self.forces_id = None
-        if config.variant == GEMNET:
-            self.forces_id = record_force_head(
-                tape, pl, m_id, self.units_id, edge_sel, seg, topology.num_nodes
-            )
+        self.config = params.config
+        self.tape = Tape()
+        self.handles = record_model(self.tape, system, params)
+        self.energy_id = self.handles.energy
+        self.forces_id = self.handles.forces
 
     @property
     def energy(self) -> float:
@@ -390,14 +375,15 @@ class ModelTape:
 
     @property
     def state(self) -> FeatureState:
+        h = self.handles
         return FeatureState(
-            global_features=self.tape.value(self.u_id),
-            node_features=self.tape.value(self.v_id),
-            edge_features=self.tape.value(self.m_id),
-            triplet_features=self.tape.value(self.t_id) if self.t_id is not None else None,
-            topology=self.topology,
-            geometry=self.geometry,
-            basis=self.basis,
+            global_features=self.tape.value(h.u),
+            node_features=self.tape.value(h.v),
+            edge_features=self.tape.value(h.m),
+            triplet_features=self.tape.value(h.t) if h.t is not None else None,
+            topology=h.topology,
+            geometry=h.geometry,
+            basis=h.basis,
         )
 
     def backward(
@@ -418,10 +404,10 @@ class ModelTape:
         grads = self.tape.backward(seeds, check_replay=check_replay)
         d_params = {}
         for spec in param_specs(self.config):
-            leaf = self.param_leaves.ids.get(spec.name)
+            leaf = self.handles.param_leaves.ids.get(spec.name)
             g = grads[leaf] if leaf is not None else None
             d_params[spec.name] = g if g is not None else np.zeros(spec.shape, dtype=np.float64)
-        d_pos = grads[self.pos_id]
+        d_pos = grads[self.handles.positions]
         if d_pos is None:
             d_pos = np.zeros_like(self.system.positions)
         return GradientBundle(d_params, d_pos)

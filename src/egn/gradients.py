@@ -36,16 +36,6 @@ def geometry_grads(positions: np.ndarray, topology: GraphTopology) -> GeometryGr
     return GeometryGrads(d_src, d_recv, g_k, g_j, g_i)
 
 
-def backward(
-    model: ModelTape,
-    d_energy: float = 1.0,
-    d_forces: np.ndarray | None = None,
-    check_replay: bool = False,
-) -> GradientBundle:
-    """Reverse pass through a recorded forward; exact adjoints throughout."""
-    return model.backward(d_energy=d_energy, d_forces=d_forces, check_replay=check_replay)
-
-
 def forces_energy_centric(
     system: AtomicSystem, params: ModelParams
 ) -> tuple[float, np.ndarray, GradientBundle]:

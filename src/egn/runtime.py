@@ -40,12 +40,6 @@ from .engine import (
     FeatureState,
     GradientBundle,
     ParamLeaves,
-    np_edge_init,
-    np_energy,
-    np_eu,
-    np_force_head,
-    np_gu_tail,
-    np_sym,
     receiver_plan,
     record_ea_nu,
     record_edge_init,
@@ -62,7 +56,7 @@ from .graph import build_graph
 from .params import ModelParams, param_specs
 from .partition import GraphPartition, partition_graph
 from .system import AtomicSystem
-from .tape import Tape, scatter_add, scatter_angle_grads, scatter_edge_ends
+from .tape import Evaluator, Tape, scatter_add, scatter_angle_grads, scatter_edge_ends
 
 ALLOWED_LEVELS = frozenset({"edge", "node", "global", "position", "param"})
 
@@ -131,11 +125,10 @@ class CommLog:
 class Collective:
     """Group endpoint: deterministic all-reduce-sum and barrier for P workers."""
 
-    def __init__(self, workers: int, log: CommLog, timeout: float = 30.0, fault: str | None = None):
+    def __init__(self, workers: int, log: CommLog, timeout: float = 30.0):
         self.workers = workers
         self.log = log
         self.timeout = timeout
-        self.fault = fault
         self._slots: list[np.ndarray | None] = [None] * workers
         self._result: np.ndarray | None = None
         self._error: str | None = None
@@ -161,6 +154,13 @@ class Collective:
                 ) from None
             raise
 
+    def sum_slots(self, slots: list[np.ndarray]) -> np.ndarray:
+        """Sum the workers' buffers in ascending rank order into a new array."""
+        total = slots[0].copy()
+        for slot in slots[1:]:
+            total += slot
+        return total
+
     def allreduce_sum(
         self,
         rank: int,
@@ -182,17 +182,11 @@ class Collective:
                 self._error = f"shape mismatch across workers: {sorted(shapes)}"
                 self._result = None
             else:
-                last = self.workers - 1 if self.fault == "drop-last" and self.workers > 1 else None
-                total = self._slots[0].copy()
-                for r in range(1, self.workers):
-                    if r == last:
-                        continue
-                    total += self._slots[r]
-                self._result = total
+                self._result = self.sum_slots(self._slots)
                 self._error = None
                 self.log.records.append(
                     CommRecord(phase=phase, block=block, stage=stage, level=level,
-                               elements=int(total.size))
+                               elements=int(self._result.size))
                 )
         self._wait(self._exit)
         if self._error is not None:
@@ -220,8 +214,8 @@ class ParallelRunResult:
 class _Seg:
     """One tape segment: owned rows of a stage, with named input leaves."""
 
-    def __init__(self, params: ModelParams):
-        self.tape = Tape()
+    def __init__(self, params: ModelParams, tape: Tape):
+        self.tape = tape
         self.pl = ParamLeaves(self.tape, params)
         self.leaves: dict[str, int] = {}
         self.out: int | None = None
@@ -276,7 +270,6 @@ class WorkerGroup:
         system: AtomicSystem,
         params: ModelParams,
         timeout: float = 30.0,
-        fault: str | None = None,
         track_replicas: bool = False,
     ):
         config = params.config
@@ -285,7 +278,6 @@ class WorkerGroup:
         self.config = config
         self.workers = config.workers
         self.timeout = timeout
-        self.fault = fault
         self.track_replicas = track_replicas
 
         self.topology, self.geometry = build_graph(system, config.cutoff)
@@ -319,7 +311,7 @@ class WorkerGroup:
 
     def _run(self, mode: str, d_energy: float, d_forces: np.ndarray | None):
         log = CommLog()
-        collective = Collective(self.workers, log, timeout=self.timeout, fault=self.fault)
+        collective = Collective(self.workers, log, timeout=self.timeout)
         contexts = [_WorkerContext(rank, timed=rank == 0) for rank in range(self.workers)]
         outputs: list = [None] * self.workers
         errors: list = [None] * self.workers
@@ -327,9 +319,10 @@ class WorkerGroup:
         def body(rank: int) -> None:
             ctx = contexts[rank]
             try:
-                fwd = self._worker_forward(ctx, collective)
+                backward = mode == "forward_backward"
+                fwd = self._worker_forward(ctx, collective, record=backward)
                 bundle = None
-                if mode == "forward_backward":
+                if backward:
                     bundle = self._worker_backward(ctx, collective, fwd, d_energy, d_forces)
                 outputs[rank] = (fwd, bundle)
             except BaseException as exc:  # noqa: BLE001 - reported to the caller
@@ -390,9 +383,11 @@ class WorkerGroup:
 
     # -- worker forward ----------------------------------------------------
 
-    def _worker_forward(self, ctx: _WorkerContext, col: Collective) -> dict:
+    def _worker_forward(self, ctx: _WorkerContext, col: Collective, record: bool) -> dict:
+        """Shard stages are kept on tapes only if ``record`` (a backward
+        follows); replicated buffers come from the same recorders run over
+        all rows on an Evaluator, identically on every worker."""
         cfg = self.config
-        arrays = self.params.arrays
         topo, geom, basis = self.topology, self.geometry, self.basis
         rank = ctx.rank
         trip_rows = self.partition.triplet_shards[rank]
@@ -401,6 +396,9 @@ class WorkerGroup:
         lo, hi = self._node_ranges[rank]
         ea_sel, ea_seg = self._rank_plans[rank]
         gemnet = cfg.variant == GEMNET
+        ev = Evaluator()
+        epl = ParamLeaves(ev, self.params)
+        all_edges = np.arange(topo.num_edges, dtype=np.int64)
 
         def ar(buf, level, block, stage):
             out = col.allreduce_sum(
@@ -410,98 +408,98 @@ class WorkerGroup:
                 ctx.digests.append(hashlib.sha256(out.tobytes()).hexdigest())
             return out
 
-        ctx.set_stage("init")
-        seg = _Seg(self.params)
-        rbf_leaf = seg.leaf("rbf", basis.edge_rbf)
-        seg.out = record_edge_init(seg.tape, seg.pl, rbf_leaf, edge_rows)
-        ctx.segs["init"] = seg
+        def shard(key) -> _Seg:
+            seg = _Seg(self.params, Tape() if record else ev)
+            if record:
+                ctx.segs[key] = seg
+            return seg
 
-        m = np_edge_init(basis.edge_rbf, arrays)
+        ctx.set_stage("init")
+        if record:
+            seg = shard("init")
+            rbf_leaf = seg.leaf("rbf", basis.edge_rbf)
+            seg.out = record_edge_init(seg.tape, seg.pl, rbf_leaf, edge_rows)
+
+        m = record_edge_init(ev, epl, basis.edge_rbf, all_edges)
         u = np.zeros((1, cfg.d_u), dtype=np.float64)
         v = np.zeros((topo.num_nodes, cfg.d_v), dtype=np.float64)
         t_own = np.zeros((trip_rows.size, cfg.d_t), dtype=np.float64)
 
         for b in range(cfg.blocks):
             ctx.set_stage(f"block{b}.tu")
-            seg = _Seg(self.params)
+            seg = shard(("tu", b))
             m_leaf = seg.leaf("m", m)
             rbf_leaf = seg.leaf("rbf", basis.edge_rbf)
             sbf_leaf = seg.leaf("sbf", basis.triplet_sbf)
             t_id, ta_id = record_tu(seg.tape, seg.pl, b, cfg, m_leaf, rbf_leaf, sbf_leaf, trip_rows, topo)
             seg.out = ta_id
-            ctx.segs[("tu", b)] = seg
             t_own = seg.tape.value(t_id)
             ta = ar(seg.tape.value(ta_id), "edge", b, "ta")
 
             ctx.set_stage(f"block{b}.eu")
-            seg = _Seg(self.params)
-            m_leaf = seg.leaf("m", m)
-            ta_leaf = seg.leaf("ta", ta)
-            seg.out = record_eu(seg.tape, seg.pl, b, m_leaf, ta_leaf, edge_rows)
-            ctx.segs[("eu", b)] = seg
-            m_new = np_eu(m, ta, arrays, b)
+            if record:
+                seg = shard(("eu", b))
+                m_leaf = seg.leaf("m", m)
+                ta_leaf = seg.leaf("ta", ta)
+                seg.out = record_eu(seg.tape, seg.pl, b, m_leaf, ta_leaf, edge_rows)
+            m_new = record_eu(ev, epl, b, m, ta, all_edges)
 
             ctx.set_stage(f"block{b}.nu")
-            seg = _Seg(self.params)
+            seg = shard(("eanu", b))
             m_leaf = seg.leaf("m", m_new)
             seg.out = record_ea_nu(seg.tape, seg.pl, b, m_leaf, ea_sel, ea_seg, hi - lo)
-            ctx.segs[("eanu", b)] = seg
             v_local = np.zeros((topo.num_nodes, cfg.d_v), dtype=np.float64)
             v_local[lo:hi] = seg.tape.value(seg.out)
             v = ar(v_local, "node", b, "nu")
 
             if gemnet:
                 ctx.set_stage(f"block{b}.eu2")
-                seg = _Seg(self.params)
+                seg = shard(("eu2", b))
                 m_leaf = seg.leaf("m", m_new)
                 v_leaf = seg.leaf("v", v)
                 seg.out = record_eu2(seg.tape, seg.pl, b, m_leaf, v_leaf, edge_rows, topo)
-                ctx.segs[("eu2", b)] = seg
                 m2_local = np.zeros((topo.num_edges, cfg.d_e), dtype=np.float64)
                 m2_local[edge_rows] = seg.tape.value(seg.out)
                 m2 = ar(m2_local, "edge", b, "eu2")
 
                 ctx.set_stage(f"block{b}.sym")
-                seg = _Seg(self.params)
-                m2_leaf = seg.leaf("m2", m2)
-                seg.out = record_sym(seg.tape, seg.pl, b, m2_leaf, edge_rows, self.rev)
-                ctx.segs[("sym", b)] = seg
-                m = np_sym(m2, self.rev, arrays, b)
+                if record:
+                    seg = shard(("sym", b))
+                    m2_leaf = seg.leaf("m2", m2)
+                    seg.out = record_sym(seg.tape, seg.pl, b, m2_leaf, edge_rows, self.rev)
+                m = record_sym(ev, epl, b, m2, all_edges, self.rev)
             else:
                 m = m_new
 
             ctx.set_stage(f"block{b}.gu")
-            seg = _Seg(self.params)
+            seg = shard(("guh", b))
             v_leaf = seg.leaf("v", v)
             seg.out = record_gu_head(seg.tape, seg.pl, b, v_leaf, node_rows)
-            ctx.segs[("guh", b)] = seg
             z = ar(seg.tape.value(seg.out), "global", b, "gu")
 
-            if rank == 0:
-                seg = _Seg(self.params)
+            if record and rank == 0:
+                seg = shard(("gut", b))
                 z_leaf = seg.leaf("z", z)
                 u_leaf = seg.leaf("u", u)
                 seg.out = record_gu_tail(seg.tape, seg.pl, b, z_leaf, u_leaf)
-                ctx.segs[("gut", b)] = seg
-            u = np_gu_tail(z, u, arrays, b)
+            u = record_gu_tail(ev, epl, b, z, u)
 
         ctx.set_stage("readout")
-        energy = float(np_energy(u, arrays)[0, 0])
-        if rank == 0:
-            seg = _Seg(self.params)
+        energy = float(record_energy(ev, epl, u)[0, 0])
+        if record and rank == 0:
+            seg = shard("energy")
             u_leaf = seg.leaf("u", u)
             seg.out = record_energy(seg.tape, seg.pl, u_leaf)
-            ctx.segs["energy"] = seg
         forces = None
         if gemnet:
-            forces = np_force_head(
-                m, geom.unit_vectors, arrays, self.full_plan[0], self.full_plan[1], topo.num_nodes
+            forces = record_force_head(
+                ev, epl, m, geom.unit_vectors, *self.full_plan, topo.num_nodes
             )
-            seg = _Seg(self.params)
-            m_leaf = seg.leaf("m", m)
-            units_leaf = seg.leaf("units", geom.unit_vectors)
-            seg.out = record_force_head(seg.tape, seg.pl, m_leaf, units_leaf, ea_sel, ea_seg, hi - lo)
-            ctx.segs["force"] = seg
+            if record:
+                seg = shard("force")
+                m_leaf = seg.leaf("m", m)
+                units_leaf = seg.leaf("units", geom.unit_vectors)
+                seg.out = record_force_head(seg.tape, seg.pl, m_leaf, units_leaf, ea_sel, ea_seg, hi - lo)
 
         return {
             "energy": energy,

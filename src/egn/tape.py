@@ -3,7 +3,10 @@
 Every primitive stores its inputs, auxiliary constants, and output value, so
 the tape can be replayed forward bit-exactly and walked backward with exact
 adjoints. One tape belongs to a single forward/backward pair; independent
-tapes may run on different threads.
+tapes may run on different threads. Where no backward follows, an
+``Evaluator`` runs the same recording calls through the same forward rules
+and keeps nothing, so a forward is written once and yields the same bits
+either way.
 
 Primitives: leaf, add, add_bias, mul, scale_rows, concat, linear, silu,
 gather, segment_sum, sum_rows, edge_distances, edge_units, triplet_angles,
@@ -409,3 +412,21 @@ class Tape:
                 # each other and views of recorded values.
                 grads[iid] = ig if grads[iid] is None else grads[iid] + ig
         return grads
+
+
+class Evaluator(Tape):
+    """A tape that records nothing: every handle is the primitive's value.
+
+    The recording API and forward rules are those of ``Tape``, so values are
+    bit-identical to a recorded pass; ``value(h)`` is ``h`` and there is no
+    backward.
+    """
+
+    def value(self, nid: np.ndarray) -> np.ndarray:
+        return nid
+
+    def _record(self, op: str, inputs: tuple, aux: dict) -> np.ndarray:
+        return _FORWARD[op](inputs, aux)
+
+    def backward(self, seeds, check_replay: bool = False):
+        raise RuntimeError("an Evaluator keeps no tape to differentiate; record on a Tape")

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import GEMNET, ModelConfig
-from .engine import ModelTape
+from .engine import ModelTape, record_model
 from .graph import build_graph
 from .params import ModelParams, load_params, param_specs, save_params
 from .runtime import WorkerGroup
 from .system import AtomicSystem
-from .tape import Tape
+from .tape import Evaluator, Tape
 
 # Center of the quadratic diagnostic well: the energy of a diagnostic model
 # is sum over edges of (d - WELL_CENTER)^2, which has an analytic minimum.
@@ -41,8 +41,8 @@ def predict(
 
     The energy-centric variant obtains forces as the negative position
     gradient of the energy; the force-centric variant reads them from the
-    force head. Runs sequentially for one worker, otherwise through the
-    multi-worker runtime.
+    force head, so its forward keeps no tape. Runs sequentially for one
+    worker, otherwise through the multi-worker runtime.
     """
     config = params.config
     p = config.workers if workers is None else workers
@@ -51,9 +51,10 @@ def predict(
             raise ValueError("the diagnostic model runs sequentially only")
         return _predict_diagnostic(system, config)
     if p == 1:
-        model = ModelTape(system, params)
         if config.variant == GEMNET:
-            return model.energy, model.forces
+            out = record_model(Evaluator(), system, params)
+            return float(out.energy[0, 0]), out.forces
+        model = ModelTape(system, params)
         bundle = model.backward(d_energy=1.0)
         return model.energy, -bundle.d_positions
     run_params = params if config.workers == p else ModelParams(

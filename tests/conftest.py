@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from egn.runtime import Collective
 from egn.system import AtomicSystem
 
 EPS = np.finfo(np.float64).eps
@@ -20,6 +21,17 @@ def rel_err(approx, exact, floor=1e-8):
     exact = np.asarray(exact, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(approx), np.abs(exact)), floor)
     return np.abs(approx - exact) / denom
+
+
+class DropLastCollective(Collective):
+    """A corrupted all-reduce that leaves out the last rank's buffer (P > 1).
+
+    Tests swap it in for ``egn.runtime.Collective`` to check that the
+    equivalence checks catch a broken reduction.
+    """
+
+    def sum_slots(self, slots):
+        return super().sum_slots(slots[:-1] if len(slots) > 1 else slots)
 
 
 def dimer(distance: float, z=(1, 1)) -> AtomicSystem:

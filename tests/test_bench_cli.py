@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from egn import runtime
 from egn.bench import (
     CSV_HEADER,
     gen_xyz,
@@ -13,6 +14,8 @@ from egn.config import ModelConfig
 from egn.graph import build_graph
 from egn.partition import CommModel, comm_volume
 from egn.system import parse_xyz
+
+from conftest import DropLastCollective
 
 SMALL = ModelConfig(blocks=1, d_u=2, d_v=3, d_e=4, d_t=2, d_bil=2, k_rbf=3, l_sbf=2)
 
@@ -67,8 +70,9 @@ def test_verify_suite_p1_only_trivially_passes():
     assert equiv.passed
 
 
-def test_verify_suite_detects_corrupted_reduction():
-    results = verify_suite(SMALL, seeds=[0], p_list=[2], fault="drop-last")
+def test_verify_suite_detects_corrupted_reduction(monkeypatch):
+    monkeypatch.setattr(runtime, "Collective", DropLastCollective)
+    results = verify_suite(SMALL, seeds=[0], p_list=[2])
     equiv = next(r for r in results if r.name == "parallel-vs-sequential")
     assert not equiv.passed
     assert "P=2" in equiv.detail
@@ -127,7 +131,7 @@ def test_cli_gen_and_run(tmp_path, capsys):
     assert out.count("force") == 6
 
 
-def test_cli_verify_exit_codes(tmp_path, capsys):
+def test_cli_verify_exit_codes(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "config.json"
     cfg.write_text(SMALL.to_json())
     code = main(["verify", "--config", str(cfg), "--p-list", "1,2", "--seeds", "0"])
@@ -135,9 +139,8 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert code == 0
     assert "PASS parallel-vs-sequential" in out
 
-    code = main(
-        ["verify", "--config", str(cfg), "--p-list", "2", "--seeds", "0", "--fault", "drop-last"]
-    )
+    monkeypatch.setattr(runtime, "Collective", DropLastCollective)
+    code = main(["verify", "--config", str(cfg), "--p-list", "2", "--seeds", "0"])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL parallel-vs-sequential" in out

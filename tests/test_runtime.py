@@ -19,13 +19,13 @@ from egn.runtime import (
 )
 from egn.system import AtomicSystem, random_cloud
 
-from conftest import dimer
+from conftest import DropLastCollective, dimer
 
 
-def run_collective(buffers, fault=None, timeout=5.0, op=None):
+def run_collective(buffers, timeout=5.0, op=None):
     workers = len(buffers)
     log = CommLog()
-    col = Collective(workers, log, timeout=timeout, fault=fault)
+    col = Collective(workers, log, timeout=timeout)
     results = [None] * workers
     errors = [None] * workers
 
@@ -272,24 +272,27 @@ def test_worker_failure_names_stage(medium_system, monkeypatch):
 
     from egn import runtime as rt
 
-    original = rt.np_eu
+    original = rt.record_eu
 
     def broken(*args, **kwargs):
         raise FloatingPointError("synthetic failure")
 
-    monkeypatch.setattr(rt, "np_eu", broken)
+    monkeypatch.setattr(rt, "record_eu", broken)
     with pytest.raises(WorkerGroupError) as info:
         group.forward()
-    monkeypatch.setattr(rt, "np_eu", original)
+    monkeypatch.setattr(rt, "record_eu", original)
     assert "block0.eu" in info.value.stage
     assert isinstance(info.value.__cause__, FloatingPointError)
 
 
-def test_fault_injection_breaks_equivalence(medium_system):
+def test_fault_injection_breaks_equivalence(medium_system, monkeypatch):
+    from egn import runtime as rt
+
     cfg = ModelConfig(variant="dimenet-style", blocks=2, workers=3)
     params = init_params(cfg)
     reference = ModelTape(medium_system, params).energy
-    group = WorkerGroup(medium_system, params, fault="drop-last")
+    monkeypatch.setattr(rt, "Collective", DropLastCollective)
+    group = WorkerGroup(medium_system, params)
     result = group.forward()
     assert not np.isclose(result.energy, reference, rtol=1e-9, atol=1e-12)
 

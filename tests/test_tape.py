@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egn.basis import compute_basis
 from egn.config import DIMENET, GEMNET, ModelConfig
-from egn.engine import ModelTape
+from egn.engine import ModelTape, block_forward, initial_state
 from egn.graph import build_graph
-from egn.params import init_params
+from egn.params import ModelParams, init_params
+from egn.runtime import WorkerGroup
 from egn.system import random_cloud
-from egn.tape import Tape, TapeConsistencyError, scatter_add
+from egn.tape import _FORWARD, Evaluator, Tape, TapeConsistencyError, scatter_add
+from egn.tasks import predict
 
 from conftest import rel_err
 
@@ -186,6 +189,91 @@ def test_angular_sbf_adjoint(rng):
 def test_quadratic_well_adjoint(rng):
     d0 = rng.uniform(0.5, 2.5, size=9)
     check_op(lambda t, x: t.quadratic_well(x, 1.5), d0, rng)
+
+
+def _every_primitive(tape, system, topo, w, b) -> dict:
+    """Record each primitive once on ``tape``; map op name to its handle."""
+    h = {}
+    pos = h["leaf"] = tape.leaf(system.positions)
+    dist = h["edge_distances"] = tape.edge_distances(pos, topo.edge_src, topo.edge_recv)
+    units = h["edge_units"] = tape.edge_units(pos, topo.edge_src, topo.edge_recv)
+    ang = h["triplet_angles"] = tape.triplet_angles(pos, topo)
+    rbf = h["gaussian_rbf"] = tape.gaussian_rbf(dist, 4, 1.5)
+    d_in = h["gather"] = tape.gather(dist, topo.trip_in)
+    h["angular_sbf"] = tape.angular_sbf(d_in, ang, 4, 3, 1.5)
+    well = h["quadratic_well"] = tape.quadratic_well(dist, 1.5)
+    w_id, b_id = tape.leaf(w), tape.leaf(b)
+    lin = tape.linear(rbf, w_id)
+    h["linear"] = tape.linear(tape.silu(lin), tape.leaf(w[:, :3]), b_id)
+    h["silu"] = tape.silu(lin)
+    h["add"] = tape.add(lin, units)
+    h["add_bias"] = tape.add_bias(lin, b_id)
+    h["mul"] = tape.mul(lin, units)
+    h["scale_rows"] = tape.scale_rows(well, units)
+    h["concat"] = tape.concat(lin, units)
+    h["segment_sum"] = tape.segment_sum(units, topo.edge_recv, topo.num_nodes)
+    h["sum_rows"] = tape.sum_rows(units)
+    return h
+
+
+def test_evaluator_matches_tape_on_every_primitive(geometry_fixture, rng):
+    system, topo = geometry_fixture
+    w, b = rng.standard_normal((3, 4)), rng.standard_normal(3)
+    tape, ev = Tape(), Evaluator()
+    recorded = _every_primitive(tape, system, topo, w, b)
+    evaluated = _every_primitive(ev, system, topo, w, b)
+    assert set(recorded) == set(_FORWARD)
+    assert len(ev) == 0
+    for op, nid in recorded.items():
+        want, got = tape.value(nid), ev.value(evaluated[op])
+        assert got.shape == want.shape and got.dtype == want.dtype, op
+        assert got.tobytes() == want.tobytes(), op
+    with pytest.raises(RuntimeError):
+        ev.backward({})
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("variant", [DIMENET, GEMNET])
+def test_no_tape_without_backward(variant, monkeypatch):
+    """Inference, WorkerGroup.forward() and the block API record no Tape node
+    and give the bits of the recorded path."""
+    system = random_cloud(16, 0.9, np.random.default_rng(5))
+    cfg = ModelConfig(variant=variant, blocks=2)
+    params = init_params(cfg)
+    model = ModelTape(system, params)
+    recorded_runs = {}
+    for p in (1, 2):
+        run_params = ModelParams(cfg.replace(workers=p), params.arrays)
+        recorded_runs[p] = (run_params, WorkerGroup(system, run_params).forward_backward()[0])
+    topo, geom = build_graph(system, cfg.cutoff)
+    basis = compute_basis(geom, topo, cfg.k_rbf, cfg.l_sbf, cfg.cutoff)
+
+    def refuse(self, op, inputs, aux):
+        raise AssertionError(f"recorded {op!r} on a Tape with no backward to follow")
+
+    monkeypatch.setattr(Tape, "_record", refuse)
+    with pytest.raises(AssertionError):
+        ModelTape(system, params)
+
+    reference = model.state
+    if variant == GEMNET:
+        energy, forces = predict(system, params, workers=1)
+        assert _bits(energy, forces) == _bits(model.energy, model.forces)
+    for p, (run_params, want) in recorded_runs.items():
+        got = WorkerGroup(system, run_params).forward()
+        assert _bits(got.energy) == _bits(want.energy), p
+        if variant == GEMNET:
+            assert _bits(got.forces) == _bits(want.forces), p
+        for name in ("edge_features", "node_features", "global_features"):
+            assert _bits(getattr(got.state, name)) == _bits(getattr(want.state, name)), (p, name)
+    state = initial_state(system.atomic_numbers, topo, geom, basis, params)
+    for block in range(cfg.blocks):
+        state = block_forward(state, params, block)
+    for name in ("edge_features", "node_features", "global_features", "triplet_features"):
+        assert _bits(getattr(state, name)) == _bits(getattr(reference, name)), name
 
 
 def test_replay_is_bit_exact(rng):
