@@ -3,8 +3,7 @@
 from .basis import BasisFeatures, compute_basis, rbf_features, sbf_features
 from .config import DIMENET, GEMNET, ModelConfig
 from .engine import FeatureState, GradientBundle, ModelTape, block_forward, initial_state
-from .gradients import GeometryGrads, forces_energy_centric, geometry_grads
-from .graph import Geometry, GraphTopology, build_graph, enumerate_triplets
+from .graph import GraphTopology, build_graph, enumerate_triplets
 from .params import ModelParams, init_params, load_params, param_specs, save_params
 from .partition import CommModel, GraphPartition, comm_volume, partition_graph
 from .runtime import Collective, CommLog, ParallelRunResult, WorkerGroup
@@ -14,14 +13,13 @@ from .tasks import RelaxationResult, predict, relax, train_simple
 
 __all__ = [
     "AtomicSystem", "BasisFeatures", "Collective", "CommLog", "CommModel",
-    "DIMENET", "FeatureState", "GEMNET", "Geometry", "GeometryGrads",
-    "GradientBundle", "GraphPartition", "GraphTopology", "ModelConfig",
-    "ModelParams", "ModelTape", "ParallelRunResult", "RelaxationResult",
-    "Tape", "TapeConsistencyError", "WorkerGroup", "XyzParseError",
+    "DIMENET", "FeatureState", "GEMNET", "GradientBundle",
+    "GraphPartition", "GraphTopology", "ModelConfig", "ModelParams",
+    "ModelTape", "ParallelRunResult", "RelaxationResult", "Tape",
+    "TapeConsistencyError", "WorkerGroup", "XyzParseError",
     "block_forward", "build_graph", "comm_volume", "compute_basis",
-    "enumerate_triplets", "forces_energy_centric", "format_xyz",
-    "geometry_grads", "init_params", "initial_state", "load_params",
-    "param_specs", "parse_xyz", "partition_graph", "predict",
-    "random_cloud", "rbf_features", "relax", "save_params", "sbf_features",
-    "train_simple",
+    "enumerate_triplets", "format_xyz", "init_params", "initial_state",
+    "load_params", "param_specs", "parse_xyz", "partition_graph",
+    "predict", "random_cloud", "rbf_features", "relax", "save_params",
+    "sbf_features", "train_simple",
 ]

@@ -1,23 +1,33 @@
-"""Radial and angular basis features for edges and triplets.
+"""Radial and angular basis features, and the one recorder of model geometry.
 
 The radial basis is a Gaussian comb on [0, cutoff] with gamma = (K/cutoff)^2;
 the angular basis is cos(l * angle) for l = 0..L-1. Both depend only on
 distances and angles, so features are invariant under rigid motion.
+
+``compute_basis`` records everything the model reads of the positions: edge
+distances, edge unit vectors (gemnet-style), triplet angles and the two
+bases. The sequential engine records it over all triplets; each runtime
+worker records it over its own triplet shard, so every triplet's geometry is
+computed and differentiated once, by the worker that owns it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Geometry, GraphTopology
+from .config import GEMNET, ModelConfig
+from .graph import GraphTopology
 
 
 @dataclass(frozen=True)
 class BasisFeatures:
+    """Basis handles from ``compute_basis``; on an Evaluator, the arrays."""
+
     edge_rbf: np.ndarray  # (N_e, K)
-    triplet_sbf: np.ndarray  # (N_t, K * L)
+    triplet_sbf: np.ndarray  # (len(trip_rows), K * L), the recorded rows only
+    edge_units: np.ndarray | None = None  # (N_e, 3), gemnet-style only
 
 
 def rbf_centers(k_rbf: int, cutoff: float) -> np.ndarray:
@@ -94,10 +104,21 @@ def sbf_features_partials(
 
 
 def compute_basis(
-    geometry: Geometry, topology: GraphTopology, k_rbf: int, l_sbf: int, cutoff: float
+    tape, pos_id, topology: GraphTopology, config: ModelConfig, trip_rows: np.ndarray
 ) -> BasisFeatures:
-    """Evaluate edge and triplet basis features for a built graph."""
-    edge_rbf = rbf_features(geometry.distances, k_rbf, cutoff)
-    in_dist = geometry.distances[topology.trip_in]
-    triplet_sbf = sbf_features(in_dist, geometry.angles, k_rbf, l_sbf, cutoff)
-    return BasisFeatures(edge_rbf, triplet_sbf)
+    """Record the model's geometry and basis from the positions leaf ``pos_id``.
+
+    Distances, units and rbf cover every edge; angles and sbf cover only the
+    triplets ``trip_rows``, in their order. On a Tape this records for a
+    backward pass; on an Evaluator it returns the arrays.
+    """
+    src, recv = topology.edge_src, topology.edge_recv
+    trip_in = topology.trip_in[trip_rows]
+    owned = replace(topology, trip_in=trip_in, trip_out=topology.trip_out[trip_rows])
+    dist = tape.edge_distances(pos_id, src, recv)
+    units = tape.edge_units(pos_id, src, recv) if config.variant == GEMNET else None
+    angles = tape.triplet_angles(pos_id, owned)
+    rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
+    d_in = tape.gather(dist, trip_in)
+    sbf = tape.angular_sbf(d_in, angles, config.k_rbf, config.l_sbf, config.cutoff)
+    return BasisFeatures(rbf, sbf, units)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import DIMENET, GEMNET, ModelConfig
 from .engine import ModelTape
-from .graph import build_graph
+from .graph import build_graph, triplet_angles
 from .neighbours import neighbour_pairs
 from .params import ModelParams, init_params
 from .partition import CommModel, comm_volume
@@ -47,11 +47,11 @@ def sample_smooth_system(
     collinear angles, so small finite-difference steps stay smooth."""
     for _ in range(max_tries):
         system = random_cloud(n, density, rng)
-        _, geometry = build_graph(system, cutoff)
+        topology, _ = build_graph(system, cutoff)
         _, _, dist = neighbour_pairs(system.positions, cutoff + cutoff_margin)
         if np.any(np.abs(dist - cutoff) < cutoff_margin):
             continue
-        ang = geometry.angles
+        ang = triplet_angles(system.positions, topology)
         if ang.size and (np.any(ang < angle_margin) or np.any(ang > np.pi - angle_margin)):
             continue
         return system

@@ -8,12 +8,13 @@ update (GU). The dimenet-style variant is energy-centric (forces come from
 the position gradient); the gemnet-style variant adds a direct force head.
 
 Each stage has one definition, a ``record_*`` function that takes the tape
-first. The sequential forward (``record_model``) chains them on one tape;
-the multi-worker runtime records the same functions over a worker's index
-shard, so a single-worker run reproduces this engine bit for bit. Where no
-backward follows (inference, replicated values, ``initial_state`` and
-``block_forward``) they run on an ``Evaluator``, which computes the same
-values and keeps no tape.
+first; geometry and basis features have theirs in ``egn.basis.compute_basis``.
+The sequential forward (``record_model``) chains them on one tape, from the
+positions to the readout; the multi-worker runtime records the same
+functions over a worker's index shard, so a single-worker run reproduces
+this engine bit for bit. Where no backward follows (inference, replicated
+values, ``initial_state`` and ``block_forward``) they run on an
+``Evaluator``, which computes the same values and keeps no tape.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisFeatures
+from .basis import BasisFeatures, compute_basis
 from .config import GEMNET, ModelConfig
 from .elements import MAX_Z
-from .graph import Geometry, GraphTopology, build_graph
+from .graph import GraphTopology, build_graph
 from .params import ModelParams, param_specs
 from .system import AtomicSystem
 from .tape import Evaluator, Tape
@@ -40,8 +41,7 @@ class FeatureState:
     edge_features: np.ndarray  # (N_e, d_e)
     triplet_features: np.ndarray | None  # (N_t, d_t); None when sharded away
     topology: GraphTopology
-    geometry: Geometry
-    basis: BasisFeatures
+    basis: BasisFeatures | None  # over all triplets; None when sharded away
 
 
 @dataclass
@@ -125,7 +125,9 @@ def record_tu(
 ) -> tuple[int, int]:
     """Triplet update + aggregation over ``trip_rows``.
 
-    Returns (triplet feature rows, aggregated edge buffer of full size).
+    ``sbf_id`` holds the sbf rows of ``trip_rows`` only, as ``compute_basis``
+    records them. Returns (triplet feature rows, aggregated edge buffer of
+    full size).
     """
     p = f"block{block}.tu"
     t_in = topology.trip_in[trip_rows]
@@ -133,7 +135,7 @@ def record_tu(
     m_in = tape.gather(m_id, t_in)
     down = tape.linear(m_in, pl[p + ".down"])
     g_rbf = tape.linear(tape.gather(rbf_id, t_out), pl[p + ".rbf_gate"])
-    g_sbf = tape.linear(tape.gather(sbf_id, trip_rows), pl[p + ".sbf_gate"])
+    g_sbf = tape.linear(sbf_id, pl[p + ".sbf_gate"])
     if config.variant == GEMNET:
         a = tape.linear(down, pl[p + ".bilinear_a"])
         b = tape.linear(g_sbf, pl[p + ".bilinear_b"])
@@ -227,7 +229,6 @@ def record_force_head(
 def initial_state(
     atomic_numbers: np.ndarray,
     topology: GraphTopology,
-    geometry: Geometry,
     basis: BasisFeatures,
     params: ModelParams,
 ) -> FeatureState:
@@ -240,7 +241,7 @@ def initial_state(
     edge = record_edge_init(ev, ParamLeaves(ev, params), basis.edge_rbf, all_edges)
     triplet = np.zeros((topology.num_triplets, c.d_t), dtype=np.float64)
     glob = np.zeros((1, c.d_u), dtype=np.float64)
-    return FeatureState(glob, node, edge, triplet, topology, geometry, basis)
+    return FeatureState(glob, node, edge, triplet, topology, basis)
 
 
 def block_forward(state: FeatureState, params: ModelParams, block: int) -> FeatureState:
@@ -279,7 +280,6 @@ def block_forward(state: FeatureState, params: ModelParams, block: int) -> Featu
         edge_features=tape.value(m_id),
         triplet_features=tape.value(t_id),
         topology=topology,
-        geometry=state.geometry,
         basis=state.basis,
     )
 
@@ -289,7 +289,6 @@ class ModelHandles:
     """Handles of one model forward; on an Evaluator they are the values."""
 
     topology: GraphTopology
-    geometry: Geometry
     basis: BasisFeatures
     param_leaves: ParamLeaves
     positions: int
@@ -304,22 +303,16 @@ class ModelHandles:
 def record_model(tape: Tape, system: AtomicSystem, params: ModelParams) -> ModelHandles:
     """The sequential forward over a whole system, from positions to readout."""
     config = params.config
-    topology, geometry = build_graph(system, config.cutoff)
-    src, recv = topology.edge_src, topology.edge_recv
-    pos_id = tape.leaf(system.positions)
-    dist_id = tape.edge_distances(pos_id, src, recv)
-    units_id = tape.edge_units(pos_id, src, recv) if config.variant == GEMNET else None
-    ang_id = tape.triplet_angles(pos_id, topology)
-    rbf_id = tape.gaussian_rbf(dist_id, config.k_rbf, config.cutoff)
-    d_in_id = tape.gather(dist_id, topology.trip_in)
-    sbf_id = tape.angular_sbf(d_in_id, ang_id, config.k_rbf, config.l_sbf, config.cutoff)
-    basis = BasisFeatures(tape.value(rbf_id), tape.value(sbf_id))
-
-    pl = ParamLeaves(tape, params)
-    v_id = tape.gather(pl["atom_embedding"], embedding_indices(system.atomic_numbers))
+    topology, _ = build_graph(system, config.cutoff)
     all_edges = np.arange(topology.num_edges, dtype=np.int64)
     all_trips = np.arange(topology.num_triplets, dtype=np.int64)
     all_nodes = np.arange(topology.num_nodes, dtype=np.int64)
+    pos_id = tape.leaf(system.positions)
+    basis = compute_basis(tape, pos_id, topology, config, all_trips)
+    rbf_id, sbf_id = basis.edge_rbf, basis.triplet_sbf
+
+    pl = ParamLeaves(tape, params)
+    v_id = tape.gather(pl["atom_embedding"], embedding_indices(system.atomic_numbers))
     edge_sel, seg = receiver_plan(topology, 0, topology.num_nodes)
     rev = topology.reverse_edges() if config.variant == GEMNET else None
 
@@ -339,10 +332,10 @@ def record_model(tape: Tape, system: AtomicSystem, params: ModelParams) -> Model
     energy_id = record_energy(tape, pl, u_id)
     forces_id = None
     if config.variant == GEMNET:
-        forces_id = record_force_head(tape, pl, m_id, units_id, edge_sel, seg, topology.num_nodes)
-    return ModelHandles(
-        topology, geometry, basis, pl, pos_id, m_id, v_id, u_id, t_id, energy_id, forces_id
-    )
+        forces_id = record_force_head(
+            tape, pl, m_id, basis.edge_units, edge_sel, seg, topology.num_nodes
+        )
+    return ModelHandles(topology, basis, pl, pos_id, m_id, v_id, u_id, t_id, energy_id, forces_id)
 
 
 class ModelTape:
@@ -376,14 +369,19 @@ class ModelTape:
     @property
     def state(self) -> FeatureState:
         h = self.handles
+        units = h.basis.edge_units
+        basis = BasisFeatures(
+            self.tape.value(h.basis.edge_rbf),
+            self.tape.value(h.basis.triplet_sbf),
+            self.tape.value(units) if units is not None else None,
+        )
         return FeatureState(
             global_features=self.tape.value(h.u),
             node_features=self.tape.value(h.v),
             edge_features=self.tape.value(h.m),
             triplet_features=self.tape.value(h.t) if h.t is not None else None,
             topology=h.topology,
-            geometry=h.geometry,
-            basis=h.basis,
+            basis=basis,
         )
 
     def backward(

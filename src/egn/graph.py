@@ -1,4 +1,4 @@
-"""Cutoff-radius graphs over atomic systems: edges, triplets, geometry.
+"""Cutoff-radius graphs over atomic systems: edges, triplets, and geometry.
 
 Edges are directed and enumerated for every ordered pair within the cutoff,
 sorted by (source, receiver). A triplet is an ordered pair of adjacent
@@ -8,6 +8,9 @@ All downstream determinism relies on these orderings.
 Edges come from a cell-list neighbour search (``egn.neighbours``); triplets
 and reverse edges are found by sorting and searching integer keys. Building
 a graph therefore costs O(n + N_e + N_t) memory and, up to the sorts, time.
+``build_graph`` returns the topology and the distances of the search; the
+geometry functions below are the forward and closed-form gradient rules of
+the tape's geometry primitives, which ``egn.basis.compute_basis`` records.
 """
 
 from __future__ import annotations
@@ -78,30 +81,18 @@ class GraphTopology:
                 raise ValueError("triplet with k == i")
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Per-edge distances and unit vectors, per-triplet angles."""
+def build_graph(system: AtomicSystem, cutoff: float) -> tuple[GraphTopology, np.ndarray]:
+    """Build the directed cutoff graph of a system.
 
-    distances: np.ndarray  # (N_e,) float64, all in (0, cutoff]
-    unit_vectors: np.ndarray  # (N_e, 3) float64, source -> receiver
-    angles: np.ndarray  # (N_t,) float64 in [0, pi]
-
-
-def build_graph(system: AtomicSystem, cutoff: float) -> tuple[GraphTopology, Geometry]:
-    """Build the directed cutoff graph and its geometry for a system."""
+    Returns the topology and the (N_e,) edge distances found by the search,
+    all in (0, cutoff].
+    """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    pos = system.positions
-    n = system.n
-
     # Coincident atoms are rejected by AtomicSystem, so every pair has d > 0.
-    src, recv, distances = neighbour_pairs(pos, cutoff)
-    trip_in, trip_out = enumerate_triplets(n, src, recv)
-    topology = GraphTopology(n, src, recv, trip_in, trip_out)
-
-    units = edge_unit_vectors(pos, src, recv)
-    angles = triplet_angles(pos, topology)
-    return topology, Geometry(distances, units, angles)
+    src, recv, distances = neighbour_pairs(system.positions, cutoff)
+    trip_in, trip_out = enumerate_triplets(system.n, src, recv)
+    return GraphTopology(system.n, src, recv, trip_in, trip_out), distances
 
 
 def enumerate_triplets(
@@ -208,9 +199,3 @@ def angle_gradients(positions: np.ndarray, topology: GraphTopology):
     g_i[:, ~ok] = 0.0
     g_j = -(g_k + g_i)
     return g_k.T, g_j.T, g_i.T
-
-
-def distance_gradients(positions: np.ndarray, src: np.ndarray, recv: np.ndarray):
-    """Closed-form d(distance)/d(position): (+unit at receiver, -unit at source)."""
-    unit = edge_unit_vectors(positions, src, recv)
-    return -unit, unit

@@ -5,6 +5,10 @@ endpoint offering a deterministic all-reduce (reduction in ascending rank
 order, identical result delivered everywhere) and a barrier. Worker-local
 state is owned exclusively by its worker between collectives.
 
+Each worker first records its geometry and basis from the positions with
+``compute_basis``: distances and rbf over every edge, angles and sbf over
+its own triplet shard only.
+
 Forward schedule per block (dimenet-style):
   * triplet update over the worker's shard, local aggregation by out-edge
     into a zero edge buffer, all-reduce (N_e * d_e elements),
@@ -21,7 +25,9 @@ coupling is formed redundantly from the replicated buffer.
 Backward mirrors the schedule: the adjoint of an all-reduced buffer is
 itself summed across workers at each replicated-buffer boundary, each
 worker differentiates only the rows it owns, and parameter and position
-gradients are all-reduced once at the end. Triplet features never enter a
+gradients are all-reduced once at the end. The position gradient is one
+backward of the worker's geometry segment, so each triplet's angle and sbf
+are differentiated by its owner alone. Triplet features never enter a
 collective in either direction.
 """
 
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import compute_basis, rbf_features_ddist, sbf_features_partials
+from .basis import compute_basis
 from .config import GEMNET
 from .engine import (
     FeatureState,
@@ -56,7 +62,7 @@ from .graph import build_graph
 from .params import ModelParams, param_specs
 from .partition import GraphPartition, partition_graph
 from .system import AtomicSystem
-from .tape import Evaluator, Tape, scatter_add, scatter_angle_grads, scatter_edge_ends
+from .tape import Evaluator, Tape
 
 ALLOWED_LEVELS = frozenset({"edge", "node", "global", "position", "param"})
 
@@ -259,10 +265,11 @@ class _WorkerContext:
 class WorkerGroup:
     """P simulated workers bound to one system, partition, and parameter set.
 
-    Workers share read-only views of the topology, geometry, basis, and
-    parameters (each conceptually holds a full replica); the only
-    cross-worker channel is the Collective. A group serves one driver at a
-    time; run forward()/forward_backward() as often as needed.
+    Workers share read-only views of the positions, topology and parameters
+    (each conceptually holds a full replica); the only cross-worker channel
+    is the Collective. Each worker records its own geometry and basis, with
+    angles and sbf over its triplet shard only. A group serves one driver at
+    a time; run forward()/forward_backward() as often as needed.
     """
 
     def __init__(
@@ -280,10 +287,7 @@ class WorkerGroup:
         self.timeout = timeout
         self.track_replicas = track_replicas
 
-        self.topology, self.geometry = build_graph(system, config.cutoff)
-        self.basis = compute_basis(
-            self.geometry, self.topology, config.k_rbf, config.l_sbf, config.cutoff
-        )
+        self.topology, _ = build_graph(system, config.cutoff)
         self.partition: GraphPartition = partition_graph(self.topology, self.workers)
         self.rev = self.topology.reverse_edges() if config.variant == GEMNET else None
         self.full_plan = receiver_plan(self.topology, 0, self.topology.num_nodes)
@@ -367,8 +371,7 @@ class WorkerGroup:
             edge_features=fwd0["m"],
             triplet_features=None,
             topology=self.topology,
-            geometry=self.geometry,
-            basis=self.basis,
+            basis=None,
         )
         result = ParallelRunResult(
             energy=float(fwd0["energy"]),
@@ -388,7 +391,7 @@ class WorkerGroup:
         follows); replicated buffers come from the same recorders run over
         all rows on an Evaluator, identically on every worker."""
         cfg = self.config
-        topo, geom, basis = self.topology, self.geometry, self.basis
+        topo = self.topology
         rank = ctx.rank
         trip_rows = self.partition.triplet_shards[rank]
         edge_rows = self.partition.edge_shards[rank]
@@ -415,12 +418,17 @@ class WorkerGroup:
             return seg
 
         ctx.set_stage("init")
+        geo = shard("geometry")
+        pos_leaf = geo.leaf("positions", self.system.positions)
+        basis = compute_basis(geo.tape, pos_leaf, topo, cfg, trip_rows)
+        rbf, sbf = geo.tape.value(basis.edge_rbf), geo.tape.value(basis.triplet_sbf)
+        units = geo.tape.value(basis.edge_units) if gemnet else None
         if record:
             seg = shard("init")
-            rbf_leaf = seg.leaf("rbf", basis.edge_rbf)
+            rbf_leaf = seg.leaf("rbf", rbf)
             seg.out = record_edge_init(seg.tape, seg.pl, rbf_leaf, edge_rows)
 
-        m = record_edge_init(ev, epl, basis.edge_rbf, all_edges)
+        m = record_edge_init(ev, epl, rbf, all_edges)
         u = np.zeros((1, cfg.d_u), dtype=np.float64)
         v = np.zeros((topo.num_nodes, cfg.d_v), dtype=np.float64)
         t_own = np.zeros((trip_rows.size, cfg.d_t), dtype=np.float64)
@@ -429,8 +437,8 @@ class WorkerGroup:
             ctx.set_stage(f"block{b}.tu")
             seg = shard(("tu", b))
             m_leaf = seg.leaf("m", m)
-            rbf_leaf = seg.leaf("rbf", basis.edge_rbf)
-            sbf_leaf = seg.leaf("sbf", basis.triplet_sbf)
+            rbf_leaf = seg.leaf("rbf", rbf)
+            sbf_leaf = seg.leaf("sbf", sbf)
             t_id, ta_id = record_tu(seg.tape, seg.pl, b, cfg, m_leaf, rbf_leaf, sbf_leaf, trip_rows, topo)
             seg.out = ta_id
             t_own = seg.tape.value(t_id)
@@ -492,16 +500,15 @@ class WorkerGroup:
             seg.out = record_energy(seg.tape, seg.pl, u_leaf)
         forces = None
         if gemnet:
-            forces = record_force_head(
-                ev, epl, m, geom.unit_vectors, *self.full_plan, topo.num_nodes
-            )
+            forces = record_force_head(ev, epl, m, units, *self.full_plan, topo.num_nodes)
             if record:
                 seg = shard("force")
                 m_leaf = seg.leaf("m", m)
-                units_leaf = seg.leaf("units", geom.unit_vectors)
+                units_leaf = seg.leaf("units", units)
                 seg.out = record_force_head(seg.tape, seg.pl, m_leaf, units_leaf, ea_sel, ea_seg, hi - lo)
 
         return {
+            "basis": basis,
             "energy": energy,
             "forces": forces,
             "m": m,
@@ -521,16 +528,17 @@ class WorkerGroup:
         d_forces: np.ndarray | None,
     ) -> GradientBundle:
         cfg = self.config
-        topo, geom, basis = self.topology, self.geometry, self.basis
+        topo = self.topology
         rank = ctx.rank
+        n_own = self.partition.triplet_shards[rank].size
         edge_rows = self.partition.edge_shards[rank]
         lo, hi = self._node_ranges[rank]
         gemnet = cfg.variant == GEMNET
         specs = param_specs(cfg)
         param_bar = {s.name: np.zeros(s.shape, dtype=np.float64) for s in specs}
-        rbf_bar = np.zeros_like(basis.edge_rbf)
-        sbf_bar = np.zeros_like(basis.triplet_sbf)
-        units_bar = np.zeros_like(geom.unit_vectors)
+        rbf_bar = np.zeros((topo.num_edges, cfg.k_rbf), dtype=np.float64)
+        sbf_bar = np.zeros((n_own, cfg.k_rbf * cfg.l_sbf), dtype=np.float64)
+        units_bar = np.zeros((topo.num_edges, 3), dtype=np.float64)
 
         def ar(buf, level, block, stage):
             out = col.allreduce_sum(
@@ -628,32 +636,14 @@ class WorkerGroup:
         pull_params(seg, grads)
         rbf_bar += seg.leaf_grad(grads, "rbf", rbf_bar.shape)
 
+        # One backward of this worker's geometry segment: its partial
+        # position gradient is summed by the position all-reduce below.
         ctx.set_stage("backward.geometry")
-        d_in_part, d_ang_part = sbf_features_partials(
-            geom.distances[topo.trip_in], geom.angles, cfg.k_rbf, cfg.l_sbf, cfg.cutoff
-        )
-        d_in_bar = (sbf_bar * d_in_part).sum(axis=1)
-        ang_bar = (sbf_bar * d_ang_part).sum(axis=1)
-        dist_bar = scatter_add(topo.trip_in, d_in_bar, topo.num_edges)
-        dist_bar += (rbf_bar * rbf_features_ddist(geom.distances, cfg.k_rbf, cfg.cutoff)).sum(axis=1)
-
-        # Each geometry op accumulates into its own buffer and the buffers
-        # are added in reverse recording order, matching the tape's
-        # association so a single worker reproduces the sequential engine.
-        pos = self.system.positions
-        pos_bar = np.zeros_like(pos)
-        if topo.num_triplets:
-            pos_bar = pos_bar + scatter_angle_grads(ang_bar, pos, topo)
-        if gemnet and topo.num_edges:
-            diff = pos[topo.edge_recv] - pos[topo.edge_src]
-            d = geom.distances
-            unit = diff / d[:, None]
-            proj = (units_bar * unit).sum(axis=1, keepdims=True)
-            contrib = (units_bar - proj * unit) / d[:, None]
-            pos_bar = pos_bar + scatter_edge_ends(contrib, topo.edge_src, topo.edge_recv, len(pos))
-        if topo.num_edges:
-            contrib = dist_bar[:, None] * geom.unit_vectors
-            pos_bar = pos_bar + scatter_edge_ends(contrib, topo.edge_src, topo.edge_recv, len(pos))
+        geo, basis = ctx.segs["geometry"], fwd["basis"]
+        seeds = {basis.edge_rbf: rbf_bar, basis.triplet_sbf: sbf_bar}
+        if gemnet:
+            seeds[basis.edge_units] = units_bar
+        pos_bar = geo.leaf_grad(geo.tape.backward(seeds), "positions", self.system.positions.shape)
 
         ctx.set_stage("backward.reduce")
         pos_grad = ar(pos_bar, "position", -1, "positions")

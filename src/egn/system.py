@@ -59,19 +59,6 @@ class AtomicSystem:
         return AtomicSystem(positions, self.atomic_numbers, self.identifier)
 
 
-def min_pair_distance(positions: np.ndarray) -> float:
-    """Smallest distance between any two distinct rows of ``positions``.
-
-    Takes O(n^2) time but only O(n) memory, one row against the rest at a time.
-    """
-    pos = np.asarray(positions, dtype=np.float64)
-    best = np.inf
-    for row in range(pos.shape[0] - 1):
-        diff = pos[row + 1 :] - pos[row]
-        best = min(best, float(np.sqrt((diff * diff).sum(axis=1)).min()))
-    return best
-
-
 def parse_xyz(text: str, identifier: str | None = None) -> AtomicSystem:
     """Parse standard XYZ text: count line, comment line, then ``SYMBOL x y z`` rows."""
     lines = text.splitlines()

@@ -76,22 +76,6 @@ def scatter_edge_ends(contrib: np.ndarray, src: np.ndarray, recv: np.ndarray, n:
     return scatter_add(np.concatenate([recv, src]), np.concatenate([contrib, -contrib]), n)
 
 
-def scatter_angle_grads(
-    ang_bar: np.ndarray, positions: np.ndarray, topology: _graph.GraphTopology
-) -> np.ndarray:
-    """Position gradient of sum(ang_bar * angles): the outer atom k, then i, then j."""
-    g_k, g_j, g_i = _graph.angle_gradients(positions, topology)
-    k = topology.edge_src[topology.trip_in]
-    j = topology.edge_recv[topology.trip_in]
-    i = topology.edge_recv[topology.trip_out]
-    w = ang_bar[:, None]
-    return scatter_add(
-        np.concatenate([k, i, j]),
-        np.concatenate([w * g_k, w * g_i, w * g_j]),
-        positions.shape[0],
-    )
-
-
 # Forward rules: fn(input_values, aux) -> value.
 _FORWARD = {}
 # Adjoint rules: fn(grad_out, input_values, value, aux) -> tuple of input grads.
@@ -240,7 +224,20 @@ def _triplet_angles_fwd(vals, aux):
 
 
 def _triplet_angles_vjp(g, vals, out, aux):
-    return (scatter_angle_grads(g, vals[0], aux["topology"]),)
+    """Scatter g * d(angle)/d(position) to the outer atom k, then i, then j."""
+    topology = aux["topology"]
+    g_k, g_j, g_i = _graph.angle_gradients(vals[0], topology)
+    k = topology.edge_src[topology.trip_in]
+    j = topology.edge_recv[topology.trip_in]
+    i = topology.edge_recv[topology.trip_out]
+    w = g[:, None]
+    return (
+        scatter_add(
+            np.concatenate([k, i, j]),
+            np.concatenate([w * g_k, w * g_i, w * g_j]),
+            vals[0].shape[0],
+        ),
+    )
 
 
 _op("triplet_angles")((_triplet_angles_fwd, _triplet_angles_vjp))

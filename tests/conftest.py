@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from egn.basis import compute_basis
+from egn.graph import build_graph
 from egn.runtime import Collective
 from egn.system import AtomicSystem
+from egn.tape import Evaluator
 
 EPS = np.finfo(np.float64).eps
 
@@ -21,6 +24,27 @@ def rel_err(approx, exact, floor=1e-8):
     exact = np.asarray(exact, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(approx), np.abs(exact)), floor)
     return np.abs(approx - exact) / denom
+
+
+def min_pair_distance(positions: np.ndarray) -> float:
+    """Smallest distance between any two distinct rows of ``positions``.
+
+    Takes O(n^2) time but only O(n) memory, one row against the rest at a time.
+    """
+    pos = np.asarray(positions, dtype=np.float64)
+    best = np.inf
+    for row in range(pos.shape[0] - 1):
+        diff = pos[row + 1 :] - pos[row]
+        best = min(best, float(np.sqrt((diff * diff).sum(axis=1)).min()))
+    return best
+
+
+def basis_of(system: AtomicSystem, config):
+    """The topology and basis arrays of a system, over all triplets, with no tape."""
+    topology, _ = build_graph(system, config.cutoff)
+    ev = Evaluator()
+    rows = np.arange(topology.num_triplets, dtype=np.int64)
+    return topology, compute_basis(ev, ev.leaf(system.positions), topology, config, rows)
 
 
 class DropLastCollective(Collective):

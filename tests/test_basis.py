@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from egn.basis import compute_basis, rbf_centers, rbf_features, sbf_features
-from egn.graph import build_graph
+from egn.basis import rbf_centers, rbf_features, sbf_features
+from egn.config import ModelConfig
 from egn.system import AtomicSystem, random_cloud
+
+from conftest import basis_of
 
 
 def test_rbf_peak_at_center():
@@ -77,23 +79,21 @@ def _rigid_motion(system: AtomicSystem, rng) -> AtomicSystem:
 def test_basis_invariant_under_rigid_motion(rng):
     cutoff = 1.5
     system = random_cloud(12, 0.9, rng)
-    topo, geom = build_graph(system, cutoff)
-    basis = compute_basis(geom, topo, k_rbf=5, l_sbf=3, cutoff=cutoff)
+    cfg = ModelConfig(k_rbf=5, l_sbf=3, cutoff=cutoff)
+    topo, basis = basis_of(system, cfg)
     for _ in range(5):
         moved = _rigid_motion(system, rng)
-        topo2, geom2 = build_graph(moved, cutoff)
+        topo2, basis2 = basis_of(moved, cfg)
         # same edge/triplet sets in the same deterministic order
         np.testing.assert_array_equal(topo.edge_src, topo2.edge_src)
         np.testing.assert_array_equal(topo.trip_in, topo2.trip_in)
-        basis2 = compute_basis(geom2, topo2, k_rbf=5, l_sbf=3, cutoff=cutoff)
         np.testing.assert_allclose(basis2.edge_rbf, basis.edge_rbf, atol=1e-12)
         np.testing.assert_allclose(basis2.triplet_sbf, basis.triplet_sbf, atol=1e-12)
 
 
 def test_basis_all_finite(rng):
     system = random_cloud(20, 0.9, rng)
-    topo, geom = build_graph(system, 1.5)
-    basis = compute_basis(geom, topo, 6, 4, 1.5)
+    topo, basis = basis_of(system, ModelConfig(k_rbf=6, l_sbf=4, cutoff=1.5))
     assert np.all(np.isfinite(basis.edge_rbf))
     assert np.all(np.isfinite(basis.triplet_sbf))
     assert basis.edge_rbf.shape == (topo.num_edges, 6)

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from egn.basis import compute_basis
 from egn.config import GEMNET, ModelConfig
 from egn.engine import ModelTape, initial_state
-from egn.graph import build_graph
+from egn.graph import edge_unit_vectors
 from egn.params import ModelParams, init_params, zero_params
 from egn.system import AtomicSystem, random_cloud
 
-from conftest import dimer
+from conftest import basis_of, dimer
 
 
 def _silu(x):
@@ -26,8 +25,8 @@ def naive_forward(system: AtomicSystem, params: ModelParams):
     """Straightforward loop-based forward pass with no grouping tricks."""
     cfg = params.config
     arrays = params.arrays
-    topo, geom = build_graph(system, cfg.cutoff)
-    basis = compute_basis(geom, topo, cfg.k_rbf, cfg.l_sbf, cfg.cutoff)
+    topo, basis = basis_of(system, cfg)
+    units = edge_unit_vectors(system.positions, topo.edge_src, topo.edge_recv)
     n_e, n_t, n_v = topo.num_edges, topo.num_triplets, topo.num_nodes
     rev = topo.reverse_edges() if cfg.variant == GEMNET else None
 
@@ -86,7 +85,7 @@ def naive_forward(system: AtomicSystem, params: ModelParams):
         forces = np.zeros((n_v, 3))
         for e in range(n_e):
             scale = float((arrays["force_head.w"] @ m[e])[0])
-            forces[topo.edge_recv[e]] += scale * geom.unit_vectors[e]
+            forces[topo.edge_recv[e]] += scale * units[e]
     return energy, m, v, u, t_feat, forces
 
 
@@ -128,9 +127,8 @@ def test_block_forward_chain_reproduces_full_engine(variant):
     system = random_cloud(10, 0.9, rng)
     cfg = ModelConfig(variant=variant, blocks=3)
     params = init_params(cfg)
-    topo, geom = build_graph(system, cfg.cutoff)
-    basis = compute_basis(geom, topo, cfg.k_rbf, cfg.l_sbf, cfg.cutoff)
-    state = initial_state(system.atomic_numbers, topo, geom, basis, params)
+    topo, basis = basis_of(system, cfg)
+    state = initial_state(system.atomic_numbers, topo, basis, params)
     for b in range(cfg.blocks):
         state = block_forward(state, params, b)
         assert np.all(np.isfinite(state.edge_features))
@@ -145,9 +143,8 @@ def test_initial_state_contract(rng):
     system = random_cloud(8, 0.9, rng)
     cfg = ModelConfig()
     params = init_params(cfg)
-    topo, geom = build_graph(system, cfg.cutoff)
-    basis = compute_basis(geom, topo, cfg.k_rbf, cfg.l_sbf, cfg.cutoff)
-    state = initial_state(system.atomic_numbers, topo, geom, basis, params)
+    topo, basis = basis_of(system, cfg)
+    state = initial_state(system.atomic_numbers, topo, basis, params)
     assert state.triplet_features.shape == (topo.num_triplets, cfg.d_t)
     assert np.all(state.triplet_features == 0)
     assert np.all(state.global_features == 0)
@@ -162,9 +159,8 @@ def test_initial_state_zero_edge_graph():
     system = AtomicSystem(np.array([[0.0, 0, 0], [50.0, 0, 0]]), np.array([1, 8]))
     cfg = ModelConfig()
     params = init_params(cfg)
-    topo, geom = build_graph(system, cfg.cutoff)
-    basis = compute_basis(geom, topo, cfg.k_rbf, cfg.l_sbf, cfg.cutoff)
-    state = initial_state(system.atomic_numbers, topo, geom, basis, params)
+    topo, basis = basis_of(system, cfg)
+    state = initial_state(system.atomic_numbers, topo, basis, params)
     assert state.edge_features.shape == (0, cfg.d_e)
     model = ModelTape(system, params)  # zero-edge forward stays valid
     assert np.isfinite(model.energy)
@@ -183,8 +179,7 @@ def test_zero_triplet_block_reduces_to_residual_mlp():
     params = init_params(cfg)
     model = ModelTape(system, params)
     arrays = params.arrays
-    topo, geom = build_graph(system, cfg.cutoff)
-    basis = compute_basis(geom, topo, cfg.k_rbf, cfg.l_sbf, cfg.cutoff)
+    topo, basis = basis_of(system, cfg)
     m0 = basis.edge_rbf @ arrays["edge_init.w"].T + arrays["edge_init.b"]
     expected = np.array(
         [m0[e] + _mlp(arrays, "block0.eu", np.concatenate([m0[e], np.zeros(cfg.d_e)])) for e in range(2)]

@@ -3,11 +3,11 @@ import numpy as np
 from egn.bench import sample_smooth_system
 from egn.config import ModelConfig
 from egn.engine import ModelTape
-from egn.gradients import forces_energy_centric, geometry_grads
-from egn.graph import build_graph
+from egn.graph import build_graph, edge_distances, triplet_angles
 from egn.params import ModelParams, init_params, zero_params
 from egn.system import AtomicSystem
 from egn.tape import Tape
+from egn.tasks import predict
 
 from conftest import dimer, equilateral_triangle, fd_allowance, rel_err
 
@@ -15,30 +15,52 @@ SMALL = ModelConfig(variant="dimenet-style", blocks=2, d_u=2, d_v=3, d_e=4, d_t=
                     d_bil=2, k_rbf=3, l_sbf=2)
 
 
+def position_jacobian(record, positions: np.ndarray) -> np.ndarray:
+    """(rows, atoms, 3) Jacobian of a recorded geometry op, one tape VJP per output row."""
+    tape = Tape()
+    pos = tape.leaf(positions)
+    out = record(tape, pos)
+    n_rows = tape.value(out).shape[0]
+    rows = []
+    for r in range(n_rows):
+        seed = np.zeros(n_rows)
+        seed[r] = 1.0
+        rows.append(tape.backward({out: seed})[pos])
+    return np.array(rows).reshape(n_rows, *positions.shape)
+
+
+def distance_jacobian(positions, topo):
+    return position_jacobian(
+        lambda t, p: t.edge_distances(p, topo.edge_src, topo.edge_recv), positions
+    )
+
+
+def angle_jacobian(positions, topo):
+    return position_jacobian(lambda t, p: t.triplet_angles(p, topo), positions)
+
+
 def test_geometry_grads_dimer_unit_vectors():
     system = dimer(1.0)
     topo, _ = build_graph(system, cutoff=1.5)
-    grads = geometry_grads(system.positions, topo)
+    grads = distance_jacobian(system.positions, topo)
     # edge 0 runs from atom 0 to atom 1 along +z
-    np.testing.assert_allclose(grads.dist_d_recv[0], [0, 0, 1.0], atol=1e-14)
-    np.testing.assert_allclose(grads.dist_d_src[0], [0, 0, -1.0], atol=1e-14)
+    np.testing.assert_allclose(grads[0, 1], [0, 0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(grads[0, 0], [0, 0, -1.0], atol=1e-14)
 
 
 def test_angle_grads_sum_to_zero_translation_invariance():
     system = equilateral_triangle()
     topo, _ = build_graph(system, cutoff=1.5)
-    grads = geometry_grads(system.positions, topo)
-    total = grads.angle_d_k + grads.angle_d_j + grads.angle_d_i
+    total = angle_jacobian(system.positions, topo).sum(axis=1)
     np.testing.assert_allclose(total, 0.0, atol=1e-14)
 
 
 def test_geometry_grads_match_finite_differences(rng):
     system = sample_smooth_system(rng, 5, cutoff=1.5)
-    topo, geom = build_graph(system, cutoff=1.5)
-    grads = geometry_grads(system.positions, topo)
+    topo, _ = build_graph(system, cutoff=1.5)
+    dist_grads = distance_jacobian(system.positions, topo)
+    angle_grads = angle_jacobian(system.positions, topo)
     h = 1e-6
-    from egn.graph import edge_distances, triplet_angles
-
     for atom in range(system.n):
         for axis in range(3):
             step = np.zeros_like(system.positions)
@@ -46,22 +68,12 @@ def test_geometry_grads_match_finite_differences(rng):
             d_plus = edge_distances(system.positions + step, topo.edge_src, topo.edge_recv)
             d_minus = edge_distances(system.positions - step, topo.edge_src, topo.edge_recv)
             fd_d = (d_plus - d_minus) / (2 * h)
-            exact_d = np.zeros_like(fd_d)
-            exact_d[topo.edge_recv == atom] += grads.dist_d_recv[topo.edge_recv == atom, axis]
-            exact_d[topo.edge_src == atom] += grads.dist_d_src[topo.edge_src == atom, axis]
-            assert np.max(np.abs(fd_d - exact_d)) < 1e-7
+            assert np.max(np.abs(fd_d - dist_grads[:, atom, axis])) < 1e-7
 
             a_plus = triplet_angles(system.positions + step, topo)
             a_minus = triplet_angles(system.positions - step, topo)
             fd_a = (a_plus - a_minus) / (2 * h)
-            k = topo.edge_src[topo.trip_in]
-            j = topo.edge_recv[topo.trip_in]
-            i = topo.edge_recv[topo.trip_out]
-            exact_a = np.zeros_like(fd_a)
-            exact_a[k == atom] += grads.angle_d_k[k == atom, axis]
-            exact_a[j == atom] += grads.angle_d_j[j == atom, axis]
-            exact_a[i == atom] += grads.angle_d_i[i == atom, axis]
-            assert np.max(np.abs(fd_a - exact_a)) < 1e-7
+            assert np.max(np.abs(fd_a - angle_grads[:, atom, axis])) < 1e-7
 
 
 def test_collinear_angle_gradient_is_zero_subgradient():
@@ -128,8 +140,10 @@ def test_full_model_parameter_gradients_match_fd(rng):
 def test_forces_energy_centric_net_force_and_torque(rng):
     system = sample_smooth_system(rng, 6, cutoff=1.5)
     params = init_params(ModelConfig(variant="dimenet-style", blocks=2))
-    _, forces, bundle = forces_energy_centric(system, params)
+    _, forces = predict(system, params)
+    bundle = ModelTape(system, params).backward(d_energy=1.0)
     assert bundle.finite()
+    assert forces.tobytes() == (-bundle.d_positions).tobytes()
     assert np.abs(forces.sum(axis=0)).max() < 1e-8
     torque = np.cross(system.positions, forces).sum(axis=0)
     assert np.abs(torque).max() < 1e-8
@@ -139,7 +153,7 @@ def test_forces_energy_centric_match_fd(rng):
     cfg = ModelConfig(variant="dimenet-style", blocks=2)
     system = sample_smooth_system(rng, 6, cutoff=cfg.cutoff)
     params = init_params(cfg)
-    energy, forces, _ = forces_energy_centric(system, params)
+    energy, forces = predict(system, params)
     h = 1e-5
     for atom in range(system.n):
         for axis in range(3):
@@ -155,12 +169,12 @@ def test_forces_equivariant_under_rotation(rng):
     cfg = ModelConfig(variant="dimenet-style", blocks=2)
     system = sample_smooth_system(rng, 6, cutoff=cfg.cutoff)
     params = init_params(cfg)
-    _, f0, _ = forces_energy_centric(system, params)
+    _, f0 = predict(system, params)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     moved = AtomicSystem(system.positions @ q.T, system.atomic_numbers)
-    _, f1, _ = forces_energy_centric(moved, params)
+    _, f1 = predict(moved, params)
     np.testing.assert_allclose(f1, f0 @ q.T, rtol=1e-9, atol=1e-9)
 
 

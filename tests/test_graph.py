@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egn.graph import (
-    Geometry,
     GraphTopology,
     angle_gradients,
     build_graph,
@@ -51,24 +50,26 @@ def triplet_atom_set(topology: GraphTopology) -> set[tuple[int, int, int]]:
 
 
 def test_dimer_has_edges_but_no_triplets():
-    topo, geom = build_graph(dimer(1.0), cutoff=1.5)
+    topo, dist = build_graph(dimer(1.0), cutoff=1.5)
     assert topo.num_edges == 2
     assert topo.num_triplets == 0
-    np.testing.assert_allclose(geom.distances, [1.0, 1.0])
+    np.testing.assert_allclose(dist, [1.0, 1.0])
 
 
 def test_collinear_chain_edges_triplets_angles():
-    topo, geom = build_graph(collinear_chain(1.0), cutoff=1.5)
+    system = collinear_chain(1.0)
+    topo, _ = build_graph(system, cutoff=1.5)
     assert topo.num_edges == 4
     assert topo.num_triplets == 2
-    np.testing.assert_allclose(geom.angles, [np.pi, np.pi])
+    np.testing.assert_allclose(triplet_angles(system.positions, topo), [np.pi, np.pi])
 
 
 def test_equilateral_triangle_counts_and_angles():
-    topo, geom = build_graph(equilateral_triangle(1.0), cutoff=1.5)
+    system = equilateral_triangle(1.0)
+    topo, _ = build_graph(system, cutoff=1.5)
     assert topo.num_edges == 6
     assert topo.num_triplets == 6
-    np.testing.assert_allclose(geom.angles, np.pi / 3, atol=1e-12)
+    np.testing.assert_allclose(triplet_angles(system.positions, topo), np.pi / 3, atol=1e-12)
 
 
 def test_star_graph_triplet_count():
@@ -96,10 +97,10 @@ def test_enumerate_triplets_accepts_topology():
 
 def test_zero_edge_graph_is_legal():
     system = AtomicSystem(np.array([[0.0, 0, 0], [10.0, 0, 0]]), np.array([1, 1]))
-    topo, geom = build_graph(system, cutoff=1.0)
+    topo, dist = build_graph(system, cutoff=1.0)
     assert topo.num_edges == 0
     assert topo.num_triplets == 0
-    assert geom.distances.size == 0
+    assert dist.size == 0
 
 
 def test_zero_atoms_impossible_and_bad_cutoff():
@@ -149,7 +150,8 @@ def test_triplets_match_brute_force(seed):
 
 def test_angles_match_recomputation_from_positions(rng):
     system = random_cloud(15, 0.9, rng)
-    topo, geom = build_graph(system, cutoff=1.5)
+    topo, _ = build_graph(system, cutoff=1.5)
+    angles = triplet_angles(system.positions, topo)
     for t in range(topo.num_triplets):
         k = topo.edge_src[topo.trip_in[t]]
         j = topo.edge_recv[topo.trip_in[t]]
@@ -158,16 +160,16 @@ def test_angles_match_recomputation_from_positions(rng):
         v2 = system.positions[i] - system.positions[j]
         cosang = np.dot(v1, v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
         expected = np.arccos(np.clip(cosang, -1.0, 1.0))
-        assert abs(geom.angles[t] - expected) < 1e-12
+        assert abs(angles[t] - expected) < 1e-12
 
 
 def test_distances_match_norms(rng):
     system = random_cloud(10, 0.9, rng)
-    topo, geom = build_graph(system, cutoff=1.5)
+    topo, dist = build_graph(system, cutoff=1.5)
     for e in range(topo.num_edges):
         d = np.linalg.norm(system.positions[topo.edge_recv[e]] - system.positions[topo.edge_src[e]])
-        assert abs(geom.distances[e] - d) < 1e-12
-        assert geom.distances[e] <= 1.5
+        assert abs(dist[e] - d) < 1e-12
+        assert dist[e] <= 1.5
 
 
 @settings(max_examples=25, deadline=None)
@@ -182,9 +184,9 @@ def test_edge_symmetry_property(seed, n):
 
 def test_collinear_angle_uses_atan2_not_nan():
     # exactly collinear triplet: angle must be pi, never NaN
-    topo, geom = build_graph(collinear_chain(1.0), cutoff=1.5)
-    assert np.all(np.isfinite(geom.angles))
+    topo, _ = build_graph(collinear_chain(1.0), cutoff=1.5)
     angles = triplet_angles(collinear_chain(1.0).positions, topo)
+    assert np.all(np.isfinite(angles))
     np.testing.assert_allclose(angles, np.pi)
 
 
@@ -276,11 +278,11 @@ def dense_graph(system, cutoff):
     recv = recv.astype(np.int64)
     trip_in, trip_out = dense_triplets(n, src, recv)
     topology = GraphTopology(n, src, recv, trip_in, trip_out)
-    geometry = Geometry(
-        edge_distances(pos, src, recv),
-        edge_unit_vectors(pos, src, recv),
-        reference_triplet_angles(pos, topology),
-    )
+    geometry = {
+        "distances": edge_distances(pos, src, recv),
+        "unit_vectors": edge_unit_vectors(pos, src, recv),
+        "angles": reference_triplet_angles(pos, topology),
+    }
     return topology, geometry, dist[src, recv]
 
 
@@ -291,14 +293,17 @@ def assert_bitwise_equal(actual, expected):
 
 
 def assert_matches_dense(system, cutoff):
-    topo, geom = build_graph(system, cutoff)
+    topo, dist = build_graph(system, cutoff)
     ref_topo, ref_geom, ref_dist = dense_graph(system, cutoff)
     assert topo.num_nodes == ref_topo.num_nodes
     for name in ("edge_src", "edge_recv", "trip_in", "trip_out"):
         assert_bitwise_equal(getattr(topo, name), getattr(ref_topo, name))
-    for name in ("distances", "unit_vectors", "angles"):
-        assert_bitwise_equal(getattr(geom, name), getattr(ref_geom, name))
-    assert_bitwise_equal(geom.distances, ref_dist)
+    pos = system.positions
+    assert_bitwise_equal(dist, ref_geom["distances"])
+    units = edge_unit_vectors(pos, topo.edge_src, topo.edge_recv)
+    assert_bitwise_equal(units, ref_geom["unit_vectors"])
+    assert_bitwise_equal(triplet_angles(pos, topo), ref_geom["angles"])
+    assert_bitwise_equal(dist, ref_dist)
     assert_bitwise_equal(topo.reverse_edges(), dense_reverse_edges(ref_topo))
     return topo
 

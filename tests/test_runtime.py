@@ -1,10 +1,12 @@
 """Multi-worker runtime tests: collective semantics and engine equivalence."""
 
 import threading
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from egn import tape as tape_module
 from egn.config import ModelConfig
 from egn.engine import ModelTape
 from egn.params import init_params
@@ -173,6 +175,43 @@ def test_gemnet_force_seeded_parallel_backward(medium_system, rng):
     np.testing.assert_allclose(par.d_positions, seq.d_positions, rtol=1e-9, atol=1e-12)
     for name in seq.d_params:
         np.testing.assert_allclose(par.d_params[name], seq.d_params[name], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypatch):
+    """Each worker computes angles and sbf over its own triplet shard only."""
+    seen = defaultdict(list)  # thread name -> [(op, rows)]
+
+    def spy(op, rows_of):
+        rule = tape_module._FORWARD[op]
+
+        def wrapped(vals, aux):
+            seen[threading.current_thread().name].append((op, rows_of(vals, aux)))
+            return rule(vals, aux)
+
+        monkeypatch.setitem(tape_module._FORWARD, op, wrapped)
+
+    spy("triplet_angles", lambda vals, aux: (aux["topology"].trip_in, aux["topology"].trip_out))
+    spy("angular_sbf", lambda vals, aux: vals[1].shape[0])
+    cfg = ModelConfig(variant="gemnet-style", blocks=2, workers=workers)
+    group = WorkerGroup(medium_system, init_params(cfg))
+    group.forward()
+    group.forward_backward()
+
+    topo = group.topology
+    total = 0
+    for rank, shard in enumerate(group.partition.triplet_shards):
+        calls = seen.pop(f"egn-worker-{rank}")
+        assert [op for op, _ in calls] == ["triplet_angles", "angular_sbf"] * 2
+        for op, rows in calls:
+            if op == "triplet_angles":
+                np.testing.assert_array_equal(rows[0], topo.trip_in[shard])
+                np.testing.assert_array_equal(rows[1], topo.trip_out[shard])
+            else:
+                assert rows == shard.size
+        total += shard.size
+    assert total == topo.num_triplets
+    assert not seen, sorted(seen)  # no triplet geometry outside the workers
 
 
 def test_more_workers_than_triplets_contributes_zeros():

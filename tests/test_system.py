@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from egn.system import (
-    AtomicSystem,
-    XyzParseError,
-    format_xyz,
-    min_pair_distance,
-    parse_xyz,
-    random_cloud,
-)
+from egn.system import AtomicSystem, XyzParseError, format_xyz, parse_xyz, random_cloud
+
+from conftest import min_pair_distance
 
 
 def test_parse_dimer():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egn.basis import compute_basis
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape, block_forward, initial_state
 from egn.graph import build_graph
@@ -16,7 +15,7 @@ from egn.system import random_cloud
 from egn.tape import _FORWARD, Evaluator, Tape, TapeConsistencyError, scatter_add
 from egn.tasks import predict
 
-from conftest import rel_err
+from conftest import basis_of, rel_err
 
 
 def numeric_vjp(build, x0, seed, h=1e-6):
@@ -248,8 +247,7 @@ def test_no_tape_without_backward(variant, monkeypatch):
     for p in (1, 2):
         run_params = ModelParams(cfg.replace(workers=p), params.arrays)
         recorded_runs[p] = (run_params, WorkerGroup(system, run_params).forward_backward()[0])
-    topo, geom = build_graph(system, cfg.cutoff)
-    basis = compute_basis(geom, topo, cfg.k_rbf, cfg.l_sbf, cfg.cutoff)
+    topo, basis = basis_of(system, cfg)
 
     def refuse(self, op, inputs, aux):
         raise AssertionError(f"recorded {op!r} on a Tape with no backward to follow")
@@ -269,7 +267,7 @@ def test_no_tape_without_backward(variant, monkeypatch):
             assert _bits(got.forces) == _bits(want.forces), p
         for name in ("edge_features", "node_features", "global_features"):
             assert _bits(getattr(got.state, name)) == _bits(getattr(want.state, name)), (p, name)
-    state = initial_state(system.atomic_numbers, topo, geom, basis, params)
+    state = initial_state(system.atomic_numbers, topo, basis, params)
     for block in range(cfg.blocks):
         state = block_forward(state, params, block)
     for name in ("edge_features", "node_features", "global_features", "triplet_features"):
