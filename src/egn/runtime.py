@@ -29,6 +29,12 @@ gradients are all-reduced once at the end. The position gradient is one
 backward of the worker's geometry segment, so each triplet's angle and sbf
 are differentiated by its owner alone. Triplet features never enter a
 collective in either direction.
+
+A pass that needs its backward is recorded once: ``WorkerGroup.record()``
+runs the forward and keeps each worker's shard tapes in a ``ParallelPass``,
+whose ``backward()`` runs the workers again over those tapes on the same
+collective, after the caller has read the energy and forces it seeds from.
+``forward()`` keeps no tape.
 """
 
 from __future__ import annotations
@@ -244,14 +250,15 @@ class _WorkerContext:
         self.rank = rank
         self.stage = "setup"
         self.segs: dict = {}
+        self.basis = None  # geometry segment handles, seeds for backward.geometry
         self.digests: list[str] = []
         self.stage_seconds: dict[str, float] = {}
         self._timed = timed
-        self._tic = time.perf_counter()
+        self._tic: float | None = None
 
     def set_stage(self, name: str) -> None:
         now = time.perf_counter()
-        if self._timed and self.stage != "setup":
+        if self._timed and self._tic is not None:
             self.stage_seconds[self.stage] = (
                 self.stage_seconds.get(self.stage, 0.0) + now - self._tic
             )
@@ -259,7 +266,58 @@ class _WorkerContext:
         self._tic = now
 
     def finish_timing(self) -> None:
+        """Close the running stage; the gap before the next phase is not timed."""
         self.set_stage("done")
+        self._tic = None
+
+
+class ParallelPass:
+    """One forward recorded over the workers of a group, awaiting its backward.
+
+    Has the interface of ``engine.ModelTape``: ``energy`` and ``forces`` of
+    the forward, and ``backward(d_energy, d_forces)``, which runs the workers
+    again over the shard tapes they recorded, on the same collective. The
+    pass's comm log therefore holds its forward records followed by its
+    backward records. A pass runs one backward; its tapes are released then.
+    """
+
+    def __init__(self, group: WorkerGroup, result: ParallelRunResult,
+                 contexts: list[_WorkerContext], collective: Collective):
+        self.group = group
+        self.result = result
+        self._contexts: list[_WorkerContext] | None = contexts
+        self._collective = collective
+
+    @property
+    def energy(self) -> float:
+        return self.result.energy
+
+    @property
+    def forces(self) -> np.ndarray | None:
+        return self.result.forces
+
+    def backward(
+        self, d_energy: float = 1.0, d_forces: np.ndarray | None = None
+    ) -> GradientBundle:
+        group = self.group
+        if self._contexts is None:
+            raise RuntimeError(
+                "this pass has already run its backward; record() a new pass"
+            )
+        if d_forces is not None:
+            if group.config.variant != GEMNET:
+                raise ValueError("force seeds require the force-centric variant")
+            d_forces = np.asarray(d_forces, dtype=np.float64)
+            shape = group.system.positions.shape
+            if d_forces.shape != shape:
+                raise ValueError(f"force seed has shape {d_forces.shape}, expected {shape}")
+        contexts, self._contexts = self._contexts, None
+        col = self._collective
+        bundles = group._launch(
+            contexts, col,
+            lambda ctx: group._worker_backward(ctx, col, d_energy, d_forces),
+        )
+        return bundles[0]
 
 
 class WorkerGroup:
@@ -269,7 +327,12 @@ class WorkerGroup:
     (each conceptually holds a full replica); the only cross-worker channel
     is the Collective. Each worker records its own geometry and basis, with
     angles and sbf over its triplet shard only. A group serves one driver at
-    a time; run forward()/forward_backward() as often as needed.
+    a time and runs any number of passes:
+
+      * ``forward()`` runs the workers once and keeps no tape (inference);
+      * ``record()`` runs them once, keeping each worker's shard tapes, and
+        returns a ``ParallelPass`` whose ``backward()`` completes the pass;
+      * ``forward_backward()`` is ``record()`` followed by its backward.
     """
 
     def __init__(
@@ -301,34 +364,62 @@ class WorkerGroup:
     # -- public API ----------------------------------------------------
 
     def forward(self) -> ParallelRunResult:
-        result, _ = self._run(mode="forward", d_energy=0.0, d_forces=None)
-        return result
+        return self._forward(record=False)[0]
+
+    def record(self) -> ParallelPass:
+        return ParallelPass(self, *self._forward(record=True))
 
     def forward_backward(
         self, d_energy: float = 1.0, d_forces: np.ndarray | None = None
     ) -> tuple[ParallelRunResult, GradientBundle]:
-        if d_forces is not None and self.config.variant != GEMNET:
-            raise ValueError("force seeds require the force-centric variant")
-        return self._run(mode="forward_backward", d_energy=d_energy, d_forces=d_forces)
+        pass_ = self.record()
+        return pass_.result, pass_.backward(d_energy, d_forces)
 
     # -- orchestration ---------------------------------------------------
 
-    def _run(self, mode: str, d_energy: float, d_forces: np.ndarray | None):
+    def _forward(self, record: bool):
         log = CommLog()
         collective = Collective(self.workers, log, timeout=self.timeout)
         contexts = [_WorkerContext(rank, timed=rank == 0) for rank in range(self.workers)]
+        outputs = self._launch(
+            contexts, collective,
+            lambda ctx: self._worker_forward(ctx, collective, record),
+        )
+        fwd0 = outputs[0]
+        # Bit patterns, not values: identical NaNs agree, since NaN != NaN.
+        energies = {np.float64(out["energy"]).tobytes() for out in outputs}
+        if len(energies) != 1:
+            raise WorkerGroupError("finalize", 0, AssertionError("worker outputs diverged"))
+
+        state = FeatureState(
+            global_features=fwd0["u"],
+            node_features=fwd0["v"],
+            edge_features=fwd0["m"],
+            triplet_features=None,
+            topology=self.topology,
+            basis=None,
+        )
+        result = ParallelRunResult(
+            energy=float(fwd0["energy"]),
+            forces=fwd0["forces"],
+            state=state,
+            triplet_shards=[out["t_own"] for out in outputs],
+            comm_log=log,
+            replica_digests=[ctx.digests for ctx in contexts],
+            stage_seconds=contexts[0].stage_seconds,
+        )
+        return result, contexts, collective
+
+    def _launch(self, contexts: list[_WorkerContext], collective: Collective, work) -> list:
+        """Run ``work(ctx)`` for every rank on its own thread; return the
+        outputs by rank, or raise the primary failure as a WorkerGroupError
+        (a rank's own error before the timeouts it caused elsewhere)."""
         outputs: list = [None] * self.workers
         errors: list = [None] * self.workers
 
         def body(rank: int) -> None:
-            ctx = contexts[rank]
             try:
-                backward = mode == "forward_backward"
-                fwd = self._worker_forward(ctx, collective, record=backward)
-                bundle = None
-                if backward:
-                    bundle = self._worker_backward(ctx, collective, fwd, d_energy, d_forces)
-                outputs[rank] = (fwd, bundle)
+                outputs[rank] = work(contexts[rank])
             except BaseException as exc:  # noqa: BLE001 - reported to the caller
                 errors[rank] = exc
                 collective.abort()
@@ -357,32 +448,8 @@ class WorkerGroup:
         if primary is not None:
             rank, exc = primary
             raise WorkerGroupError(contexts[rank].stage, rank, exc) from exc
-
         contexts[0].finish_timing()
-        fwd0, bundle0 = outputs[0]
-        # Bit patterns, not values: identical NaNs agree, since NaN != NaN.
-        energies = {np.float64(out[0]["energy"]).tobytes() for out in outputs}
-        if len(energies) != 1:
-            raise WorkerGroupError("finalize", 0, AssertionError("worker outputs diverged"))
-
-        state = FeatureState(
-            global_features=fwd0["u"],
-            node_features=fwd0["v"],
-            edge_features=fwd0["m"],
-            triplet_features=None,
-            topology=self.topology,
-            basis=None,
-        )
-        result = ParallelRunResult(
-            energy=float(fwd0["energy"]),
-            forces=fwd0["forces"],
-            state=state,
-            triplet_shards=[out[0]["t_own"] for out in outputs],
-            comm_log=log,
-            replica_digests=[ctx.digests for ctx in contexts],
-            stage_seconds=contexts[0].stage_seconds,
-        )
-        return result, bundle0
+        return outputs
 
     # -- worker forward ----------------------------------------------------
 
@@ -424,6 +491,7 @@ class WorkerGroup:
         rbf, sbf = geo.tape.value(basis.edge_rbf), geo.tape.value(basis.triplet_sbf)
         units = geo.tape.value(basis.edge_units) if gemnet else None
         if record:
+            ctx.basis = basis
             seg = shard("init")
             rbf_leaf = seg.leaf("rbf", rbf)
             seg.out = record_edge_init(seg.tape, seg.pl, rbf_leaf, edge_rows)
@@ -508,7 +576,6 @@ class WorkerGroup:
                 seg.out = record_force_head(seg.tape, seg.pl, m_leaf, units_leaf, ea_sel, ea_seg, hi - lo)
 
         return {
-            "basis": basis,
             "energy": energy,
             "forces": forces,
             "m": m,
@@ -523,7 +590,6 @@ class WorkerGroup:
         self,
         ctx: _WorkerContext,
         col: Collective,
-        fwd: dict,
         d_energy: float,
         d_forces: np.ndarray | None,
     ) -> GradientBundle:
@@ -565,9 +631,9 @@ class WorkerGroup:
         u_bar = ar(u_bar_part, "global", -1, "energy")
 
         m_bar = np.zeros((topo.num_edges, cfg.d_e), dtype=np.float64)
-        if gemnet and d_forces is not None:
+        if d_forces is not None:
             seg = ctx.segs["force"]
-            grads = seg.backward(np.asarray(d_forces, dtype=np.float64)[lo:hi])
+            grads = seg.backward(d_forces[lo:hi])
             pull_params(seg, grads)
             units_bar += seg.leaf_grad(grads, "units", units_bar.shape)
             m_bar = ar(seg.leaf_grad(grads, "m", m_bar.shape), "edge", -1, "force")
@@ -639,7 +705,7 @@ class WorkerGroup:
         # One backward of this worker's geometry segment: its partial
         # position gradient is summed by the position all-reduce below.
         ctx.set_stage("backward.geometry")
-        geo, basis = ctx.segs["geometry"], fwd["basis"]
+        geo, basis = ctx.segs["geometry"], ctx.basis
         seeds = {basis.edge_rbf: rbf_bar, basis.triplet_sbf: sbf_bar}
         if gemnet:
             seeds[basis.edge_units] = units_bar

@@ -154,32 +154,27 @@ def loss_and_grads(
     n = len(dataset)
     if n == 0:
         raise ValueError("dataset is empty")
+    run_params = params if p == 1 else ModelParams(config.replace(workers=p), params.arrays)
     total_loss = 0.0
     grad_sum = {s.name: np.zeros(s.shape, dtype=np.float64) for s in param_specs(config)}
     for system, e_target, f_target in dataset:
+        # One recorded forward per sample; its backward completes the pass.
         if p == 1:
-            model = ModelTape(system, params)
-            energy = model.energy
-            forces = model.forces
+            model = ModelTape(system, run_params)
         else:
-            run_params = ModelParams(config.replace(workers=p), params.arrays)
-            group = WorkerGroup(system, run_params)
-            result = group.forward()
-            energy, forces = result.energy, result.forces
+            model = WorkerGroup(system, run_params).record()
 
-        residual = np.float64(energy - e_target)  # numpy scalar: overflow -> inf, not an exception
+        residual = np.float64(model.energy - e_target)  # numpy scalar: overflow -> inf, not an exception
         d_energy = float(2.0 * w_energy * residual / n)
         loss = float(w_energy * residual * residual)
         d_forces = None
         if w_forces != 0.0:
-            delta = forces - np.asarray(f_target, dtype=np.float64)
+            delta = model.forces - np.asarray(f_target, dtype=np.float64)
             loss += w_forces * float((delta * delta).sum()) / system.n
             d_forces = 2.0 * w_forces * delta / (n * system.n)
 
-        if p == 1:
-            bundle = model.backward(d_energy=d_energy, d_forces=d_forces)
-        else:
-            _, bundle = group.forward_backward(d_energy=d_energy, d_forces=d_forces)
+        bundle = model.backward(d_energy=d_energy, d_forces=d_forces)
+        del model  # drop this sample's tapes before the next sample records
         for name, g in bundle.d_params.items():
             grad_sum[name] += g
         total_loss += loss / n

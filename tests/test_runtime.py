@@ -1,6 +1,7 @@
 """Multi-worker runtime tests: collective semantics and engine equivalence."""
 
 import threading
+import time
 from collections import defaultdict
 
 import numpy as np
@@ -378,3 +379,93 @@ def test_comm_log_csv_rows(medium_system):
     for row in rows[1:]:
         phase, block, stage, level, elements, nbytes = row.split(",")
         assert int(nbytes) == 8 * int(elements)
+
+
+def _bytes(x):
+    return None if x is None else np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_recorded_pass_matches_forward_backward(variant, workers, medium_system, rng):
+    cfg = ModelConfig(variant=variant, blocks=2, workers=workers)
+    params = init_params(cfg)
+    d_forces = rng.standard_normal((medium_system.n, 3)) if variant == "gemnet-style" else None
+    want, want_grads = WorkerGroup(medium_system, params, track_replicas=True).forward_backward(
+        0.7, d_forces
+    )
+    recorded = WorkerGroup(medium_system, params, track_replicas=True).record()
+    got = recorded.result
+    assert _bytes(recorded.energy) == _bytes(got.energy)
+    assert _bytes(recorded.forces) == _bytes(got.forces)
+    got_grads = recorded.backward(0.7, d_forces)
+
+    assert _bytes(got.energy) == _bytes(want.energy)
+    assert _bytes(got.forces) == _bytes(want.forces)
+    assert _bytes(got_grads.d_positions) == _bytes(want_grads.d_positions)
+    assert got_grads.d_params.keys() == want_grads.d_params.keys()
+    for name, grad in want_grads.d_params.items():
+        assert _bytes(got_grads.d_params[name]) == _bytes(grad), name
+    assert got.comm_log.records == want.comm_log.records
+    phases = [rec.phase for rec in got.comm_log.records]
+    n_forward = phases.count("forward")
+    assert 0 < n_forward < len(phases)
+    assert set(phases[n_forward:]) == {"backward"}  # the forward, then the backward
+    assert got.replica_digests == want.replica_digests
+    assert len(got.replica_digests[0]) == len(phases)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_force_seed_shape_is_checked_before_backward(workers, medium_system):
+    n = medium_system.n
+    cfg = ModelConfig(variant="gemnet-style", blocks=1, workers=workers)
+    group = WorkerGroup(medium_system, init_params(cfg))
+    recorded = group.record()
+    forward_records = list(recorded.result.comm_log.records)
+    for shape in [(n + 1, 3), (n - 1, 3), (n, 2), (3 * n,)]:
+        with pytest.raises(ValueError, match="force seed"):
+            recorded.backward(d_forces=np.ones(shape))
+        with pytest.raises(ValueError, match="force seed"):
+            group.forward_backward(d_forces=np.ones(shape))
+    assert recorded.result.comm_log.records == forward_records  # no backward began
+    recorded.backward(d_forces=np.ones((n, 3)))
+
+    dimenet = WorkerGroup(medium_system, init_params(cfg.replace(variant="dimenet-style")))
+    with pytest.raises(ValueError, match="force-centric"):
+        dimenet.record().backward(d_forces=np.ones((n, 3)))
+
+
+def test_recorded_pass_runs_one_backward(medium_system):
+    cfg = ModelConfig(variant="gemnet-style", blocks=1, workers=2)
+    recorded = WorkerGroup(medium_system, init_params(cfg)).record()
+    recorded.backward()
+    log = recorded.result.comm_log
+    records = list(log.records)
+    with pytest.raises(RuntimeError, match="already run its backward"):
+        recorded.backward()
+    assert log.records == records
+
+
+def test_backward_failure_names_rank_and_stage(medium_system, monkeypatch):
+    from egn import runtime as rt
+
+    cfg = ModelConfig(variant="dimenet-style", blocks=1, workers=2)
+    group = WorkerGroup(medium_system, init_params(cfg), timeout=5.0)
+    recorded = group.record()
+    original = rt._Seg.backward
+
+    def broken(self, seed):
+        if threading.current_thread().name == "egn-worker-1":
+            raise FloatingPointError("synthetic backward failure")
+        return original(self, seed)
+
+    monkeypatch.setattr(rt._Seg, "backward", broken)
+    tic = time.perf_counter()
+    with pytest.raises(WorkerGroupError) as info:
+        recorded.backward()
+    assert time.perf_counter() - tic < group.timeout  # rank 0 released by the abort
+    assert info.value.rank == 1
+    assert info.value.stage.startswith("backward.")
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    with pytest.raises(RuntimeError, match="already run its backward"):
+        recorded.backward()

@@ -1,9 +1,14 @@
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from egn import runtime
 from egn.bench import sample_smooth_system, sample_system
 from egn.config import ModelConfig
-from egn.params import ModelParams, init_params
+from egn.params import ModelParams, init_params, param_specs
+from egn.runtime import WorkerGroup
 from egn.tasks import (
     WELL_CENTER,
     load_checkpoint,
@@ -178,6 +183,60 @@ def test_loss_and_grads_parallel_matches_sequential(rng):
     assert np.isclose(loss1, loss2, rtol=1e-9)
     for name in grads1:
         np.testing.assert_allclose(grads2[name], grads1[name], rtol=1e-9, atol=1e-12)
+
+
+def _two_pass_loss_and_grads(dataset, params, w_energy, w_forces, workers):
+    """Reference training loop at workers > 1 that runs the forward twice per
+    sample: forward() for the loss seeds, then forward_backward()."""
+    run_params = ModelParams(params.config.replace(workers=workers), params.arrays)
+    n = len(dataset)
+    total_loss = 0.0
+    grad_sum = {s.name: np.zeros(s.shape, dtype=np.float64) for s in param_specs(params.config)}
+    for system, e_target, f_target in dataset:
+        group = WorkerGroup(system, run_params)
+        result = group.forward()
+        residual = np.float64(result.energy - e_target)
+        loss = float(w_energy * residual * residual)
+        d_forces = None
+        if w_forces != 0.0:
+            delta = result.forces - np.asarray(f_target, dtype=np.float64)
+            loss += w_forces * float((delta * delta).sum()) / system.n
+            d_forces = 2.0 * w_forces * delta / (n * system.n)
+        _, bundle = group.forward_backward(float(2.0 * w_energy * residual / n), d_forces)
+        for name, g in bundle.d_params.items():
+            grad_sum[name] += g
+        total_loss += loss / n
+    return total_loss, grad_sum
+
+
+@pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_loss_and_grads_matches_two_pass_loop(variant, workers, rng):
+    cfg = ModelConfig(variant=variant, blocks=2)
+    dataset = _toy_dataset(rng, cfg)
+    params = init_params(cfg)
+    w_forces = 1.0 if variant == "gemnet-style" else 0.0
+    want_loss, want_grads = _two_pass_loss_and_grads(dataset, params, 1.0, w_forces, workers)
+    loss, grads = loss_and_grads(dataset, params, 1.0, w_forces, workers=workers)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grads.keys() == want_grads.keys()
+    for name, grad in want_grads.items():
+        assert grads[name].tobytes() == grad.tobytes(), name
+
+
+def test_loss_and_grads_runs_one_forward_per_sample(rng, monkeypatch):
+    cfg = ModelConfig(variant="gemnet-style", blocks=1)
+    dataset = _toy_dataset(rng, cfg, samples=2)
+    calls = Counter()
+    compute_basis = runtime.compute_basis
+
+    def spy(*args, **kwargs):
+        calls[threading.current_thread().name] += 1
+        return compute_basis(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "compute_basis", spy)
+    loss_and_grads(dataset, init_params(cfg), 1.0, 1.0, workers=2)
+    assert calls == {"egn-worker-0": 2, "egn-worker-1": 2}
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
