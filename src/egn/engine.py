@@ -27,7 +27,7 @@ from .basis import BasisFeatures, compute_basis
 from .config import GEMNET, ModelConfig
 from .elements import MAX_Z
 from .graph import GraphTopology, build_graph
-from .params import ModelParams, param_specs
+from .params import ModelParams
 from .system import AtomicSystem
 from .tape import Evaluator, Tape
 
@@ -70,6 +70,16 @@ class ParamLeaves:
         if name not in self.ids:
             self.ids[name] = self._tape.leaf(self._arrays[name])
         return self.ids[name]
+
+    def gradients(self, grads: list) -> dict[str, np.ndarray]:
+        """Every parameter's gradient from a backward of the tape, in
+        declaration order; zeros where a parameter was unused or no
+        gradient reached it."""
+        out = {}
+        for name, arr in self._arrays.items():
+            g = grads[self.ids[name]] if name in self.ids else None
+            out[name] = g if g is not None else np.zeros_like(arr)
+        return out
 
 
 def embedding_indices(atomic_numbers: np.ndarray) -> np.ndarray:
@@ -385,10 +395,7 @@ class ModelTape:
         )
 
     def backward(
-        self,
-        d_energy: float = 1.0,
-        d_forces: np.ndarray | None = None,
-        check_replay: bool = False,
+        self, d_energy: float = 1.0, d_forces: np.ndarray | None = None
     ) -> GradientBundle:
         seeds: dict[int, np.ndarray] = {}
         if d_energy != 0.0:
@@ -399,12 +406,8 @@ class ModelTape:
             seeds[self.forces_id] = np.asarray(d_forces, dtype=np.float64)
         if not seeds:
             seeds[self.energy_id] = np.zeros((1, 1), dtype=np.float64)
-        grads = self.tape.backward(seeds, check_replay=check_replay)
-        d_params = {}
-        for spec in param_specs(self.config):
-            leaf = self.handles.param_leaves.ids.get(spec.name)
-            g = grads[leaf] if leaf is not None else None
-            d_params[spec.name] = g if g is not None else np.zeros(spec.shape, dtype=np.float64)
+        grads = self.tape.backward(seeds)
+        d_params = self.handles.param_leaves.gradients(grads)
         d_pos = grads[self.handles.positions]
         if d_pos is None:
             d_pos = np.zeros_like(self.system.positions)

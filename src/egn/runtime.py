@@ -2,8 +2,8 @@
 
 P workers run as threads that communicate only through a Collective
 endpoint offering a deterministic all-reduce (reduction in ascending rank
-order, identical result delivered everywhere) and a barrier. Worker-local
-state is owned exclusively by its worker between collectives.
+order, identical result delivered everywhere). Worker-local state is owned
+exclusively by its worker between collectives.
 
 Each worker first records its geometry and basis from the positions with
 ``compute_basis``: distances and rbf over every edge, angles and sbf over
@@ -22,13 +22,18 @@ The gemnet-style variant inserts the second edge update over the edge shard
 followed by one additional edge all-reduce, after which the symmetric
 coupling is formed redundantly from the replicated buffer.
 
-Backward mirrors the schedule: the adjoint of an all-reduced buffer is
-itself summed across workers at each replicated-buffer boundary, each
-worker differentiates only the rows it owns, and parameter and position
-gradients are all-reduced once at the end. The position gradient is one
-backward of the worker's geometry segment, so each triplet's angle and sbf
-are differentiated by its owner alone. Triplet features never enter a
-collective in either direction.
+A recording worker keeps its shard of every stage on one tape, where each
+replicated buffer is a collective node (see ``egn.tape``): ``allreduce``
+where the workers' partial buffers are summed, and ``replicated`` where
+every worker computes the buffer in full and the tape keeps the rows it
+owns. Both have one adjoint, which sums the workers' partial adjoints and
+hands each worker its rows of the sum; so the backward is one walk of
+that tape, and its collectives mirror the forward's without a schedule of
+their own. The gu tail and energy head are on rank 0's tape only. A second
+tape holds the worker's geometry, so the position gradient is one backward
+of it and each triplet's angle and sbf are differentiated by its owner
+alone; position and parameter gradients are all-reduced once at the end.
+Triplet features never enter a collective in either direction.
 
 A pass that needs its backward is recorded once: ``WorkerGroup.record()``
 runs the forward and keeps each worker's shard tapes in a ``ParallelPass``,
@@ -65,7 +70,7 @@ from .engine import (
     record_tu,
 )
 from .graph import build_graph
-from .params import ModelParams, param_specs
+from .params import ModelParams
 from .partition import GraphPartition, partition_graph
 from .system import AtomicSystem
 from .tape import Evaluator, Tape
@@ -135,7 +140,7 @@ class CommLog:
 
 
 class Collective:
-    """Group endpoint: deterministic all-reduce-sum and barrier for P workers."""
+    """Group endpoint: deterministic all-reduce-sum for P workers."""
 
     def __init__(self, workers: int, log: CommLog, timeout: float = 30.0):
         self.workers = workers
@@ -150,10 +155,6 @@ class Collective:
     def abort(self) -> None:
         self._enter.abort()
         self._exit.abort()
-
-    def barrier(self, rank: int) -> None:
-        self._wait(self._enter)
-        self._wait(self._exit)
 
     def _wait(self, barrier: threading.Barrier) -> None:
         try:
@@ -223,37 +224,15 @@ class ParallelRunResult:
         return rows
 
 
-class _Seg:
-    """One tape segment: owned rows of a stage, with named input leaves."""
-
-    def __init__(self, params: ModelParams, tape: Tape):
-        self.tape = tape
-        self.pl = ParamLeaves(self.tape, params)
-        self.leaves: dict[str, int] = {}
-        self.out: int | None = None
-
-    def leaf(self, key: str, value: np.ndarray) -> int:
-        nid = self.tape.leaf(value)
-        self.leaves[key] = nid
-        return nid
-
-    def backward(self, seed: np.ndarray) -> list[np.ndarray | None]:
-        return self.tape.backward({self.out: seed})
-
-    def leaf_grad(self, grads, key: str, shape) -> np.ndarray:
-        g = grads[self.leaves[key]]
-        return g if g is not None else np.zeros(shape, dtype=np.float64)
-
-
 class _WorkerContext:
-    def __init__(self, rank: int, timed: bool):
+    def __init__(self, rank: int, collective: Collective, timed: bool, track: bool):
         self.rank = rank
+        self.collective = collective
         self.stage = "setup"
-        self.segs: dict = {}
-        self.basis = None  # geometry segment handles, seeds for backward.geometry
         self.digests: list[str] = []
         self.stage_seconds: dict[str, float] = {}
         self._timed = timed
+        self._track = track
         self._tic: float | None = None
 
     def set_stage(self, name: str) -> None:
@@ -270,6 +249,55 @@ class _WorkerContext:
         self.set_stage("done")
         self._tic = None
 
+    def allreduce(self, buffer, phase: str, block: int, stage: str, level: str) -> np.ndarray:
+        out = self.collective.allreduce_sum(
+            self.rank, buffer, phase=phase, block=block, stage=stage, level=level
+        )
+        if self._track:
+            self.digests.append(hashlib.sha256(out.tobytes()).hexdigest())
+        return out
+
+
+@dataclass(frozen=True)
+class _Link:
+    """A worker's end of one collective node on its tape.
+
+    Holds the comm record's block, stage name and level, and the worker
+    stage the node was recorded in; the node's backward is booked to
+    ``backward.<stage>``.
+    """
+
+    ctx: _WorkerContext
+    block: int
+    name: str
+    level: str
+    stage: str
+
+    def allreduce(self, buffer: np.ndarray, phase: str) -> np.ndarray:
+        if phase == "backward":
+            self.ctx.set_stage("backward." + self.stage)
+        return self.ctx.allreduce(buffer, phase, self.block, self.name, self.level)
+
+
+@dataclass(frozen=True)
+class _Shard:
+    """What a worker's recording forward keeps for its backward: the
+    model-shard tape with its seeds and parameter leaves, and the geometry
+    tape with the model-tape leaf that each basis handle feeds.
+
+    Not kept on the ``_WorkerContext``: the tape's links refer to the
+    context, and that cycle would hold every pass's tapes until the cyclic
+    garbage collector ran.
+    """
+
+    tape: Tape
+    params: ParamLeaves
+    energy: int | None  # rank 0 only
+    forces: int | None  # force-centric variant only
+    geometry: Tape
+    positions: int
+    basis_leaves: dict[int, int]
+
 
 class ParallelPass:
     """One forward recorded over the workers of a group, awaiting its backward.
@@ -282,11 +310,11 @@ class ParallelPass:
     """
 
     def __init__(self, group: WorkerGroup, result: ParallelRunResult,
-                 contexts: list[_WorkerContext], collective: Collective):
+                 contexts: list[_WorkerContext], shards: list[_Shard]):
         self.group = group
         self.result = result
         self._contexts: list[_WorkerContext] | None = contexts
-        self._collective = collective
+        self._shards = shards
 
     @property
     def energy(self) -> float:
@@ -312,10 +340,10 @@ class ParallelPass:
             if d_forces.shape != shape:
                 raise ValueError(f"force seed has shape {d_forces.shape}, expected {shape}")
         contexts, self._contexts = self._contexts, None
-        col = self._collective
+        shards, self._shards = self._shards, None
         bundles = group._launch(
-            contexts, col,
-            lambda ctx: group._worker_backward(ctx, col, d_energy, d_forces),
+            contexts,
+            lambda ctx: group._worker_backward(ctx, shards[ctx.rank], d_energy, d_forces),
         )
         return bundles[0]
 
@@ -380,11 +408,11 @@ class WorkerGroup:
     def _forward(self, record: bool):
         log = CommLog()
         collective = Collective(self.workers, log, timeout=self.timeout)
-        contexts = [_WorkerContext(rank, timed=rank == 0) for rank in range(self.workers)]
-        outputs = self._launch(
-            contexts, collective,
-            lambda ctx: self._worker_forward(ctx, collective, record),
-        )
+        contexts = [
+            _WorkerContext(rank, collective, timed=rank == 0, track=self.track_replicas)
+            for rank in range(self.workers)
+        ]
+        outputs = self._launch(contexts, lambda ctx: self._worker_forward(ctx, record))
         fwd0 = outputs[0]
         # Bit patterns, not values: identical NaNs agree, since NaN != NaN.
         energies = {np.float64(out["energy"]).tobytes() for out in outputs}
@@ -408,9 +436,9 @@ class WorkerGroup:
             replica_digests=[ctx.digests for ctx in contexts],
             stage_seconds=contexts[0].stage_seconds,
         )
-        return result, contexts, collective
+        return result, contexts, [out["shard"] for out in outputs]
 
-    def _launch(self, contexts: list[_WorkerContext], collective: Collective, work) -> list:
+    def _launch(self, contexts: list[_WorkerContext], work) -> list:
         """Run ``work(ctx)`` for every rank on its own thread; return the
         outputs by rank, or raise the primary failure as a WorkerGroupError
         (a rank's own error before the timeouts it caused elsewhere)."""
@@ -422,7 +450,7 @@ class WorkerGroup:
                 outputs[rank] = work(contexts[rank])
             except BaseException as exc:  # noqa: BLE001 - reported to the caller
                 errors[rank] = exc
-                collective.abort()
+                contexts[rank].collective.abort()
 
         if self.workers == 1:
             body(0)
@@ -453,10 +481,11 @@ class WorkerGroup:
 
     # -- worker forward ----------------------------------------------------
 
-    def _worker_forward(self, ctx: _WorkerContext, col: Collective, record: bool) -> dict:
-        """Shard stages are kept on tapes only if ``record`` (a backward
-        follows); replicated buffers come from the same recorders run over
-        all rows on an Evaluator, identically on every worker."""
+    def _worker_forward(self, ctx: _WorkerContext, record: bool) -> dict:
+        """With ``record`` (a backward follows), this worker's shard of every
+        stage is kept on one tape and its geometry on another; buffers every
+        worker computes in full come from the same recorders run over all
+        rows on an Evaluator. Without it, everything runs on the Evaluator."""
         cfg = self.config
         topo = self.topology
         rank = ctx.rank
@@ -468,257 +497,124 @@ class WorkerGroup:
         gemnet = cfg.variant == GEMNET
         ev = Evaluator()
         epl = ParamLeaves(ev, self.params)
+        tape = Tape() if record else ev
+        pl = ParamLeaves(tape, self.params) if record else epl
+        val = tape.value
         all_edges = np.arange(topo.num_edges, dtype=np.int64)
 
-        def ar(buf, level, block, stage):
-            out = col.allreduce_sum(
-                rank, buf, phase="forward", block=block, stage=stage, level=level
-            )
-            if self.track_replicas:
-                ctx.digests.append(hashlib.sha256(out.tobytes()).hexdigest())
-            return out
+        def link(name: str, level: str, block: int) -> _Link:
+            return _Link(ctx, block, name, level, ctx.stage)
 
-        def shard(key) -> _Seg:
-            seg = _Seg(self.params, Tape() if record else ev)
-            if record:
-                ctx.segs[key] = seg
-            return seg
+        def replicated(value, own, name: str, block: int):
+            """``value`` is an edge buffer every worker computes in full; a
+            recording pass keeps ``own()``, this worker's rows of it."""
+            if not record:
+                return value
+            return tape.replicated(own(), edge_rows, value, link(name, "edge", block))
 
         ctx.set_stage("init")
-        geo = shard("geometry")
-        pos_leaf = geo.leaf("positions", self.system.positions)
-        basis = compute_basis(geo.tape, pos_leaf, topo, cfg, trip_rows)
-        rbf, sbf = geo.tape.value(basis.edge_rbf), geo.tape.value(basis.triplet_sbf)
-        units = geo.tape.value(basis.edge_units) if gemnet else None
-        if record:
-            ctx.basis = basis
-            seg = shard("init")
-            rbf_leaf = seg.leaf("rbf", rbf)
-            seg.out = record_edge_init(seg.tape, seg.pl, rbf_leaf, edge_rows)
-
-        m = record_edge_init(ev, epl, rbf, all_edges)
-        u = np.zeros((1, cfg.d_u), dtype=np.float64)
-        v = np.zeros((topo.num_nodes, cfg.d_v), dtype=np.float64)
-        t_own = np.zeros((trip_rows.size, cfg.d_t), dtype=np.float64)
+        geo = Tape() if record else ev
+        pos = geo.leaf(self.system.positions)
+        basis = compute_basis(geo, pos, topo, cfg, trip_rows)
+        rbf = tape.leaf(geo.value(basis.edge_rbf))
+        sbf = tape.leaf(geo.value(basis.triplet_sbf))
+        units = tape.leaf(geo.value(basis.edge_units)) if gemnet else None
+        m = replicated(
+            record_edge_init(ev, epl, val(rbf), all_edges),
+            lambda: record_edge_init(tape, pl, rbf, edge_rows), "init", -1,
+        )
+        # The gu tail and energy head: on rank 0's tape, values elsewhere.
+        head, hpl = (tape, pl) if rank == 0 else (ev, epl)
+        u = head.leaf(np.zeros((1, cfg.d_u), dtype=np.float64))
 
         for b in range(cfg.blocks):
             ctx.set_stage(f"block{b}.tu")
-            seg = shard(("tu", b))
-            m_leaf = seg.leaf("m", m)
-            rbf_leaf = seg.leaf("rbf", rbf)
-            sbf_leaf = seg.leaf("sbf", sbf)
-            t_id, ta_id = record_tu(seg.tape, seg.pl, b, cfg, m_leaf, rbf_leaf, sbf_leaf, trip_rows, topo)
-            seg.out = ta_id
-            t_own = seg.tape.value(t_id)
-            ta = ar(seg.tape.value(ta_id), "edge", b, "ta")
+            t, ta = record_tu(tape, pl, b, cfg, m, rbf, sbf, trip_rows, topo)
+            ta = tape.allreduce(ta, link("ta", "edge", b))
 
             ctx.set_stage(f"block{b}.eu")
-            if record:
-                seg = shard(("eu", b))
-                m_leaf = seg.leaf("m", m)
-                ta_leaf = seg.leaf("ta", ta)
-                seg.out = record_eu(seg.tape, seg.pl, b, m_leaf, ta_leaf, edge_rows)
-            m_new = record_eu(ev, epl, b, m, ta, all_edges)
+            m_new = replicated(
+                record_eu(ev, epl, b, val(m), val(ta), all_edges),
+                lambda: record_eu(tape, pl, b, m, ta, edge_rows), "eu", b,
+            )
 
             ctx.set_stage(f"block{b}.nu")
-            seg = shard(("eanu", b))
-            m_leaf = seg.leaf("m", m_new)
-            seg.out = record_ea_nu(seg.tape, seg.pl, b, m_leaf, ea_sel, ea_seg, hi - lo)
-            v_local = np.zeros((topo.num_nodes, cfg.d_v), dtype=np.float64)
-            v_local[lo:hi] = seg.tape.value(seg.out)
-            v = ar(v_local, "node", b, "nu")
+            v = record_ea_nu(tape, pl, b, m_new, ea_sel, ea_seg, hi - lo)
+            v = tape.allreduce(v, link("nu", "node", b), node_rows, (topo.num_nodes, cfg.d_v))
 
             if gemnet:
                 ctx.set_stage(f"block{b}.eu2")
-                seg = shard(("eu2", b))
-                m_leaf = seg.leaf("m", m_new)
-                v_leaf = seg.leaf("v", v)
-                seg.out = record_eu2(seg.tape, seg.pl, b, m_leaf, v_leaf, edge_rows, topo)
-                m2_local = np.zeros((topo.num_edges, cfg.d_e), dtype=np.float64)
-                m2_local[edge_rows] = seg.tape.value(seg.out)
-                m2 = ar(m2_local, "edge", b, "eu2")
+                m2 = record_eu2(tape, pl, b, m_new, v, edge_rows, topo)
+                m2 = tape.allreduce(
+                    m2, link("eu2", "edge", b), edge_rows, (topo.num_edges, cfg.d_e)
+                )
 
                 ctx.set_stage(f"block{b}.sym")
-                if record:
-                    seg = shard(("sym", b))
-                    m2_leaf = seg.leaf("m2", m2)
-                    seg.out = record_sym(seg.tape, seg.pl, b, m2_leaf, edge_rows, self.rev)
-                m = record_sym(ev, epl, b, m2, all_edges, self.rev)
+                m = replicated(
+                    record_sym(ev, epl, b, val(m2), all_edges, self.rev),
+                    lambda: record_sym(tape, pl, b, m2, edge_rows, self.rev), "sym", b,
+                )
             else:
                 m = m_new
 
             ctx.set_stage(f"block{b}.gu")
-            seg = shard(("guh", b))
-            v_leaf = seg.leaf("v", v)
-            seg.out = record_gu_head(seg.tape, seg.pl, b, v_leaf, node_rows)
-            z = ar(seg.tape.value(seg.out), "global", b, "gu")
-
-            if record and rank == 0:
-                seg = shard(("gut", b))
-                z_leaf = seg.leaf("z", z)
-                u_leaf = seg.leaf("u", u)
-                seg.out = record_gu_tail(seg.tape, seg.pl, b, z_leaf, u_leaf)
-            u = record_gu_tail(ev, epl, b, z, u)
+            z = record_gu_head(tape, pl, b, v, node_rows)
+            z = tape.allreduce(z, link("gu", "global", b))
+            u = record_gu_tail(head, hpl, b, z if head is tape else val(z), u)
 
         ctx.set_stage("readout")
-        energy = float(record_energy(ev, epl, u)[0, 0])
-        if record and rank == 0:
-            seg = shard("energy")
-            u_leaf = seg.leaf("u", u)
-            seg.out = record_energy(seg.tape, seg.pl, u_leaf)
-        forces = None
+        energy = record_energy(head, hpl, u)
+        forces = shard = None
         if gemnet:
-            forces = record_force_head(ev, epl, m, units, *self.full_plan, topo.num_nodes)
-            if record:
-                seg = shard("force")
-                m_leaf = seg.leaf("m", m)
-                units_leaf = seg.leaf("units", units)
-                seg.out = record_force_head(seg.tape, seg.pl, m_leaf, units_leaf, ea_sel, ea_seg, hi - lo)
+            forces = record_force_head(ev, epl, val(m), val(units), *self.full_plan, topo.num_nodes)
+        if record:
+            basis_leaves = {basis.edge_rbf: rbf, basis.triplet_sbf: sbf}
+            f_own = None
+            if gemnet:
+                basis_leaves[basis.edge_units] = units
+                f_own = record_force_head(tape, pl, m, units, ea_sel, ea_seg, hi - lo)
+            shard = _Shard(tape, pl, energy if rank == 0 else None, f_own, geo, pos, basis_leaves)
 
         return {
-            "energy": energy,
+            "energy": float(head.value(energy)[0, 0]),
             "forces": forces,
-            "m": m,
-            "v": v,
-            "u": u,
-            "t_own": t_own,
+            "m": val(m),
+            "v": val(v),
+            "u": head.value(u),
+            "t_own": val(t),
+            "shard": shard,
         }
 
     # -- worker backward -----------------------------------------------
 
     def _worker_backward(
-        self,
-        ctx: _WorkerContext,
-        col: Collective,
-        d_energy: float,
-        d_forces: np.ndarray | None,
+        self, ctx: _WorkerContext, shard: _Shard, d_energy: float, d_forces: np.ndarray | None
     ) -> GradientBundle:
-        cfg = self.config
-        topo = self.topology
-        rank = ctx.rank
-        n_own = self.partition.triplet_shards[rank].size
-        edge_rows = self.partition.edge_shards[rank]
-        lo, hi = self._node_ranges[rank]
-        gemnet = cfg.variant == GEMNET
-        specs = param_specs(cfg)
-        param_bar = {s.name: np.zeros(s.shape, dtype=np.float64) for s in specs}
-        rbf_bar = np.zeros((topo.num_edges, cfg.k_rbf), dtype=np.float64)
-        sbf_bar = np.zeros((n_own, cfg.k_rbf * cfg.l_sbf), dtype=np.float64)
-        units_bar = np.zeros((topo.num_edges, 3), dtype=np.float64)
-
-        def ar(buf, level, block, stage):
-            out = col.allreduce_sum(
-                rank, buf, phase="backward", block=block, stage=stage, level=level
-            )
-            if self.track_replicas:
-                ctx.digests.append(hashlib.sha256(out.tobytes()).hexdigest())
-            return out
-
-        def pull_params(seg: _Seg, grads) -> None:
-            for name, nid in seg.pl.ids.items():
-                g = grads[nid]
-                if g is not None:
-                    param_bar[name] += g
-
+        """One walk of the model-shard tape, whose collective nodes sum the
+        adjoints across workers, one of the geometry tape, then the
+        all-reduce of the partial position and parameter gradients."""
+        lo, hi = self._node_ranges[ctx.rank]
         ctx.set_stage("backward.readout")
-        if rank == 0 and d_energy != 0.0:
-            seg = ctx.segs["energy"]
-            grads = seg.backward(np.array([[d_energy]], dtype=np.float64))
-            pull_params(seg, grads)
-            u_bar_part = seg.leaf_grad(grads, "u", (1, cfg.d_u))
-        else:
-            u_bar_part = np.zeros((1, cfg.d_u), dtype=np.float64)
-        u_bar = ar(u_bar_part, "global", -1, "energy")
-
-        m_bar = np.zeros((topo.num_edges, cfg.d_e), dtype=np.float64)
+        seeds = {}
+        if shard.energy is not None and d_energy != 0.0:
+            seeds[shard.energy] = np.array([[d_energy]], dtype=np.float64)
         if d_forces is not None:
-            seg = ctx.segs["force"]
-            grads = seg.backward(d_forces[lo:hi])
-            pull_params(seg, grads)
-            units_bar += seg.leaf_grad(grads, "units", units_bar.shape)
-            m_bar = ar(seg.leaf_grad(grads, "m", m_bar.shape), "edge", -1, "force")
+            seeds[shard.forces] = d_forces[lo:hi]
+        grads = shard.tape.backward(seeds)
 
-        for b in range(cfg.blocks - 1, -1, -1):
-            ctx.set_stage(f"backward.block{b}.gu")
-            if rank == 0:
-                seg = ctx.segs[("gut", b)]
-                grads = seg.backward(u_bar)
-                pull_params(seg, grads)
-                z_bar_part = seg.leaf_grad(grads, "z", (1, cfg.d_u))
-            else:
-                z_bar_part = np.zeros((1, cfg.d_u), dtype=np.float64)
-            z_bar = ar(z_bar_part, "global", b, "gu")
-
-            seg = ctx.segs[("guh", b)]
-            grads = seg.backward(z_bar)
-            pull_params(seg, grads)
-            v_bar_part = seg.leaf_grad(grads, "v", (topo.num_nodes, cfg.d_v))
-
-            m_new_bar_part = None
-            if gemnet:
-                ctx.set_stage(f"backward.block{b}.sym")
-                seg = ctx.segs[("sym", b)]
-                grads = seg.backward(m_bar[edge_rows])
-                pull_params(seg, grads)
-                m2_bar = ar(seg.leaf_grad(grads, "m2", m_bar.shape), "edge", b, "sym")
-
-                ctx.set_stage(f"backward.block{b}.eu2")
-                seg = ctx.segs[("eu2", b)]
-                grads = seg.backward(m2_bar[edge_rows])
-                pull_params(seg, grads)
-                m_new_bar_part = seg.leaf_grad(grads, "m", m_bar.shape)
-                v_bar_part = v_bar_part + seg.leaf_grad(grads, "v", v_bar_part.shape)
-
-            ctx.set_stage(f"backward.block{b}.nu")
-            v_bar = ar(v_bar_part, "node", b, "nu")
-            seg = ctx.segs[("eanu", b)]
-            grads = seg.backward(v_bar[lo:hi])
-            pull_params(seg, grads)
-            ea_contrib = seg.leaf_grad(grads, "m", m_bar.shape)
-            if gemnet:
-                m_new_bar = ar(m_new_bar_part + ea_contrib, "edge", b, "m_new")
-            else:
-                m_new_bar = m_bar + ar(ea_contrib, "edge", b, "m_new")
-
-            ctx.set_stage(f"backward.block{b}.eu")
-            seg = ctx.segs[("eu", b)]
-            grads = seg.backward(m_new_bar[edge_rows])
-            pull_params(seg, grads)
-            m_in_part = seg.leaf_grad(grads, "m", m_bar.shape)
-            ta_bar = ar(seg.leaf_grad(grads, "ta", m_bar.shape), "edge", b, "ta")
-
-            ctx.set_stage(f"backward.block{b}.tu")
-            seg = ctx.segs[("tu", b)]
-            grads = seg.backward(ta_bar)
-            pull_params(seg, grads)
-            m_in_part = m_in_part + seg.leaf_grad(grads, "m", m_bar.shape)
-            rbf_bar += seg.leaf_grad(grads, "rbf", rbf_bar.shape)
-            sbf_bar += seg.leaf_grad(grads, "sbf", sbf_bar.shape)
-            m_bar = ar(m_in_part, "edge", b, "m_in")
-
-        ctx.set_stage("backward.init")
-        seg = ctx.segs["init"]
-        grads = seg.backward(m_bar[edge_rows])
-        pull_params(seg, grads)
-        rbf_bar += seg.leaf_grad(grads, "rbf", rbf_bar.shape)
-
-        # One backward of this worker's geometry segment: its partial
-        # position gradient is summed by the position all-reduce below.
         ctx.set_stage("backward.geometry")
-        geo, basis = ctx.segs["geometry"], ctx.basis
-        seeds = {basis.edge_rbf: rbf_bar, basis.triplet_sbf: sbf_bar}
-        if gemnet:
-            seeds[basis.edge_units] = units_bar
-        pos_bar = geo.leaf_grad(geo.tape.backward(seeds), "positions", self.system.positions.shape)
+        geo_seeds = {
+            nid: grads[leaf] for nid, leaf in shard.basis_leaves.items() if grads[leaf] is not None
+        }
+        pos_bar = shard.geometry.backward(geo_seeds)[shard.positions]
 
         ctx.set_stage("backward.reduce")
-        pos_grad = ar(pos_bar, "position", -1, "positions")
-        flat = np.concatenate([param_bar[s.name].ravel() for s in specs])
-        flat = ar(flat, "param", -1, "params")
-        d_params: dict[str, np.ndarray] = {}
+        pos_grad = ctx.allreduce(pos_bar, "backward", -1, "positions", "position")
+        d_params = shard.params.gradients(grads)
+        flat = np.concatenate([g.ravel() for g in d_params.values()])
+        flat = ctx.allreduce(flat, "backward", -1, "params", "param")
         offset = 0
-        for s in specs:
-            size = int(np.prod(s.shape, dtype=np.int64))
-            d_params[s.name] = flat[offset : offset + size].reshape(s.shape)
-            offset += size
+        for name, g in d_params.items():
+            d_params[name] = flat[offset : offset + g.size].reshape(g.shape)
+            offset += g.size
         return GradientBundle(d_params, pos_grad)

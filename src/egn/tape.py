@@ -10,7 +10,21 @@ either way.
 
 Primitives: leaf, add, add_bias, mul, scale_rows, concat, linear, silu,
 gather, segment_sum, sum_rows, edge_distances, edge_units, triplet_angles,
-gaussian_rbf, angular_sbf, quadratic_well.
+gaussian_rbf, angular_sbf, quadratic_well, and two collectives for a worker
+that records its shard of a model split across workers:
+
+  * ``allreduce(x, link, rows, shape)`` places ``x`` at ``rows`` of a zero
+    buffer of ``shape`` (or takes ``x`` whole) and sums that buffer over
+    all workers;
+  * ``replicated(own, rows, value, link)`` returns ``value``, a buffer every
+    worker computed in full itself, of which ``own`` are this worker's
+    ``rows``; it communicates nothing.
+
+Both share one adjoint: the workers' partial adjoints are summed over all
+workers, and this worker's rows of the sum flow back. ``link.allreduce(
+buffer, phase)`` performs the sum, with phase "forward" or "backward".
+A backward runs every collective node, with a zero adjoint where none
+reached it, so all workers issue the same collectives in the same order.
 """
 
 from __future__ import annotations
@@ -276,6 +290,24 @@ _op("quadratic_well")(
 )
 
 
+def _allreduce_fwd(vals, aux):
+    x = vals[0]
+    if aux["rows"] is not None:
+        x = np.zeros(aux["shape"], dtype=np.float64)
+        x[aux["rows"]] = vals[0]
+    return aux["link"].allreduce(x, "forward")
+
+
+def _collective_vjp(g, vals, out, aux):
+    total = aux["link"].allreduce(g, "backward")
+    return (total if aux["rows"] is None else total[aux["rows"]],)
+
+
+_op("allreduce")((_allreduce_fwd, _collective_vjp))
+_op("replicated")((lambda vals, aux: aux["value"], _collective_vjp))
+_COLLECTIVES = frozenset({"allreduce", "replicated"})
+
+
 @dataclass
 class _Node:
     op: str
@@ -361,6 +393,16 @@ class Tape:
     def quadratic_well(self, distances: int, center: float) -> int:
         return self._record("quadratic_well", (distances,), {"center": center})
 
+    def allreduce(
+        self, x: int, link, rows: np.ndarray | None = None, shape: tuple | None = None
+    ) -> int:
+        return self._record("allreduce", (x,), {"link": link, "rows": rows, "shape": shape})
+
+    def replicated(self, own: int, rows: np.ndarray, value: np.ndarray, link) -> int:
+        return self._record(
+            "replicated", (own,), {"link": link, "rows": rows, "value": value}
+        )
+
     # -- replay and backward ------------------------------------------
 
     def verify_replay(self) -> None:
@@ -372,20 +414,17 @@ class Tape:
             if not same:
                 raise TapeConsistencyError(f"node {nid} ({node.op}) replay mismatch")
 
-    def backward(
-        self, seeds: dict[int, np.ndarray], check_replay: bool = False
-    ) -> list[np.ndarray | None]:
+    def backward(self, seeds: dict[int, np.ndarray]) -> list[np.ndarray | None]:
         """Accumulate adjoints for every node reachable from the seeds.
 
         ``seeds`` maps node id to the upstream gradient of that node's
         output. Returns a per-node list of gradients (None where no
         gradient flowed). Accumulation runs in reverse recording order,
-        which makes the result deterministic. The gradients may share
-        memory with the seeds and with each other, so treat them as
-        read-only.
+        which makes the result deterministic. Collective nodes run even
+        where no gradient reached them, on a zero adjoint. The gradients
+        may share memory with the seeds and with each other, so treat them
+        as read-only.
         """
-        if check_replay:
-            self.verify_replay()
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
         for nid, seed in seeds.items():
             seed = np.asarray(seed, dtype=np.float64)
@@ -398,6 +437,8 @@ class Tape:
         for nid in range(len(self._nodes) - 1, -1, -1):
             g = grads[nid]
             node = self._nodes[nid]
+            if g is None and node.op in _COLLECTIVES:
+                g = np.zeros_like(node.value)
             if g is None or node.op == "leaf":
                 continue
             vals = [self._nodes[i].value for i in node.inputs]
@@ -425,5 +466,5 @@ class Evaluator(Tape):
     def _record(self, op: str, inputs: tuple, aux: dict) -> np.ndarray:
         return _FORWARD[op](inputs, aux)
 
-    def backward(self, seeds, check_replay: bool = False):
+    def backward(self, seeds):
         raise RuntimeError("an Evaluator keeps no tape to differentiate; record on a Tape")

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,15 @@ from egn.system import AtomicSystem
 from egn.tape import Evaluator
 
 EPS = np.finfo(np.float64).eps
+PERFBENCH_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def load_perfbench_layers():
+    """The benchmark's ``perfbench/layers.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH_LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fd_allowance(value_scale: float, h: float) -> float:

@@ -1,8 +1,9 @@
 """Multi-worker runtime tests: collective semantics and engine equivalence."""
 
+import gc
 import threading
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from egn.runtime import (
 )
 from egn.system import AtomicSystem, random_cloud
 
-from conftest import DropLastCollective, dimer
+from conftest import DropLastCollective, dimer, load_perfbench_layers
 
 
 def run_collective(buffers, timeout=5.0, op=None):
@@ -359,15 +360,24 @@ def test_comm_accounting_over_randomized_configs(medium_system):
 
 
 def test_stage_timing_csv(medium_system):
-    cfg = ModelConfig(variant="dimenet-style", blocks=2, workers=2)
-    group = WorkerGroup(medium_system, init_params(cfg))
-    result, _ = group.forward_backward(d_energy=1.0)
-    rows = result.timing_csv_rows()
-    assert rows[0] == "stage,seconds"
-    stages = {row.split(",")[0] for row in rows[1:]}
-    assert {"init", "block0.tu", "block1.gu", "backward.block0.tu"} <= stages
-    for row in rows[1:]:
-        assert float(row.split(",")[1]) >= 0.0
+    """Rank 0's stages, block index removed, are the benchmark's STAGES (the
+    variant's subset of them) in order, so none of its stage metrics reads 0."""
+    layers = load_perfbench_layers()
+    for variant in ("dimenet-style", "gemnet-style"):
+        cfg = ModelConfig(variant=variant, blocks=2, workers=2)
+        group = WorkerGroup(medium_system, init_params(cfg))
+        result, _ = group.forward_backward(d_energy=1.0)
+        rows = result.timing_csv_rows()
+        assert rows[0] == "stage,seconds"
+        stages = [row.split(",")[0] for row in rows[1:]]
+        assert {"init", "block0.tu", "block1.gu", "backward.block0.tu"} <= set(stages)
+        for row in rows[1:]:
+            assert float(row.split(",")[1]) >= 0.0
+        want = [
+            s for s in layers.STAGES
+            if variant == "gemnet-style" or not s.endswith(("eu2", "sym"))
+        ]
+        assert list(dict.fromkeys(layers._BLOCK.sub("", s) for s in stages)) == want, variant
 
 
 def test_comm_log_csv_rows(medium_system):
@@ -415,6 +425,25 @@ def test_recorded_pass_matches_forward_backward(variant, workers, medium_system,
     assert len(got.replica_digests[0]) == len(phases)
 
 
+@pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_backward_traffic_per_pass(variant, workers, medium_system, rng):
+    """Per block: one global, one node and 2 (dimenet-style) or 4
+    (gemnet-style) edge all-reduces; then one edge all-reduce for the initial
+    edge state, one of positions and one of parameters."""
+    cfg = ModelConfig(variant=variant, blocks=3, workers=workers)
+    d_forces = rng.standard_normal((medium_system.n, 3)) if variant == "gemnet-style" else None
+    result, _ = WorkerGroup(medium_system, init_params(cfg)).forward_backward(0.7, d_forces)
+    backward = [rec for rec in result.comm_log.records if rec.phase == "backward"]
+    edges = 4 if variant == "gemnet-style" else 2
+    assert len(backward) == (edges + 2) * cfg.blocks + 3
+    for block in range(cfg.blocks):
+        levels = Counter(rec.level for rec in backward if rec.block == block)
+        assert levels == {"global": 1, "node": 1, "edge": edges}, block
+    levels = Counter(rec.level for rec in backward if rec.block == -1)
+    assert levels == {"edge": 1, "position": 1, "param": 1}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_force_seed_shape_is_checked_before_backward(workers, medium_system):
     n = medium_system.n
@@ -446,20 +475,34 @@ def test_recorded_pass_runs_one_backward(medium_system):
     assert log.records == records
 
 
-def test_backward_failure_names_rank_and_stage(medium_system, monkeypatch):
-    from egn import runtime as rt
+def test_passes_leave_no_reference_cycles(medium_system):
+    """A pass's tapes are freed when it is dropped, with or without its
+    backward, not at the next cyclic garbage collection."""
+    cfg = ModelConfig(variant="gemnet-style", blocks=2, workers=2)
+    params = init_params(cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        WorkerGroup(medium_system, params).forward_backward()
+        recorded = WorkerGroup(medium_system, params).record()
+        del recorded
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
+
+def test_backward_failure_names_rank_and_stage(medium_system, monkeypatch):
     cfg = ModelConfig(variant="dimenet-style", blocks=1, workers=2)
     group = WorkerGroup(medium_system, init_params(cfg), timeout=5.0)
     recorded = group.record()
-    original = rt._Seg.backward
+    original = tape_module._VJP["linear"]
 
-    def broken(self, seed):
+    def broken(g, vals, out, aux):
         if threading.current_thread().name == "egn-worker-1":
             raise FloatingPointError("synthetic backward failure")
-        return original(self, seed)
+        return original(g, vals, out, aux)
 
-    monkeypatch.setattr(rt._Seg, "backward", broken)
+    monkeypatch.setitem(tape_module._VJP, "linear", broken)
     tic = time.perf_counter()
     with pytest.raises(WorkerGroupError) as info:
         recorded.backward()
