@@ -2,13 +2,17 @@
 
 The radial basis is a Gaussian comb on [0, cutoff] with gamma = (K/cutoff)^2;
 the angular basis is cos(l * angle) for l = 0..L-1. Both depend only on
-distances and angles, so features are invariant under rigid motion.
+distances and angles, so features are invariant under rigid motion. The
+spherical basis (sbf) of triplet (k->j, j->i) is the outer product of the
+radial basis of its in-edge k->j with the angular basis of its angle.
 
 ``compute_basis`` records everything the model reads of the positions: edge
 distances, edge unit vectors (gemnet-style), triplet angles and the two
-bases. The sequential engine records it over all triplets; each runtime
-worker records it over its own triplet shard, so every triplet's geometry is
-computed and differentiated once, by the worker that owns it.
+bases. sbf's radial part is the edge rbf gathered by in-edge, so the
+Gaussians are evaluated once per edge, never per triplet. The sequential
+engine records it over all triplets; each runtime worker records it over
+its own triplet shard, so every triplet's angle and sbf row are computed
+and differentiated once, by the worker that owns it.
 """
 
 from __future__ import annotations
@@ -61,6 +65,23 @@ def rbf_features_ddist(distances: np.ndarray, k_rbf: int, cutoff: float) -> np.n
     return -2.0 * gamma * delta * np.exp(-gamma * delta**2)
 
 
+def angular_outer(radial: np.ndarray, angles: np.ndarray, l_sbf: int) -> np.ndarray:
+    """Row-wise outer product of radial rows and cos(l * angle), flattened.
+
+    Row layout: entry (t, k * l_sbf + l) = radial[t, k] * cos(l * angle_t).
+    Each entry is one product with no summation.
+    """
+    if l_sbf < 1:
+        raise ValueError("l_sbf must be >= 1")
+    ang = np.asarray(angles, dtype=np.float64)
+    if ang.size and (np.any(ang < -1e-12) or np.any(ang > np.pi + 1e-12)):
+        raise ValueError("angles must lie in [0, pi]")
+    orders = np.arange(l_sbf, dtype=np.float64)
+    angular = np.cos(ang[:, None] * orders[None, :])  # (N, L)
+    out = np.einsum("tk,tl->tkl", radial, angular)
+    return out.reshape(ang.shape[0], radial.shape[1] * l_sbf)
+
+
 def sbf_features(
     in_edge_distances: np.ndarray,
     angles: np.ndarray,
@@ -72,35 +93,7 @@ def sbf_features(
 
     Row layout: entry (t, k * l_sbf + l) = rbf_k(d_kj) * cos(l * angle_t).
     """
-    if l_sbf < 1:
-        raise ValueError("l_sbf must be >= 1")
-    ang = np.asarray(angles, dtype=np.float64)
-    if ang.size and (np.any(ang < -1e-12) or np.any(ang > np.pi + 1e-12)):
-        raise ValueError("angles must lie in [0, pi]")
-    radial = rbf_features(in_edge_distances, k_rbf, cutoff)  # (N, K)
-    orders = np.arange(l_sbf, dtype=np.float64)
-    angular = np.cos(ang[:, None] * orders[None, :])  # (N, L)
-    return (radial[:, :, None] * angular[:, None, :]).reshape(ang.shape[0], k_rbf * l_sbf)
-
-
-def sbf_features_partials(
-    in_edge_distances: np.ndarray,
-    angles: np.ndarray,
-    k_rbf: int,
-    l_sbf: int,
-    cutoff: float,
-):
-    """Partial derivatives of the flattened SBF row w.r.t. (d_kj, angle)."""
-    ang = np.asarray(angles, dtype=np.float64)
-    n = ang.shape[0]
-    radial = rbf_features(in_edge_distances, k_rbf, cutoff)
-    dradial = rbf_features_ddist(in_edge_distances, k_rbf, cutoff)
-    orders = np.arange(l_sbf, dtype=np.float64)
-    angular = np.cos(ang[:, None] * orders[None, :])
-    dangular = -orders[None, :] * np.sin(ang[:, None] * orders[None, :])
-    d_dist = (dradial[:, :, None] * angular[:, None, :]).reshape(n, k_rbf * l_sbf)
-    d_ang = (radial[:, :, None] * dangular[:, None, :]).reshape(n, k_rbf * l_sbf)
-    return d_dist, d_ang
+    return angular_outer(rbf_features(in_edge_distances, k_rbf, cutoff), angles, l_sbf)
 
 
 def compute_basis(
@@ -109,8 +102,10 @@ def compute_basis(
     """Record the model's geometry and basis from the positions leaf ``pos_id``.
 
     Distances, units and rbf cover every edge; angles and sbf cover only the
-    triplets ``trip_rows``, in their order. On a Tape this records for a
-    backward pass; on an Evaluator it returns the arrays.
+    triplets ``trip_rows``, in their order. sbf's radial part is the rbf
+    rows of the triplets' in-edges, so its adjoint reaches the distances
+    through the edge rbf. On a Tape this records for a backward pass; on
+    an Evaluator it returns the arrays.
     """
     src, recv = topology.edge_src, topology.edge_recv
     trip_in = topology.trip_in[trip_rows]
@@ -119,6 +114,5 @@ def compute_basis(
     units = tape.edge_units(pos_id, src, recv) if config.variant == GEMNET else None
     angles = tape.triplet_angles(pos_id, owned)
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
-    d_in = tape.gather(dist, trip_in)
-    sbf = tape.angular_sbf(d_in, angles, config.k_rbf, config.l_sbf, config.cutoff)
+    sbf = tape.angular_sbf(tape.gather(rbf, trip_in), angles, config.l_sbf)
     return BasisFeatures(rbf, sbf, units)

@@ -136,15 +136,19 @@ def record_tu(
     """Triplet update + aggregation over ``trip_rows``.
 
     ``sbf_id`` holds the sbf rows of ``trip_rows`` only, as ``compute_basis``
-    records them. Returns (triplet feature rows, aggregated edge buffer of
-    full size).
+    records them. The two edge-only factors, the message down-projection
+    and the rbf gate, are projected over all N_e edge rows and then
+    gathered into triplets, as DimeNet++ and GemNet order them, so their
+    matmuls and VJPs run on N_e rows, not N_t. A runtime worker projects
+    all edges of the replicated ``m`` and rbf too, which is cheaper than
+    its N_t/P triplet rows while N_t/N_e > P. Returns (triplet feature
+    rows, aggregated edge buffer of full size).
     """
     p = f"block{block}.tu"
     t_in = topology.trip_in[trip_rows]
     t_out = topology.trip_out[trip_rows]
-    m_in = tape.gather(m_id, t_in)
-    down = tape.linear(m_in, pl[p + ".down"])
-    g_rbf = tape.linear(tape.gather(rbf_id, t_out), pl[p + ".rbf_gate"])
+    down = tape.gather(tape.linear(m_id, pl[p + ".down"]), t_in)
+    g_rbf = tape.gather(tape.linear(rbf_id, pl[p + ".rbf_gate"]), t_out)
     g_sbf = tape.linear(sbf_id, pl[p + ".sbf_gate"])
     if config.variant == GEMNET:
         a = tape.linear(down, pl[p + ".bilinear_a"])

@@ -10,8 +10,10 @@ Each worker first records its geometry and basis from the positions with
 its own triplet shard only.
 
 Forward schedule per block (dimenet-style):
-  * triplet update over the worker's shard, local aggregation by out-edge
-    into a zero edge buffer, all-reduce (N_e * d_e elements),
+  * triplet update over the worker's shard (its edge-only factors are
+    projected over all edges of the replicated buffers, then gathered into
+    the shard's triplets), local aggregation by out-edge into a zero edge
+    buffer, all-reduce (N_e * d_e elements),
   * edge update recomputed identically on every worker from the replicated
     inputs (no communication),
   * edge aggregation + node update for the worker's node shard into a zero

@@ -270,14 +270,17 @@ _op("gaussian_rbf")((_gaussian_rbf_fwd, _gaussian_rbf_vjp))
 
 
 def _angular_sbf_fwd(vals, aux):
-    return _basis.sbf_features(vals[0], vals[1], aux["k_rbf"], aux["l_sbf"], aux["cutoff"])
+    return _basis.angular_outer(vals[0], vals[1], aux["l_sbf"])
 
 
 def _angular_sbf_vjp(g, vals, out, aux):
-    d_dist, d_ang = _basis.sbf_features_partials(
-        vals[0], vals[1], aux["k_rbf"], aux["l_sbf"], aux["cutoff"]
-    )
-    return (g * d_dist).sum(axis=1), (g * d_ang).sum(axis=1)
+    radial, angles = vals
+    orders = np.arange(aux["l_sbf"], dtype=np.float64)
+    phase = angles[:, None] * orders[None, :]
+    g = g.reshape(radial.shape + orders.shape)
+    d_radial = np.einsum("tkl,tl->tk", g, np.cos(phase))
+    d_angle = (np.einsum("tkl,tk->tl", g, radial) * (-orders * np.sin(phase))).sum(axis=1)
+    return d_radial, d_angle
 
 
 _op("angular_sbf")((_angular_sbf_fwd, _angular_sbf_vjp))
@@ -385,10 +388,8 @@ class Tape:
     def gaussian_rbf(self, distances: int, k_rbf: int, cutoff: float) -> int:
         return self._record("gaussian_rbf", (distances,), {"k_rbf": k_rbf, "cutoff": cutoff})
 
-    def angular_sbf(self, in_dist: int, angles: int, k_rbf: int, l_sbf: int, cutoff: float) -> int:
-        return self._record(
-            "angular_sbf", (in_dist, angles), {"k_rbf": k_rbf, "l_sbf": l_sbf, "cutoff": cutoff}
-        )
+    def angular_sbf(self, radial: int, angles: int, l_sbf: int) -> int:
+        return self._record("angular_sbf", (radial, angles), {"l_sbf": l_sbf})
 
     def quadratic_well(self, distances: int, center: float) -> int:
         return self._record("quadratic_well", (distances,), {"center": center})
@@ -418,12 +419,15 @@ class Tape:
         """Accumulate adjoints for every node reachable from the seeds.
 
         ``seeds`` maps node id to the upstream gradient of that node's
-        output. Returns a per-node list of gradients (None where no
-        gradient flowed). Accumulation runs in reverse recording order,
-        which makes the result deterministic. Collective nodes run even
-        where no gradient reached them, on a zero adjoint. The gradients
-        may share memory with the seeds and with each other, so treat them
-        as read-only.
+        output. Returns a per-node list in which only leaf entries hold
+        gradients: a leaf's accumulated adjoint, or None where none flowed
+        to it. Every non-leaf entry is None, since each non-leaf adjoint is
+        dropped once its node's VJP has run; the walk then holds only the
+        adjoints of its live frontier, not one per node of the tape.
+        Accumulation runs in reverse recording order, which makes the result
+        deterministic. Collective nodes run even where no gradient reached
+        them, on a zero adjoint. The gradients may share memory with the
+        seeds and with each other, so treat them as read-only.
         """
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
         for nid, seed in seeds.items():
@@ -443,6 +447,7 @@ class Tape:
                 continue
             vals = [self._nodes[i].value for i in node.inputs]
             input_grads = _VJP[node.op](g, vals, node.value, node.aux)
+            grads[nid] = g = None
             for iid, ig in zip(node.inputs, input_grads):
                 if ig is None:
                     continue

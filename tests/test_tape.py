@@ -12,7 +12,15 @@ from egn.graph import build_graph
 from egn.params import ModelParams, init_params
 from egn.runtime import Collective, CommLog, WorkerGroup
 from egn.system import random_cloud
-from egn.tape import _FORWARD, Evaluator, Tape, TapeConsistencyError, scatter_add
+from egn.tape import (
+    _COLLECTIVES,
+    _FORWARD,
+    _VJP,
+    Evaluator,
+    Tape,
+    TapeConsistencyError,
+    scatter_add,
+)
 from egn.tasks import predict
 
 from conftest import basis_of, rel_err
@@ -161,27 +169,27 @@ def test_gaussian_rbf_adjoint(rng):
 
 
 def test_angular_sbf_adjoint(rng):
-    d0 = rng.uniform(0.3, 1.4, size=7)
+    r0 = rng.uniform(0.0, 1.0, size=(7, 4))
     a0 = rng.uniform(0.2, np.pi - 0.2, size=7)
     tape = Tape()
-    d, a = tape.leaf(d0), tape.leaf(a0)
-    out = tape.angular_sbf(d, a, 4, 3, 1.5)
+    r, a = tape.leaf(r0), tape.leaf(a0)
+    out = tape.angular_sbf(r, a, 3)
     seed = rng.standard_normal(tape.value(out).shape)
     grads = tape.backward({out: seed})
 
-    def value(dv, av):
+    def value(rv, av):
         t2 = Tape()
-        return t2.value(t2.angular_sbf(t2.leaf(dv), t2.leaf(av), 4, 3, 1.5))
+        return t2.value(t2.angular_sbf(t2.leaf(rv), t2.leaf(av), 3))
 
     h = 1e-6
-    for i in range(d0.size):
-        for which, arr, exact in (("d", d0, grads[d]), ("a", a0, grads[a])):
+    for which, arr, exact in (("r", r0, grads[r]), ("a", a0, grads[a])):
+        for i in np.ndindex(arr.shape):
             step = np.zeros_like(arr)
             step[i] = h
-            if which == "d":
+            if which == "r":
                 fd = ((value(arr + step, a0) - value(arr - step, a0)) * seed).sum() / (2 * h)
             else:
-                fd = ((value(d0, arr + step) - value(d0, arr - step)) * seed).sum() / (2 * h)
+                fd = ((value(r0, arr + step) - value(r0, arr - step)) * seed).sum() / (2 * h)
             assert rel_err(fd, exact[i]) < 1e-5
 
 
@@ -210,8 +218,8 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     units = h["edge_units"] = tape.edge_units(pos, topo.edge_src, topo.edge_recv)
     ang = h["triplet_angles"] = tape.triplet_angles(pos, topo)
     rbf = h["gaussian_rbf"] = tape.gaussian_rbf(dist, 4, 1.5)
-    d_in = h["gather"] = tape.gather(dist, topo.trip_in)
-    h["angular_sbf"] = tape.angular_sbf(d_in, ang, 4, 3, 1.5)
+    radial = h["gather"] = tape.gather(rbf, topo.trip_in)
+    h["angular_sbf"] = tape.angular_sbf(radial, ang, 3)
     well = h["quadratic_well"] = tape.quadratic_well(dist, 1.5)
     w_id, b_id = tape.leaf(w), tape.leaf(b)
     lin = tape.linear(rbf, w_id)
@@ -399,6 +407,49 @@ def test_backward_never_writes_into_its_inputs(variant, rng):
         assert (got is None) == (want is None)
         if got is not None:
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def keep_all_backward(tape: Tape, seeds: dict) -> list:
+    """Reference walk that keeps every node's adjoint until it returns."""
+    nodes = tape._nodes
+    grads = [None] * len(nodes)
+    for nid, seed in seeds.items():
+        grads[nid] = np.asarray(seed, dtype=np.float64)
+    for nid in range(len(nodes) - 1, -1, -1):
+        g, node = grads[nid], nodes[nid]
+        if g is None and node.op in _COLLECTIVES:
+            g = np.zeros_like(node.value)
+        if g is None or node.op == "leaf":
+            continue
+        vals = [nodes[i].value for i in node.inputs]
+        for iid, ig in zip(node.inputs, _VJP[node.op](g, vals, node.value, node.aux)):
+            if ig is not None:
+                grads[iid] = ig if grads[iid] is None else grads[iid] + ig
+    return grads
+
+
+@pytest.mark.parametrize("variant", [DIMENET, GEMNET])
+def test_backward_keeps_only_leaf_adjoints(variant, rng):
+    """Non-leaf adjoints are dropped during the walk; leaf gradients keep
+    the bits of a walk that holds every adjoint."""
+    cfg = ModelConfig(variant=variant, blocks=2)
+    model = ModelTape(random_cloud(12, 0.9, rng), init_params(cfg))
+    seeds = {model.energy_id: np.array([[0.7]])}
+    if model.forces_id is not None:
+        seeds[model.forces_id] = rng.standard_normal(model.forces.shape)
+    got = model.tape.backward(seeds)
+    want = keep_all_backward(model.tape, seeds)
+    assert len(got) == len(want)
+    leaves = 0
+    for node, g, w in zip(model.tape._nodes, got, want):
+        if node.op != "leaf":
+            assert g is None
+            continue
+        leaves += w is not None
+        assert (g is None) == (w is None)
+        if g is not None:
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+    assert leaves > len(model.handles.param_leaves.ids)  # the positions too
 
 
 def test_no_ufunc_at_under_src():
