@@ -30,7 +30,7 @@ class BasisFeatures:
     """Basis handles from ``compute_basis``; on an Evaluator, the arrays."""
 
     edge_rbf: np.ndarray  # (N_e, K)
-    triplet_sbf: np.ndarray  # (len(trip_rows), K * L), the recorded rows only
+    triplet_sbf: np.ndarray  # (rows in trip_rows, K * L), the recorded rows only
     edge_units: np.ndarray | None = None  # (N_e, 3), gemnet-style only
 
 
@@ -97,12 +97,12 @@ def sbf_features(
 
 
 def compute_basis(
-    tape, pos_id, topology: GraphTopology, config: ModelConfig, trip_rows: np.ndarray
+    tape, pos_id, topology: GraphTopology, config: ModelConfig, trip_rows: slice
 ) -> BasisFeatures:
     """Record the model's geometry and basis from the positions leaf ``pos_id``.
 
     Distances, units and rbf cover every edge; angles and sbf cover only the
-    triplets ``trip_rows``, in their order. sbf's radial part is the rbf
+    contiguous triplet rows ``trip_rows``, in their order. sbf's radial part is the rbf
     rows of the triplets' in-edges, so its adjoint reaches the distances
     through the edge rbf. On a Tape this records for a backward pass; on
     an Evaluator it returns the arrays.

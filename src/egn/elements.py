@@ -20,14 +20,6 @@ MAX_Z = len(SYMBOLS)
 SYMBOL_TO_Z = {sym: z for z, sym in enumerate(SYMBOLS, start=1)}
 
 
-def atomic_number(symbol: str) -> int:
-    """Return the atomic number for a case-sensitive element symbol."""
-    try:
-        return SYMBOL_TO_Z[symbol]
-    except KeyError:
-        raise KeyError(f"unknown element symbol {symbol!r}") from None
-
-
 def symbol_of(z: int) -> str:
     """Return the element symbol for atomic number ``z`` (1-based)."""
     if not 1 <= z <= MAX_Z:

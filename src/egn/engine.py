@@ -11,7 +11,7 @@ Each stage has one definition, a ``record_*`` function that takes the tape
 first; geometry and basis features have theirs in ``egn.basis.compute_basis``.
 The sequential forward (``record_model``) chains them on one tape, from the
 positions to the readout; the multi-worker runtime records the same
-functions over a worker's index shard, so a single-worker run reproduces
+functions over a worker's shard, so a single-worker run reproduces
 this engine bit for bit. Where no backward follows (inference, replicated
 values, ``initial_state`` and ``block_forward``) they run on an
 ``Evaluator``, which computes the same values and keeps no tape.
@@ -82,6 +82,11 @@ class ParamLeaves:
         return out
 
 
+# Rows that cover a whole buffer. Contiguous rows, these and a worker's
+# shards, are slices, so gathering them is a view of the buffer.
+ALL_ROWS = slice(None)
+
+
 def embedding_indices(atomic_numbers: np.ndarray) -> np.ndarray:
     z = np.asarray(atomic_numbers, dtype=np.int64)
     if np.any(z > MAX_Z):
@@ -89,26 +94,26 @@ def embedding_indices(atomic_numbers: np.ndarray) -> np.ndarray:
     return z - 1
 
 
-def receiver_plan(topology: GraphTopology, node_lo: int, node_hi: int):
-    """Edges grouped by receiver for nodes in [node_lo, node_hi).
+def receiver_plan(topology: GraphTopology, nodes: slice):
+    """Edges grouped by receiver for the contiguous node rows ``nodes``.
 
-    Returns (edge_sel, seg): edge indices ordered by (receiver, edge index)
-    and the receiver's local index for each. Aggregating with this plan adds
-    contributions in ascending edge order within every node, the same order
-    a direct scatter over all edges would use.
+    Returns (edge_sel, seg, num_rows): edge indices ordered by (receiver,
+    edge index), the receiver's local index for each, and the number of
+    node rows. Aggregating with this plan adds contributions in ascending
+    edge order within every node, the same order a direct scatter over all
+    edges would use.
     """
+    lo, hi, _ = nodes.indices(topology.num_nodes)
     order = np.argsort(topology.edge_recv, kind="stable").astype(np.int64)
     bounds = np.searchsorted(topology.edge_recv[order], np.arange(topology.num_nodes + 1))
-    edge_sel = order[bounds[node_lo] : bounds[node_hi]]
-    seg = topology.edge_recv[edge_sel] - node_lo
-    return edge_sel, seg
+    edge_sel = order[bounds[lo] : bounds[hi]]
+    return edge_sel, topology.edge_recv[edge_sel] - lo, hi - lo
 
 
 # ---------------------------------------------------------------------------
 # Stage recorders: the one definition of each stage. Run on a Tape they record
 # for a backward pass; run on an Evaluator they return the values and keep
-# nothing. Rows given as np.arange(n) cover the whole buffer, and that gather
-# reproduces the buffer bit for bit.
+# nothing.
 # ---------------------------------------------------------------------------
 
 
@@ -117,7 +122,7 @@ def record_mlp2(tape: Tape, x: int, pl: ParamLeaves, prefix: str) -> int:
     return tape.linear(tape.silu(h), pl[prefix + ".w2"], pl[prefix + ".b2"])
 
 
-def record_edge_init(tape: Tape, pl: ParamLeaves, rbf_id: int, rows: np.ndarray) -> int:
+def record_edge_init(tape: Tape, pl: ParamLeaves, rbf_id: int, rows: slice) -> int:
     rbf_rows = tape.gather(rbf_id, rows)
     return tape.linear(rbf_rows, pl["edge_init.w"], pl["edge_init.b"])
 
@@ -130,7 +135,7 @@ def record_tu(
     m_id: int,
     rbf_id: int,
     sbf_id: int,
-    trip_rows: np.ndarray,
+    trip_rows: slice,
     topology: GraphTopology,
 ) -> tuple[int, int]:
     """Triplet update + aggregation over ``trip_rows``.
@@ -163,7 +168,7 @@ def record_tu(
 
 
 def record_eu(
-    tape: Tape, pl: ParamLeaves, block: int, m_id: int, ta_id: int, rows: np.ndarray
+    tape: Tape, pl: ParamLeaves, block: int, m_id: int, ta_id: int, rows: slice
 ) -> int:
     m_rows = tape.gather(m_id, rows)
     ta_rows = tape.gather(ta_id, rows)
@@ -191,7 +196,7 @@ def record_eu2(
     block: int,
     m_id: int,
     v_id: int,
-    rows: np.ndarray,
+    rows: slice,
     topology: GraphTopology,
 ) -> int:
     m_rows = tape.gather(m_id, rows)
@@ -201,16 +206,14 @@ def record_eu2(
 
 
 def record_sym(
-    tape: Tape, pl: ParamLeaves, block: int, m2_id: int, rows: np.ndarray, rev: np.ndarray
+    tape: Tape, pl: ParamLeaves, block: int, m2_id: int, rows: slice, rev: np.ndarray
 ) -> int:
     own = tape.gather(m2_id, rows)
     mirrored = tape.gather(m2_id, rev[rows])
     return tape.add(own, tape.linear(mirrored, pl[f"block{block}.sym.w"]))
 
 
-def record_gu_head(
-    tape: Tape, pl: ParamLeaves, block: int, v_id: int, rows: np.ndarray
-) -> int:
+def record_gu_head(tape: Tape, pl: ParamLeaves, block: int, v_id: int, rows: slice) -> int:
     s = tape.sum_rows(tape.gather(v_id, rows))
     return tape.linear(s, pl[f"block{block}.gu.w1"])
 
@@ -251,8 +254,7 @@ def initial_state(
     idx = embedding_indices(atomic_numbers)
     node = params.arrays["atom_embedding"][idx]
     ev = Evaluator()
-    all_edges = np.arange(topology.num_edges, dtype=np.int64)
-    edge = record_edge_init(ev, ParamLeaves(ev, params), basis.edge_rbf, all_edges)
+    edge = record_edge_init(ev, ParamLeaves(ev, params), basis.edge_rbf, ALL_ROWS)
     triplet = np.zeros((topology.num_triplets, c.d_t), dtype=np.float64)
     glob = np.zeros((1, c.d_u), dtype=np.float64)
     return FeatureState(glob, node, edge, triplet, topology, basis)
@@ -274,19 +276,16 @@ def block_forward(state: FeatureState, params: ModelParams, block: int) -> Featu
     u_id = tape.leaf(state.global_features)
     rbf_id = tape.leaf(state.basis.edge_rbf)
     sbf_id = tape.leaf(state.basis.triplet_sbf)
-    all_edges = np.arange(topology.num_edges, dtype=np.int64)
-    all_trips = np.arange(topology.num_triplets, dtype=np.int64)
-    all_nodes = np.arange(topology.num_nodes, dtype=np.int64)
-    edge_sel, seg = receiver_plan(topology, 0, topology.num_nodes)
+    plan = receiver_plan(topology, ALL_ROWS)
 
-    t_id, ta_id = record_tu(tape, pl, block, c, m_id, rbf_id, sbf_id, all_trips, topology)
-    m_id = record_eu(tape, pl, block, m_id, ta_id, all_edges)
-    v_id = record_ea_nu(tape, pl, block, m_id, edge_sel, seg, topology.num_nodes)
+    t_id, ta_id = record_tu(tape, pl, block, c, m_id, rbf_id, sbf_id, ALL_ROWS, topology)
+    m_id = record_eu(tape, pl, block, m_id, ta_id, ALL_ROWS)
+    v_id = record_ea_nu(tape, pl, block, m_id, *plan)
     if c.variant == GEMNET:
         rev = topology.reverse_edges()
-        m_id = record_eu2(tape, pl, block, m_id, v_id, all_edges, topology)
-        m_id = record_sym(tape, pl, block, m_id, all_edges, rev)
-    g_id = record_gu_head(tape, pl, block, v_id, all_nodes)
+        m_id = record_eu2(tape, pl, block, m_id, v_id, ALL_ROWS, topology)
+        m_id = record_sym(tape, pl, block, m_id, ALL_ROWS, rev)
+    g_id = record_gu_head(tape, pl, block, v_id, ALL_ROWS)
     u_id = record_gu_tail(tape, pl, block, g_id, u_id)
     return FeatureState(
         global_features=tape.value(u_id),
@@ -318,37 +317,32 @@ def record_model(tape: Tape, system: AtomicSystem, params: ModelParams) -> Model
     """The sequential forward over a whole system, from positions to readout."""
     config = params.config
     topology, _ = build_graph(system, config.cutoff)
-    all_edges = np.arange(topology.num_edges, dtype=np.int64)
-    all_trips = np.arange(topology.num_triplets, dtype=np.int64)
-    all_nodes = np.arange(topology.num_nodes, dtype=np.int64)
     pos_id = tape.leaf(system.positions)
-    basis = compute_basis(tape, pos_id, topology, config, all_trips)
+    basis = compute_basis(tape, pos_id, topology, config, ALL_ROWS)
     rbf_id, sbf_id = basis.edge_rbf, basis.triplet_sbf
 
     pl = ParamLeaves(tape, params)
     v_id = tape.gather(pl["atom_embedding"], embedding_indices(system.atomic_numbers))
-    edge_sel, seg = receiver_plan(topology, 0, topology.num_nodes)
+    plan = receiver_plan(topology, ALL_ROWS)
     rev = topology.reverse_edges() if config.variant == GEMNET else None
 
-    m_id = record_edge_init(tape, pl, rbf_id, all_edges)
+    m_id = record_edge_init(tape, pl, rbf_id, ALL_ROWS)
     u_id = tape.leaf(np.zeros((1, config.d_u)))
     t_id = None
     for b in range(config.blocks):
-        t_id, ta_id = record_tu(tape, pl, b, config, m_id, rbf_id, sbf_id, all_trips, topology)
-        m_id = record_eu(tape, pl, b, m_id, ta_id, all_edges)
-        v_id = record_ea_nu(tape, pl, b, m_id, edge_sel, seg, topology.num_nodes)
+        t_id, ta_id = record_tu(tape, pl, b, config, m_id, rbf_id, sbf_id, ALL_ROWS, topology)
+        m_id = record_eu(tape, pl, b, m_id, ta_id, ALL_ROWS)
+        v_id = record_ea_nu(tape, pl, b, m_id, *plan)
         if config.variant == GEMNET:
-            m_id = record_eu2(tape, pl, b, m_id, v_id, all_edges, topology)
-            m_id = record_sym(tape, pl, b, m_id, all_edges, rev)
-        g_id = record_gu_head(tape, pl, b, v_id, all_nodes)
+            m_id = record_eu2(tape, pl, b, m_id, v_id, ALL_ROWS, topology)
+            m_id = record_sym(tape, pl, b, m_id, ALL_ROWS, rev)
+        g_id = record_gu_head(tape, pl, b, v_id, ALL_ROWS)
         u_id = record_gu_tail(tape, pl, b, g_id, u_id)
 
     energy_id = record_energy(tape, pl, u_id)
     forces_id = None
     if config.variant == GEMNET:
-        forces_id = record_force_head(
-            tape, pl, m_id, basis.edge_units, edge_sel, seg, topology.num_nodes
-        )
+        forces_id = record_force_head(tape, pl, m_id, basis.edge_units, *plan)
     return ModelHandles(topology, basis, pl, pos_id, m_id, v_id, u_id, t_id, energy_id, forces_id)
 
 

@@ -65,21 +65,6 @@ class GraphTopology:
             raise ValueError(f"edge {idx} has no reverse edge {pair}")
         return order[slot]
 
-    def validate(self) -> None:
-        if self.num_edges and (
-            np.any(self.edge_src == self.edge_recv)
-            or np.any(self.edge_src < 0)
-            or np.any(self.edge_recv >= self.num_nodes)
-        ):
-            raise ValueError("malformed edge list")
-        if self.num_triplets:
-            if np.any(self.trip_in >= self.num_edges) or np.any(self.trip_out >= self.num_edges):
-                raise ValueError("triplet references edge out of range")
-            if np.any(self.edge_recv[self.trip_in] != self.edge_src[self.trip_out]):
-                raise ValueError("triplet edges do not share a middle atom")
-            if np.any(self.edge_src[self.trip_in] == self.edge_recv[self.trip_out]):
-                raise ValueError("triplet with k == i")
-
 
 def build_graph(system: AtomicSystem, cutoff: float) -> tuple[GraphTopology, np.ndarray]:
     """Build the directed cutoff graph of a system.
@@ -96,18 +81,12 @@ def build_graph(system: AtomicSystem, cutoff: float) -> tuple[GraphTopology, np.
 
 
 def enumerate_triplets(
-    num_nodes: "int | GraphTopology",
-    edge_src: np.ndarray | None = None,
-    edge_recv: np.ndarray | None = None,
+    num_nodes: int, edge_src: np.ndarray, edge_recv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """List all ordered edge pairs ((k->j), (j->i)) with k != i.
 
-    Accepts either (num_nodes, edge_src, edge_recv) or a GraphTopology
-    (its edges only). Output is sorted by (out_edge index, in_edge index).
+    Output is sorted by (out_edge index, in_edge index).
     """
-    if isinstance(num_nodes, GraphTopology):
-        topo = num_nodes
-        num_nodes, edge_src, edge_recv = topo.num_nodes, topo.edge_src, topo.edge_recv
     n_e = edge_src.shape[0]
     if n_e == 0:
         empty = np.empty(0, dtype=np.int64)

@@ -2,15 +2,15 @@
 communication-volume model.
 
 Shards are contiguous ranges of the deterministic sorted orderings, balanced
-to within one element. Every worker keeps the complete edge and node
-topology; only triplet features stay shard-local.
+to within one element, and each is a ``slice`` with integer start and stop:
+indexing a buffer with it gives a view of the worker's rows, not a copy.
+Every worker keeps the complete edge and node topology; only triplet
+features stay shard-local.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import GEMNET, ModelConfig
 from .graph import GraphTopology
@@ -19,20 +19,20 @@ from .graph import GraphTopology
 @dataclass(frozen=True)
 class GraphPartition:
     workers: int
-    triplet_shards: list[np.ndarray]
-    edge_shards: list[np.ndarray]
-    node_shards: list[np.ndarray]
+    triplet_shards: list[slice]
+    edge_shards: list[slice]
+    node_shards: list[slice]
     topology: GraphTopology
 
 
-def split_range(n: int, workers: int) -> list[np.ndarray]:
-    """Contiguous index ranges with sizes differing by at most one."""
+def split_range(n: int, workers: int) -> list[slice]:
+    """Contiguous row ranges covering [0, n), sizes differing by at most one."""
     base, extra = divmod(n, workers)
     shards = []
     start = 0
     for p in range(workers):
         size = base + (1 if p < extra else 0)
-        shards.append(np.arange(start, start + size, dtype=np.int64))
+        shards.append(slice(start, start + size))
         start += size
     return shards
 

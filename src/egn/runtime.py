@@ -46,7 +46,6 @@ collective, after the caller has read the energy and forces it seeds from.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -56,6 +55,7 @@ import numpy as np
 from .basis import compute_basis
 from .config import GEMNET
 from .engine import (
+    ALL_ROWS,
     FeatureState,
     GradientBundle,
     ParamLeaves,
@@ -216,7 +216,6 @@ class ParallelRunResult:
     state: FeatureState
     triplet_shards: list[np.ndarray]
     comm_log: CommLog
-    replica_digests: list[list[str]]
     stage_seconds: dict[str, float]
 
     def timing_csv_rows(self) -> list[str]:
@@ -227,14 +226,12 @@ class ParallelRunResult:
 
 
 class _WorkerContext:
-    def __init__(self, rank: int, collective: Collective, timed: bool, track: bool):
+    def __init__(self, rank: int, collective: Collective, timed: bool):
         self.rank = rank
         self.collective = collective
         self.stage = "setup"
-        self.digests: list[str] = []
         self.stage_seconds: dict[str, float] = {}
         self._timed = timed
-        self._track = track
         self._tic: float | None = None
 
     def set_stage(self, name: str) -> None:
@@ -250,14 +247,6 @@ class _WorkerContext:
         """Close the running stage; the gap before the next phase is not timed."""
         self.set_stage("done")
         self._tic = None
-
-    def allreduce(self, buffer, phase: str, block: int, stage: str, level: str) -> np.ndarray:
-        out = self.collective.allreduce_sum(
-            self.rank, buffer, phase=phase, block=block, stage=stage, level=level
-        )
-        if self._track:
-            self.digests.append(hashlib.sha256(out.tobytes()).hexdigest())
-        return out
 
 
 @dataclass(frozen=True)
@@ -278,7 +267,9 @@ class _Link:
     def allreduce(self, buffer: np.ndarray, phase: str) -> np.ndarray:
         if phase == "backward":
             self.ctx.set_stage("backward." + self.stage)
-        return self.ctx.allreduce(buffer, phase, self.block, self.name, self.level)
+        return self.ctx.collective.allreduce_sum(
+            self.ctx.rank, buffer, phase=phase, block=self.block, stage=self.name, level=self.level
+        )
 
 
 @dataclass(frozen=True)
@@ -370,7 +361,6 @@ class WorkerGroup:
         system: AtomicSystem,
         params: ModelParams,
         timeout: float = 30.0,
-        track_replicas: bool = False,
     ):
         config = params.config
         self.system = system
@@ -378,18 +368,12 @@ class WorkerGroup:
         self.config = config
         self.workers = config.workers
         self.timeout = timeout
-        self.track_replicas = track_replicas
 
         self.topology, _ = build_graph(system, config.cutoff)
         self.partition: GraphPartition = partition_graph(self.topology, self.workers)
         self.rev = self.topology.reverse_edges() if config.variant == GEMNET else None
-        self.full_plan = receiver_plan(self.topology, 0, self.topology.num_nodes)
-        self._node_ranges = []
-        self._rank_plans = []
-        for shard in self.partition.node_shards:
-            lo, hi = (int(shard[0]), int(shard[-1]) + 1) if shard.size else (0, 0)
-            self._node_ranges.append((lo, hi))
-            self._rank_plans.append(receiver_plan(self.topology, lo, hi))
+        self.full_plan = receiver_plan(self.topology, ALL_ROWS)
+        self._rank_plans = [receiver_plan(self.topology, s) for s in self.partition.node_shards]
 
     # -- public API ----------------------------------------------------
 
@@ -411,8 +395,7 @@ class WorkerGroup:
         log = CommLog()
         collective = Collective(self.workers, log, timeout=self.timeout)
         contexts = [
-            _WorkerContext(rank, collective, timed=rank == 0, track=self.track_replicas)
-            for rank in range(self.workers)
+            _WorkerContext(rank, collective, timed=rank == 0) for rank in range(self.workers)
         ]
         outputs = self._launch(contexts, lambda ctx: self._worker_forward(ctx, record))
         fwd0 = outputs[0]
@@ -435,7 +418,6 @@ class WorkerGroup:
             state=state,
             triplet_shards=[out["t_own"] for out in outputs],
             comm_log=log,
-            replica_digests=[ctx.digests for ctx in contexts],
             stage_seconds=contexts[0].stage_seconds,
         )
         return result, contexts, [out["shard"] for out in outputs]
@@ -494,15 +476,13 @@ class WorkerGroup:
         trip_rows = self.partition.triplet_shards[rank]
         edge_rows = self.partition.edge_shards[rank]
         node_rows = self.partition.node_shards[rank]
-        lo, hi = self._node_ranges[rank]
-        ea_sel, ea_seg = self._rank_plans[rank]
+        ea_plan = self._rank_plans[rank]
         gemnet = cfg.variant == GEMNET
         ev = Evaluator()
         epl = ParamLeaves(ev, self.params)
         tape = Tape() if record else ev
         pl = ParamLeaves(tape, self.params) if record else epl
         val = tape.value
-        all_edges = np.arange(topo.num_edges, dtype=np.int64)
 
         def link(name: str, level: str, block: int) -> _Link:
             return _Link(ctx, block, name, level, ctx.stage)
@@ -522,7 +502,7 @@ class WorkerGroup:
         sbf = tape.leaf(geo.value(basis.triplet_sbf))
         units = tape.leaf(geo.value(basis.edge_units)) if gemnet else None
         m = replicated(
-            record_edge_init(ev, epl, val(rbf), all_edges),
+            record_edge_init(ev, epl, val(rbf), ALL_ROWS),
             lambda: record_edge_init(tape, pl, rbf, edge_rows), "init", -1,
         )
         # The gu tail and energy head: on rank 0's tape, values elsewhere.
@@ -536,12 +516,12 @@ class WorkerGroup:
 
             ctx.set_stage(f"block{b}.eu")
             m_new = replicated(
-                record_eu(ev, epl, b, val(m), val(ta), all_edges),
+                record_eu(ev, epl, b, val(m), val(ta), ALL_ROWS),
                 lambda: record_eu(tape, pl, b, m, ta, edge_rows), "eu", b,
             )
 
             ctx.set_stage(f"block{b}.nu")
-            v = record_ea_nu(tape, pl, b, m_new, ea_sel, ea_seg, hi - lo)
+            v = record_ea_nu(tape, pl, b, m_new, *ea_plan)
             v = tape.allreduce(v, link("nu", "node", b), node_rows, (topo.num_nodes, cfg.d_v))
 
             if gemnet:
@@ -553,7 +533,7 @@ class WorkerGroup:
 
                 ctx.set_stage(f"block{b}.sym")
                 m = replicated(
-                    record_sym(ev, epl, b, val(m2), all_edges, self.rev),
+                    record_sym(ev, epl, b, val(m2), ALL_ROWS, self.rev),
                     lambda: record_sym(tape, pl, b, m2, edge_rows, self.rev), "sym", b,
                 )
             else:
@@ -568,13 +548,13 @@ class WorkerGroup:
         energy = record_energy(head, hpl, u)
         forces = shard = None
         if gemnet:
-            forces = record_force_head(ev, epl, val(m), val(units), *self.full_plan, topo.num_nodes)
+            forces = record_force_head(ev, epl, val(m), val(units), *self.full_plan)
         if record:
             basis_leaves = {basis.edge_rbf: rbf, basis.triplet_sbf: sbf}
             f_own = None
             if gemnet:
                 basis_leaves[basis.edge_units] = units
-                f_own = record_force_head(tape, pl, m, units, ea_sel, ea_seg, hi - lo)
+                f_own = record_force_head(tape, pl, m, units, *ea_plan)
             shard = _Shard(tape, pl, energy if rank == 0 else None, f_own, geo, pos, basis_leaves)
 
         return {
@@ -595,13 +575,12 @@ class WorkerGroup:
         """One walk of the model-shard tape, whose collective nodes sum the
         adjoints across workers, one of the geometry tape, then the
         all-reduce of the partial position and parameter gradients."""
-        lo, hi = self._node_ranges[ctx.rank]
         ctx.set_stage("backward.readout")
         seeds = {}
         if shard.energy is not None and d_energy != 0.0:
             seeds[shard.energy] = np.array([[d_energy]], dtype=np.float64)
         if d_forces is not None:
-            seeds[shard.forces] = d_forces[lo:hi]
+            seeds[shard.forces] = d_forces[self.partition.node_shards[ctx.rank]]
         grads = shard.tape.backward(seeds)
 
         ctx.set_stage("backward.geometry")
@@ -611,10 +590,13 @@ class WorkerGroup:
         pos_bar = shard.geometry.backward(geo_seeds)[shard.positions]
 
         ctx.set_stage("backward.reduce")
-        pos_grad = ctx.allreduce(pos_bar, "backward", -1, "positions", "position")
+        allreduce = ctx.collective.allreduce_sum
+        pos_grad = allreduce(
+            ctx.rank, pos_bar, phase="backward", block=-1, stage="positions", level="position"
+        )
         d_params = shard.params.gradients(grads)
         flat = np.concatenate([g.ravel() for g in d_params.values()])
-        flat = ctx.allreduce(flat, "backward", -1, "params", "param")
+        flat = allreduce(ctx.rank, flat, phase="backward", block=-1, stage="params", level="param")
         offset = 0
         for name, g in d_params.items():
             d_params[name] = flat[offset : offset + g.size].reshape(g.shape)

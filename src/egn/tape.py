@@ -11,7 +11,9 @@ either way.
 Primitives: leaf, add, add_bias, mul, scale_rows, concat, linear, silu,
 gather, segment_sum, sum_rows, edge_distances, edge_units, triplet_angles,
 gaussian_rbf, angular_sbf, quadratic_well, and two collectives for a worker
-that records its shard of a model split across workers:
+that records its shard of a model split across workers. A gather takes an
+index array or, for a contiguous range of rows, a slice; a gather by slice
+is a view of its input, so recorded values may alias each other.
 
   * ``allreduce(x, link, rows, shape)`` places ``x`` at ``rows`` of a zero
     buffer of ``shape`` (or takes ``x`` whole) and sums that buffer over
@@ -179,7 +181,13 @@ def _gather_fwd(vals, aux):
 
 
 def _gather_vjp(g, vals, out, aux):
-    return (scatter_add(aux["idx"], g, vals[0].shape[0]),)
+    rows = aux["idx"]
+    if isinstance(rows, slice):
+        # Added into zeros, not assigned: -0.0 becomes +0.0, as in scatter_add.
+        grad = np.zeros_like(vals[0])
+        grad[rows] += g
+        return (grad,)
+    return (scatter_add(rows, g, vals[0].shape[0]),)
 
 
 _op("gather")((_gather_fwd, _gather_vjp))
@@ -365,8 +373,10 @@ class Tape:
     def silu(self, x: int) -> int:
         return self._record("silu", (x,), {})
 
-    def gather(self, x: int, idx: np.ndarray) -> int:
-        return self._record("gather", (x,), {"idx": np.asarray(idx, dtype=np.int64)})
+    def gather(self, x: int, idx: np.ndarray | slice) -> int:
+        if not isinstance(idx, slice):
+            idx = np.asarray(idx, dtype=np.int64)
+        return self._record("gather", (x,), {"idx": idx})
 
     def segment_sum(self, x: int, seg: np.ndarray, num: int) -> int:
         return self._record(
@@ -395,11 +405,11 @@ class Tape:
         return self._record("quadratic_well", (distances,), {"center": center})
 
     def allreduce(
-        self, x: int, link, rows: np.ndarray | None = None, shape: tuple | None = None
+        self, x: int, link, rows: slice | None = None, shape: tuple | None = None
     ) -> int:
         return self._record("allreduce", (x,), {"link": link, "rows": rows, "shape": shape})
 
-    def replicated(self, own: int, rows: np.ndarray, value: np.ndarray, link) -> int:
+    def replicated(self, own: int, rows: slice, value: np.ndarray, link) -> int:
         return self._record(
             "replicated", (own,), {"link": link, "rows": rows, "value": value}
         )

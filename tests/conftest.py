@@ -1,9 +1,11 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from egn import runtime
 from egn.basis import compute_basis
 from egn.graph import build_graph
 from egn.runtime import Collective
@@ -55,8 +57,7 @@ def basis_of(system: AtomicSystem, config):
     """The topology and basis arrays of a system, over all triplets, with no tape."""
     topology, _ = build_graph(system, config.cutoff)
     ev = Evaluator()
-    rows = np.arange(topology.num_triplets, dtype=np.int64)
-    return topology, compute_basis(ev, ev.leaf(system.positions), topology, config, rows)
+    return topology, compute_basis(ev, ev.leaf(system.positions), topology, config, slice(None))
 
 
 class DropLastCollective(Collective):
@@ -68,6 +69,31 @@ class DropLastCollective(Collective):
 
     def sum_slots(self, slots):
         return super().sum_slots(slots[:-1] if len(slots) > 1 else slots)
+
+
+@pytest.fixture
+def replica_digests(monkeypatch):
+    """Swap in an ``egn.runtime.Collective`` that keeps, per rank, a SHA-256
+    digest of every all-reduce result it returns.
+
+    Returns a list with one entry per collective made, that is per pass, in
+    order: the per-rank lists of digests.
+    """
+    made = []
+
+    class DigestCollective(Collective):
+        def __init__(self, workers, log, timeout=30.0):
+            super().__init__(workers, log, timeout)
+            self.digests = [[] for _ in range(workers)]
+            made.append(self.digests)
+
+        def allreduce_sum(self, rank, buffer, **kwargs):
+            out = super().allreduce_sum(rank, buffer, **kwargs)
+            self.digests[rank].append(hashlib.sha256(out.tobytes()).hexdigest())
+            return out
+
+    monkeypatch.setattr(runtime, "Collective", DigestCollective)
+    return made
 
 
 def dimer(distance: float, z=(1, 1)) -> AtomicSystem:

@@ -88,9 +88,9 @@ def test_empty_edge_list():
     assert t_in.size == 0 and t_out.size == 0
 
 
-def test_enumerate_triplets_accepts_topology():
+def test_enumerate_triplets_reproduces_topology():
     topo, _ = build_graph(equilateral_triangle(), cutoff=1.5)
-    t_in, t_out = enumerate_triplets(topo)
+    t_in, t_out = enumerate_triplets(topo.num_nodes, topo.edge_src, topo.edge_recv)
     np.testing.assert_array_equal(t_in, topo.trip_in)
     np.testing.assert_array_equal(t_out, topo.trip_out)
 

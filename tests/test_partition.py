@@ -11,27 +11,36 @@ from egn.system import random_cloud
 from conftest import equilateral_triangle
 
 
+def sizes(shards):
+    return [s.stop - s.start for s in shards]
+
+
+def assert_contiguous_cover(shards, n):
+    """Slices with integer bounds, each starting where the last stopped,
+    that cover [0, n) in order, with sizes within one of each other."""
+    assert all(type(s.start) is int and type(s.stop) is int and s.step is None for s in shards)
+    assert [s.start for s in shards] == [0] + [s.stop for s in shards[:-1]]
+    assert shards[-1].stop == n
+    assert min(sizes(shards)) >= 0 and max(sizes(shards)) - min(sizes(shards)) <= 1
+
+
 def test_split_sizes_balanced():
-    sizes = [s.size for s in split_range(7, 3)]
-    assert sizes == [3, 2, 2]
+    assert sizes(split_range(7, 3)) == [3, 2, 2]
 
 
 def test_single_worker_identity():
-    shards = split_range(9, 1)
-    assert len(shards) == 1
-    np.testing.assert_array_equal(shards[0], np.arange(9))
+    assert split_range(9, 1) == [slice(0, 9)]
 
 
 def test_more_workers_than_items_leaves_empty_shards():
     shards = split_range(2, 5)
-    assert [s.size for s in shards] == [1, 1, 0, 0, 0]
+    assert sizes(shards) == [1, 1, 0, 0, 0]
 
 
 def test_triangle_partition_contiguous():
     topo, _ = build_graph(equilateral_triangle(), cutoff=1.5)
     part = partition_graph(topo, 2)
-    np.testing.assert_array_equal(part.triplet_shards[0], [0, 1, 2])
-    np.testing.assert_array_equal(part.triplet_shards[1], [3, 4, 5])
+    assert part.triplet_shards == [slice(0, 3), slice(3, 6)]
 
 
 def test_partition_rejects_zero_workers():
@@ -45,9 +54,8 @@ def test_partition_rejects_zero_workers():
 def test_split_properties(n, workers):
     shards = split_range(n, workers)
     assert len(shards) == workers
-    sizes = [s.size for s in shards]
-    assert max(sizes) - min(sizes) <= 1
-    merged = np.concatenate(shards) if shards else np.empty(0)
+    assert_contiguous_cover(shards, n)
+    merged = np.concatenate([np.arange(n)[s] for s in shards])
     np.testing.assert_array_equal(merged, np.arange(n))
 
 
@@ -62,10 +70,9 @@ def test_partition_properties_on_random_graphs(seed, workers):
         (part.edge_shards, topo.num_edges),
         (part.node_shards, topo.num_nodes),
     ):
-        merged = np.concatenate(shards)
+        assert_contiguous_cover(shards, total)
+        merged = np.concatenate([np.arange(total)[s] for s in shards])
         np.testing.assert_array_equal(np.sort(merged), np.arange(total))
-        sizes = [s.size for s in shards]
-        assert max(sizes) - min(sizes) <= 1
 
 
 def test_comm_volume_dimenet_example():

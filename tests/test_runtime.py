@@ -210,8 +210,8 @@ def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypa
                 np.testing.assert_array_equal(rows[0], topo.trip_in[shard])
                 np.testing.assert_array_equal(rows[1], topo.trip_out[shard])
             else:
-                assert rows == shard.size
-        total += shard.size
+                assert rows == shard.stop - shard.start
+        total += shard.stop - shard.start
     assert total == topo.num_triplets
     assert not seen, sorted(seen)  # no triplet geometry outside the workers
 
@@ -281,11 +281,11 @@ def test_no_triplet_buffers_in_collectives(medium_system):
             assert rec.elements in sizes
 
 
-def test_replica_buffers_identical_after_every_collective(medium_system):
+def test_replica_buffers_identical_after_every_collective(medium_system, replica_digests):
     cfg = ModelConfig(variant="gemnet-style", blocks=2, workers=4)
-    group = WorkerGroup(medium_system, init_params(cfg), track_replicas=True)
-    result, _ = group.forward_backward(d_energy=1.0)
-    digests = result.replica_digests
+    group = WorkerGroup(medium_system, init_params(cfg))
+    group.forward_backward(d_energy=1.0)
+    (digests,) = replica_digests
     lengths = {len(d) for d in digests}
     assert lengths == {len(digests[0])} and len(digests[0]) > 0
     for position in range(len(digests[0])):
@@ -397,14 +397,14 @@ def _bytes(x):
 
 @pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_recorded_pass_matches_forward_backward(variant, workers, medium_system, rng):
+def test_recorded_pass_matches_forward_backward(
+    variant, workers, medium_system, rng, replica_digests
+):
     cfg = ModelConfig(variant=variant, blocks=2, workers=workers)
     params = init_params(cfg)
     d_forces = rng.standard_normal((medium_system.n, 3)) if variant == "gemnet-style" else None
-    want, want_grads = WorkerGroup(medium_system, params, track_replicas=True).forward_backward(
-        0.7, d_forces
-    )
-    recorded = WorkerGroup(medium_system, params, track_replicas=True).record()
+    want, want_grads = WorkerGroup(medium_system, params).forward_backward(0.7, d_forces)
+    recorded = WorkerGroup(medium_system, params).record()
     got = recorded.result
     assert _bytes(recorded.energy) == _bytes(got.energy)
     assert _bytes(recorded.forces) == _bytes(got.forces)
@@ -421,8 +421,9 @@ def test_recorded_pass_matches_forward_backward(variant, workers, medium_system,
     n_forward = phases.count("forward")
     assert 0 < n_forward < len(phases)
     assert set(phases[n_forward:]) == {"backward"}  # the forward, then the backward
-    assert got.replica_digests == want.replica_digests
-    assert len(got.replica_digests[0]) == len(phases)
+    want_digests, got_digests = replica_digests
+    assert got_digests == want_digests
+    assert len(got_digests[0]) == len(phases)
 
 
 @pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egn import tape as tape_module
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape, block_forward, initial_state
 from egn.graph import build_graph
@@ -116,6 +117,21 @@ def test_gather_segment_sum_roundtrip_adjoints(rng):
     for row, i in enumerate(idx):
         expected[i] += seed[seg[row]]
     np.testing.assert_allclose(grads[x], expected, atol=1e-12)
+
+    # A slice gathers a view with the bits of the equal arange gather, and its
+    # adjoint has the bits of that gather's scatter: a -0.0 seed gives +0.0.
+    for rows in (slice(1, 5), slice(0, 6), slice(4, 4)):
+        tape = Tape()
+        x = tape.leaf(x0)
+        by_slice = tape.gather(x, rows)
+        by_index = tape.gather(x, np.arange(6)[rows])
+        assert tape.value(by_slice).base is tape.value(x)
+        assert tape.value(by_slice).tobytes() == tape.value(by_index).tobytes()
+        seed = rng.standard_normal(tape.value(by_slice).shape)
+        seed[::2] = -0.0
+        grads = [tape.backward({out: seed})[x] for out in (by_slice, by_index)]
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert not np.signbit(grads[0][grads[0] == 0.0]).any()
 
 
 def test_sum_rows_and_add_bias_adjoints(rng):
@@ -232,8 +248,8 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     h["concat"] = tape.concat(lin, units)
     h["segment_sum"] = tape.segment_sum(units, topo.edge_recv, topo.num_nodes)
     h["sum_rows"] = tape.sum_rows(units)
-    rows = np.arange(1, topo.num_edges, 2)
-    own = tape.gather(lin, rows)
+    rows = slice(1, topo.num_edges // 2)
+    own = h["gather:slice"] = tape.gather(lin, rows)
     h["allreduce"] = tape.allreduce(own, _OneWorkerLink(), rows, (topo.num_edges, 3))
     h["replicated"] = tape.replicated(own, rows, tape.value(lin), _OneWorkerLink())
     return h
@@ -245,7 +261,7 @@ def test_evaluator_matches_tape_on_every_primitive(geometry_fixture, rng):
     tape, ev = Tape(), Evaluator()
     recorded = _every_primitive(tape, system, topo, w, b)
     evaluated = _every_primitive(ev, system, topo, w, b)
-    assert set(recorded) == set(_FORWARD)
+    assert {name.split(":")[0] for name in recorded} == set(_FORWARD)
     assert len(ev) == 0
     for op, nid in recorded.items():
         want, got = tape.value(nid), ev.value(evaluated[op])
@@ -397,6 +413,9 @@ def _frozen(tape: Tape, seeds: dict) -> dict:
 def test_backward_never_writes_into_its_inputs(variant, rng):
     cfg = ModelConfig(variant=variant, blocks=2)
     model = ModelTape(random_cloud(12, 0.9, rng), init_params(cfg))
+    # Gathers by slice are views that alias other recorded values.
+    views = [n for n in model.tape._nodes if n.op == "gather" and isinstance(n.aux["idx"], slice)]
+    assert views and all(n.value.base is not None for n in views)
     seeds = {model.energy_id: np.array([[0.7]])}
     if model.forces_id is not None:
         seeds[model.forces_id] = rng.standard_normal(model.forces.shape)
@@ -452,14 +471,59 @@ def test_backward_keeps_only_leaf_adjoints(variant, rng):
     assert leaves > len(model.handles.param_leaves.ids)  # the positions too
 
 
-def test_no_ufunc_at_under_src():
-    """Every scatter goes through tape.scatter_add, the one scatter kernel."""
+@pytest.mark.parametrize("variant, by_index, by_slice", [(DIMENET, 22, 12), (GEMNET, 30, 16)])
+def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monkeypatch):
+    """Gathers of contiguous rows take their adjoint without scatter_add.
+
+    ``by_index`` is the count when whole buffers were gathered through
+    arange index arrays; with slices, only trip_in, trip_out, receiver
+    plans, rev and the geometry VJPs scatter.
+    """
+    cfg = ModelConfig(variant=variant, blocks=3)
+    model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
+    calls = []
+
+    def spy(idx, x, num):
+        calls.append(num)
+        return scatter_add(idx, x, num)
+
+    monkeypatch.setattr(tape_module, "scatter_add", spy)
+    model.backward(1.0)
+    assert len(calls) == by_slice < by_index
+
+
+def _source_trees():
     src = Path(__file__).resolve().parents[1] / "src" / "egn"
     paths = sorted(src.rglob("*.py"))
     assert paths, f"no sources under {src}"
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def test_no_ufunc_at_under_src():
+    """Every scatter goes through tape.scatter_add, the one scatter kernel."""
     found = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in _source_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "at":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"ufunc.at found at {found}; use tape.scatter_add"
+
+
+def test_no_arange_over_whole_buffers_under_src():
+    """Contiguous rows are slices: no index array spans all edges, triplets
+    or nodes."""
+    counts = {"num_edges", "num_triplets", "num_nodes"}
+    found = []
+    for path, tree in _source_trees():
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "arange"
+            ):
+                continue
+            for arg in node.args:
+                name = arg.attr if isinstance(arg, ast.Attribute) else getattr(arg, "id", None)
+                if name in counts:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"arange over a whole buffer at {found}; use a slice"
