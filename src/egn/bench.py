@@ -30,10 +30,6 @@ def gen_xyz(n: int, density: float, seed: int, out_path) -> AtomicSystem:
     return system
 
 
-def sample_system(rng: np.random.Generator, n: int, density: float = 0.9) -> AtomicSystem:
-    return random_cloud(n, density, rng)
-
-
 def sample_smooth_system(
     rng: np.random.Generator,
     n: int,
@@ -91,7 +87,7 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
 def _equivalence_check(config, seeds, p_list) -> CheckResult:
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        system = sample_system(rng, n=int(rng.integers(8, 24)))
+        system = random_cloud(int(rng.integers(8, 24)), 0.9, rng)
         params = init_params(config.replace(seed=seed))
         model = ModelTape(system, params)
         seq_e = model.energy
@@ -152,7 +148,7 @@ def _fd_forces_check(config, seeds) -> CheckResult:
 def _rigid_motion_check(config, seeds) -> CheckResult:
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        system = sample_system(rng, n=12)
+        system = random_cloud(12, 0.9, rng)
         params = init_params(config.replace(seed=seed, workers=1))
         e0, f0 = predict(system, params, workers=1)
         rot = _random_rotation(rng)
@@ -169,7 +165,7 @@ def _rigid_motion_check(config, seeds) -> CheckResult:
 def _permutation_check(config, seeds) -> CheckResult:
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        system = sample_system(rng, n=10)
+        system = random_cloud(10, 0.9, rng)
         numbers = np.full(system.n, 6, dtype=np.int64)  # one species so any permutation applies
         system = AtomicSystem(system.positions, numbers)
         params = init_params(config.replace(seed=seed, workers=1))
@@ -187,7 +183,7 @@ def _permutation_check(config, seeds) -> CheckResult:
 def _comm_accounting_check(config, seeds, p_list) -> CheckResult:
     for seed in seeds[:1]:
         rng = np.random.default_rng(seed)
-        system = sample_system(rng, n=14)
+        system = random_cloud(14, 0.9, rng)
         for p in p_list:
             params = init_params(config.replace(seed=seed, workers=p))
             group = WorkerGroup(system, params)
@@ -208,7 +204,7 @@ def _comm_accounting_check(config, seeds, p_list) -> CheckResult:
 
 def _triplet_isolation_check(config, seeds, p_list) -> CheckResult:
     rng = np.random.default_rng(seeds[0] if seeds else 0)
-    system = sample_system(rng, n=14)
+    system = random_cloud(14, 0.9, rng)
     for p in p_list:
         params = init_params(config.replace(workers=p))
         group = WorkerGroup(system, params)

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import gen_xyz, parse_csv, sample_system, verify_suite, weak_scaling
+from .bench import gen_xyz, parse_csv, verify_suite, weak_scaling
 from .config import GEMNET, ModelConfig
 from .params import init_params
-from .system import format_xyz, parse_xyz
+from .system import format_xyz, parse_xyz, random_cloud
 from .tasks import load_checkpoint, predict, relax, save_checkpoint, train_simple
 
 
@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         teacher = init_params(config.replace(seed=seed + 1))
         dataset = []
         for _ in range(args.samples):
-            system = sample_system(rng, n=int(rng.integers(4, 9)))
+            system = random_cloud(int(rng.integers(4, 9)), 0.9, rng)
             energy, forces = predict(system, teacher, workers=1)
             dataset.append((system, energy, forces))
         student = init_params(config)

@@ -12,9 +12,9 @@ first; geometry and basis features have theirs in ``egn.basis.compute_basis``.
 The sequential forward (``record_model``) chains them on one tape, from the
 positions to the readout; the multi-worker runtime records the same
 functions over a worker's shard, so a single-worker run reproduces
-this engine bit for bit. Where no backward follows (inference, replicated
-values, ``initial_state`` and ``block_forward``) they run on an
-``Evaluator``, which computes the same values and keeps no tape.
+this engine bit for bit. Where no backward follows (inference and
+replicated values) they run on an ``Evaluator``, which computes the same
+values and keeps no tape.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisFeatures, compute_basis
+from .basis import compute_basis
 from .config import GEMNET, ModelConfig
 from .elements import MAX_Z
 from .graph import GraphTopology, build_graph
 from .params import ModelParams
 from .system import AtomicSystem
-from .tape import Evaluator, Tape
+from .tape import Tape
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,6 @@ class FeatureState:
     node_features: np.ndarray  # (N_v, d_v)
     edge_features: np.ndarray  # (N_e, d_e)
     triplet_features: np.ndarray | None  # (N_t, d_t); None when sharded away
-    topology: GraphTopology
-    basis: BasisFeatures | None  # over all triplets; None when sharded away
 
 
 @dataclass
@@ -50,12 +48,6 @@ class GradientBundle:
 
     d_params: dict[str, np.ndarray]
     d_positions: np.ndarray  # (n, 3)
-
-    def finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.d_positions))
-            and all(np.all(np.isfinite(g)) for g in self.d_params.values())
-        )
 
 
 class ParamLeaves:
@@ -243,66 +235,11 @@ def record_force_head(
     return tape.segment_sum(scaled, seg, num_rows)
 
 
-def initial_state(
-    atomic_numbers: np.ndarray,
-    topology: GraphTopology,
-    basis: BasisFeatures,
-    params: ModelParams,
-) -> FeatureState:
-    """Feature buffers before the first block: embeddings, edge init, zeros."""
-    c = params.config
-    idx = embedding_indices(atomic_numbers)
-    node = params.arrays["atom_embedding"][idx]
-    ev = Evaluator()
-    edge = record_edge_init(ev, ParamLeaves(ev, params), basis.edge_rbf, ALL_ROWS)
-    triplet = np.zeros((topology.num_triplets, c.d_t), dtype=np.float64)
-    glob = np.zeros((1, c.d_u), dtype=np.float64)
-    return FeatureState(glob, node, edge, triplet, topology, basis)
-
-
-def block_forward(state: FeatureState, params: ModelParams, block: int) -> FeatureState:
-    """Apply one interaction block to a feature state and return the update.
-
-    Runs the block's recorders on an Evaluator over the given buffers, so no
-    tape is kept; useful for inspecting a single block. ``record_model``
-    chains the same recorders, and the chain of these calls reproduces its
-    feature buffers bit for bit.
-    """
-    c = params.config
-    topology = state.topology
-    tape = Evaluator()
-    pl = ParamLeaves(tape, params)
-    m_id = tape.leaf(state.edge_features)
-    u_id = tape.leaf(state.global_features)
-    rbf_id = tape.leaf(state.basis.edge_rbf)
-    sbf_id = tape.leaf(state.basis.triplet_sbf)
-    plan = receiver_plan(topology, ALL_ROWS)
-
-    t_id, ta_id = record_tu(tape, pl, block, c, m_id, rbf_id, sbf_id, ALL_ROWS, topology)
-    m_id = record_eu(tape, pl, block, m_id, ta_id, ALL_ROWS)
-    v_id = record_ea_nu(tape, pl, block, m_id, *plan)
-    if c.variant == GEMNET:
-        rev = topology.reverse_edges()
-        m_id = record_eu2(tape, pl, block, m_id, v_id, ALL_ROWS, topology)
-        m_id = record_sym(tape, pl, block, m_id, ALL_ROWS, rev)
-    g_id = record_gu_head(tape, pl, block, v_id, ALL_ROWS)
-    u_id = record_gu_tail(tape, pl, block, g_id, u_id)
-    return FeatureState(
-        global_features=tape.value(u_id),
-        node_features=tape.value(v_id),
-        edge_features=tape.value(m_id),
-        triplet_features=tape.value(t_id),
-        topology=topology,
-        basis=state.basis,
-    )
-
-
 @dataclass(frozen=True)
 class ModelHandles:
     """Handles of one model forward; on an Evaluator they are the values."""
 
     topology: GraphTopology
-    basis: BasisFeatures
     param_leaves: ParamLeaves
     positions: int
     m: int
@@ -343,7 +280,7 @@ def record_model(tape: Tape, system: AtomicSystem, params: ModelParams) -> Model
     forces_id = None
     if config.variant == GEMNET:
         forces_id = record_force_head(tape, pl, m_id, basis.edge_units, *plan)
-    return ModelHandles(topology, basis, pl, pos_id, m_id, v_id, u_id, t_id, energy_id, forces_id)
+    return ModelHandles(topology, pl, pos_id, m_id, v_id, u_id, t_id, energy_id, forces_id)
 
 
 class ModelTape:
@@ -377,19 +314,11 @@ class ModelTape:
     @property
     def state(self) -> FeatureState:
         h = self.handles
-        units = h.basis.edge_units
-        basis = BasisFeatures(
-            self.tape.value(h.basis.edge_rbf),
-            self.tape.value(h.basis.triplet_sbf),
-            self.tape.value(units) if units is not None else None,
-        )
         return FeatureState(
             global_features=self.tape.value(h.u),
             node_features=self.tape.value(h.v),
             edge_features=self.tape.value(h.m),
             triplet_features=self.tape.value(h.t) if h.t is not None else None,
-            topology=h.topology,
-            basis=basis,
         )
 
     def backward(

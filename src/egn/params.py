@@ -105,11 +105,6 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(config, arrays)
 
 
-def zero_params(config: ModelConfig) -> ModelParams:
-    arrays = {s.name: np.zeros(s.shape, dtype=np.float64) for s in param_specs(config)}
-    return ModelParams(config, arrays)
-
-
 def save_params(params: ModelParams, path) -> None:
     c = params.config
     params.validate()

@@ -31,11 +31,13 @@ every worker computes the buffer in full and the tape keeps the rows it
 owns. Both have one adjoint, which sums the workers' partial adjoints and
 hands each worker its rows of the sum; so the backward is one walk of
 that tape, and its collectives mirror the forward's without a schedule of
-their own. The gu tail and energy head are on rank 0's tape only. A second
-tape holds the worker's geometry, so the position gradient is one backward
-of it and each triplet's angle and sbf are differentiated by its owner
-alone; position and parameter gradients are all-reduced once at the end.
-Triplet features never enter a collective in either direction.
+their own. Every worker records the gu tail and energy head, but only
+rank 0 seeds the energy, so the other ranks' head parameters add zeros to
+the parameter all-reduce. A second tape holds the worker's geometry, so
+the position gradient is one backward of it and each triplet's angle and
+sbf are differentiated by its owner alone; position and parameter
+gradients are all-reduced once at the end. Triplet features never enter a
+collective in either direction.
 
 A pass that needs its backward is recorded once: ``WorkerGroup.record()``
 runs the forward and keeps each worker's shard tapes in a ``ParallelPass``,
@@ -129,17 +131,6 @@ class CommLog:
                 out[rec.block] = out.get(rec.block, 0) + rec.elements
         return out
 
-    def levels(self) -> set[str]:
-        return {rec.level for rec in self.records}
-
-    def to_csv_rows(self) -> list[str]:
-        rows = ["phase,block,stage,level,elements,bytes"]
-        for rec in self.records:
-            rows.append(
-                f"{rec.phase},{rec.block},{rec.stage},{rec.level},{rec.elements},{rec.elements * 8}"
-            )
-        return rows
-
 
 class Collective:
     """Group endpoint: deterministic all-reduce-sum for P workers."""
@@ -218,12 +209,6 @@ class ParallelRunResult:
     comm_log: CommLog
     stage_seconds: dict[str, float]
 
-    def timing_csv_rows(self) -> list[str]:
-        rows = ["stage,seconds"]
-        for stage, seconds in self.stage_seconds.items():
-            rows.append(f"{stage},{seconds!r}")
-        return rows
-
 
 class _WorkerContext:
     def __init__(self, rank: int, collective: Collective, timed: bool):
@@ -285,7 +270,7 @@ class _Shard:
 
     tape: Tape
     params: ParamLeaves
-    energy: int | None  # rank 0 only
+    energy: int | None  # seeded on rank 0 only
     forces: int | None  # force-centric variant only
     geometry: Tape
     positions: int
@@ -409,8 +394,6 @@ class WorkerGroup:
             node_features=fwd0["v"],
             edge_features=fwd0["m"],
             triplet_features=None,
-            topology=self.topology,
-            basis=None,
         )
         result = ParallelRunResult(
             energy=float(fwd0["energy"]),
@@ -505,9 +488,7 @@ class WorkerGroup:
             record_edge_init(ev, epl, val(rbf), ALL_ROWS),
             lambda: record_edge_init(tape, pl, rbf, edge_rows), "init", -1,
         )
-        # The gu tail and energy head: on rank 0's tape, values elsewhere.
-        head, hpl = (tape, pl) if rank == 0 else (ev, epl)
-        u = head.leaf(np.zeros((1, cfg.d_u), dtype=np.float64))
+        u = tape.leaf(np.zeros((1, cfg.d_u), dtype=np.float64))
 
         for b in range(cfg.blocks):
             ctx.set_stage(f"block{b}.tu")
@@ -542,10 +523,10 @@ class WorkerGroup:
             ctx.set_stage(f"block{b}.gu")
             z = record_gu_head(tape, pl, b, v, node_rows)
             z = tape.allreduce(z, link("gu", "global", b))
-            u = record_gu_tail(head, hpl, b, z if head is tape else val(z), u)
+            u = record_gu_tail(tape, pl, b, z, u)
 
         ctx.set_stage("readout")
-        energy = record_energy(head, hpl, u)
+        energy = record_energy(tape, pl, u)
         forces = shard = None
         if gemnet:
             forces = record_force_head(ev, epl, val(m), val(units), *self.full_plan)
@@ -558,11 +539,11 @@ class WorkerGroup:
             shard = _Shard(tape, pl, energy if rank == 0 else None, f_own, geo, pos, basis_leaves)
 
         return {
-            "energy": float(head.value(energy)[0, 0]),
+            "energy": float(val(energy)[0, 0]),
             "forces": forces,
             "m": val(m),
             "v": val(v),
-            "u": head.value(u),
+            "u": val(u),
             "t_own": val(t),
             "shard": shard,
         }

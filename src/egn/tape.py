@@ -1,12 +1,13 @@
 """Reverse-mode differentiation on a recorded tape of array primitives.
 
 Every primitive stores its inputs, auxiliary constants, and output value, so
-the tape can be replayed forward bit-exactly and walked backward with exact
-adjoints. One tape belongs to a single forward/backward pair; independent
-tapes may run on different threads. Where no backward follows, an
-``Evaluator`` runs the same recording calls through the same forward rules
-and keeps nothing, so a forward is written once and yields the same bits
-either way.
+the tape can be walked backward with exact adjoints. Re-running a node's
+forward rule on its recorded inputs gives its value bit for bit; the tests
+check this with a replay helper over ``_FORWARD``. One tape belongs to a
+single forward/backward pair; independent tapes may run on different
+threads. Where no backward follows, an ``Evaluator`` runs the same
+recording calls through the same forward rules and keeps nothing, so a
+forward is written once and yields the same bits either way.
 
 Primitives: leaf, add, add_bias, mul, scale_rows, concat, linear, silu,
 gather, segment_sum, sum_rows, edge_distances, edge_units, triplet_angles,
@@ -38,10 +39,6 @@ import numpy as np
 
 from . import basis as _basis
 from . import graph as _graph
-
-
-class TapeConsistencyError(RuntimeError):
-    """Replaying the tape did not reproduce a recorded output bit-exactly."""
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -414,16 +411,7 @@ class Tape:
             "replicated", (own,), {"link": link, "rows": rows, "value": value}
         )
 
-    # -- replay and backward ------------------------------------------
-
-    def verify_replay(self) -> None:
-        """Re-run every primitive from its inputs; demand bit-exact outputs."""
-        for nid, node in enumerate(self._nodes):
-            vals = [self._nodes[i].value for i in node.inputs]
-            redo = _FORWARD[node.op](vals, node.aux)
-            same = redo.shape == node.value.shape and np.array_equal(redo, node.value)
-            if not same:
-                raise TapeConsistencyError(f"node {nid} ({node.op}) replay mismatch")
+    # -- backward -----------------------------------------------------
 
     def backward(self, seeds: dict[int, np.ndarray]) -> list[np.ndarray | None]:
         """Accumulate adjoints for every node reachable from the seeds.

@@ -96,6 +96,8 @@ def relax(
         raise ValueError("fmax_threshold must be positive")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    if not (np.isfinite(step_size) and step_size > 0):
+        raise ValueError(f"step_size must be finite and positive, got {step_size}")
     guard = params.config.energy_centric or params.config.diagnostic
     eta = step_size
     x = system.positions.copy()
@@ -191,6 +193,8 @@ def train_simple(
     workers: int | None = None,
 ) -> tuple[ModelParams, list[float]]:
     """Plain gradient descent; returns fitted parameters and the loss history."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     config = params.config
     arrays = {name: arr.copy() for name, arr in params.arrays.items()}
     history: list[float] = []

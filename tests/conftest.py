@@ -8,6 +8,7 @@ import pytest
 from egn import runtime
 from egn.basis import compute_basis
 from egn.graph import build_graph
+from egn.params import ModelParams, param_specs
 from egn.runtime import Collective
 from egn.system import AtomicSystem
 from egn.tape import Evaluator
@@ -94,6 +95,12 @@ def replica_digests(monkeypatch):
 
     monkeypatch.setattr(runtime, "Collective", DigestCollective)
     return made
+
+
+def zero_params(config) -> ModelParams:
+    """Every weight of the declared layout set to zero."""
+    arrays = {s.name: np.zeros(s.shape, dtype=np.float64) for s in param_specs(config)}
+    return ModelParams(config, arrays)
 
 
 def dimer(distance: float, z=(1, 1)) -> AtomicSystem:

@@ -176,6 +176,13 @@ def test_cli_train_writes_checkpoint(tmp_path, capsys):
     assert "loss" in capsys.readouterr().out
 
 
+def test_cli_train_rejects_zero_steps(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(SMALL.to_json())
+    with pytest.raises(ValueError, match="epochs"):
+        main(["train", "--config", str(cfg), "--samples", "1", "--steps", "0"])
+
+
 def test_cli_bench_csv(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(SMALL.replace(variant="gemnet-style").to_json())

@@ -8,12 +8,12 @@ import pytest
 from egn import engine
 from egn.basis import BasisFeatures
 from egn.config import DIMENET, GEMNET, ModelConfig
-from egn.engine import ModelTape, initial_state
+from egn.engine import ModelTape
 from egn.graph import edge_unit_vectors
-from egn.params import ModelParams, init_params, zero_params
+from egn.params import ModelParams, init_params
 from egn.system import AtomicSystem, random_cloud
 
-from conftest import basis_of, dimer, equilateral_triangle
+from conftest import basis_of, dimer, equilateral_triangle, zero_params
 
 
 def _silu(x):
@@ -123,50 +123,11 @@ def test_forward_matches_naive_on_larger_system():
     np.testing.assert_allclose(model.state.edge_features, m, atol=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
-def test_block_forward_chain_reproduces_full_engine(variant):
-    from egn.engine import block_forward
-
-    rng = np.random.default_rng(11)
-    system = random_cloud(10, 0.9, rng)
-    cfg = ModelConfig(variant=variant, blocks=3)
-    params = init_params(cfg)
-    topo, basis = basis_of(system, cfg)
-    state = initial_state(system.atomic_numbers, topo, basis, params)
-    for b in range(cfg.blocks):
-        state = block_forward(state, params, b)
-        assert np.all(np.isfinite(state.edge_features))
-    reference = ModelTape(system, params).state
-    np.testing.assert_array_equal(state.edge_features, reference.edge_features)
-    np.testing.assert_array_equal(state.node_features, reference.node_features)
-    np.testing.assert_array_equal(state.global_features, reference.global_features)
-    np.testing.assert_array_equal(state.triplet_features, reference.triplet_features)
-
-
-def test_initial_state_contract(rng):
-    system = random_cloud(8, 0.9, rng)
-    cfg = ModelConfig()
-    params = init_params(cfg)
-    topo, basis = basis_of(system, cfg)
-    state = initial_state(system.atomic_numbers, topo, basis, params)
-    assert state.triplet_features.shape == (topo.num_triplets, cfg.d_t)
-    assert np.all(state.triplet_features == 0)
-    assert np.all(state.global_features == 0)
-    # same species -> identical embedding rows
-    z = system.atomic_numbers
-    same = np.nonzero(z == z[0])[0]
-    for i in same:
-        np.testing.assert_array_equal(state.node_features[i], state.node_features[same[0]])
-
-
-def test_initial_state_zero_edge_graph():
+def test_zero_edge_graph_forward():
     system = AtomicSystem(np.array([[0.0, 0, 0], [50.0, 0, 0]]), np.array([1, 8]))
     cfg = ModelConfig()
-    params = init_params(cfg)
-    topo, basis = basis_of(system, cfg)
-    state = initial_state(system.atomic_numbers, topo, basis, params)
-    assert state.edge_features.shape == (0, cfg.d_e)
-    model = ModelTape(system, params)  # zero-edge forward stays valid
+    model = ModelTape(system, init_params(cfg))
+    assert model.state.edge_features.shape == (0, cfg.d_e)
     assert np.isfinite(model.energy)
 
 

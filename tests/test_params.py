@@ -8,7 +8,6 @@ from egn.params import (
     load_params,
     param_specs,
     save_params,
-    zero_params,
 )
 
 
@@ -77,7 +76,7 @@ def test_container_magic_and_truncation(tmp_path):
 
 def test_validate_catches_wrong_shapes():
     cfg = ModelConfig()
-    params = zero_params(cfg)
+    params = init_params(cfg)
     arrays = dict(params.arrays)
     arrays["edge_init.w"] = np.zeros((1, 1))
     with pytest.raises(ValueError):

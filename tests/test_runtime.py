@@ -269,7 +269,7 @@ def test_no_triplet_buffers_in_collectives(medium_system):
     result, _ = group.forward_backward(d_energy=1.0)
     forward_levels = {r.level for r in result.comm_log.records if r.phase == "forward"}
     assert forward_levels == {"edge", "node", "global"}
-    assert "triplet" not in result.comm_log.levels()
+    assert "triplet" not in {r.level for r in result.comm_log.records}
     # every forward buffer size is one of the replicated-buffer sizes
     sizes = {
         group.topology.num_edges * cfg.d_e,
@@ -367,28 +367,14 @@ def test_stage_timing_csv(medium_system):
         cfg = ModelConfig(variant=variant, blocks=2, workers=2)
         group = WorkerGroup(medium_system, init_params(cfg))
         result, _ = group.forward_backward(d_energy=1.0)
-        rows = result.timing_csv_rows()
-        assert rows[0] == "stage,seconds"
-        stages = [row.split(",")[0] for row in rows[1:]]
+        stages = list(result.stage_seconds)
         assert {"init", "block0.tu", "block1.gu", "backward.block0.tu"} <= set(stages)
-        for row in rows[1:]:
-            assert float(row.split(",")[1]) >= 0.0
+        assert all(seconds >= 0.0 for seconds in result.stage_seconds.values())
         want = [
             s for s in layers.STAGES
             if variant == "gemnet-style" or not s.endswith(("eu2", "sym"))
         ]
         assert list(dict.fromkeys(layers._BLOCK.sub("", s) for s in stages)) == want, variant
-
-
-def test_comm_log_csv_rows(medium_system):
-    cfg = ModelConfig(variant="dimenet-style", blocks=1, workers=2)
-    group = WorkerGroup(medium_system, init_params(cfg))
-    result = group.forward()
-    rows = result.comm_log.to_csv_rows()
-    assert rows[0] == "phase,block,stage,level,elements,bytes"
-    for row in rows[1:]:
-        phase, block, stage, level, elements, nbytes = row.split(",")
-        assert int(nbytes) == 8 * int(elements)
 
 
 def _bytes(x):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from egn import runtime
-from egn.bench import sample_smooth_system, sample_system
+from egn.bench import sample_smooth_system
 from egn.config import ModelConfig
 from egn.params import ModelParams, init_params, param_specs
 from egn.runtime import WorkerGroup
+from egn.system import random_cloud
 from egn.tasks import (
     WELL_CENTER,
     load_checkpoint,
@@ -24,7 +25,7 @@ from conftest import dimer, fd_allowance
 
 @pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
 def test_predict_sequential_vs_parallel(variant, rng):
-    system = sample_system(rng, 16)
+    system = random_cloud(16, 0.9, rng)
     params = init_params(ModelConfig(variant=variant, blocks=2))
     e1, f1 = predict(system, params, workers=1)
     e4, f4 = predict(system, params, workers=4)
@@ -40,7 +41,7 @@ def test_predict_dimer_forces_antiparallel(variant):
 
 
 def test_predict_energy_centric_zero_net_force(rng):
-    system = sample_system(rng, 12)
+    system = random_cloud(12, 0.9, rng)
     params = init_params(ModelConfig(variant="dimenet-style", blocks=2))
     _, forces = predict(system, params)
     assert np.abs(forces.sum(axis=0)).max() < 1e-9
@@ -95,10 +96,17 @@ def test_relax_rejects_bad_threshold():
         relax(dimer(1.0), params, fmax_threshold=0.0)
 
 
+@pytest.mark.parametrize("step_size", [0.0, -0.05, float("nan"), float("inf")])
+def test_relax_rejects_bad_step_size(step_size):
+    params = init_params(ModelConfig(diagnostic=True))
+    with pytest.raises(ValueError, match="step_size"):
+        relax(dimer(1.0), params, fmax_threshold=1e-3, max_steps=5, step_size=step_size)
+
+
 def test_relax_trajectory_lengths_consistent(rng):
     cfg = ModelConfig(variant="dimenet-style", blocks=1, cutoff=1.5)
     params = init_params(cfg)
-    system = sample_system(rng, 6)
+    system = random_cloud(6, 0.9, rng)
     result = relax(system, params, fmax_threshold=1e-3, max_steps=5, step_size=0.01)
     assert result.steps <= 5
     assert len(result.trajectory) == result.steps + 1
@@ -109,7 +117,7 @@ def _toy_dataset(rng, config, samples=3):
     teacher = init_params(config.replace(seed=config.seed + 100))
     dataset = []
     for _ in range(samples):
-        system = sample_system(rng, int(rng.integers(4, 8)))
+        system = random_cloud(int(rng.integers(4, 8)), 0.9, rng)
         energy, forces = predict(system, teacher, workers=1)
         dataset.append((system, energy, forces))
     return dataset
@@ -139,6 +147,14 @@ def test_train_energy_centric_rejects_force_loss(rng):
     dataset = _toy_dataset(rng, cfg)
     with pytest.raises(ValueError):
         train_simple(dataset, init_params(cfg), lr=0.1, epochs=1, w_forces=1.0)
+
+
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_train_rejects_fewer_than_one_epoch(rng, epochs):
+    cfg = ModelConfig(variant="dimenet-style", blocks=1)
+    dataset = _toy_dataset(rng, cfg, samples=1)
+    with pytest.raises(ValueError, match="epochs"):
+        train_simple(dataset, init_params(cfg), lr=0.1, epochs=epochs)
 
 
 def test_train_energy_centric_energy_only_loss(rng):
@@ -274,7 +290,7 @@ def test_train_aborts_on_non_finite_loss(rng):
 def test_relax_aborts_on_non_finite_forces(rng, monkeypatch):
     cfg = ModelConfig(variant="dimenet-style", blocks=1)
     params = init_params(cfg)
-    system = sample_system(rng, 5)
+    system = random_cloud(5, 0.9, rng)
 
     import egn.tasks as tasks
 
@@ -287,7 +303,7 @@ def test_relax_aborts_on_non_finite_forces(rng, monkeypatch):
 
 
 def test_nan_energy_is_the_same_result_at_any_worker_count(rng):
-    system = sample_system(rng, 20)
+    system = random_cloud(20, 0.9, rng)
     params = init_params(ModelConfig(variant="gemnet-style", blocks=1))
     arrays = dict(params.arrays)
     arrays["energy_head.b"] = np.full_like(arrays["energy_head.b"], np.nan)
