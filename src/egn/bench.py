@@ -30,25 +30,18 @@ def gen_xyz(n: int, density: float, seed: int, out_path) -> AtomicSystem:
     return system
 
 
-def sample_smooth_system(
-    rng: np.random.Generator,
-    n: int,
-    cutoff: float,
-    density: float = 0.9,
-    cutoff_margin: float = 1e-3,
-    angle_margin: float = 0.05,
-    max_tries: int = 200,
-) -> AtomicSystem:
-    """Random system whose geometry sits away from cutoff crossings and
-    collinear angles, so small finite-difference steps stay smooth."""
-    for _ in range(max_tries):
-        system = random_cloud(n, density, rng)
+def sample_smooth_system(rng: np.random.Generator, n: int, cutoff: float) -> AtomicSystem:
+    """Random cloud at density 0.9 whose pair distances sit at least 1e-3
+    from the cutoff and whose angles sit at least 0.05 rad from collinear,
+    so small finite-difference steps stay smooth; up to 200 draws."""
+    for _ in range(200):
+        system = random_cloud(n, 0.9, rng)
         topology, _ = build_graph(system, cutoff)
-        _, _, dist = neighbour_pairs(system.positions, cutoff + cutoff_margin)
-        if np.any(np.abs(dist - cutoff) < cutoff_margin):
+        _, _, dist = neighbour_pairs(system.positions, cutoff + 1e-3)
+        if np.any(np.abs(dist - cutoff) < 1e-3):
             continue
         ang = triplet_angles(system.positions, topology)
-        if ang.size and (np.any(ang < angle_margin) or np.any(ang > np.pi - angle_margin)):
+        if ang.size and (np.any(ang < 0.05) or np.any(ang > np.pi - 0.05)):
             continue
         return system
     raise RuntimeError("could not sample a smooth system within the retry budget")
@@ -278,26 +271,22 @@ def weak_scaling(
     base_config: ModelConfig,
     p_list: list[int],
     n_atoms: int = 40,
-    density: float = 0.9,
-    seed: int = 0,
     warmup: int = 2,
     repeats: int = 10,
 ) -> BenchReport:
     """Scale the triplet dimension with the worker count and time
-    forward+backward passes. Graph construction happens once per row and is
-    excluded from timing. Efficiency is median time at P=1 over median time
-    at P; no target value is asserted.
+    forward+backward passes on one random cloud at density 0.9. The config
+    seed draws the cloud and the parameters. Graph construction happens
+    once per row and is excluded from timing. Efficiency is median time at
+    P=1 over median time at P; no target value is asserted.
     """
     if sorted(p_list) != list(p_list) or not p_list or p_list[0] != 1:
         raise ValueError("p_list must be sorted ascending and start at 1")
-    rng = np.random.default_rng(seed)
-    system = random_cloud(n_atoms, density, rng)
+    system = random_cloud(n_atoms, 0.9, np.random.default_rng(base_config.seed))
     rows: list[BenchRow] = []
     base_ms = None
     for p in p_list:
-        config = base_config.replace(
-            workers=p, d_t=base_config.d_t * p, d_bil=base_config.d_bil * p, seed=seed
-        )
+        config = base_config.replace(workers=p, d_t=base_config.d_t * p, d_bil=base_config.d_bil * p)
         params = init_params(config)
         group = WorkerGroup(system, params)
         for _ in range(warmup):

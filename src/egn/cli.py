@@ -10,7 +10,7 @@ import numpy as np
 
 from .bench import gen_xyz, parse_csv, verify_suite, weak_scaling
 from .config import GEMNET, ModelConfig
-from .params import init_params
+from .params import ModelParams, init_params
 from .system import format_xyz, parse_xyz, random_cloud
 from .tasks import load_checkpoint, predict, relax, save_checkpoint, train_simple
 
@@ -36,18 +36,13 @@ def _resolve_config(args) -> ModelConfig:
     return config
 
 
-def _resolve_params(args, config: ModelConfig):
-    if getattr(args, "params", None) is not None:
-        params = load_checkpoint(args.params)
-        overrides = {}
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if overrides:
-            from .params import ModelParams
-
-            params = ModelParams(params.config.replace(**overrides), params.arrays)
+def _resolve_params(args, config: ModelConfig) -> ModelParams:
+    if getattr(args, "params", None) is None:
+        return init_params(config)
+    params = load_checkpoint(args.params)
+    if args.workers is None:
         return params
-    return init_params(config)
+    return ModelParams(params.config.replace(workers=args.workers), params.arrays)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -95,7 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a rejected input or an unreadable file prints one
+    ``egn: error:`` line to stderr and returns 2."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, OSError) as exc:
+        print(f"egn: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     config = _resolve_config(args)
     seed = config.seed
 
@@ -106,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
-        system = parse_xyz(args.xyz.read_text(), identifier=str(args.xyz))
+        system = parse_xyz(args.xyz.read_text())
         params = _resolve_params(args, config)
         energy, forces = predict(system, params)
         print(f"energy {energy:.12f}")
@@ -126,13 +131,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failed else 0
 
     if args.command == "relax":
-        system = parse_xyz(args.xyz.read_text(), identifier=str(args.xyz))
+        system = parse_xyz(args.xyz.read_text())
         if args.diagnostic:
             config = config.replace(diagnostic=True, workers=1)
         params = _resolve_params(args, config)
         if args.diagnostic:
-            from .params import ModelParams
-
             params = ModelParams(config, params.arrays)
         result = relax(
             system, params, fmax_threshold=args.fmax,
@@ -150,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "train":
+        for flag, value in (("--steps", args.steps), ("--samples", args.samples)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
         rng = np.random.default_rng(seed)
         teacher = init_params(config.replace(seed=seed + 1))
         dataset = []

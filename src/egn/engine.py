@@ -212,7 +212,7 @@ def record_gu_head(tape: Tape, pl: ParamLeaves, block: int, v_id: int, rows: sli
 
 def record_gu_tail(tape: Tape, pl: ParamLeaves, block: int, z_id: int, u_id: int) -> int:
     p = f"block{block}.gu"
-    pre = tape.add_bias(z_id, pl[p + ".b1"])
+    pre = tape.add(z_id, pl[p + ".b1"])
     return tape.add(u_id, tape.linear(tape.silu(pre), pl[p + ".w2"], pl[p + ".b2"]))
 
 
@@ -231,7 +231,7 @@ def record_force_head(
 ) -> int:
     m_rows = tape.gather(m_id, edge_sel)
     scale = tape.linear(m_rows, pl["force_head.w"])
-    scaled = tape.scale_rows(scale, tape.gather(units_id, edge_sel))
+    scaled = tape.mul(scale, tape.gather(units_id, edge_sel))
     return tape.segment_sum(scaled, seg, num_rows)
 
 
@@ -239,7 +239,6 @@ def record_force_head(
 class ModelHandles:
     """Handles of one model forward; on an Evaluator they are the values."""
 
-    topology: GraphTopology
     param_leaves: ParamLeaves
     positions: int
     m: int
@@ -280,7 +279,7 @@ def record_model(tape: Tape, system: AtomicSystem, params: ModelParams) -> Model
     forces_id = None
     if config.variant == GEMNET:
         forces_id = record_force_head(tape, pl, m_id, basis.edge_units, *plan)
-    return ModelHandles(topology, pl, pos_id, m_id, v_id, u_id, t_id, energy_id, forces_id)
+    return ModelHandles(pl, pos_id, m_id, v_id, u_id, t_id, energy_id, forces_id)
 
 
 class ModelTape:

@@ -17,7 +17,14 @@ from .elements import MAX_Z
 
 MAGIC = b"EGN1"
 _VARIANT_CODE = {DIMENET: 0, GEMNET: 1}
-_CODE_VARIANT = {code: name for name, code in _VARIANT_CODE.items()}
+_HEADER_FIELDS = ("blocks", "d_u", "d_v", "d_e", "d_t", "d_bil", "k_rbf", "l_sbf", "variant")
+
+
+def _header_words(config: ModelConfig) -> tuple[int, ...]:
+    return tuple(
+        _VARIANT_CODE[config.variant] if name == "variant" else getattr(config, name)
+        for name in _HEADER_FIELDS
+    )
 
 
 @dataclass(frozen=True)
@@ -106,35 +113,26 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 
 def save_params(params: ModelParams, path) -> None:
-    c = params.config
     params.validate()
-    header = struct.pack(
-        "<9I",
-        c.blocks, c.d_u, c.d_v, c.d_e, c.d_t, c.d_bil, c.k_rbf, c.l_sbf,
-        _VARIANT_CODE[c.variant],
-    )
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(header)
+        fh.write(struct.pack("<9I", *_header_words(params.config)))
         for arr in params.arrays.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_params(path, cutoff: float = 1.5, seed: int = 0, workers: int = 1) -> ModelParams:
-    """Read a container; non-header config fields come from the arguments."""
+def load_params(path, config: ModelConfig) -> ModelParams:
+    """Read a container written for ``config``; its header must agree."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ValueError(f"bad magic bytes {blob[:4]!r}")
+    if len(blob) < 40:
+        raise ValueError("container truncated")
     head = struct.unpack("<9I", blob[4:40])
-    variant = _CODE_VARIANT.get(head[8])
-    if variant is None:
-        raise ValueError(f"unknown variant code {head[8]}")
-    config = ModelConfig(
-        variant=variant, blocks=head[0], d_u=head[1], d_v=head[2], d_e=head[3],
-        d_t=head[4], d_bil=head[5], k_rbf=head[6], l_sbf=head[7],
-        cutoff=cutoff, seed=seed, workers=workers,
-    )
+    for name, got, want in zip(_HEADER_FIELDS, head, _header_words(config)):
+        if got != want:
+            raise ValueError(f"container header and config disagree on {name}")
     arrays: dict[str, np.ndarray] = {}
     offset = 40
     for spec in param_specs(config):

@@ -40,10 +40,10 @@ gradients are all-reduced once at the end. Triplet features never enter a
 collective in either direction.
 
 A pass that needs its backward is recorded once: ``WorkerGroup.record()``
-runs the forward and keeps each worker's shard tapes in a ``ParallelPass``,
-whose ``backward()`` runs the workers again over those tapes on the same
-collective, after the caller has read the energy and forces it seeds from.
-``forward()`` keeps no tape.
+runs the forward and returns its ``ParallelRunResult`` holding each
+worker's shard tapes, whose ``backward()`` runs the workers again over
+those tapes on the same collective, after the caller has read the energy
+and forces it seeds from. ``forward()`` keeps no tape.
 """
 
 from __future__ import annotations
@@ -114,15 +114,8 @@ class CommRecord:
 class CommLog:
     records: list[CommRecord] = field(default_factory=list)
 
-    def elements(self, phase: str | None = None, block: int | None = None) -> int:
-        total = 0
-        for rec in self.records:
-            if phase is not None and rec.phase != phase:
-                continue
-            if block is not None and rec.block != block:
-                continue
-            total += rec.elements
-        return total
+    def elements(self, phase: str | None = None) -> int:
+        return sum(rec.elements for rec in self.records if phase is None or rec.phase == phase)
 
     def forward_blocks(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -202,12 +195,46 @@ class Collective:
 
 @dataclass
 class ParallelRunResult:
+    """One forward over the workers of a group.
+
+    A result of ``WorkerGroup.record()`` has the interface of
+    ``engine.ModelTape``: ``energy``, ``forces`` and ``backward(d_energy,
+    d_forces)``, which runs the workers again over the shard tapes they
+    recorded, on the same collective, so the comm log holds the forward's
+    records followed by the backward's. A pass runs one backward, and its
+    tapes are released then; a result of ``forward()`` has none.
+    """
+
     energy: float
     forces: np.ndarray | None
     state: FeatureState
     triplet_shards: list[np.ndarray]
     comm_log: CommLog
     stage_seconds: dict[str, float]
+    # (group, worker contexts, shards) of a recorded pass until its backward.
+    _pending: tuple | None = field(default=None, compare=False, repr=False)
+
+    def backward(
+        self, d_energy: float = 1.0, d_forces: np.ndarray | None = None
+    ) -> GradientBundle:
+        if self._pending is None:
+            raise RuntimeError(
+                "this pass kept no tapes or has already run its backward; record() a new pass"
+            )
+        group, contexts, shards = self._pending
+        if d_forces is not None:
+            if group.config.variant != GEMNET:
+                raise ValueError("force seeds require the force-centric variant")
+            d_forces = np.asarray(d_forces, dtype=np.float64)
+            shape = group.system.positions.shape
+            if d_forces.shape != shape:
+                raise ValueError(f"force seed has shape {d_forces.shape}, expected {shape}")
+        self._pending = None
+        bundles = group._launch(
+            contexts,
+            lambda ctx: group._worker_backward(ctx, shards[ctx.rank], d_energy, d_forces),
+        )
+        return bundles[0]
 
 
 class _WorkerContext:
@@ -277,55 +304,6 @@ class _Shard:
     basis_leaves: dict[int, int]
 
 
-class ParallelPass:
-    """One forward recorded over the workers of a group, awaiting its backward.
-
-    Has the interface of ``engine.ModelTape``: ``energy`` and ``forces`` of
-    the forward, and ``backward(d_energy, d_forces)``, which runs the workers
-    again over the shard tapes they recorded, on the same collective. The
-    pass's comm log therefore holds its forward records followed by its
-    backward records. A pass runs one backward; its tapes are released then.
-    """
-
-    def __init__(self, group: WorkerGroup, result: ParallelRunResult,
-                 contexts: list[_WorkerContext], shards: list[_Shard]):
-        self.group = group
-        self.result = result
-        self._contexts: list[_WorkerContext] | None = contexts
-        self._shards = shards
-
-    @property
-    def energy(self) -> float:
-        return self.result.energy
-
-    @property
-    def forces(self) -> np.ndarray | None:
-        return self.result.forces
-
-    def backward(
-        self, d_energy: float = 1.0, d_forces: np.ndarray | None = None
-    ) -> GradientBundle:
-        group = self.group
-        if self._contexts is None:
-            raise RuntimeError(
-                "this pass has already run its backward; record() a new pass"
-            )
-        if d_forces is not None:
-            if group.config.variant != GEMNET:
-                raise ValueError("force seeds require the force-centric variant")
-            d_forces = np.asarray(d_forces, dtype=np.float64)
-            shape = group.system.positions.shape
-            if d_forces.shape != shape:
-                raise ValueError(f"force seed has shape {d_forces.shape}, expected {shape}")
-        contexts, self._contexts = self._contexts, None
-        shards, self._shards = self._shards, None
-        bundles = group._launch(
-            contexts,
-            lambda ctx: group._worker_backward(ctx, shards[ctx.rank], d_energy, d_forces),
-        )
-        return bundles[0]
-
-
 class WorkerGroup:
     """P simulated workers bound to one system, partition, and parameter set.
 
@@ -337,7 +315,7 @@ class WorkerGroup:
 
       * ``forward()`` runs the workers once and keeps no tape (inference);
       * ``record()`` runs them once, keeping each worker's shard tapes, and
-        returns a ``ParallelPass`` whose ``backward()`` completes the pass;
+        returns a result whose ``backward()`` completes the pass;
       * ``forward_backward()`` is ``record()`` followed by its backward.
     """
 
@@ -363,16 +341,16 @@ class WorkerGroup:
     # -- public API ----------------------------------------------------
 
     def forward(self) -> ParallelRunResult:
-        return self._forward(record=False)[0]
+        return self._forward(record=False)
 
-    def record(self) -> ParallelPass:
-        return ParallelPass(self, *self._forward(record=True))
+    def record(self) -> ParallelRunResult:
+        return self._forward(record=True)
 
     def forward_backward(
         self, d_energy: float = 1.0, d_forces: np.ndarray | None = None
     ) -> tuple[ParallelRunResult, GradientBundle]:
-        pass_ = self.record()
-        return pass_.result, pass_.backward(d_energy, d_forces)
+        run = self.record()
+        return run, run.backward(d_energy, d_forces)
 
     # -- orchestration ---------------------------------------------------
 
@@ -395,15 +373,15 @@ class WorkerGroup:
             edge_features=fwd0["m"],
             triplet_features=None,
         )
-        result = ParallelRunResult(
+        return ParallelRunResult(
             energy=float(fwd0["energy"]),
             forces=fwd0["forces"],
             state=state,
             triplet_shards=[out["t_own"] for out in outputs],
             comm_log=log,
             stage_seconds=contexts[0].stage_seconds,
+            _pending=(self, contexts, [out["shard"] for out in outputs]) if record else None,
         )
-        return result, contexts, [out["shard"] for out in outputs]
 
     def _launch(self, contexts: list[_WorkerContext], work) -> list:
         """Run ``work(ctx)`` for every rank on its own thread; return the

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class AtomicSystem:
 
     positions: np.ndarray
     atomic_numbers: np.ndarray
-    identifier: str | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -56,10 +55,10 @@ class AtomicSystem:
         return self.positions.shape[0]
 
     def with_positions(self, positions: np.ndarray) -> "AtomicSystem":
-        return AtomicSystem(positions, self.atomic_numbers, self.identifier)
+        return AtomicSystem(positions, self.atomic_numbers)
 
 
-def parse_xyz(text: str, identifier: str | None = None) -> AtomicSystem:
+def parse_xyz(text: str) -> AtomicSystem:
     """Parse standard XYZ text: count line, comment line, then ``SYMBOL x y z`` rows."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -99,7 +98,7 @@ def parse_xyz(text: str, identifier: str | None = None) -> AtomicSystem:
     src, _, _ = neighbour_pairs(positions, MIN_SEPARATION)
     if src.size:  # pairs come both ways, so src holds the later atom of each
         raise XyzParseError(int(src.max()) + 3, "duplicate atom positions")
-    return AtomicSystem(positions, numbers, identifier)
+    return AtomicSystem(positions, numbers)
 
 
 def format_xyz(system: AtomicSystem, comment: str = "") -> str:

@@ -9,12 +9,14 @@ threads. Where no backward follows, an ``Evaluator`` runs the same
 recording calls through the same forward rules and keeps nothing, so a
 forward is written once and yields the same bits either way.
 
-Primitives: leaf, add, add_bias, mul, scale_rows, concat, linear, silu,
-gather, segment_sum, sum_rows, edge_distances, edge_units, triplet_angles,
-gaussian_rbf, angular_sbf, quadratic_well, and two collectives for a worker
-that records its shard of a model split across workers. A gather takes an
-index array or, for a contiguous range of rows, a slice; a gather by slice
-is a view of its input, so recorded values may alias each other.
+Primitives: leaf, add, mul, concat, linear, silu, gather, segment_sum,
+sum_rows, edge_distances, edge_units, triplet_angles, gaussian_rbf,
+angular_sbf, quadratic_well, and two collectives for a worker that records
+its shard of a model split across workers. ``add`` and ``mul`` broadcast as
+numpy does (a bias row, a column of row scales), and their adjoints sum over
+the broadcast axes. A gather takes an index array or, for a contiguous range
+of rows, a slice; a gather by slice is a view of its input, so recorded
+values may alias each other.
 
   * ``allreduce(x, link, rows, shape)`` places ``x`` at ``rows`` of a zero
     buffer of ``shape`` (or takes ``x`` whole) and sums that buffer over
@@ -107,31 +109,36 @@ def _op(name):
 
 _op("leaf")((lambda vals, aux: aux["value"], lambda g, vals, out, aux: ()))
 
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """The adjoint of broadcasting an input of ``shape`` to ``g.shape``:
+    ``g`` summed over the leading axes numpy added, then over the axes it
+    stretched from length one."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if stretched:
+        g = g.sum(axis=stretched, keepdims=True)
+    return g
+
+
 _op("add")(
     (
         lambda vals, aux: vals[0] + vals[1],
-        lambda g, vals, out, aux: (g, g),
-    )
-)
-
-_op("add_bias")(
-    (
-        lambda vals, aux: vals[0] + vals[1][None, :],
-        lambda g, vals, out, aux: (g, g.sum(axis=0)),
+        lambda g, vals, out, aux: (_unbroadcast(g, vals[0].shape), _unbroadcast(g, vals[1].shape)),
     )
 )
 
 _op("mul")(
     (
         lambda vals, aux: vals[0] * vals[1],
-        lambda g, vals, out, aux: (g * vals[1], g * vals[0]),
-    )
-)
-
-_op("scale_rows")(
-    (
-        lambda vals, aux: vals[0] * vals[1],
-        lambda g, vals, out, aux: ((g * vals[1]).sum(axis=1, keepdims=True), g * vals[0]),
+        lambda g, vals, out, aux: (
+            _unbroadcast(g * vals[1], vals[0].shape),
+            _unbroadcast(g * vals[0], vals[1].shape),
+        ),
     )
 )
 
@@ -351,14 +358,8 @@ class Tape:
     def add(self, a: int, b: int) -> int:
         return self._record("add", (a, b), {})
 
-    def add_bias(self, x: int, b: int) -> int:
-        return self._record("add_bias", (x, b), {})
-
     def mul(self, a: int, b: int) -> int:
         return self._record("mul", (a, b), {})
-
-    def scale_rows(self, scale: int, mat: int) -> int:
-        return self._record("scale_rows", (scale, mat), {})
 
     def concat(self, a: int, b: int) -> int:
         return self._record("concat", (a, b), {})

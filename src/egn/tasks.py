@@ -34,6 +34,22 @@ def _predict_diagnostic(system: AtomicSystem, config: ModelConfig) -> tuple[floa
     return energy, forces
 
 
+def _at_workers(params: ModelParams, workers: int) -> ModelParams:
+    """``params`` with its config's worker count set to ``workers``."""
+    config = params.config
+    if config.workers == workers:
+        return params
+    return ModelParams(config.replace(workers=workers), params.arrays)
+
+
+def _record(system: AtomicSystem, params: ModelParams):
+    """One forward recorded for its backward, over ``params.config.workers``
+    workers: a ``ModelTape`` for one, otherwise a runtime pass."""
+    if params.config.workers == 1:
+        return ModelTape(system, params)
+    return WorkerGroup(system, params).record()
+
+
 def predict(
     system: AtomicSystem, params: ModelParams, workers: int | None = None
 ) -> tuple[float, np.ndarray]:
@@ -50,22 +66,15 @@ def predict(
         if p != 1:
             raise ValueError("the diagnostic model runs sequentially only")
         return _predict_diagnostic(system, config)
-    if p == 1:
-        if config.variant == GEMNET:
+    if config.variant == GEMNET:
+        if p == 1:
             out = record_model(Evaluator(), system, params)
             return float(out.energy[0, 0]), out.forces
-        model = ModelTape(system, params)
-        bundle = model.backward(d_energy=1.0)
-        return model.energy, -bundle.d_positions
-    run_params = params if config.workers == p else ModelParams(
-        config.replace(workers=p), params.arrays
-    )
-    group = WorkerGroup(system, run_params)
-    if config.variant == GEMNET:
-        result = group.forward()
+        result = WorkerGroup(system, _at_workers(params, p)).forward()
         return result.energy, result.forces
-    result, bundle = group.forward_backward(d_energy=1.0)
-    return result.energy, -bundle.d_positions
+    model = _record(system, _at_workers(params, p))
+    bundle = model.backward(d_energy=1.0)
+    return model.energy, -bundle.d_positions
 
 
 @dataclass
@@ -156,16 +165,12 @@ def loss_and_grads(
     n = len(dataset)
     if n == 0:
         raise ValueError("dataset is empty")
-    run_params = params if p == 1 else ModelParams(config.replace(workers=p), params.arrays)
+    run_params = _at_workers(params, p)
     total_loss = 0.0
     grad_sum = {s.name: np.zeros(s.shape, dtype=np.float64) for s in param_specs(config)}
     for system, e_target, f_target in dataset:
         # One recorded forward per sample; its backward completes the pass.
-        if p == 1:
-            model = ModelTape(system, run_params)
-        else:
-            model = WorkerGroup(system, run_params).record()
-
+        model = _record(system, run_params)
         residual = np.float64(model.energy - e_target)  # numpy scalar: overflow -> inf, not an exception
         d_energy = float(2.0 * w_energy * residual / n)
         loss = float(w_energy * residual * residual)
@@ -218,11 +223,5 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     path = Path(path)
-    sidecar = path.with_suffix(path.suffix + ".json")
-    config = ModelConfig.from_json(sidecar.read_text())
-    loaded = load_params(path, cutoff=config.cutoff, seed=config.seed, workers=config.workers)
-    header = loaded.config
-    for name in ("variant", "blocks", "d_u", "d_v", "d_e", "d_t", "d_bil", "k_rbf", "l_sbf"):
-        if getattr(header, name) != getattr(config, name):
-            raise ValueError(f"checkpoint header and sidecar disagree on {name}")
-    return ModelParams(config, loaded.arrays)
+    config = ModelConfig.from_json(path.with_suffix(path.suffix + ".json").read_text())
+    return load_params(path, config)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from egn import runtime
+from egn import cli, runtime
 from egn.bench import (
     CSV_HEADER,
     gen_xyz,
@@ -176,11 +176,57 @@ def test_cli_train_writes_checkpoint(tmp_path, capsys):
     assert "loss" in capsys.readouterr().out
 
 
-def test_cli_train_rejects_zero_steps(tmp_path):
+def _assert_train_rejects_zero(flag, tmp_path, capsys, monkeypatch):
+    """Rejected with exit code 2 before the teacher labels a single sample."""
+    labelled = []
+    monkeypatch.setattr(cli, "predict", lambda *args, **kwargs: labelled.append(args))
     cfg = tmp_path / "config.json"
     cfg.write_text(SMALL.to_json())
-    with pytest.raises(ValueError, match="epochs"):
-        main(["train", "--config", str(cfg), "--samples", "1", "--steps", "0"])
+    argv = ["train", "--config", str(cfg), "--samples", "1", "--steps", "1"]
+    argv[argv.index(flag) + 1] = "0"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"egn: error: {flag} must be >= 1, got 0\n"
+    assert labelled == []
+
+
+def test_cli_train_rejects_zero_steps(tmp_path, capsys, monkeypatch):
+    _assert_train_rejects_zero("--steps", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_train_rejects_zero_samples(tmp_path, capsys, monkeypatch):
+    _assert_train_rejects_zero("--samples", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_relax_rejects_zero_step_size(tmp_path, capsys):
+    xyz = tmp_path / "dimer.xyz"
+    xyz.write_text("2\ndimer\nH 0 0 0\nH 0 0 2.0\n")
+    assert main(["relax", str(xyz), "--fmax", "1e-4", "--step-size", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("egn: error: step_size must be finite and positive")
+    assert err.count("\n") == 1
+
+
+def test_cli_run_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.xyz"
+    assert main(["run", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("egn: error: ") and str(missing) in err
+    assert err.count("\n") == 1
+
+
+def test_cli_bench_seed_draws_the_cloud(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(SMALL.replace(variant="gemnet-style").to_json())
+    elements = {}
+    for seed in (0, 3):
+        out = tmp_path / f"bench-{seed}.csv"
+        assert main([
+            "bench", "--config", str(cfg), "--p-list", "1", "--n-atoms", "10",
+            "--repeats", "1", "--seed", str(seed), "--out", str(out),
+        ]) == 0
+        elements[seed] = parse_csv(out.read_text()).rows[0].allreduced_elements
+    assert elements[0] != elements[3]
 
 
 def test_cli_bench_csv(tmp_path, capsys):

@@ -45,7 +45,7 @@ def test_container_roundtrip_bit_exact(tmp_path, variant):
     params = init_params(cfg)
     path = tmp_path / "model.egn"
     save_params(params, path)
-    loaded = load_params(path, cutoff=cfg.cutoff, seed=cfg.seed)
+    loaded = load_params(path, cfg)
     assert loaded.config.variant == variant
     assert loaded.config.blocks == 3
     for name in params.arrays:
@@ -66,12 +66,21 @@ def test_container_magic_and_truncation(tmp_path):
     bad = tmp_path / "bad.egn"
     bad.write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(ValueError):
-        load_params(bad)
+        load_params(bad, cfg)
 
     short = tmp_path / "short.egn"
     short.write_bytes(blob[:-16])
     with pytest.raises(ValueError):
-        load_params(short)
+        load_params(short, cfg)
+
+
+@pytest.mark.parametrize("field, value", [("blocks", 3), ("variant", "gemnet-style")])
+def test_container_header_must_match_config(tmp_path, field, value):
+    cfg = ModelConfig()
+    path = tmp_path / "model.egn"
+    save_params(init_params(cfg), path)
+    with pytest.raises(ValueError, match=f"disagree on {field}$"):
+        load_params(path, cfg.replace(**{field: value}))
 
 
 def test_validate_catches_wrong_shapes():

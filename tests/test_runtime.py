@@ -390,11 +390,8 @@ def test_recorded_pass_matches_forward_backward(
     params = init_params(cfg)
     d_forces = rng.standard_normal((medium_system.n, 3)) if variant == "gemnet-style" else None
     want, want_grads = WorkerGroup(medium_system, params).forward_backward(0.7, d_forces)
-    recorded = WorkerGroup(medium_system, params).record()
-    got = recorded.result
-    assert _bytes(recorded.energy) == _bytes(got.energy)
-    assert _bytes(recorded.forces) == _bytes(got.forces)
-    got_grads = recorded.backward(0.7, d_forces)
+    got = WorkerGroup(medium_system, params).record()
+    got_grads = got.backward(0.7, d_forces)
 
     assert _bytes(got.energy) == _bytes(want.energy)
     assert _bytes(got.forces) == _bytes(want.forces)
@@ -437,13 +434,13 @@ def test_force_seed_shape_is_checked_before_backward(workers, medium_system):
     cfg = ModelConfig(variant="gemnet-style", blocks=1, workers=workers)
     group = WorkerGroup(medium_system, init_params(cfg))
     recorded = group.record()
-    forward_records = list(recorded.result.comm_log.records)
+    forward_records = list(recorded.comm_log.records)
     for shape in [(n + 1, 3), (n - 1, 3), (n, 2), (3 * n,)]:
         with pytest.raises(ValueError, match="force seed"):
             recorded.backward(d_forces=np.ones(shape))
         with pytest.raises(ValueError, match="force seed"):
             group.forward_backward(d_forces=np.ones(shape))
-    assert recorded.result.comm_log.records == forward_records  # no backward began
+    assert recorded.comm_log.records == forward_records  # no backward began
     recorded.backward(d_forces=np.ones((n, 3)))
 
     dimenet = WorkerGroup(medium_system, init_params(cfg.replace(variant="dimenet-style")))
@@ -455,11 +452,20 @@ def test_recorded_pass_runs_one_backward(medium_system):
     cfg = ModelConfig(variant="gemnet-style", blocks=1, workers=2)
     recorded = WorkerGroup(medium_system, init_params(cfg)).record()
     recorded.backward()
-    log = recorded.result.comm_log
+    log = recorded.comm_log
     records = list(log.records)
     with pytest.raises(RuntimeError, match="already run its backward"):
         recorded.backward()
     assert log.records == records
+
+
+def test_forward_result_has_no_backward(medium_system):
+    cfg = ModelConfig(variant="gemnet-style", blocks=1, workers=2)
+    result = WorkerGroup(medium_system, init_params(cfg)).forward()
+    records = list(result.comm_log.records)
+    with pytest.raises(RuntimeError, match="kept no tapes"):
+        result.backward()
+    assert result.comm_log.records == records
 
 
 def test_passes_leave_no_reference_cycles(medium_system):

@@ -90,16 +90,20 @@ def test_mul_add_concat_adjoints(rng):
     np.testing.assert_allclose(grads[b], seed[:, :3] * a0 + seed[:, 3:], atol=1e-12)
 
 
-def test_scale_rows_adjoint(rng):
+def test_mul_broadcast_column_adjoint(rng):
+    """A column of row scales broadcast over a matrix: its adjoint is the
+    row sum, bit for bit the explicit sum."""
     s0 = rng.standard_normal((5, 1))
     m0 = rng.standard_normal((5, 3))
     tape = Tape()
     s, m = tape.leaf(s0), tape.leaf(m0)
-    out = tape.scale_rows(s, m)
+    out = tape.mul(s, m)
+    assert tape.value(out).tobytes() == (s0 * m0).tobytes()
     seed = rng.standard_normal((5, 3))
     grads = tape.backward({out: seed})
-    np.testing.assert_allclose(grads[s], (seed * m0).sum(axis=1, keepdims=True), atol=1e-12)
-    np.testing.assert_allclose(grads[m], seed * s0, atol=1e-12)
+    assert grads[s].shape == (5, 1)
+    assert grads[s].tobytes() == (seed * m0).sum(axis=1, keepdims=True).tobytes()
+    assert grads[m].tobytes() == (seed * s0).tobytes()
 
 
 def test_gather_segment_sum_roundtrip_adjoints(rng):
@@ -133,16 +137,27 @@ def test_gather_segment_sum_roundtrip_adjoints(rng):
         assert not np.signbit(grads[0][grads[0] == 0.0]).any()
 
 
-def test_sum_rows_and_add_bias_adjoints(rng):
+def test_sum_rows_and_add_broadcast_bias_adjoints(rng):
+    """A bias row broadcast over a matrix: its adjoint is the column sum,
+    bit for bit the explicit sum."""
     x0 = rng.standard_normal((7, 3))
     b0 = rng.standard_normal(3)
     tape = Tape()
     x, b = tape.leaf(x0), tape.leaf(b0)
-    out = tape.sum_rows(tape.add_bias(x, b))
+    biased = tape.add(x, b)
+    assert tape.value(biased).tobytes() == (x0 + b0[None, :]).tobytes()
+    out = tape.sum_rows(biased)
     seed = rng.standard_normal((1, 3))
     grads = tape.backward({out: seed})
     np.testing.assert_allclose(grads[x], np.broadcast_to(seed, x0.shape), atol=1e-12)
     np.testing.assert_allclose(grads[b], seed[0] * 7, atol=1e-12)
+
+    tape = Tape()
+    x, b = tape.leaf(x0), tape.leaf(b0)
+    seed = rng.standard_normal((7, 3))
+    grads = tape.backward({tape.add(x, b): seed})
+    assert grads[b].shape == (3,)
+    assert grads[b].tobytes() == seed.sum(axis=0).tobytes()
 
 
 @pytest.fixture
@@ -241,9 +256,9 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     h["linear"] = tape.linear(tape.silu(lin), tape.leaf(w[:, :3]), b_id)
     h["silu"] = tape.silu(lin)
     h["add"] = tape.add(lin, units)
-    h["add_bias"] = tape.add_bias(lin, b_id)
+    h["add:bias"] = tape.add(lin, b_id)
     h["mul"] = tape.mul(lin, units)
-    h["scale_rows"] = tape.scale_rows(well, units)
+    h["mul:rows"] = tape.mul(well, units)
     h["concat"] = tape.concat(lin, units)
     h["segment_sum"] = tape.segment_sum(units, topo.edge_recv, topo.num_nodes)
     h["sum_rows"] = tape.sum_rows(units)
