@@ -196,7 +196,7 @@ def _comm_accounting_check(config, seeds, p_list) -> CheckResult:
 
 
 def _triplet_isolation_check(config, seeds, p_list) -> CheckResult:
-    rng = np.random.default_rng(seeds[0] if seeds else 0)
+    rng = np.random.default_rng(seeds[0])
     system = random_cloud(14, 0.9, rng)
     for p in p_list:
         params = init_params(config.replace(workers=p))
@@ -213,7 +213,12 @@ def verify_suite(
     seeds: list[int],
     p_list: list[int],
 ) -> list[CheckResult]:
-    """Run the invariant suite; one result per named check."""
+    """Run the invariant suite; one result per named check. Every check
+    loops over the seeds or worker counts, so neither list may be empty."""
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    if not p_list:
+        raise ValueError("p_list must not be empty")
     return [
         _equivalence_check(config, seeds, p_list),
         _fd_forces_check(config, seeds[:2]),

@@ -156,6 +156,8 @@ def _run(args) -> int:
         for flag, value in (("--steps", args.steps), ("--samples", args.samples)):
             if value < 1:
                 raise ValueError(f"{flag} must be >= 1, got {value}")
+        if not np.isfinite(args.lr):
+            raise ValueError(f"--lr must be finite, got {args.lr}")
         rng = np.random.default_rng(seed)
         teacher = init_params(config.replace(seed=seed + 1))
         dataset = []

@@ -39,7 +39,9 @@ class FeatureState:
     global_features: np.ndarray  # (1, d_u)
     node_features: np.ndarray  # (N_v, d_v)
     edge_features: np.ndarray  # (N_e, d_e)
-    triplet_features: np.ndarray | None  # (N_t, d_t); None when sharded away
+    # (N_t, d_t): the last block's per-triplet messages, before the out-edge
+    # rbf gate and the sum into out-edges; None when sharded away.
+    triplet_features: np.ndarray | None
 
 
 @dataclass
@@ -133,30 +135,34 @@ def record_tu(
     """Triplet update + aggregation over ``trip_rows``.
 
     ``sbf_id`` holds the sbf rows of ``trip_rows`` only, as ``compute_basis``
-    records them. The two edge-only factors, the message down-projection
-    and the rbf gate, are projected over all N_e edge rows and then
-    gathered into triplets, as DimeNet++ and GemNet order them, so their
-    matmuls and VJPs run on N_e rows, not N_t. A runtime worker projects
-    all edges of the replicated ``m`` and rbf too, which is cheaper than
-    its N_t/P triplet rows while N_t/N_e > P. Returns (triplet feature
-    rows, aggregated edge buffer of full size).
+    records them. As in DimeNet++ and GemNet, only the factors that depend
+    on the triplet run on its rows: the sbf gate and the Hadamard product
+    (dimenet-style), or the sbf gate, ``bilinear_b``, the bilinear product
+    and ``bilinear_proj`` (gemnet-style). The in-edge projections (``down``
+    and GemNet's ``bilinear_a``) run on all N_e rows of ``m`` before the
+    triplet gather. The d_t-wide messages are summed into their out-edges,
+    and the sum is gated by the out-edge's rbf and up-projected. Neither map
+    has a bias and the gate depends on the out-edge alone, so both commute
+    with the sum: a runtime worker's gated, up-projected partial sum adds up
+    over the workers to the full aggregate. That edge-row work is replicated
+    on every worker, but cheaper than its N_t/P triplet rows while
+    N_t/N_e > P. Returns (the per-triplet messages before the gate,
+    aggregated edge buffer of full size).
     """
     p = f"block{block}.tu"
     t_in = topology.trip_in[trip_rows]
     t_out = topology.trip_out[trip_rows]
-    down = tape.gather(tape.linear(m_id, pl[p + ".down"]), t_in)
-    g_rbf = tape.gather(tape.linear(rbf_id, pl[p + ".rbf_gate"]), t_out)
+    down = tape.linear(m_id, pl[p + ".down"])
     g_sbf = tape.linear(sbf_id, pl[p + ".sbf_gate"])
     if config.variant == GEMNET:
-        a = tape.linear(down, pl[p + ".bilinear_a"])
+        a = tape.gather(tape.linear(down, pl[p + ".bilinear_a"]), t_in)
         b = tape.linear(g_sbf, pl[p + ".bilinear_b"])
-        mixed = tape.linear(tape.mul(a, b), pl[p + ".bilinear_proj"])
-        t_feat = tape.mul(mixed, g_rbf)
+        t_msg = tape.linear(tape.mul(a, b), pl[p + ".bilinear_proj"])
     else:
-        t_feat = tape.mul(tape.mul(down, g_sbf), g_rbf)
-    up = tape.linear(t_feat, pl[p + ".up"])
-    ta = tape.segment_sum(up, t_out, topology.num_edges)
-    return t_feat, ta
+        t_msg = tape.mul(tape.gather(down, t_in), g_sbf)
+    agg = tape.segment_sum(t_msg, t_out, topology.num_edges)
+    gated = tape.mul(agg, tape.linear(rbf_id, pl[p + ".rbf_gate"]))
+    return t_msg, tape.linear(gated, pl[p + ".up"])
 
 
 def record_eu(

@@ -10,10 +10,11 @@ Each worker first records its geometry and basis from the positions with
 its own triplet shard only.
 
 Forward schedule per block (dimenet-style):
-  * triplet update over the worker's shard (its edge-only factors are
+  * triplet update over the worker's shard (its in-edge factors are
     projected over all edges of the replicated buffers, then gathered into
-    the shard's triplets), local aggregation by out-edge into a zero edge
-    buffer, all-reduce (N_e * d_e elements),
+    the shard's triplets), local aggregation of the d_t-wide messages by
+    out-edge into a zero edge buffer, which the worker gates and
+    up-projects to d_e, all-reduce (N_e * d_e elements),
   * edge update recomputed identically on every worker from the replicated
     inputs (no communication),
   * edge aggregation + node update for the worker's node shard into a zero

@@ -200,6 +200,8 @@ def train_simple(
     """Plain gradient descent; returns fitted parameters and the loss history."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not np.isfinite(lr):
+        raise ValueError(f"lr must be finite, got {lr}")
     config = params.config
     arrays = {name: arr.copy() for name, arr in params.arrays.items()}
     history: list[float] = []

@@ -146,6 +146,19 @@ def test_cli_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert "FAIL parallel-vs-sequential" in out
 
 
+@pytest.mark.parametrize("flag, name", [("--seeds", "seeds"), ("--p-list", "p_list")])
+def test_cli_verify_rejects_empty_list(flag, name, tmp_path, capsys):
+    """A check that ran no case does not pass: an empty list is an error."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(SMALL.to_json())
+    argv = ["verify", "--config", str(cfg), "--p-list", "1,2", "--seeds", "0"]
+    argv[argv.index(flag) + 1] = ""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"egn: error: {name} must not be empty\n"
+
+
 def test_cli_relax_diagnostic(tmp_path, capsys):
     xyz = tmp_path / "dimer.xyz"
     xyz.write_text("2\ndimer\nH 0 0 0\nH 0 0 2.0\n")
@@ -176,26 +189,38 @@ def test_cli_train_writes_checkpoint(tmp_path, capsys):
     assert "loss" in capsys.readouterr().out
 
 
-def _assert_train_rejects_zero(flag, tmp_path, capsys, monkeypatch):
-    """Rejected with exit code 2 before the teacher labels a single sample."""
+def _assert_train_rejects(flag, value, error, tmp_path, capsys, monkeypatch):
+    """Rejected with exit code 2 and one error line before the teacher
+    labels a single sample."""
     labelled = []
     monkeypatch.setattr(cli, "predict", lambda *args, **kwargs: labelled.append(args))
     cfg = tmp_path / "config.json"
     cfg.write_text(SMALL.to_json())
-    argv = ["train", "--config", str(cfg), "--samples", "1", "--steps", "1"]
-    argv[argv.index(flag) + 1] = "0"
+    argv = ["train", "--config", str(cfg), "--samples", "1", "--steps", "1", "--lr", "0.1"]
+    argv[argv.index(flag) + 1] = value
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == f"egn: error: {flag} must be >= 1, got 0\n"
+    assert err == f"egn: error: {error}\n"
     assert labelled == []
 
 
 def test_cli_train_rejects_zero_steps(tmp_path, capsys, monkeypatch):
-    _assert_train_rejects_zero("--steps", tmp_path, capsys, monkeypatch)
+    _assert_train_rejects(
+        "--steps", "0", "--steps must be >= 1, got 0", tmp_path, capsys, monkeypatch
+    )
 
 
 def test_cli_train_rejects_zero_samples(tmp_path, capsys, monkeypatch):
-    _assert_train_rejects_zero("--samples", tmp_path, capsys, monkeypatch)
+    _assert_train_rejects(
+        "--samples", "0", "--samples must be >= 1, got 0", tmp_path, capsys, monkeypatch
+    )
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_cli_train_rejects_non_finite_lr(lr, tmp_path, capsys, monkeypatch):
+    _assert_train_rejects(
+        "--lr", lr, f"--lr must be finite, got {float(lr)}", tmp_path, capsys, monkeypatch
+    )
 
 
 def test_cli_relax_rejects_zero_step_size(tmp_path, capsys):

@@ -51,10 +51,10 @@ def naive_forward(system: AtomicSystem, params: ModelParams):
                 mixed = arrays[p + "tu.bilinear_proj"] @ (
                     (arrays[p + "tu.bilinear_a"] @ down) * (arrays[p + "tu.bilinear_b"] @ g_sbf)
                 )
-                t_feat[t] = mixed * g_rbf
+                t_feat[t] = mixed
             else:
-                t_feat[t] = down * g_sbf * g_rbf
-            ta[e_out] += arrays[p + "tu.up"] @ t_feat[t]
+                t_feat[t] = down * g_sbf
+            ta[e_out] += arrays[p + "tu.up"] @ (t_feat[t] * g_rbf)
 
         m_new = np.zeros_like(m)
         for e in range(n_e):
@@ -273,15 +273,65 @@ def test_state_buffers_all_finite(rng):
             assert np.all(np.isfinite(buf))
 
 
+@pytest.mark.parametrize("variant, triplet_linears", [(DIMENET, 1), (GEMNET, 3)])
+def test_triplet_update_edge_factors_run_on_edge_rows(variant, triplet_linears):
+    """Only the sbf gate and (gemnet-style) bilinear_b and bilinear_proj
+    project triplet rows; the edge-only factors project N_e rows."""
+    cfg = ModelConfig(variant=variant, blocks=3)
+    model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
+    topo, _ = build_graph(model.system, cfg.cutoff)
+    n_e, n_t = topo.num_edges, topo.num_triplets
+    assert 0 < n_e < n_t
+    weight_names = {nid: name for name, nid in model.handles.param_leaves.ids.items()}
+    linears = [
+        (weight_names[node.inputs[1]], model.tape.value(node.inputs[0]).shape[0])
+        for node in model.tape._nodes
+        if node.op == "linear"
+    ]
+
+    edge_factors = ["down", "rbf_gate", "up"] + (["bilinear_a"] if variant == GEMNET else [])
+    for b in range(cfg.blocks):
+        for factor in edge_factors:
+            name = f"block{b}.tu.{factor}"
+            assert [n for w, n in linears if w == name] == [n_e], name
+    on_triplets = [w for w, n in linears if n == n_t]
+    assert len(on_triplets) == triplet_linears * cfg.blocks, on_triplets
+
+
 # ---------------------------------------------------------------------------
-# Reference of the triplet stage in gather-then-project order: the two
-# edge-only factors are gathered into triplet rows and projected there, and
-# sbf's radial part is a second Gaussian evaluation of the gathered in-edge
-# distances. The engine projects per edge and gathers the results instead.
+# References of the triplet stage.
+#
+# ``gather_then_project_tu`` is the engine's order with the in-edge factors
+# gathered into triplet rows and projected there; with sbf's radial part a
+# second Gaussian evaluation of the gathered in-edge distances, it gives the
+# engine's forward bits. The engine projects per edge and gathers the
+# results instead.
+#
+# ``triplet_rows_tu`` is the order before messages were aggregated at d_t:
+# every factor runs on triplet rows, each triplet is gated and up-projected,
+# and the d_e-wide results are summed into out-edges. It computes the same
+# function up to rounding.
 # ---------------------------------------------------------------------------
 
 
 def gather_then_project_tu(tape, pl, block, config, m_id, rbf_id, sbf_id, trip_rows, topology):
+    p = f"block{block}.tu"
+    t_in = topology.trip_in[trip_rows]
+    t_out = topology.trip_out[trip_rows]
+    down = tape.linear(tape.gather(m_id, t_in), pl[p + ".down"])
+    g_sbf = tape.linear(sbf_id, pl[p + ".sbf_gate"])
+    if config.variant == GEMNET:
+        a = tape.linear(down, pl[p + ".bilinear_a"])
+        b = tape.linear(g_sbf, pl[p + ".bilinear_b"])
+        t_msg = tape.linear(tape.mul(a, b), pl[p + ".bilinear_proj"])
+    else:
+        t_msg = tape.mul(down, g_sbf)
+    agg = tape.segment_sum(t_msg, t_out, topology.num_edges)
+    gated = tape.mul(agg, tape.linear(rbf_id, pl[p + ".rbf_gate"]))
+    return t_msg, tape.linear(gated, pl[p + ".up"])
+
+
+def triplet_rows_tu(tape, pl, block, config, m_id, rbf_id, sbf_id, trip_rows, topology):
     p = f"block{block}.tu"
     t_in = topology.trip_in[trip_rows]
     t_out = topology.trip_out[trip_rows]
@@ -291,12 +341,11 @@ def gather_then_project_tu(tape, pl, block, config, m_id, rbf_id, sbf_id, trip_r
     if config.variant == GEMNET:
         a = tape.linear(down, pl[p + ".bilinear_a"])
         b = tape.linear(g_sbf, pl[p + ".bilinear_b"])
-        mixed = tape.linear(tape.mul(a, b), pl[p + ".bilinear_proj"])
-        t_feat = tape.mul(mixed, g_rbf)
+        t_msg = tape.linear(tape.mul(a, b), pl[p + ".bilinear_proj"])
     else:
-        t_feat = tape.mul(tape.mul(down, g_sbf), g_rbf)
-    up = tape.linear(t_feat, pl[p + ".up"])
-    return t_feat, tape.segment_sum(up, t_out, topology.num_edges)
+        t_msg = tape.mul(down, g_sbf)
+    up = tape.linear(tape.mul(t_msg, g_rbf), pl[p + ".up"])
+    return t_msg, tape.segment_sum(up, t_out, topology.num_edges)
 
 
 def per_triplet_radial_basis(tape, pos_id, topology, config, trip_rows):
@@ -331,7 +380,9 @@ def _cloud_above_blas_threading():
 )
 def test_edge_projection_matches_gather_then_project(variant, make_system, monkeypatch):
     """Projecting per edge before the triplet gather changes no forward bit;
-    gradients, which now sum over edges after a scatter, agree to 1e-12."""
+    gradients, which now sum over edges after a scatter, agree to 1e-12.
+    The order that gated and up-projected every triplet before the out-edge
+    sum agrees to 1e-12 in value and gradient."""
     system = make_system()
     cfg = ModelConfig(variant=variant, blocks=2)
     params = init_params(cfg)
@@ -344,17 +395,22 @@ def test_edge_projection_matches_gather_then_project(variant, make_system, monke
         return model, model.backward(d_energy=1.0, d_forces=d_forces)
 
     model, grads = run()
-    monkeypatch.setattr(engine, "record_tu", gather_then_project_tu)
     monkeypatch.setattr(engine, "compute_basis", per_triplet_radial_basis)
+    monkeypatch.setattr(engine, "record_tu", gather_then_project_tu)
     ref, ref_grads = run()
+    monkeypatch.setattr(engine, "record_tu", triplet_rows_tu)
+    old, old_grads = run()
 
     if make_system is _cloud_above_blas_threading:
         assert build_graph(system, cfg.cutoff)[0].num_triplets > 5500
     assert np.float64(model.energy).tobytes() == np.float64(ref.energy).tobytes()
+    assert _close(np.float64(model.energy), np.float64(old.energy))
     if variant == GEMNET:
         assert model.forces.tobytes() == ref.forces.tobytes()
-    # Energy-centric forces are the negative position gradient.
-    assert _close(grads.d_positions, ref_grads.d_positions)
-    assert grads.d_params.keys() == ref_grads.d_params.keys()
-    for name, g in grads.d_params.items():
-        assert _close(g, ref_grads.d_params[name]), name
+        assert _close(model.forces, old.forces)
+    for other in (ref_grads, old_grads):
+        # Energy-centric forces are the negative position gradient.
+        assert _close(grads.d_positions, other.d_positions)
+        assert grads.d_params.keys() == other.d_params.keys()
+        for name, g in grads.d_params.items():
+            assert _close(g, other.d_params[name]), name

@@ -157,6 +157,14 @@ def test_train_rejects_fewer_than_one_epoch(rng, epochs):
         train_simple(dataset, init_params(cfg), lr=0.1, epochs=epochs)
 
 
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+def test_train_rejects_non_finite_lr(rng, lr):
+    cfg = ModelConfig(variant="dimenet-style", blocks=1)
+    dataset = _toy_dataset(rng, cfg, samples=1)
+    with pytest.raises(ValueError, match="lr must be finite"):
+        train_simple(dataset, init_params(cfg), lr=lr, epochs=1)
+
+
 def test_train_energy_centric_energy_only_loss(rng):
     cfg = ModelConfig(variant="dimenet-style", blocks=1)
     dataset = _toy_dataset(rng, cfg)
