@@ -287,6 +287,8 @@ def weak_scaling(
     """
     if sorted(p_list) != list(p_list) or not p_list or p_list[0] != 1:
         raise ValueError("p_list must be sorted ascending and start at 1")
+    if repeats < 1 or warmup < 0:
+        raise ValueError(f"repeats must be >= 1 and warmup >= 0, got {repeats} and {warmup}")
     system = random_cloud(n_atoms, 0.9, np.random.default_rng(base_config.seed))
     rows: list[BenchRow] = []
     base_ms = None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 DIMENET = "dimenet-style"
@@ -34,13 +35,18 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("blocks", "d_u", "d_v", "d_e", "d_t", "d_bil", "k_rbf", "l_sbf"):
-            if getattr(self, name) < 1:
+        ints = ("blocks", "d_u", "d_v", "d_e", "d_t", "d_bil", "k_rbf", "l_sbf", "workers", "seed")
+        for name in ints:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
                 raise ValueError(f"{name} must be >= 1")
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        real = isinstance(self.cutoff, (int, float)) and not isinstance(self.cutoff, bool)
+        if not (real and 0 < self.cutoff < math.inf):
+            raise ValueError(f"cutoff must be finite and positive, got {self.cutoff!r}")
+        if not isinstance(self.diagnostic, bool):
+            raise ValueError(f"diagnostic must be true or false, got {self.diagnostic!r}")
 
     @property
     def energy_centric(self) -> bool:

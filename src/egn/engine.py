@@ -12,9 +12,8 @@ first; geometry and basis features have theirs in ``egn.basis.compute_basis``.
 The sequential forward (``record_model``) chains them on one tape, from the
 positions to the readout; the multi-worker runtime records the same
 functions over a worker's shard, so a single-worker run reproduces
-this engine bit for bit. Where no backward follows (inference and
-replicated values) they run on an ``Evaluator``, which computes the same
-values and keeps no tape.
+this engine bit for bit. Where no backward follows (inference) they run
+on an ``Evaluator``, which computes the same values and keeps no tape.
 """
 
 from __future__ import annotations
@@ -143,11 +142,11 @@ def record_tu(
     triplet gather. The d_t-wide messages are summed into their out-edges,
     and the sum is gated by the out-edge's rbf and up-projected. Neither map
     has a bias and the gate depends on the out-edge alone, so both commute
-    with the sum: a runtime worker's gated, up-projected partial sum adds up
-    over the workers to the full aggregate. That edge-row work is replicated
-    on every worker, but cheaper than its N_t/P triplet rows while
-    N_t/N_e > P. Returns (the per-triplet messages before the gate,
-    aggregated edge buffer of full size).
+    with the sum. A runtime worker's triplet shard holds every triplet of
+    the out-edges it owns, so its rows of the result are complete; the rest
+    are zero. That edge-row work is replicated on every worker, but cheaper
+    than its N_t/P triplet rows while N_t/N_e > P. Returns (the per-triplet
+    messages before the gate, aggregated edge buffer of full size).
     """
     p = f"block{block}.tu"
     t_in = topology.trip_in[trip_rows]

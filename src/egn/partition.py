@@ -1,16 +1,20 @@
 """Sharding of triplets, edges, and nodes across workers, plus the analytic
 communication-volume model.
 
-Shards are contiguous ranges of the deterministic sorted orderings, balanced
-to within one element, and each is a ``slice`` with integer start and stop:
-indexing a buffer with it gives a view of the worker's rows, not a copy.
-Every worker keeps the complete edge and node topology; only triplet
-features stay shard-local.
+Shards are contiguous ranges of the deterministic sorted orderings, and
+each is a ``slice`` with integer start and stop: indexing a buffer with it
+gives a view of the worker's rows, not a copy. Node shards are balanced to
+within one node, triplet shards to within the largest group of triplets
+that share an out-edge. Every worker keeps the complete edge and node
+topology; triplet features and their sums into the worker's own edges
+stay shard-local.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import GEMNET, ModelConfig
 from .graph import GraphTopology
@@ -25,25 +29,36 @@ class GraphPartition:
     topology: GraphTopology
 
 
+def _slices(cuts) -> list[slice]:
+    return [slice(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
 def split_range(n: int, workers: int) -> list[slice]:
     """Contiguous row ranges covering [0, n), sizes differing by at most one."""
     base, extra = divmod(n, workers)
-    shards = []
-    start = 0
-    for p in range(workers):
-        size = base + (1 if p < extra else 0)
-        shards.append(slice(start, start + size))
-        start += size
-    return shards
+    return _slices([p * base + min(p, extra) for p in range(workers + 1)])
 
 
 def partition_graph(topology: GraphTopology, workers: int) -> GraphPartition:
+    """Owner-computes shards: triplets are sorted by out-edge, so each
+    balanced triplet cut moves back to the start of its out-edge's group,
+    and a worker's edge shard is the out-edges of its triplets. With no
+    triplets the edges are split evenly."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    n_t, n_e = topology.num_triplets, topology.num_edges
+    if n_t == 0:
+        edge_shards = split_range(n_e, workers)
+        triplet_shards = split_range(0, workers)
+    else:
+        inner = [s.stop for s in split_range(n_t, workers)[:-1]]
+        edge_cuts = [0, *np.append(topology.trip_out, n_e)[inner], n_e]
+        edge_shards = _slices(edge_cuts)
+        triplet_shards = _slices(np.searchsorted(topology.trip_out, edge_cuts))
     return GraphPartition(
         workers=workers,
-        triplet_shards=split_range(topology.num_triplets, workers),
-        edge_shards=split_range(topology.num_edges, workers),
+        triplet_shards=triplet_shards,
+        edge_shards=edge_shards,
         node_shards=split_range(topology.num_nodes, workers),
         topology=topology,
     )

@@ -5,39 +5,38 @@ endpoint offering a deterministic all-reduce (reduction in ascending rank
 order, identical result delivered everywhere). Worker-local state is owned
 exclusively by its worker between collectives.
 
-Each worker first records its geometry and basis from the positions with
+Each worker records its geometry and basis from the positions with
 ``compute_basis``: distances and rbf over every edge, angles and sbf over
-its own triplet shard only.
-
-Forward schedule per block (dimenet-style):
-  * triplet update over the worker's shard (its in-edge factors are
-    projected over all edges of the replicated buffers, then gathered into
-    the shard's triplets), local aggregation of the d_t-wide messages by
-    out-edge into a zero edge buffer, which the worker gates and
-    up-projects to d_e, all-reduce (N_e * d_e elements),
-  * edge update recomputed identically on every worker from the replicated
-    inputs (no communication),
-  * edge aggregation + node update for the worker's node shard into a zero
-    node buffer, all-reduce (N_v * d_v elements),
+its own triplet shard only. A worker's edge shard is the out-edges of its
+triplets (see ``egn.partition``), and it gets every shared buffer in one of
+two ways: it all-reduces the rows or partial sums it owns, or it computes
+the whole buffer itself with no collective. Per block (dimenet-style):
+  * triplet update over the worker's shard, its d_t-wide messages summed by
+    out-edge, gated and up-projected: complete on its own edges, so no
+    collective (the in-edge factors are projected over all edges first),
+  * edge update over the edge shard into a zero edge buffer, all-reduce
+    (N_e * d_e elements),
+  * edge aggregation + node update for the node shard into a zero node
+    buffer, all-reduce (N_v * d_v elements),
   * global head: the node sum of the shard projected to d_u, all-reduce
-    (d_u elements), tail finished redundantly.
-The gemnet-style variant inserts the second edge update over the edge shard
-followed by one additional edge all-reduce, after which the symmetric
-coupling is formed redundantly from the replicated buffer.
+    (d_u elements), tail finished by every worker.
+The gemnet-style variant adds the second edge update over the edge shard
+and its edge all-reduce, then every worker forms the symmetric coupling
+over all edges. The initial edge embedding and the force head also run
+over all rows on every worker.
 
-A recording worker keeps its shard of every stage on one tape, where each
-replicated buffer is a collective node (see ``egn.tape``): ``allreduce``
-where the workers' partial buffers are summed, and ``replicated`` where
-every worker computes the buffer in full and the tape keeps the rows it
-owns. Both have one adjoint, which sums the workers' partial adjoints and
-hands each worker its rows of the sum; so the backward is one walk of
-that tape, and its collectives mirror the forward's without a schedule of
-their own. Every worker records the gu tail and energy head, but only
-rank 0 seeds the energy, so the other ranks' head parameters add zeros to
-the parameter all-reduce. A second tape holds the worker's geometry, so
-the position gradient is one backward of it and each triplet's angle and
-sbf are differentiated by its owner alone; position and parameter
-gradients are all-reduced once at the end. Triplet features never enter a
+A recording worker keeps every stage on one tape, where each all-reduce is
+a collective node (see ``egn.tape``): its adjoint sums the workers' partial
+adjoints and hands each worker its rows, so the backward is one walk of
+that tape and its collectives mirror the forward's. A buffer every worker
+computed in full each differentiates in full from its own partial adjoint;
+every VJP is linear in its adjoint, so the collectives upstream and the
+final all-reduce of position and parameter gradients sum the partials to
+the exact gradient, and only rank 0 seeds the energy and the forces.
+Boundary nodes mark the forward's stage switches, so the backward books
+its time to its stage. The worker's geometry is on a second tape, whose
+backward gives the position gradient, with each triplet's angle and sbf
+differentiated by its owner alone. Triplet features never enter a
 collective in either direction.
 
 A pass that needs its backward is recorded once: ``WorkerGroup.record()``
@@ -52,6 +51,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -263,42 +263,19 @@ class _WorkerContext:
 
 
 @dataclass(frozen=True)
-class _Link:
-    """A worker's end of one collective node on its tape.
-
-    Holds the comm record's block, stage name and level, and the worker
-    stage the node was recorded in; the node's backward is booked to
-    ``backward.<stage>``.
-    """
-
-    ctx: _WorkerContext
-    block: int
-    name: str
-    level: str
-    stage: str
-
-    def allreduce(self, buffer: np.ndarray, phase: str) -> np.ndarray:
-        if phase == "backward":
-            self.ctx.set_stage("backward." + self.stage)
-        return self.ctx.collective.allreduce_sum(
-            self.ctx.rank, buffer, phase=phase, block=self.block, stage=self.name, level=self.level
-        )
-
-
-@dataclass(frozen=True)
 class _Shard:
     """What a worker's recording forward keeps for its backward: the
     model-shard tape with its seeds and parameter leaves, and the geometry
     tape with the model-tape leaf that each basis handle feeds.
 
-    Not kept on the ``_WorkerContext``: the tape's links refer to the
-    context, and that cycle would hold every pass's tapes until the cyclic
-    garbage collector ran.
+    Not kept on the ``_WorkerContext``: the tape's collective and boundary
+    nodes refer to the context, and that cycle would hold every pass's
+    tapes until the cyclic garbage collector ran.
     """
 
     tape: Tape
     params: ParamLeaves
-    energy: int | None  # seeded on rank 0 only
+    energy: int  # seeded on rank 0 only, like the forces
     forces: int | None  # force-centric variant only
     geometry: Tape
     positions: int
@@ -428,10 +405,10 @@ class WorkerGroup:
     # -- worker forward ----------------------------------------------------
 
     def _worker_forward(self, ctx: _WorkerContext, record: bool) -> dict:
-        """With ``record`` (a backward follows), this worker's shard of every
-        stage is kept on one tape and its geometry on another; buffers every
-        worker computes in full come from the same recorders run over all
-        rows on an Evaluator. Without it, everything runs on the Evaluator."""
+        """With ``record`` (a backward follows), this worker's stages are
+        kept on one tape and its geometry on another; without it, both run
+        on an Evaluator. ``init``, ``sym`` and the force head are computed
+        over all rows by every worker; every other stage over its shard."""
         cfg = self.config
         topo = self.topology
         rank = ctx.rank
@@ -440,86 +417,72 @@ class WorkerGroup:
         node_rows = self.partition.node_shards[rank]
         ea_plan = self._rank_plans[rank]
         gemnet = cfg.variant == GEMNET
-        ev = Evaluator()
-        epl = ParamLeaves(ev, self.params)
-        tape = Tape() if record else ev
-        pl = ParamLeaves(tape, self.params) if record else epl
+        tape = Tape() if record else Evaluator()
+        pl = ParamLeaves(tape, self.params)
         val = tape.value
 
-        def link(name: str, level: str, block: int) -> _Link:
-            return _Link(ctx, block, name, level, ctx.stage)
+        def link(name: str, level: str, block: int):
+            """This worker's end of a collective node: its all-reduce with
+            the comm record's block, stage name and level bound."""
+            c = ctx.collective
+            return partial(c.allreduce_sum, rank, block=block, stage=name, level=level)
 
-        def replicated(value, own, name: str, block: int):
-            """``value`` is an edge buffer every worker computes in full; a
-            recording pass keeps ``own()``, this worker's rows of it."""
-            if not record:
-                return value
-            return tape.replicated(own(), edge_rows, value, link(name, "edge", block))
+        def enter(stage: str) -> None:
+            tape.boundary(partial(ctx.set_stage, "backward." + ctx.stage))
+            ctx.set_stage(stage)
 
         ctx.set_stage("init")
-        geo = Tape() if record else ev
+        geo = Tape() if record else tape
         pos = geo.leaf(self.system.positions)
         basis = compute_basis(geo, pos, topo, cfg, trip_rows)
         rbf = tape.leaf(geo.value(basis.edge_rbf))
         sbf = tape.leaf(geo.value(basis.triplet_sbf))
         units = tape.leaf(geo.value(basis.edge_units)) if gemnet else None
-        m = replicated(
-            record_edge_init(ev, epl, val(rbf), ALL_ROWS),
-            lambda: record_edge_init(tape, pl, rbf, edge_rows), "init", -1,
-        )
+        m = record_edge_init(tape, pl, rbf, ALL_ROWS)
         u = tape.leaf(np.zeros((1, cfg.d_u), dtype=np.float64))
+        edge_shape = (topo.num_edges, cfg.d_e)
 
         for b in range(cfg.blocks):
-            ctx.set_stage(f"block{b}.tu")
+            enter(f"block{b}.tu")
             t, ta = record_tu(tape, pl, b, cfg, m, rbf, sbf, trip_rows, topo)
-            ta = tape.allreduce(ta, link("ta", "edge", b))
 
-            ctx.set_stage(f"block{b}.eu")
-            m_new = replicated(
-                record_eu(ev, epl, b, val(m), val(ta), ALL_ROWS),
-                lambda: record_eu(tape, pl, b, m, ta, edge_rows), "eu", b,
-            )
+            enter(f"block{b}.eu")
+            m_new = record_eu(tape, pl, b, m, ta, edge_rows)
+            m_new = tape.allreduce(m_new, link("eu", "edge", b), edge_rows, edge_shape)
 
-            ctx.set_stage(f"block{b}.nu")
+            enter(f"block{b}.nu")
             v = record_ea_nu(tape, pl, b, m_new, *ea_plan)
             v = tape.allreduce(v, link("nu", "node", b), node_rows, (topo.num_nodes, cfg.d_v))
 
             if gemnet:
-                ctx.set_stage(f"block{b}.eu2")
+                enter(f"block{b}.eu2")
                 m2 = record_eu2(tape, pl, b, m_new, v, edge_rows, topo)
-                m2 = tape.allreduce(
-                    m2, link("eu2", "edge", b), edge_rows, (topo.num_edges, cfg.d_e)
-                )
+                m2 = tape.allreduce(m2, link("eu2", "edge", b), edge_rows, edge_shape)
 
-                ctx.set_stage(f"block{b}.sym")
-                m = replicated(
-                    record_sym(ev, epl, b, val(m2), ALL_ROWS, self.rev),
-                    lambda: record_sym(tape, pl, b, m2, edge_rows, self.rev), "sym", b,
-                )
+                enter(f"block{b}.sym")
+                m = record_sym(tape, pl, b, m2, ALL_ROWS, self.rev)
             else:
                 m = m_new
 
-            ctx.set_stage(f"block{b}.gu")
+            enter(f"block{b}.gu")
             z = record_gu_head(tape, pl, b, v, node_rows)
             z = tape.allreduce(z, link("gu", "global", b))
             u = record_gu_tail(tape, pl, b, z, u)
 
-        ctx.set_stage("readout")
+        enter("readout")
         energy = record_energy(tape, pl, u)
         forces = shard = None
         if gemnet:
-            forces = record_force_head(ev, epl, val(m), val(units), *self.full_plan)
+            forces = record_force_head(tape, pl, m, units, *self.full_plan)
         if record:
             basis_leaves = {basis.edge_rbf: rbf, basis.triplet_sbf: sbf}
-            f_own = None
             if gemnet:
                 basis_leaves[basis.edge_units] = units
-                f_own = record_force_head(tape, pl, m, units, *ea_plan)
-            shard = _Shard(tape, pl, energy if rank == 0 else None, f_own, geo, pos, basis_leaves)
+            shard = _Shard(tape, pl, energy, forces, geo, pos, basis_leaves)
 
         return {
             "energy": float(val(energy)[0, 0]),
-            "forces": forces,
+            "forces": None if forces is None else val(forces),
             "m": val(m),
             "v": val(v),
             "u": val(u),
@@ -537,10 +500,10 @@ class WorkerGroup:
         all-reduce of the partial position and parameter gradients."""
         ctx.set_stage("backward.readout")
         seeds = {}
-        if shard.energy is not None and d_energy != 0.0:
+        if ctx.rank == 0 and d_energy != 0.0:
             seeds[shard.energy] = np.array([[d_energy]], dtype=np.float64)
-        if d_forces is not None:
-            seeds[shard.forces] = d_forces[self.partition.node_shards[ctx.rank]]
+        if ctx.rank == 0 and d_forces is not None:
+            seeds[shard.forces] = d_forces
         grads = shard.tape.backward(seeds)
 
         ctx.set_stage("backward.geometry")

@@ -127,8 +127,8 @@ def random_cloud(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if density <= 0:
-        raise ValueError("density must be positive")
+    if not (np.isfinite(density) and density > 0):
+        raise ValueError(f"density must be finite and positive, got {density}")
     spacing = density ** (-1.0 / 3.0)
     min_dist = 0.8 * spacing
     side = (n / density) ** (1.0 / 3.0)

@@ -11,25 +11,24 @@ forward is written once and yields the same bits either way.
 
 Primitives: leaf, add, mul, concat, linear, silu, gather, segment_sum,
 sum_rows, edge_distances, edge_units, triplet_angles, gaussian_rbf,
-angular_sbf, quadratic_well, and two collectives for a worker that records
-its shard of a model split across workers. ``add`` and ``mul`` broadcast as
-numpy does (a bias row, a column of row scales), and their adjoints sum over
-the broadcast axes. A gather takes an index array or, for a contiguous range
-of rows, a slice; a gather by slice is a view of its input, so recorded
-values may alias each other.
+angular_sbf, quadratic_well, and two for a worker that records its shard of
+a model split across workers. ``add`` and ``mul`` broadcast as numpy does (a
+bias row, a column of row scales), and their adjoints sum over the broadcast
+axes. A gather takes an index array or, for a contiguous range of rows, a
+slice; a gather by slice is a view of its input, so recorded values may
+alias each other.
 
   * ``allreduce(x, link, rows, shape)`` places ``x`` at ``rows`` of a zero
     buffer of ``shape`` (or takes ``x`` whole) and sums that buffer over
-    all workers;
-  * ``replicated(own, rows, value, link)`` returns ``value``, a buffer every
-    worker computed in full itself, of which ``own`` are this worker's
-    ``rows``; it communicates nothing.
+    all workers by ``link(buffer, phase="forward")``; its adjoint sums the
+    workers' adjoints by ``link(g, phase="backward")`` and returns this
+    worker's rows of the sum;
+  * ``boundary(enter)`` takes no input and changes no number; its adjoint
+    calls ``enter()``, so a worker's backward can book its time to the
+    forward stage the boundary closed.
 
-Both share one adjoint: the workers' partial adjoints are summed over all
-workers, and this worker's rows of the sum flow back. ``link.allreduce(
-buffer, phase)`` performs the sum, with phase "forward" or "backward".
-A backward runs every collective node, with a zero adjoint where none
-reached it, so all workers issue the same collectives in the same order.
+A backward runs both even where no adjoint reached them, so all workers
+issue the same collectives in the same order.
 """
 
 from __future__ import annotations
@@ -310,17 +309,26 @@ def _allreduce_fwd(vals, aux):
     if aux["rows"] is not None:
         x = np.zeros(aux["shape"], dtype=np.float64)
         x[aux["rows"]] = vals[0]
-    return aux["link"].allreduce(x, "forward")
+    return aux["link"](x, phase="forward")
 
 
-def _collective_vjp(g, vals, out, aux):
-    total = aux["link"].allreduce(g, "backward")
+def _allreduce_vjp(g, vals, out, aux):
+    total = aux["link"](g, phase="backward")
     return (total if aux["rows"] is None else total[aux["rows"]],)
 
 
-_op("allreduce")((_allreduce_fwd, _collective_vjp))
-_op("replicated")((lambda vals, aux: aux["value"], _collective_vjp))
-_COLLECTIVES = frozenset({"allreduce", "replicated"})
+_op("allreduce")((_allreduce_fwd, _allreduce_vjp))
+
+_NO_VALUE = np.zeros(0)
+
+
+def _boundary_vjp(g, vals, out, aux):
+    aux["enter"]()
+    return ()
+
+
+_op("boundary")((lambda vals, aux: _NO_VALUE, _boundary_vjp))
+_ALWAYS_RUN = frozenset({"allreduce", "boundary"})
 
 
 @dataclass
@@ -407,10 +415,8 @@ class Tape:
     ) -> int:
         return self._record("allreduce", (x,), {"link": link, "rows": rows, "shape": shape})
 
-    def replicated(self, own: int, rows: slice, value: np.ndarray, link) -> int:
-        return self._record(
-            "replicated", (own,), {"link": link, "rows": rows, "value": value}
-        )
+    def boundary(self, enter) -> int:
+        return self._record("boundary", (), {"enter": enter})
 
     # -- backward -----------------------------------------------------
 
@@ -424,9 +430,9 @@ class Tape:
         dropped once its node's VJP has run; the walk then holds only the
         adjoints of its live frontier, not one per node of the tape.
         Accumulation runs in reverse recording order, which makes the result
-        deterministic. Collective nodes run even where no gradient reached
-        them, on a zero adjoint. The gradients may share memory with the
-        seeds and with each other, so treat them as read-only.
+        deterministic. Collective and boundary nodes run even where no
+        gradient reached them, on a zero adjoint. The gradients may share
+        memory with the seeds and with each other, so treat them as read-only.
         """
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
         for nid, seed in seeds.items():
@@ -440,7 +446,7 @@ class Tape:
         for nid in range(len(self._nodes) - 1, -1, -1):
             g = grads[nid]
             node = self._nodes[nid]
-            if g is None and node.op in _COLLECTIVES:
+            if g is None and node.op in _ALWAYS_RUN:
                 g = np.zeros_like(node.value)
             if g is None or node.op == "leaf":
                 continue

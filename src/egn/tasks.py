@@ -101,8 +101,8 @@ def relax(
     proposed position raises the energy, which makes the energy sequence
     non-increasing. The neighbor graph is rebuilt at every evaluation.
     """
-    if fmax_threshold <= 0:
-        raise ValueError("fmax_threshold must be positive")
+    if not (np.isfinite(fmax_threshold) and fmax_threshold > 0):
+        raise ValueError(f"fmax_threshold must be finite and positive, got {fmax_threshold}")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     if not (np.isfinite(step_size) and step_size > 0):
@@ -156,6 +156,8 @@ def loss_and_grads(
     config = params.config
     if config.diagnostic:
         raise ValueError("the diagnostic model has no trainable parameters")
+    if not (np.isfinite(w_energy) and np.isfinite(w_forces)):
+        raise ValueError(f"loss weights must be finite, got {w_energy} and {w_forces}")
     if w_forces != 0.0 and config.variant != GEMNET:
         raise ValueError(
             "force-loss gradients require the force-centric variant; "

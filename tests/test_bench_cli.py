@@ -196,7 +196,10 @@ def _assert_train_rejects(flag, value, error, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "predict", lambda *args, **kwargs: labelled.append(args))
     cfg = tmp_path / "config.json"
     cfg.write_text(SMALL.to_json())
-    argv = ["train", "--config", str(cfg), "--samples", "1", "--steps", "1", "--lr", "0.1"]
+    argv = [
+        "train", "--config", str(cfg), "--samples", "1", "--steps", "1", "--lr", "0.1",
+        "--w-energy", "1", "--w-forces", "0",
+    ]
     argv[argv.index(flag) + 1] = value
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -221,6 +224,59 @@ def test_cli_train_rejects_non_finite_lr(lr, tmp_path, capsys, monkeypatch):
     _assert_train_rejects(
         "--lr", lr, f"--lr must be finite, got {float(lr)}", tmp_path, capsys, monkeypatch
     )
+
+
+@pytest.mark.parametrize("flag", ["--w-energy", "--w-forces"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_train_rejects_non_finite_weights(flag, value, tmp_path, capsys, monkeypatch):
+    _assert_train_rejects(
+        flag, value, f"{flag} must be finite, got {float(value)}", tmp_path, capsys, monkeypatch
+    )
+
+
+@pytest.mark.parametrize("fmax", ["nan", "inf"])
+def test_cli_relax_rejects_non_finite_fmax(fmax, tmp_path, capsys):
+    xyz = tmp_path / "dimer.xyz"
+    xyz.write_text("2\ndimer\nH 0 0 0\nH 0 0 2.0\n")
+    assert main(["relax", str(xyz), "--fmax", fmax, "--max-steps", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"egn: error: fmax_threshold must be finite and positive, got {float(fmax)}\n"
+
+
+@pytest.mark.parametrize("density", ["nan", "inf"])
+def test_cli_gen_rejects_non_finite_density(density, tmp_path, capsys):
+    out = tmp_path / "cloud.xyz"
+    assert main(["gen", "--n", "5", "--density", density, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"egn: error: density must be finite and positive, got {float(density)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ('{"cutoff": NaN}', "cutoff"),
+        ('{"cutoff": Infinity}', "cutoff"),
+        ('{"cutoff": "1.5"}', "cutoff"),
+        ('{"blocks": 2.5}', "blocks"),
+        ('{"d_e": "8"}', "d_e"),
+        ('{"workers": true}', "workers"),
+        ('{"seed": null}', "seed"),
+        ('{"diagnostic": 1}', "diagnostic"),
+    ],
+)
+def test_cli_rejects_bad_config_values(text, name, tmp_path, capsys):
+    """A config value of the wrong type or out of range is one error line
+    naming the field, not a traceback or a run on a degenerate model."""
+    xyz = tmp_path / "dimer.xyz"
+    xyz.write_text("2\ndimer\nH 0 0 0\nH 0 0 1.0\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["run", str(xyz), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"egn: error: {name} must be")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_relax_rejects_zero_step_size(tmp_path, capsys):
@@ -252,6 +308,14 @@ def test_cli_bench_seed_draws_the_cloud(tmp_path):
         ]) == 0
         elements[seed] = parse_csv(out.read_text()).rows[0].allreduced_elements
     assert elements[0] != elements[3]
+
+
+def test_cli_bench_rejects_zero_repeats(capsys):
+    assert main(["bench", "--p-list", "1", "--n-atoms", "10", "--repeats", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "egn: error: repeats must be >= 1 and warmup >= 0, got 0 and 2\n"
+    with pytest.raises(ValueError, match="warmup"):
+        weak_scaling(SMALL, [1], n_atoms=10, warmup=-1)
 
 
 def test_cli_bench_csv(tmp_path, capsys):

@@ -15,13 +15,15 @@ def sizes(shards):
     return [s.stop - s.start for s in shards]
 
 
-def assert_contiguous_cover(shards, n):
+def assert_contiguous_cover(shards, n, spread=1):
     """Slices with integer bounds, each starting where the last stopped,
-    that cover [0, n) in order, with sizes within one of each other."""
+    that cover [0, n) in order, with sizes within ``spread`` of each other
+    (None: any sizes)."""
     assert all(type(s.start) is int and type(s.stop) is int and s.step is None for s in shards)
     assert [s.start for s in shards] == [0] + [s.stop for s in shards[:-1]]
     assert shards[-1].stop == n
-    assert min(sizes(shards)) >= 0 and max(sizes(shards)) - min(sizes(shards)) <= 1
+    assert min(sizes(shards)) >= 0
+    assert spread is None or max(sizes(shards)) - min(sizes(shards)) <= spread
 
 
 def test_split_sizes_balanced():
@@ -59,20 +61,42 @@ def test_split_properties(n, workers):
     np.testing.assert_array_equal(merged, np.arange(n))
 
 
+def random_partition(seed, workers):
+    system = random_cloud(12, 0.9, np.random.default_rng(seed))
+    topo, _ = build_graph(system, cutoff=1.5)
+    return topo, partition_graph(topo, workers)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 1000), workers=st.integers(1, 16))
 def test_partition_properties_on_random_graphs(seed, workers):
-    system = random_cloud(12, 0.9, np.random.default_rng(seed))
-    topo, _ = build_graph(system, cutoff=1.5)
-    part = partition_graph(topo, workers)
-    for shards, total in (
-        (part.triplet_shards, topo.num_triplets),
-        (part.edge_shards, topo.num_edges),
-        (part.node_shards, topo.num_nodes),
+    """Nodes split within one. Triplet and edge shards cover their rows;
+    each triplet cut lies before the balanced cut by less than the largest
+    out-edge group, and with no triplets the edges split within one."""
+    topo, part = random_partition(seed, workers)
+    n_t = topo.num_triplets
+    for shards, total, spread in (
+        (part.triplet_shards, n_t, None),
+        (part.edge_shards, topo.num_edges, None if n_t else 1),
+        (part.node_shards, topo.num_nodes, 1),
     ):
-        assert_contiguous_cover(shards, total)
+        assert_contiguous_cover(shards, total, spread)
         merged = np.concatenate([np.arange(total)[s] for s in shards])
         np.testing.assert_array_equal(np.sort(merged), np.arange(total))
+    group = np.bincount(topo.trip_out).max() if n_t else 1
+    for got, balanced in zip(part.triplet_shards, split_range(n_t, workers)):
+        assert 0 <= balanced.start - got.start < group
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 1000), workers=st.integers(1, 16))
+def test_triplets_live_with_their_out_edges(seed, workers):
+    """Every triplet's out-edge lies in its worker's edge shard, so each
+    worker aggregates complete rows for the edges it owns."""
+    topo, part = random_partition(seed, workers)
+    for trips, edges in zip(part.triplet_shards, part.edge_shards):
+        out = topo.trip_out[trips]
+        assert np.all((edges.start <= out) & (out < edges.stop))
 
 
 def test_comm_volume_dimenet_example():

@@ -412,20 +412,79 @@ def test_recorded_pass_matches_forward_backward(
 @pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_backward_traffic_per_pass(variant, workers, medium_system, rng):
-    """Per block: one global, one node and 2 (dimenet-style) or 4
-    (gemnet-style) edge all-reduces; then one edge all-reduce for the initial
-    edge state, one of positions and one of parameters."""
+    """The backward mirrors the forward's collectives: per block one global,
+    one node and 1 (dimenet-style) or 2 (gemnet-style) edge all-reduces;
+    then one of positions and one of parameters."""
     cfg = ModelConfig(variant=variant, blocks=3, workers=workers)
     d_forces = rng.standard_normal((medium_system.n, 3)) if variant == "gemnet-style" else None
     result, _ = WorkerGroup(medium_system, init_params(cfg)).forward_backward(0.7, d_forces)
     backward = [rec for rec in result.comm_log.records if rec.phase == "backward"]
-    edges = 4 if variant == "gemnet-style" else 2
-    assert len(backward) == (edges + 2) * cfg.blocks + 3
+    edges = 2 if variant == "gemnet-style" else 1
+    assert len(backward) == (edges + 2) * cfg.blocks + 2
     for block in range(cfg.blocks):
         levels = Counter(rec.level for rec in backward if rec.block == block)
         assert levels == {"global": 1, "node": 1, "edge": edges}, block
     levels = Counter(rec.level for rec in backward if rec.block == -1)
-    assert levels == {"edge": 1, "position": 1, "param": 1}
+    assert levels == {"position": 1, "param": 1}
+
+
+@pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_backward_elements_mirror_forward(variant, workers, medium_system):
+    """The backward all-reduces the forward's buffers again, then the
+    positions (3 N_v) and the parameters."""
+    cfg = ModelConfig(variant=variant, blocks=3, workers=workers)
+    params = init_params(cfg)
+    result, _ = WorkerGroup(medium_system, params).forward_backward()
+    log = result.comm_log
+    extra = 3 * medium_system.n + params.num_params()
+    assert log.elements("backward") == log.elements("forward") + extra
+
+
+def _calls_per_worker(monkeypatch, names) -> dict:
+    """Wrap the runtime's recorders ``names``; returns thread name ->
+    [(recorder name, its last argument)] of every call."""
+    from egn import runtime as rt
+
+    calls = defaultdict(list)
+    for name in names:
+        def spy(*args, _name=name, _fn=getattr(rt, name)):
+            calls[threading.current_thread().name].append((_name, args[-1]))
+            return _fn(*args)
+
+        monkeypatch.setattr(rt, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_edge_update_runs_on_the_edge_shard(workers, medium_system, monkeypatch):
+    """Each rank updates exactly its own edges, once per block."""
+    cfg = ModelConfig(variant="gemnet-style", blocks=2, workers=workers)
+    group = WorkerGroup(medium_system, init_params(cfg))
+    calls = _calls_per_worker(monkeypatch, ["record_eu"])
+    group.forward_backward()
+    for rank, edges in enumerate(group.partition.edge_shards):
+        assert calls.pop(f"egn-worker-{rank}") == [("record_eu", edges)] * cfg.blocks
+    assert not calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_recording_computes_full_edge_stages_once(workers, medium_system, monkeypatch):
+    """A recording worker computes init, sym and the force head once, on its
+    tape, and builds no Evaluator beside it."""
+    from egn import runtime as rt
+
+    cfg = ModelConfig(variant="gemnet-style", blocks=2, workers=workers)
+    group = WorkerGroup(medium_system, init_params(cfg))
+    names = ["record_edge_init", "record_sym", "record_force_head"]
+    calls = _calls_per_worker(monkeypatch, names)
+    monkeypatch.setattr(rt, "Evaluator", None)
+    group.forward_backward()
+    assert len(calls) == workers
+    for seen in calls.values():
+        assert Counter(name for name, _ in seen) == {
+            "record_edge_init": 1, "record_sym": cfg.blocks, "record_force_head": 1,
+        }
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -83,6 +83,12 @@ def test_random_cloud_min_distance_and_determinism():
     assert min_pair_distance(a.positions) >= 0.8 * 1.0 ** (-1 / 3)
 
 
+@pytest.mark.parametrize("density", [np.nan, np.inf])
+def test_random_cloud_rejects_non_finite_density(density):
+    with pytest.raises(ValueError, match="density must be finite and positive"):
+        random_cloud(5, density, np.random.default_rng(0))
+
+
 def test_random_cloud_impossible_packing():
     with pytest.raises(RuntimeError):
         random_cloud(200, 1e6, np.random.default_rng(0), max_tries_per_atom=20)

@@ -1,4 +1,5 @@
 import ast
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from egn.params import ModelParams, init_params
 from egn.runtime import Collective, CommLog, WorkerGroup
 from egn.system import random_cloud
 from egn.tape import (
-    _COLLECTIVES,
+    _ALWAYS_RUN,
     _FORWARD,
     _VJP,
     Evaluator,
@@ -228,16 +229,10 @@ def test_quadratic_well_adjoint(rng):
     check_op(lambda t, x: t.quadratic_well(x, 1.5), d0, rng)
 
 
-class _OneWorkerLink:
+def _one_worker_link():
     """A collective node's link to a one-worker Collective."""
-
-    def __init__(self):
-        self.collective = Collective(1, CommLog())
-
-    def allreduce(self, buffer, phase):
-        return self.collective.allreduce_sum(
-            0, buffer, phase=phase, block=0, stage="test", level="edge"
-        )
+    collective = Collective(1, CommLog())
+    return partial(collective.allreduce_sum, 0, block=0, stage="test", level="edge")
 
 
 def _every_primitive(tape, system, topo, w, b) -> dict:
@@ -264,8 +259,8 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     h["sum_rows"] = tape.sum_rows(units)
     rows = slice(1, topo.num_edges // 2)
     own = h["gather:slice"] = tape.gather(lin, rows)
-    h["allreduce"] = tape.allreduce(own, _OneWorkerLink(), rows, (topo.num_edges, 3))
-    h["replicated"] = tape.replicated(own, rows, tape.value(lin), _OneWorkerLink())
+    h["allreduce"] = tape.allreduce(own, _one_worker_link(), rows, (topo.num_edges, 3))
+    h["boundary"] = tape.boundary(lambda: None)
     return h
 
 
@@ -456,7 +451,7 @@ def keep_all_backward(tape: Tape, seeds: dict) -> list:
         grads[nid] = np.asarray(seed, dtype=np.float64)
     for nid in range(len(nodes) - 1, -1, -1):
         g, node = grads[nid], nodes[nid]
-        if g is None and node.op in _COLLECTIVES:
+        if g is None and node.op in _ALWAYS_RUN:
             g = np.zeros_like(node.value)
         if g is None or node.op == "leaf":
             continue

@@ -96,6 +96,13 @@ def test_relax_rejects_bad_threshold():
         relax(dimer(1.0), params, fmax_threshold=0.0)
 
 
+@pytest.mark.parametrize("fmax", [np.nan, np.inf])
+def test_relax_rejects_non_finite_threshold(fmax):
+    params = init_params(ModelConfig(diagnostic=True))
+    with pytest.raises(ValueError, match="fmax_threshold must be finite"):
+        relax(dimer(1.0), params, fmax_threshold=fmax, max_steps=5)
+
+
 @pytest.mark.parametrize("step_size", [0.0, -0.05, float("nan"), float("inf")])
 def test_relax_rejects_bad_step_size(step_size):
     params = init_params(ModelConfig(diagnostic=True))
@@ -163,6 +170,14 @@ def test_train_rejects_non_finite_lr(rng, lr):
     dataset = _toy_dataset(rng, cfg, samples=1)
     with pytest.raises(ValueError, match="lr must be finite"):
         train_simple(dataset, init_params(cfg), lr=lr, epochs=1)
+
+
+@pytest.mark.parametrize("w_energy, w_forces", [(np.nan, 0.0), (-np.inf, 0.0), (1.0, np.inf)])
+def test_train_rejects_non_finite_loss_weights(rng, w_energy, w_forces):
+    cfg = ModelConfig(variant="gemnet-style", blocks=1)
+    dataset = _toy_dataset(rng, cfg, samples=1)
+    with pytest.raises(ValueError, match="loss weights must be finite"):
+        train_simple(dataset, init_params(cfg), 0.1, 1, w_energy=w_energy, w_forces=w_forces)
 
 
 def test_train_energy_centric_energy_only_loss(rng):
