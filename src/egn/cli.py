@@ -156,10 +156,11 @@ def _run(args) -> int:
         for flag, value in (("--steps", args.steps), ("--samples", args.samples)):
             if value < 1:
                 raise ValueError(f"{flag} must be >= 1, got {value}")
-        for flag, value in (("--lr", args.lr), ("--w-energy", args.w_energy),
-                            ("--w-forces", args.w_forces)):
-            if not np.isfinite(value):
-                raise ValueError(f"{flag} must be finite, got {value}")
+        if not np.isfinite(args.lr):
+            raise ValueError(f"--lr must be finite, got {args.lr}")
+        for flag, value in (("--w-energy", args.w_energy), ("--w-forces", args.w_forces)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{flag} must be finite and non-negative, got {value}")
         rng = np.random.default_rng(seed)
         teacher = init_params(config.replace(seed=seed + 1))
         dataset = []

@@ -9,11 +9,14 @@ the position gradient); the gemnet-style variant adds a direct force head.
 
 Each stage has one definition, a ``record_*`` function that takes the tape
 first; geometry and basis features have theirs in ``egn.basis.compute_basis``.
-The sequential forward (``record_model``) chains them on one tape, from the
-positions to the readout; the multi-worker runtime records the same
-functions over a worker's shard, so a single-worker run reproduces
-this engine bit for bit. Where no backward follows (inference) they run
-on an ``Evaluator``, which computes the same values and keeps no tape.
+The block pipeline has one definition too, ``record_model``, which chains
+the stages from the basis to the readout over the rows it is given. The
+sequential forward (``record_system``, which ``ModelTape`` records) runs it
+over every row after the geometry, on one tape; each multi-worker runtime
+worker runs it over its shards, with hooks that all-reduce the shared
+buffers and mark its stages, so a single-worker run reproduces this
+engine bit for bit. Where no backward follows (inference) they run on an
+``Evaluator``, which computes the same values and keeps no tape.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import compute_basis
+from .basis import BasisFeatures, compute_basis
 from .config import GEMNET, ModelConfig
-from .elements import MAX_Z
 from .graph import GraphTopology, build_graph
 from .params import ModelParams
 from .system import AtomicSystem
@@ -78,13 +80,6 @@ class ParamLeaves:
 # Rows that cover a whole buffer. Contiguous rows, these and a worker's
 # shards, are slices, so gathering them is a view of the buffer.
 ALL_ROWS = slice(None)
-
-
-def embedding_indices(atomic_numbers: np.ndarray) -> np.ndarray:
-    z = np.asarray(atomic_numbers, dtype=np.int64)
-    if np.any(z > MAX_Z):
-        raise ValueError(f"atomic number {int(z.max())} exceeds the embedding table ({MAX_Z})")
-    return z - 1
 
 
 def receiver_plan(topology: GraphTopology, nodes: slice):
@@ -245,7 +240,6 @@ class ModelHandles:
     """Handles of one model forward; on an Evaluator they are the values."""
 
     param_leaves: ParamLeaves
-    positions: int
     m: int
     v: int
     u: int
@@ -254,37 +248,74 @@ class ModelHandles:
     forces: int | None  # force-centric variant only
 
 
-def record_model(tape: Tape, system: AtomicSystem, params: ModelParams) -> ModelHandles:
-    """The sequential forward over a whole system, from positions to readout."""
-    config = params.config
-    topology, _ = build_graph(system, config.cutoff)
-    pos_id = tape.leaf(system.positions)
-    basis = compute_basis(tape, pos_id, topology, config, ALL_ROWS)
-    rbf_id, sbf_id = basis.edge_rbf, basis.triplet_sbf
+def record_model(
+    tape: Tape,
+    params: ModelParams,
+    topology: GraphTopology,
+    basis: BasisFeatures,
+    rows: tuple[slice, slice, slice] = (ALL_ROWS, ALL_ROWS, ALL_ROWS),
+    share=lambda x, *where: x,
+    enter=lambda stage: None,
+) -> ModelHandles:
+    """The block pipeline from the basis to the readout: the one definition
+    of the model forward.
 
+    ``rows`` are the (triplet, edge, node) rows this forward owns, every
+    row sequentially and a worker's shards in the runtime; ``basis`` holds
+    sbf for those triplet rows. The edge, node and global buffers the owned
+    rows only partly compute pass through ``share(x, stage, level, block[,
+    rows, shape])``, which returns the whole buffer: the identity here, an
+    all-reduce in the runtime. ``enter(stage)`` is called as each stage
+    begins. The initial edge embedding, the symmetric coupling and the
+    force head run over all rows.
+    """
+    config = params.config
+    gemnet = config.variant == GEMNET
+    trips, edges, nodes = rows
     pl = ParamLeaves(tape, params)
-    v_id = tape.gather(pl["atom_embedding"], embedding_indices(system.atomic_numbers))
-    plan = receiver_plan(topology, ALL_ROWS)
-    rev = topology.reverse_edges() if config.variant == GEMNET else None
+    plan = receiver_plan(topology, nodes)
+    rev = topology.reverse_edges() if gemnet else None
+    edge_shape = (topology.num_edges, config.d_e)
+    rbf_id, sbf_id = basis.edge_rbf, basis.triplet_sbf
 
     m_id = record_edge_init(tape, pl, rbf_id, ALL_ROWS)
     u_id = tape.leaf(np.zeros((1, config.d_u)))
-    t_id = None
     for b in range(config.blocks):
-        t_id, ta_id = record_tu(tape, pl, b, config, m_id, rbf_id, sbf_id, ALL_ROWS, topology)
-        m_id = record_eu(tape, pl, b, m_id, ta_id, ALL_ROWS)
+        enter(f"block{b}.tu")
+        t_id, ta_id = record_tu(tape, pl, b, config, m_id, rbf_id, sbf_id, trips, topology)
+        enter(f"block{b}.eu")
+        m_id = share(record_eu(tape, pl, b, m_id, ta_id, edges), "eu", "edge", b, edges, edge_shape)
+        enter(f"block{b}.nu")
         v_id = record_ea_nu(tape, pl, b, m_id, *plan)
-        if config.variant == GEMNET:
-            m_id = record_eu2(tape, pl, b, m_id, v_id, ALL_ROWS, topology)
+        v_id = share(v_id, "nu", "node", b, nodes, (topology.num_nodes, config.d_v))
+        if gemnet:
+            enter(f"block{b}.eu2")
+            m_id = record_eu2(tape, pl, b, m_id, v_id, edges, topology)
+            m_id = share(m_id, "eu2", "edge", b, edges, edge_shape)
+            enter(f"block{b}.sym")
             m_id = record_sym(tape, pl, b, m_id, ALL_ROWS, rev)
-        g_id = record_gu_head(tape, pl, b, v_id, ALL_ROWS)
-        u_id = record_gu_tail(tape, pl, b, g_id, u_id)
+        enter(f"block{b}.gu")
+        z_id = share(record_gu_head(tape, pl, b, v_id, nodes), "gu", "global", b)
+        u_id = record_gu_tail(tape, pl, b, z_id, u_id)
 
+    enter("readout")
     energy_id = record_energy(tape, pl, u_id)
     forces_id = None
-    if config.variant == GEMNET:
-        forces_id = record_force_head(tape, pl, m_id, basis.edge_units, *plan)
-    return ModelHandles(pl, pos_id, m_id, v_id, u_id, t_id, energy_id, forces_id)
+    if gemnet:
+        full = plan if nodes == ALL_ROWS else receiver_plan(topology, ALL_ROWS)
+        forces_id = record_force_head(tape, pl, m_id, basis.edge_units, *full)
+    return ModelHandles(pl, m_id, v_id, u_id, t_id, energy_id, forces_id)
+
+
+def record_system(
+    tape: Tape, system: AtomicSystem, params: ModelParams
+) -> tuple[int, ModelHandles]:
+    """The sequential forward over a whole system, from positions to
+    readout. Returns (the positions leaf, the model's handles)."""
+    topology, _ = build_graph(system, params.config.cutoff)
+    pos_id = tape.leaf(system.positions)
+    basis = compute_basis(tape, pos_id, topology, params.config, ALL_ROWS)
+    return pos_id, record_model(tape, params, topology, basis)
 
 
 class ModelTape:
@@ -293,7 +324,7 @@ class ModelTape:
     Exposes the energy, the direct forces for the force-centric variant,
     the final feature buffers, and a backward() that yields parameter and
     position gradients. Inference that needs no backward runs
-    ``record_model`` on an ``Evaluator`` instead.
+    ``record_system`` on an ``Evaluator`` instead.
     """
 
     def __init__(self, system: AtomicSystem, params: ModelParams):
@@ -301,7 +332,7 @@ class ModelTape:
         self.params = params
         self.config = params.config
         self.tape = Tape()
-        self.handles = record_model(self.tape, system, params)
+        self.positions_id, self.handles = record_system(self.tape, system, params)
         self.energy_id = self.handles.energy
         self.forces_id = self.handles.forces
 
@@ -339,7 +370,7 @@ class ModelTape:
             seeds[self.energy_id] = np.zeros((1, 1), dtype=np.float64)
         grads = self.tape.backward(seeds)
         d_params = self.handles.param_leaves.gradients(grads)
-        d_pos = grads[self.handles.positions]
+        d_pos = grads[self.positions_id]
         if d_pos is None:
             d_pos = np.zeros_like(self.system.positions)
         return GradientBundle(d_params, d_pos)

@@ -7,10 +7,13 @@ exclusively by its worker between collectives.
 
 Each worker records its geometry and basis from the positions with
 ``compute_basis``: distances and rbf over every edge, angles and sbf over
-its own triplet shard only. A worker's edge shard is the out-edges of its
-triplets (see ``egn.partition``), and it gets every shared buffer in one of
-two ways: it all-reduces the rows or partial sums it owns, or it computes
-the whole buffer itself with no collective. Per block (dimenet-style):
+its own triplet shard only. It then runs the one definition of the model
+forward, the engine's block pipeline ``record_model``, over its shards,
+with a ``share`` hook that all-reduces and an ``enter`` hook that marks
+the stages. A worker's edge shard is the out-edges of its triplets (see
+``egn.partition``), and it gets every shared buffer in one of two ways: it
+all-reduces the rows or partial sums it owns, or it computes the whole
+buffer itself with no collective. Per block (dimenet-style):
   * triplet update over the worker's shard, its d_t-wide messages summed by
     out-edge, gated and up-projected: complete on its own edges, so no
     collective (the in-edge factors are projected over all edges first),
@@ -25,25 +28,26 @@ and its edge all-reduce, then every worker forms the symmetric coupling
 over all edges. The initial edge embedding and the force head also run
 over all rows on every worker.
 
-A recording worker keeps every stage on one tape, where each all-reduce is
-a collective node (see ``egn.tape``): its adjoint sums the workers' partial
-adjoints and hands each worker its rows, so the backward is one walk of
-that tape and its collectives mirror the forward's. A buffer every worker
-computed in full each differentiates in full from its own partial adjoint;
-every VJP is linear in its adjoint, so the collectives upstream and the
-final all-reduce of position and parameter gradients sum the partials to
-the exact gradient, and only rank 0 seeds the energy and the forces.
+A recording worker keeps its geometry and every stage on one tape, where
+each all-reduce is a collective node (see ``egn.tape``): its adjoint sums
+the workers' partial adjoints and hands each worker its rows, so the
+backward is one walk of that tape and its collectives mirror the
+forward's. A buffer every worker computed in full each differentiates in
+full from its own partial adjoint; every VJP is linear in its adjoint, so
+the collectives upstream and the final all-reduce of position and
+parameter gradients sum the partials to the exact gradient, and only rank
+0 seeds the energy and the forces.
 Boundary nodes mark the forward's stage switches, so the backward books
-its time to its stage. The worker's geometry is on a second tape, whose
-backward gives the position gradient, with each triplet's angle and sbf
-differentiated by its owner alone. Triplet features never enter a
-collective in either direction.
+its time to its stage, the geometry's VJPs to ``backward.geometry``. The
+same walk gives the position gradient at the positions leaf, with each
+triplet's angle and sbf differentiated by its owner alone. Triplet
+features never enter a collective in either direction.
 
 A pass that needs its backward is recorded once: ``WorkerGroup.record()``
 runs the forward and returns its ``ParallelRunResult`` holding each
-worker's shard tapes, whose ``backward()`` runs the workers again over
-those tapes on the same collective, after the caller has read the energy
-and forces it seeds from. ``forward()`` keeps no tape.
+worker's tape, whose ``backward()`` runs the workers again over those
+tapes on the same collective, after the caller has read the energy and
+forces it seeds from. ``forward()`` keeps no tape.
 """
 
 from __future__ import annotations
@@ -57,23 +61,7 @@ import numpy as np
 
 from .basis import compute_basis
 from .config import GEMNET
-from .engine import (
-    ALL_ROWS,
-    FeatureState,
-    GradientBundle,
-    ParamLeaves,
-    receiver_plan,
-    record_ea_nu,
-    record_edge_init,
-    record_energy,
-    record_eu,
-    record_eu2,
-    record_force_head,
-    record_gu_head,
-    record_gu_tail,
-    record_sym,
-    record_tu,
-)
+from .engine import FeatureState, GradientBundle, record_model
 from .graph import build_graph
 from .params import ModelParams
 from .partition import GraphPartition, partition_graph
@@ -200,7 +188,7 @@ class ParallelRunResult:
 
     A result of ``WorkerGroup.record()`` has the interface of
     ``engine.ModelTape``: ``energy``, ``forces`` and ``backward(d_energy,
-    d_forces)``, which runs the workers again over the shard tapes they
+    d_forces)``, which runs the workers again over the tapes they
     recorded, on the same collective, so the comm log holds the forward's
     records followed by the backward's. A pass runs one backward, and its
     tapes are released then; a result of ``forward()`` has none.
@@ -212,7 +200,8 @@ class ParallelRunResult:
     triplet_shards: list[np.ndarray]
     comm_log: CommLog
     stage_seconds: dict[str, float]
-    # (group, worker contexts, shards) of a recorded pass until its backward.
+    # (group, worker contexts, each worker's (tape, positions leaf, model
+    # handles)) of a recorded pass until its backward.
     _pending: tuple | None = field(default=None, compare=False, repr=False)
 
     def backward(
@@ -222,7 +211,7 @@ class ParallelRunResult:
             raise RuntimeError(
                 "this pass kept no tapes or has already run its backward; record() a new pass"
             )
-        group, contexts, shards = self._pending
+        group, contexts, recorded = self._pending
         if d_forces is not None:
             if group.config.variant != GEMNET:
                 raise ValueError("force seeds require the force-centric variant")
@@ -233,7 +222,7 @@ class ParallelRunResult:
         self._pending = None
         bundles = group._launch(
             contexts,
-            lambda ctx: group._worker_backward(ctx, shards[ctx.rank], d_energy, d_forces),
+            lambda ctx: group._worker_backward(ctx, recorded[ctx.rank], d_energy, d_forces),
         )
         return bundles[0]
 
@@ -262,26 +251,6 @@ class _WorkerContext:
         self._tic = None
 
 
-@dataclass(frozen=True)
-class _Shard:
-    """What a worker's recording forward keeps for its backward: the
-    model-shard tape with its seeds and parameter leaves, and the geometry
-    tape with the model-tape leaf that each basis handle feeds.
-
-    Not kept on the ``_WorkerContext``: the tape's collective and boundary
-    nodes refer to the context, and that cycle would hold every pass's
-    tapes until the cyclic garbage collector ran.
-    """
-
-    tape: Tape
-    params: ParamLeaves
-    energy: int  # seeded on rank 0 only, like the forces
-    forces: int | None  # force-centric variant only
-    geometry: Tape
-    positions: int
-    basis_leaves: dict[int, int]
-
-
 class WorkerGroup:
     """P simulated workers bound to one system, partition, and parameter set.
 
@@ -292,7 +261,7 @@ class WorkerGroup:
     a time and runs any number of passes:
 
       * ``forward()`` runs the workers once and keeps no tape (inference);
-      * ``record()`` runs them once, keeping each worker's shard tapes, and
+      * ``record()`` runs them once, keeping each worker's tape, and
         returns a result whose ``backward()`` completes the pass;
       * ``forward_backward()`` is ``record()`` followed by its backward.
     """
@@ -312,9 +281,6 @@ class WorkerGroup:
 
         self.topology, _ = build_graph(system, config.cutoff)
         self.partition: GraphPartition = partition_graph(self.topology, self.workers)
-        self.rev = self.topology.reverse_edges() if config.variant == GEMNET else None
-        self.full_plan = receiver_plan(self.topology, ALL_ROWS)
-        self._rank_plans = [receiver_plan(self.topology, s) for s in self.partition.node_shards]
 
     # -- public API ----------------------------------------------------
 
@@ -358,7 +324,7 @@ class WorkerGroup:
             triplet_shards=[out["t_own"] for out in outputs],
             comm_log=log,
             stage_seconds=contexts[0].stage_seconds,
-            _pending=(self, contexts, [out["shard"] for out in outputs]) if record else None,
+            _pending=(self, contexts, [out["recorded"] for out in outputs]) if record else None,
         )
 
     def _launch(self, contexts: list[_WorkerContext], work) -> list:
@@ -405,119 +371,68 @@ class WorkerGroup:
     # -- worker forward ----------------------------------------------------
 
     def _worker_forward(self, ctx: _WorkerContext, record: bool) -> dict:
-        """With ``record`` (a backward follows), this worker's stages are
-        kept on one tape and its geometry on another; without it, both run
-        on an Evaluator. ``init``, ``sym`` and the force head are computed
-        over all rows by every worker; every other stage over its shard."""
-        cfg = self.config
-        topo = self.topology
+        """This worker's shard of the model: its geometry and basis, then
+        the block pipeline over its rows, all on one tape when ``record``
+        (a backward follows), otherwise on an Evaluator."""
         rank = ctx.rank
-        trip_rows = self.partition.triplet_shards[rank]
-        edge_rows = self.partition.edge_shards[rank]
-        node_rows = self.partition.node_shards[rank]
-        ea_plan = self._rank_plans[rank]
-        gemnet = cfg.variant == GEMNET
+        part = self.partition
+        shards = (part.triplet_shards[rank], part.edge_shards[rank], part.node_shards[rank])
         tape = Tape() if record else Evaluator()
-        pl = ParamLeaves(tape, self.params)
-        val = tape.value
 
-        def link(name: str, level: str, block: int):
-            """This worker's end of a collective node: its all-reduce with
-            the comm record's block, stage name and level bound."""
+        def share(x, stage: str, level: str, block: int, rows=None, shape=None):
+            """All-reduce ``x`` over the workers, placed at ``rows`` of a
+            zero buffer of ``shape`` if given; the comm record carries
+            ``block``, ``stage`` and ``level``."""
             c = ctx.collective
-            return partial(c.allreduce_sum, rank, block=block, stage=name, level=level)
+            link = partial(c.allreduce_sum, rank, block=block, stage=stage, level=level)
+            return tape.allreduce(x, link, rows, shape)
 
         def enter(stage: str) -> None:
             tape.boundary(partial(ctx.set_stage, "backward." + ctx.stage))
             ctx.set_stage(stage)
 
         ctx.set_stage("init")
-        geo = Tape() if record else tape
-        pos = geo.leaf(self.system.positions)
-        basis = compute_basis(geo, pos, topo, cfg, trip_rows)
-        rbf = tape.leaf(geo.value(basis.edge_rbf))
-        sbf = tape.leaf(geo.value(basis.triplet_sbf))
-        units = tape.leaf(geo.value(basis.edge_units)) if gemnet else None
-        m = record_edge_init(tape, pl, rbf, ALL_ROWS)
-        u = tape.leaf(np.zeros((1, cfg.d_u), dtype=np.float64))
-        edge_shape = (topo.num_edges, cfg.d_e)
-
-        for b in range(cfg.blocks):
-            enter(f"block{b}.tu")
-            t, ta = record_tu(tape, pl, b, cfg, m, rbf, sbf, trip_rows, topo)
-
-            enter(f"block{b}.eu")
-            m_new = record_eu(tape, pl, b, m, ta, edge_rows)
-            m_new = tape.allreduce(m_new, link("eu", "edge", b), edge_rows, edge_shape)
-
-            enter(f"block{b}.nu")
-            v = record_ea_nu(tape, pl, b, m_new, *ea_plan)
-            v = tape.allreduce(v, link("nu", "node", b), node_rows, (topo.num_nodes, cfg.d_v))
-
-            if gemnet:
-                enter(f"block{b}.eu2")
-                m2 = record_eu2(tape, pl, b, m_new, v, edge_rows, topo)
-                m2 = tape.allreduce(m2, link("eu2", "edge", b), edge_rows, edge_shape)
-
-                enter(f"block{b}.sym")
-                m = record_sym(tape, pl, b, m2, ALL_ROWS, self.rev)
-            else:
-                m = m_new
-
-            enter(f"block{b}.gu")
-            z = record_gu_head(tape, pl, b, v, node_rows)
-            z = tape.allreduce(z, link("gu", "global", b))
-            u = record_gu_tail(tape, pl, b, z, u)
-
-        enter("readout")
-        energy = record_energy(tape, pl, u)
-        forces = shard = None
-        if gemnet:
-            forces = record_force_head(tape, pl, m, units, *self.full_plan)
-        if record:
-            basis_leaves = {basis.edge_rbf: rbf, basis.triplet_sbf: sbf}
-            if gemnet:
-                basis_leaves[basis.edge_units] = units
-            shard = _Shard(tape, pl, energy, forces, geo, pos, basis_leaves)
-
+        pos = tape.leaf(self.system.positions)
+        basis = compute_basis(tape, pos, self.topology, self.config, shards[0])
+        tape.boundary(partial(ctx.set_stage, "backward.geometry"))
+        h = record_model(tape, self.params, self.topology, basis, shards, share, enter)
+        val = tape.value
         return {
-            "energy": float(val(energy)[0, 0]),
-            "forces": None if forces is None else val(forces),
-            "m": val(m),
-            "v": val(v),
-            "u": val(u),
-            "t_own": val(t),
-            "shard": shard,
+            "energy": float(val(h.energy)[0, 0]),
+            "forces": None if h.forces is None else val(h.forces),
+            "m": val(h.m),
+            "v": val(h.v),
+            "u": val(h.u),
+            "t_own": val(h.t),
+            # Not kept on the context: the tape's collective and boundary
+            # nodes refer to it, and that cycle would hold every pass's
+            # tape until the cyclic garbage collector ran.
+            "recorded": (tape, pos, h) if record else None,
         }
 
     # -- worker backward -----------------------------------------------
 
     def _worker_backward(
-        self, ctx: _WorkerContext, shard: _Shard, d_energy: float, d_forces: np.ndarray | None
+        self, ctx: _WorkerContext, recorded: tuple, d_energy: float, d_forces: np.ndarray | None
     ) -> GradientBundle:
-        """One walk of the model-shard tape, whose collective nodes sum the
-        adjoints across workers, one of the geometry tape, then the
-        all-reduce of the partial position and parameter gradients."""
+        """One walk of the worker's tape, whose collective nodes sum the
+        adjoints across workers, then the all-reduce of the partial position
+        and parameter gradients. Only rank 0 seeds the energy and forces."""
+        tape, pos, h = recorded
         ctx.set_stage("backward.readout")
         seeds = {}
         if ctx.rank == 0 and d_energy != 0.0:
-            seeds[shard.energy] = np.array([[d_energy]], dtype=np.float64)
+            seeds[h.energy] = np.array([[d_energy]], dtype=np.float64)
         if ctx.rank == 0 and d_forces is not None:
-            seeds[shard.forces] = d_forces
-        grads = shard.tape.backward(seeds)
-
-        ctx.set_stage("backward.geometry")
-        geo_seeds = {
-            nid: grads[leaf] for nid, leaf in shard.basis_leaves.items() if grads[leaf] is not None
-        }
-        pos_bar = shard.geometry.backward(geo_seeds)[shard.positions]
+            seeds[h.forces] = d_forces
+        grads = tape.backward(seeds)
 
         ctx.set_stage("backward.reduce")
         allreduce = ctx.collective.allreduce_sum
         pos_grad = allreduce(
-            ctx.rank, pos_bar, phase="backward", block=-1, stage="positions", level="position"
+            ctx.rank, grads[pos], phase="backward", block=-1, stage="positions", level="position"
         )
-        d_params = shard.params.gradients(grads)
+        d_params = h.param_leaves.gradients(grads)
         flat = np.concatenate([g.ravel() for g in d_params.values()])
         flat = allreduce(ctx.rank, flat, phase="backward", block=-1, stage="params", level="param")
         offset = 0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import SYMBOL_TO_Z, symbol_of
+from .elements import MAX_Z, SYMBOL_TO_Z, symbol_of
 from .neighbours import neighbour_pairs
 
 # Two atoms closer than this are treated as coincident and rejected.
@@ -26,7 +26,7 @@ class AtomicSystem:
     """Positions and atomic numbers of ``n >= 1`` atoms.
 
     positions: (n, 3) float64 coordinates, no two atoms coincident.
-    atomic_numbers: (n,) positive integers.
+    atomic_numbers: (n,) integers in 1..MAX_Z.
     """
 
     positions: np.ndarray
@@ -45,6 +45,8 @@ class AtomicSystem:
             raise ValueError("system must contain at least one atom")
         if np.any(z < 1):
             raise ValueError("atomic numbers must be >= 1")
+        if np.any(z > MAX_Z):
+            raise ValueError(f"atomic number {int(z.max())} exceeds the largest element ({MAX_Z})")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         if neighbour_pairs(pos, MIN_SEPARATION)[0].size:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import GEMNET, ModelConfig
-from .engine import ModelTape, record_model
+from .engine import ModelTape, record_system
 from .graph import build_graph
 from .params import ModelParams, load_params, param_specs, save_params
 from .runtime import WorkerGroup
@@ -68,7 +68,7 @@ def predict(
         return _predict_diagnostic(system, config)
     if config.variant == GEMNET:
         if p == 1:
-            out = record_model(Evaluator(), system, params)
+            _, out = record_system(Evaluator(), system, params)
             return float(out.energy[0, 0]), out.forces
         result = WorkerGroup(system, _at_workers(params, p)).forward()
         return result.energy, result.forces
@@ -156,8 +156,10 @@ def loss_and_grads(
     config = params.config
     if config.diagnostic:
         raise ValueError("the diagnostic model has no trainable parameters")
-    if not (np.isfinite(w_energy) and np.isfinite(w_forces)):
-        raise ValueError(f"loss weights must be finite, got {w_energy} and {w_forces}")
+    if not all(np.isfinite(w) and w >= 0 for w in (w_energy, w_forces)):
+        raise ValueError(
+            f"loss weights must be finite and non-negative, got {w_energy} and {w_forces}"
+        )
     if w_forces != 0.0 and config.variant != GEMNET:
         raise ValueError(
             "force-loss gradients require the force-centric variant; "

@@ -227,11 +227,10 @@ def test_cli_train_rejects_non_finite_lr(lr, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flag", ["--w-energy", "--w-forces"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.001"])
 def test_cli_train_rejects_non_finite_weights(flag, value, tmp_path, capsys, monkeypatch):
-    _assert_train_rejects(
-        flag, value, f"{flag} must be finite, got {float(value)}", tmp_path, capsys, monkeypatch
-    )
+    error = f"{flag} must be finite and non-negative, got {float(value)}"
+    _assert_train_rejects(flag, value, error, tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("fmax", ["nan", "inf"])

@@ -132,9 +132,9 @@ def test_zero_edge_graph_forward():
 
 
 def test_embedding_table_bound():
-    system = AtomicSystem(np.zeros((1, 3)) + [[0, 0, 0]], np.array([119]))
     cfg = ModelConfig()
     with pytest.raises(ValueError):
+        system = AtomicSystem(np.zeros((1, 3)) + [[0, 0, 0]], np.array([119]))
         ModelTape(system, init_params(cfg))
 
 

@@ -20,13 +20,21 @@ REPO = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
 
 
+def _patched(owner, attribute):
+    """The attribute as ``Tracer.install`` looks it up: a class's own
+    (``__dict__``), never an inherited one; a module's by name."""
+    if isinstance(owner, type):
+        return owner.__dict__.get(attribute)
+    return getattr(owner, attribute, None)
+
+
 def test_every_patched_attribute_resolves():
     patches = load_perfbench_layers().patches()
     assert patches
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attribute}"
         for owner, attribute, *_ in patches
-        if not callable(getattr(owner, attribute, None))
+        if not callable(_patched(owner, attribute))
     ]
     assert not missing, missing
 

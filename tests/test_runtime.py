@@ -8,8 +8,9 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from egn import engine
 from egn import tape as tape_module
-from egn.config import ModelConfig
+from egn.config import GEMNET, ModelConfig
 from egn.engine import ModelTape
 from egn.params import init_params
 from egn.partition import CommModel, comm_volume
@@ -311,17 +312,15 @@ def test_worker_failure_names_stage(medium_system, monkeypatch):
     params = init_params(cfg)
     group = WorkerGroup(medium_system, params, timeout=2.0)
 
-    from egn import runtime as rt
-
-    original = rt.record_eu
+    original = engine.record_eu
 
     def broken(*args, **kwargs):
         raise FloatingPointError("synthetic failure")
 
-    monkeypatch.setattr(rt, "record_eu", broken)
+    monkeypatch.setattr(engine, "record_eu", broken)
     with pytest.raises(WorkerGroupError) as info:
         group.forward()
-    monkeypatch.setattr(rt, "record_eu", original)
+    monkeypatch.setattr(engine, "record_eu", original)
     assert "block0.eu" in info.value.stage
     assert isinstance(info.value.__cause__, FloatingPointError)
 
@@ -442,17 +441,15 @@ def test_backward_elements_mirror_forward(variant, workers, medium_system):
 
 
 def _calls_per_worker(monkeypatch, names) -> dict:
-    """Wrap the runtime's recorders ``names``; returns thread name ->
+    """Wrap the block pipeline's recorders ``names``; returns thread name ->
     [(recorder name, its last argument)] of every call."""
-    from egn import runtime as rt
-
     calls = defaultdict(list)
     for name in names:
-        def spy(*args, _name=name, _fn=getattr(rt, name)):
+        def spy(*args, _name=name, _fn=getattr(engine, name)):
             calls[threading.current_thread().name].append((_name, args[-1]))
             return _fn(*args)
 
-        monkeypatch.setattr(rt, name, spy)
+        monkeypatch.setattr(engine, name, spy)
     return calls
 
 
@@ -485,6 +482,56 @@ def test_recording_computes_full_edge_stages_once(workers, medium_system, monkey
         assert Counter(name for name, _ in seen) == {
             "record_edge_init": 1, "record_sym": cfg.blocks, "record_force_head": 1,
         }
+
+
+def _recorded_tapes(monkeypatch) -> list:
+    """Make every Tape the runtime builds append itself to the returned list."""
+    from egn import runtime as rt
+
+    made = []
+
+    class SeenTape(tape_module.Tape):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(rt, "Tape", SeenTape)
+    return made
+
+
+@pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
+def test_one_forward_definition(variant, medium_system, monkeypatch):
+    """A one-worker runtime tape is the sequential tape, op for op, plus
+    its collective and stage-boundary nodes."""
+    cfg = ModelConfig(variant=variant, blocks=2)
+    params = init_params(cfg)
+    sequential = [node.op for node in ModelTape(medium_system, params).tape._nodes]
+    made = _recorded_tapes(monkeypatch)
+    WorkerGroup(medium_system, params).record()
+    (worker,) = made
+    ops = [node.op for node in worker._nodes]
+    assert [op for op in ops if op not in ("allreduce", "boundary")] == sequential
+    assert ops.count("boundary") == 1 + cfg.blocks * (6 if variant == GEMNET else 4) + 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_one_tape_per_worker(workers, medium_system, monkeypatch):
+    """A recording worker keeps its geometry and model on one tape, and its
+    backward walks it once."""
+    cfg = ModelConfig(variant="gemnet-style", blocks=2, workers=workers)
+    group = WorkerGroup(medium_system, init_params(cfg))
+    made = _recorded_tapes(monkeypatch)
+    walks = []
+    backward = tape_module.Tape.backward
+
+    def counted(self, seeds):
+        walks.append(self)
+        return backward(self, seeds)
+
+    monkeypatch.setattr(tape_module.Tape, "backward", counted)
+    group.forward_backward()
+    assert len(made) == workers
+    assert sorted(map(id, walks)) == sorted(map(id, made))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -71,6 +71,8 @@ def test_system_validation():
         AtomicSystem(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
         AtomicSystem(np.zeros((1, 3)), np.array([0]))
+    with pytest.raises(ValueError, match="atomic number 119 exceeds"):
+        AtomicSystem(np.zeros((1, 3)), np.array([119]))
     with pytest.raises(ValueError):
         AtomicSystem(np.array([[0.0, 0, 0], [0, 0, 5e-13]]), np.array([1, 1]))
 

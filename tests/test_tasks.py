@@ -172,7 +172,9 @@ def test_train_rejects_non_finite_lr(rng, lr):
         train_simple(dataset, init_params(cfg), lr=lr, epochs=1)
 
 
-@pytest.mark.parametrize("w_energy, w_forces", [(np.nan, 0.0), (-np.inf, 0.0), (1.0, np.inf)])
+@pytest.mark.parametrize(
+    "w_energy, w_forces", [(np.nan, 0.0), (-np.inf, 0.0), (1.0, np.inf), (-0.001, 0.0)]
+)
 def test_train_rejects_non_finite_loss_weights(rng, w_energy, w_forces):
     cfg = ModelConfig(variant="gemnet-style", blocks=1)
     dataset = _toy_dataset(rng, cfg, samples=1)
