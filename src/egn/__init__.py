@@ -1,6 +1,6 @@
 """Graph-parallel extended graph networks for atomic systems."""
 
-from .basis import BasisFeatures, compute_basis, rbf_features, sbf_features
+from .basis import BasisFeatures, compute_basis, rbf_features
 from .config import DIMENET, GEMNET, ModelConfig
 from .engine import FeatureState, GradientBundle, ModelTape
 from .graph import GraphTopology, build_graph, enumerate_triplets
@@ -20,5 +20,5 @@ __all__ = [
     "compute_basis", "enumerate_triplets", "format_xyz", "init_params",
     "load_params", "param_specs", "parse_xyz", "partition_graph",
     "predict", "random_cloud", "rbf_features", "relax", "save_params",
-    "sbf_features", "train_simple",
+    "train_simple",
 ]

@@ -7,12 +7,16 @@ spherical basis (sbf) of triplet (k->j, j->i) is the outer product of the
 radial basis of its in-edge k->j with the angular basis of its angle.
 
 ``compute_basis`` records everything the model reads of the positions: edge
-distances, edge unit vectors (gemnet-style), triplet angles and the two
-bases. sbf's radial part is the edge rbf gathered by in-edge, so the
-Gaussians are evaluated once per edge, never per triplet. The sequential
-engine records it over all triplets; each runtime worker records it over
-its own triplet shard, so every triplet's angle and sbf row are computed
-and differentiated once, by the worker that owns it.
+distances, edge unit vectors (gemnet-style), triplet angles and the bases.
+The Gaussians are evaluated once per edge, never per triplet. The
+dimenet-style variant gates its triplets by the whole sbf, so its triplet
+rows hold the sbf composed from the in-edge rbf rows and the angular basis.
+The gemnet-style variant keeps sbf's radial factor on the in-edge (see
+``egn.engine.record_tu``), so its triplet rows hold only the angular basis,
+L wide. The sequential engine records the triplet rows over all triplets;
+each runtime worker records them over its own triplet shard, so every
+triplet's angle and basis row are computed and differentiated once, by the
+worker that owns it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ class BasisFeatures:
     """Basis handles from ``compute_basis``; on an Evaluator, the arrays."""
 
     edge_rbf: np.ndarray  # (N_e, K)
-    triplet_sbf: np.ndarray  # (rows in trip_rows, K * L), the recorded rows only
+    # The recorded triplet rows (those in trip_rows) only: the sbf, (rows,
+    # K * L), dimenet-style; its angular factor cos(l * angle), (rows, L),
+    # gemnet-style.
+    triplet_basis: np.ndarray
     edge_units: np.ndarray | None = None  # (N_e, 3), gemnet-style only
 
 
@@ -65,35 +72,26 @@ def rbf_features_ddist(distances: np.ndarray, k_rbf: int, cutoff: float) -> np.n
     return -2.0 * gamma * delta * np.exp(-gamma * delta**2)
 
 
-def angular_outer(radial: np.ndarray, angles: np.ndarray, l_sbf: int) -> np.ndarray:
-    """Row-wise outer product of radial rows and cos(l * angle), flattened.
-
-    Row layout: entry (t, k * l_sbf + l) = radial[t, k] * cos(l * angle_t).
-    Each entry is one product with no summation.
-    """
+def angular_basis(angles: np.ndarray, l_sbf: int) -> np.ndarray:
+    """The angular basis: entry (t, l) = cos(l * angle_t), for angles in [0, pi]."""
     if l_sbf < 1:
         raise ValueError("l_sbf must be >= 1")
     ang = np.asarray(angles, dtype=np.float64)
     if ang.size and (np.any(ang < -1e-12) or np.any(ang > np.pi + 1e-12)):
         raise ValueError("angles must lie in [0, pi]")
     orders = np.arange(l_sbf, dtype=np.float64)
-    angular = np.cos(ang[:, None] * orders[None, :])  # (N, L)
-    out = np.einsum("tk,tl->tkl", radial, angular)
-    return out.reshape(ang.shape[0], radial.shape[1] * l_sbf)
+    return np.cos(ang[:, None] * orders[None, :])
 
 
-def sbf_features(
-    in_edge_distances: np.ndarray,
-    angles: np.ndarray,
-    k_rbf: int,
-    l_sbf: int,
-    cutoff: float,
-) -> np.ndarray:
-    """Outer product of radial features of d_kj and cos(l * angle), flattened.
+def angular_outer(radial: np.ndarray, angles: np.ndarray, l_sbf: int) -> np.ndarray:
+    """Row-wise outer product of radial rows and cos(l * angle), flattened.
 
-    Row layout: entry (t, k * l_sbf + l) = rbf_k(d_kj) * cos(l * angle_t).
+    Row layout: entry (t, k * l_sbf + l) = radial[t, k] * cos(l * angle_t).
+    Each entry is one product with no summation.
     """
-    return angular_outer(rbf_features(in_edge_distances, k_rbf, cutoff), angles, l_sbf)
+    angular = angular_basis(angles, l_sbf)  # (N, L)
+    out = np.einsum("tk,tl->tkl", radial, angular)
+    return out.reshape(angular.shape[0], radial.shape[1] * l_sbf)
 
 
 def compute_basis(
@@ -101,11 +99,12 @@ def compute_basis(
 ) -> BasisFeatures:
     """Record the model's geometry and basis from the positions leaf ``pos_id``.
 
-    Distances, units and rbf cover every edge; angles and sbf cover only the
-    contiguous triplet rows ``trip_rows``, in their order. sbf's radial part is the rbf
-    rows of the triplets' in-edges, so its adjoint reaches the distances
-    through the edge rbf. On a Tape this records for a backward pass; on
-    an Evaluator it returns the arrays.
+    Distances, units and rbf cover every edge; angles and the triplet basis
+    cover only the contiguous triplet rows ``trip_rows``, in their order.
+    Dimenet-style, sbf's radial part is the rbf rows of the triplets'
+    in-edges, so its adjoint reaches the distances through the edge rbf;
+    gemnet-style, the triplet rows are the angular basis alone. On a Tape
+    this records for a backward pass; on an Evaluator it returns the arrays.
     """
     src, recv = topology.edge_src, topology.edge_recv
     trip_in = topology.trip_in[trip_rows]
@@ -114,5 +113,8 @@ def compute_basis(
     units = tape.edge_units(pos_id, src, recv) if config.variant == GEMNET else None
     angles = tape.triplet_angles(pos_id, owned)
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
-    sbf = tape.angular_sbf(tape.gather(rbf, trip_in), angles, config.l_sbf)
-    return BasisFeatures(rbf, sbf, units)
+    if config.variant == GEMNET:
+        triplet = tape.angular_basis(angles, config.l_sbf)
+    else:
+        triplet = tape.angular_sbf(tape.gather(rbf, trip_in), angles, config.l_sbf)
+    return BasisFeatures(rbf, triplet, units)

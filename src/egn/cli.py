@@ -45,6 +45,30 @@ def _resolve_params(args, config: ModelConfig) -> ModelParams:
     return ModelParams(params.config.replace(workers=args.workers), params.arrays)
 
 
+# Flags that take a float. argparse reads a token that starts with "-" as an
+# option unless it is a plain negative number, so "-1e-3" after one of these
+# would be an error where "-0.001" is a value.
+_FLOAT_FLAGS = frozenset({"--lr", "--w-energy", "--w-forces", "--fmax", "--step-size", "--density"})
+
+
+def _attach_float_values(argv: list[str]) -> list[str]:
+    """Join each float flag to a following value that reads as a float, as
+    ``--flag=value``, so every float, exponent and sign alike, parses the
+    same way."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_FLAGS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -92,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; a rejected input or an unreadable file prints one
     ``egn: error:`` line to stderr and returns 2."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_float_values(argv))
     try:
         return _run(args)
     except (ValueError, OSError) as exc:

@@ -22,6 +22,7 @@ engine bit for bit. Where no backward follows (inference) they run on an
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .config import GEMNET, ModelConfig
 from .graph import GraphTopology, build_graph
 from .params import ModelParams
 from .system import AtomicSystem
-from .tape import Tape
+from .tape import Tape, scatter_add
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,9 @@ class FeatureState:
     global_features: np.ndarray  # (1, d_u)
     node_features: np.ndarray  # (N_v, d_v)
     edge_features: np.ndarray  # (N_e, d_e)
-    # (N_t, d_t): the last block's per-triplet messages, before the out-edge
-    # rbf gate and the sum into out-edges; None when sharded away.
+    # The last block's per-triplet messages, before the sum into out-edges:
+    # (N_t, d_t) dimenet-style, before the out-edge rbf gate; (N_t, d_bil)
+    # gemnet-style, before bilinear_proj too. None when sharded away.
     triplet_features: np.ndarray | None
 
 
@@ -54,17 +56,30 @@ class GradientBundle:
 
 
 class ParamLeaves:
-    """Create tape leaves for parameter arrays on first use."""
+    """Create tape leaves for parameter arrays on first use.
+
+    ``view(name, index)`` is a leaf of a parameter's entries laid out anew:
+    entry i is the parameter's flat entry index[i], or zero where index[i]
+    is -1. An entry may appear more than once; the gradient of each
+    appearance is summed into the parameter's gradient.
+    """
 
     def __init__(self, tape: Tape, params: ModelParams):
         self._tape = tape
         self._arrays = params.arrays
         self.ids: dict[str, int] = {}
+        self.views: dict[str, list[tuple[int, np.ndarray]]] = {}
 
     def __getitem__(self, name: str) -> int:
         if name not in self.ids:
             self.ids[name] = self._tape.leaf(self._arrays[name])
         return self.ids[name]
+
+    def view(self, name: str, index: np.ndarray) -> int:
+        flat = self._arrays[name].ravel()
+        nid = self._tape.leaf(np.where(index >= 0, flat[index], 0.0))
+        self.views.setdefault(name, []).append((nid, index))
+        return nid
 
     def gradients(self, grads: list) -> dict[str, np.ndarray]:
         """Every parameter's gradient from a backward of the tape, in
@@ -73,6 +88,11 @@ class ParamLeaves:
         out = {}
         for name, arr in self._arrays.items():
             g = grads[self.ids[name]] if name in self.ids else None
+            for nid, index in self.views.get(name, ()):
+                if grads[nid] is not None:
+                    used = index >= 0
+                    part = scatter_add(index[used], grads[nid][used], arr.size)
+                    g = part.reshape(arr.shape) if g is None else g + part.reshape(arr.shape)
             out[name] = g if g is not None else np.zeros_like(arr)
         return out
 
@@ -115,6 +135,33 @@ def record_edge_init(tape: Tape, pl: ParamLeaves, rbf_id: int, rows: slice) -> i
     return tape.linear(rbf_rows, pl["edge_init.w"], pl["edge_init.b"])
 
 
+@lru_cache(maxsize=8)
+def bilinear_layout(l_sbf: int, d_t: int, d_bil: int, k_rbf: int) -> dict[str, np.ndarray]:
+    """Read-only ``ParamLeaves.view`` indices that regroup the gemnet-style
+    triplet gates by angular order l, for one product per edge over all
+    orders:
+
+      * ``sbf_gate`` (L d_t, K): row (l, j) is ``sbf_gate[j, k L + l]`` over
+        k, the gate of sbf's order-l columns;
+      * ``bilinear_b`` (L d_bil, L d_t): ``bilinear_b`` once per order, on
+        the block diagonal;
+      * ``bilinear_a`` (L d_bil, d_t): ``bilinear_a`` once per order.
+    """
+    gate = np.arange(d_t * k_rbf * l_sbf).reshape(d_t, k_rbf, l_sbf).transpose(2, 0, 1)
+    bil = np.arange(d_bil * d_t).reshape(d_bil, d_t)
+    diag = np.full((l_sbf, d_bil, l_sbf, d_t), -1)
+    for l in range(l_sbf):
+        diag[l, :, l, :] = bil
+    layout = {
+        "sbf_gate": gate.reshape(l_sbf * d_t, k_rbf),
+        "bilinear_b": diag.reshape(l_sbf * d_bil, l_sbf * d_t),
+        "bilinear_a": np.tile(bil, (l_sbf, 1)),
+    }
+    for index in layout.values():
+        index.setflags(write=False)
+    return layout
+
+
 def record_tu(
     tape: Tape,
     pl: ParamLeaves,
@@ -122,39 +169,52 @@ def record_tu(
     config: ModelConfig,
     m_id: int,
     rbf_id: int,
-    sbf_id: int,
+    triplet_id: int,
     trip_rows: slice,
     topology: GraphTopology,
 ) -> tuple[int, int]:
     """Triplet update + aggregation over ``trip_rows``.
 
-    ``sbf_id`` holds the sbf rows of ``trip_rows`` only, as ``compute_basis``
-    records them. As in DimeNet++ and GemNet, only the factors that depend
-    on the triplet run on its rows: the sbf gate and the Hadamard product
-    (dimenet-style), or the sbf gate, ``bilinear_b``, the bilinear product
-    and ``bilinear_proj`` (gemnet-style). The in-edge projections (``down``
-    and GemNet's ``bilinear_a``) run on all N_e rows of ``m`` before the
-    triplet gather. The d_t-wide messages are summed into their out-edges,
-    and the sum is gated by the out-edge's rbf and up-projected. Neither map
-    has a bias and the gate depends on the out-edge alone, so both commute
-    with the sum. A runtime worker's triplet shard holds every triplet of
-    the out-edges it owns, so its rows of the result are complete; the rest
-    are zero. That edge-row work is replicated on every worker, but cheaper
-    than its N_t/P triplet rows while N_t/N_e > P. Returns (the per-triplet
-    messages before the gate, aggregated edge buffer of full size).
+    ``triplet_id`` holds the triplet basis rows of ``trip_rows`` only, as
+    ``compute_basis`` records them. As in DimeNet++ and GemNet, only the
+    factors that depend on the triplet run on its rows, and the in-edge
+    projection ``down`` runs on all N_e rows of ``m`` before any gather.
+
+    Dimenet-style, a triplet's message is its gathered ``down`` row times
+    its sbf row gated to d_t. Gemnet-style, sbf = rbf(in-edge) (x) cos(l *
+    angle), and ``sbf_gate`` and ``bilinear_b`` compose with no bias between
+    them, so the bilinear product of a triplet is sum_l cos(l * angle)
+    C_l[in-edge]. C_l = ``bilinear_a``(down) * ``bilinear_b``(rbf gated by
+    the order-l columns of ``sbf_gate``) is formed per edge, for every l in
+    one product of width L d_bil (see ``bilinear_layout``). Only the
+    d_bil-wide contraction runs on triplet rows, in one ``gather_contract``,
+    and ``bilinear_proj`` runs on the summed edge rows.
+
+    The messages are summed into their out-edges, and the sum is gated by
+    the out-edge's rbf and up-projected. None of these maps has a bias and
+    the gate depends on the out-edge alone, so they commute with the sum. A
+    runtime worker's triplet shard holds every triplet of the out-edges it
+    owns, so its rows of the result are complete; the rest are zero. That
+    edge-row work is replicated on every worker, but cheaper than its N_t/P
+    triplet rows while N_t/N_e > P. Returns (the per-triplet messages,
+    aggregated edge buffer of full size).
     """
     p = f"block{block}.tu"
     t_in = topology.trip_in[trip_rows]
     t_out = topology.trip_out[trip_rows]
     down = tape.linear(m_id, pl[p + ".down"])
-    g_sbf = tape.linear(sbf_id, pl[p + ".sbf_gate"])
     if config.variant == GEMNET:
-        a = tape.gather(tape.linear(down, pl[p + ".bilinear_a"]), t_in)
-        b = tape.linear(g_sbf, pl[p + ".bilinear_b"])
-        t_msg = tape.linear(tape.mul(a, b), pl[p + ".bilinear_proj"])
+        layout = bilinear_layout(config.l_sbf, config.d_t, config.d_bil, config.k_rbf)
+        gates = tape.linear(rbf_id, pl.view(p + ".sbf_gate", layout["sbf_gate"]))
+        b = tape.linear(gates, pl.view(p + ".bilinear_b", layout["bilinear_b"]))
+        a = tape.linear(down, pl.view(p + ".bilinear_a", layout["bilinear_a"]))
+        t_msg = tape.gather_contract(triplet_id, tape.mul(a, b), t_in)
+        agg = tape.segment_sum(t_msg, t_out, topology.num_edges)
+        agg = tape.linear(agg, pl[p + ".bilinear_proj"])
     else:
+        g_sbf = tape.linear(triplet_id, pl[p + ".sbf_gate"])
         t_msg = tape.mul(tape.gather(down, t_in), g_sbf)
-    agg = tape.segment_sum(t_msg, t_out, topology.num_edges)
+        agg = tape.segment_sum(t_msg, t_out, topology.num_edges)
     gated = tape.mul(agg, tape.linear(rbf_id, pl[p + ".rbf_gate"]))
     return t_msg, tape.linear(gated, pl[p + ".up"])
 
@@ -262,12 +322,12 @@ def record_model(
 
     ``rows`` are the (triplet, edge, node) rows this forward owns, every
     row sequentially and a worker's shards in the runtime; ``basis`` holds
-    sbf for those triplet rows. The edge, node and global buffers the owned
-    rows only partly compute pass through ``share(x, stage, level, block[,
-    rows, shape])``, which returns the whole buffer: the identity here, an
-    all-reduce in the runtime. ``enter(stage)`` is called as each stage
-    begins. The initial edge embedding, the symmetric coupling and the
-    force head run over all rows.
+    the triplet basis for those triplet rows. The edge, node and global
+    buffers the owned rows only partly compute pass through ``share(x,
+    stage, level, block[, rows, shape])``, which returns the whole buffer:
+    the identity here, an all-reduce in the runtime. ``enter(stage)`` is
+    called as each stage begins. The initial edge embedding, the symmetric
+    coupling and the force head run over all rows.
     """
     config = params.config
     gemnet = config.variant == GEMNET
@@ -276,13 +336,13 @@ def record_model(
     plan = receiver_plan(topology, nodes)
     rev = topology.reverse_edges() if gemnet else None
     edge_shape = (topology.num_edges, config.d_e)
-    rbf_id, sbf_id = basis.edge_rbf, basis.triplet_sbf
+    rbf_id, triplet_id = basis.edge_rbf, basis.triplet_basis
 
     m_id = record_edge_init(tape, pl, rbf_id, ALL_ROWS)
     u_id = tape.leaf(np.zeros((1, config.d_u)))
     for b in range(config.blocks):
         enter(f"block{b}.tu")
-        t_id, ta_id = record_tu(tape, pl, b, config, m_id, rbf_id, sbf_id, trips, topology)
+        t_id, ta_id = record_tu(tape, pl, b, config, m_id, rbf_id, triplet_id, trips, topology)
         enter(f"block{b}.eu")
         m_id = share(record_eu(tape, pl, b, m_id, ta_id, edges), "eu", "edge", b, edges, edge_shape)
         enter(f"block{b}.nu")

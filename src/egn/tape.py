@@ -11,12 +11,24 @@ forward is written once and yields the same bits either way.
 
 Primitives: leaf, add, mul, concat, linear, silu, gather, segment_sum,
 sum_rows, edge_distances, edge_units, triplet_angles, gaussian_rbf,
-angular_sbf, quadratic_well, and two for a worker that records its shard of
-a model split across workers. ``add`` and ``mul`` broadcast as numpy does (a
-bias row, a column of row scales), and their adjoints sum over the broadcast
-axes. A gather takes an index array or, for a contiguous range of rows, a
-slice; a gather by slice is a view of its input, so recorded values may
-alias each other.
+angular_sbf, angular_basis, gather_contract, quadratic_well, allreduce and
+boundary.
+
+``add`` and ``mul`` broadcast as numpy does (a bias row, a column of row
+scales), and their adjoints sum over the broadcast axes. A gather takes an
+index array or, for a contiguous range of rows, a slice; a gather by slice
+is a view of its input, so recorded values may alias each other.
+``angular_sbf`` composes the dimenet-style sbf from gathered radial rows
+and the angles; ``angular_basis`` is the angles' cos(l * angle) rows alone,
+which the gemnet-style triplet update contracts in one fused op:
+
+  * ``gather_contract(w, c, idx)``: with ``c`` of L column blocks of width
+    d, one per column of ``w``, row t is sum_l w[t, l] * (block l of row
+    idx[t] of c). No recorded value holds the L gathered blocks of a
+    triplet row; forward and adjoint gather them in chunks of rows.
+
+``allreduce`` and ``boundary`` serve a worker that records its shard of a
+model split across workers:
 
   * ``allreduce(x, link, rows, shape)`` places ``x`` at ``rows`` of a zero
     buffer of ``shape`` (or takes ``x`` whole) and sums that buffer over
@@ -280,21 +292,66 @@ def _gaussian_rbf_vjp(g, vals, out, aux):
 _op("gaussian_rbf")((_gaussian_rbf_fwd, _gaussian_rbf_vjp))
 
 
+def _angular_basis_vjp(g, vals, out, aux):
+    orders = np.arange(aux["l_sbf"], dtype=np.float64)
+    phase = vals[0][:, None] * orders[None, :]
+    return ((g * (-orders * np.sin(phase))).sum(axis=1),)
+
+
+_op("angular_basis")(
+    (lambda vals, aux: _basis.angular_basis(vals[0], aux["l_sbf"]), _angular_basis_vjp)
+)
+
+
 def _angular_sbf_fwd(vals, aux):
     return _basis.angular_outer(vals[0], vals[1], aux["l_sbf"])
 
 
 def _angular_sbf_vjp(g, vals, out, aux):
     radial, angles = vals
-    orders = np.arange(aux["l_sbf"], dtype=np.float64)
-    phase = angles[:, None] * orders[None, :]
-    g = g.reshape(radial.shape + orders.shape)
-    d_radial = np.einsum("tkl,tl->tk", g, np.cos(phase))
-    d_angle = (np.einsum("tkl,tk->tl", g, radial) * (-orders * np.sin(phase))).sum(axis=1)
+    g = g.reshape(radial.shape + (aux["l_sbf"],))
+    d_radial = np.einsum("tkl,tl->tk", g, _basis.angular_basis(angles, aux["l_sbf"]))
+    (d_angle,) = _angular_basis_vjp(np.einsum("tkl,tk->tl", g, radial), (angles,), None, aux)
     return d_radial, d_angle
 
 
 _op("angular_sbf")((_angular_sbf_fwd, _angular_sbf_vjp))
+
+
+# Rows per chunk of a gather_contract: its gathered (rows, L * d) transients
+# stay near 1 MiB, however many triplets there are.
+_CONTRACT_ELEMENTS = 1 << 17
+
+
+def _row_chunks(n: int, width: int) -> list[slice]:
+    step = max(1, _CONTRACT_ELEMENTS // width)
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _gather_contract_fwd(vals, aux):
+    weights, c, idx = vals[0], vals[1], aux["idx"]
+    n, orders = weights.shape
+    out = np.empty((n, c.shape[1] // orders))
+    for rows in _row_chunks(n, c.shape[1]):
+        blocks = np.take(c, idx[rows], axis=0).reshape(-1, orders, out.shape[1])
+        np.einsum("tl,tld->td", weights[rows], blocks, out=out[rows])
+    return out
+
+
+def _gather_contract_vjp(g, vals, out, aux):
+    weights, c, idx = vals[0], vals[1], aux["idx"]
+    n, orders = weights.shape
+    d_weights = np.empty_like(weights)
+    d_c = np.zeros(c.shape)
+    for rows in _row_chunks(n, c.shape[1]):
+        blocks = np.take(c, idx[rows], axis=0).reshape(-1, orders, g.shape[1])
+        np.einsum("tld,td->tl", blocks, g[rows], out=d_weights[rows])
+        outer = np.einsum("tl,td->tld", weights[rows], g[rows])
+        d_c += scatter_add(idx[rows], outer, c.shape[0]).reshape(c.shape)
+    return d_weights, d_c
+
+
+_op("gather_contract")((_gather_contract_fwd, _gather_contract_vjp))
 
 _op("quadratic_well")(
     (
@@ -406,6 +463,13 @@ class Tape:
 
     def angular_sbf(self, radial: int, angles: int, l_sbf: int) -> int:
         return self._record("angular_sbf", (radial, angles), {"l_sbf": l_sbf})
+
+    def angular_basis(self, angles: int, l_sbf: int) -> int:
+        return self._record("angular_basis", (angles,), {"l_sbf": l_sbf})
+
+    def gather_contract(self, weights: int, c: int, idx: np.ndarray) -> int:
+        aux = {"idx": np.asarray(idx, dtype=np.int64)}
+        return self._record("gather_contract", (weights, c), aux)
 
     def quadratic_well(self, distances: int, center: float) -> int:
         return self._record("quadratic_well", (distances,), {"center": center})

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from egn.basis import rbf_centers, rbf_features, sbf_features
-from egn.config import ModelConfig
+from egn.basis import angular_outer, rbf_centers, rbf_features
+from egn.config import GEMNET, ModelConfig
 from egn.system import AtomicSystem, random_cloud
 
 from conftest import basis_of
@@ -40,32 +40,38 @@ def test_rbf_range_and_errors():
         rbf_features(np.array([0.0]), 3, 1.5)
 
 
+def sbf(distances, angles, k_rbf, l_sbf, cutoff):
+    """The sbf rows of in-edge distances and angles, as the dimenet-style
+    basis composes them."""
+    return angular_outer(rbf_features(distances, k_rbf, cutoff), angles, l_sbf)
+
+
 def test_sbf_l_zero_equals_radial():
     d = np.array([0.7, 1.1])
     ang = np.array([0.3, 2.0])
     radial = rbf_features(d, 3, 1.5)
-    sbf = sbf_features(d, ang, 3, 2, 1.5)
-    np.testing.assert_allclose(sbf[:, 0::2], radial, atol=1e-15)
+    rows = sbf(d, ang, 3, 2, 1.5)
+    np.testing.assert_allclose(rows[:, 0::2], radial, atol=1e-15)
 
 
 def test_sbf_right_angle_kills_l1():
-    sbf = sbf_features(np.array([1.0]), np.array([np.pi / 2]), 2, 2, 1.5)
-    np.testing.assert_allclose(sbf[0, 1::2], 0.0, atol=1e-15)
+    rows = sbf(np.array([1.0]), np.array([np.pi / 2]), 2, 2, 1.5)
+    np.testing.assert_allclose(rows[0, 1::2], 0.0, atol=1e-15)
 
 
 def test_sbf_value_at_center_and_l2():
     k, l, cutoff = 3, 3, 1.5
     centers = rbf_centers(k, cutoff)
-    sbf = sbf_features(np.array([centers[1]]), np.array([np.pi / 3]), k, l, cutoff)
+    rows = sbf(np.array([centers[1]]), np.array([np.pi / 3]), k, l, cutoff)
     # radial entry 1 is exactly 1; angular order 2 gives cos(2*pi/3) = -0.5
-    assert sbf[0, 1 * l + 2] == pytest.approx(-0.5, abs=1e-12)
+    assert rows[0, 1 * l + 2] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_sbf_errors():
     with pytest.raises(ValueError):
-        sbf_features(np.array([1.0]), np.array([0.5]), 3, 0, 1.5)
+        sbf(np.array([1.0]), np.array([0.5]), 3, 0, 1.5)
     with pytest.raises(ValueError):
-        sbf_features(np.array([1.0]), np.array([4.0]), 3, 2, 1.5)  # angle beyond pi
+        sbf(np.array([1.0]), np.array([4.0]), 3, 2, 1.5)  # angle beyond pi
 
 
 def _rigid_motion(system: AtomicSystem, rng) -> AtomicSystem:
@@ -88,13 +94,27 @@ def test_basis_invariant_under_rigid_motion(rng):
         np.testing.assert_array_equal(topo.edge_src, topo2.edge_src)
         np.testing.assert_array_equal(topo.trip_in, topo2.trip_in)
         np.testing.assert_allclose(basis2.edge_rbf, basis.edge_rbf, atol=1e-12)
-        np.testing.assert_allclose(basis2.triplet_sbf, basis.triplet_sbf, atol=1e-12)
+        np.testing.assert_allclose(basis2.triplet_basis, basis.triplet_basis, atol=1e-12)
 
 
 def test_basis_all_finite(rng):
     system = random_cloud(20, 0.9, rng)
     topo, basis = basis_of(system, ModelConfig(k_rbf=6, l_sbf=4, cutoff=1.5))
     assert np.all(np.isfinite(basis.edge_rbf))
-    assert np.all(np.isfinite(basis.triplet_sbf))
+    assert np.all(np.isfinite(basis.triplet_basis))
     assert basis.edge_rbf.shape == (topo.num_edges, 6)
-    assert basis.triplet_sbf.shape == (topo.num_triplets, 24)
+    assert basis.triplet_basis.shape == (topo.num_triplets, 24)
+
+
+def test_gemnet_triplet_basis_is_the_angular_factor(rng):
+    """Gemnet-style triplet rows hold cos(l * angle) only; with the in-edge
+    rbf they compose the dimenet-style sbf rows exactly."""
+    system = random_cloud(20, 0.9, rng)
+    cfg = ModelConfig(k_rbf=6, l_sbf=4, cutoff=1.5)
+    topo, dimenet = basis_of(system, cfg)
+    _, gemnet = basis_of(system, cfg.replace(variant=GEMNET))
+    assert gemnet.triplet_basis.shape == (topo.num_triplets, 4)
+    np.testing.assert_array_equal(gemnet.triplet_basis[:, 0], 1.0)
+    radial = gemnet.edge_rbf[topo.trip_in]
+    composed = np.einsum("tk,tl->tkl", radial, gemnet.triplet_basis).reshape(-1, 24)
+    assert composed.tobytes() == dimenet.triplet_basis.tobytes()

@@ -233,6 +233,32 @@ def test_cli_train_rejects_non_finite_weights(flag, value, tmp_path, capsys, mon
     _assert_train_rejects(flag, value, error, tmp_path, capsys, monkeypatch)
 
 
+@pytest.mark.parametrize(
+    "argv, dest",
+    [
+        (["train", "--lr"], "lr"),
+        (["train", "--w-energy"], "w_energy"),
+        (["train", "--w-forces"], "w_forces"),
+        (["relax", "x.xyz", "--fmax"], "fmax"),
+        (["relax", "x.xyz", "--fmax", "1", "--step-size"], "step_size"),
+        (["gen", "--density"], "density"),
+    ],
+)
+@pytest.mark.parametrize("value", ["-1e-3", "-0.001", "-1E-3", "-inf"])
+def test_cli_float_flags_take_negative_exponents(argv, dest, value, monkeypatch):
+    """A negative float with an exponent is a value of every float flag, as
+    a plain negative number is, whatever the check after parsing says."""
+    seen = []
+    monkeypatch.setattr(cli, "_run", lambda args: seen.append(args) or 0)
+    assert main([*argv, value]) == 0
+    assert getattr(seen[0], dest) == float(value)
+
+
+def test_cli_train_rejects_negative_weight_with_exponent(tmp_path, capsys, monkeypatch):
+    error = "--w-energy must be finite and non-negative, got -0.001"
+    _assert_train_rejects("--w-energy", "-1e-3", error, tmp_path, capsys, monkeypatch)
+
+
 @pytest.mark.parametrize("fmax", ["nan", "inf"])
 def test_cli_relax_rejects_non_finite_fmax(fmax, tmp_path, capsys):
     xyz = tmp_path / "dimer.xyz"

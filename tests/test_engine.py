@@ -9,7 +9,7 @@ from egn import engine
 from egn.basis import BasisFeatures
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
-from egn.graph import build_graph, edge_unit_vectors
+from egn.graph import build_graph, edge_unit_vectors, triplet_angles
 from egn.params import ModelParams, init_params
 from egn.system import AtomicSystem, random_cloud
 
@@ -31,13 +31,14 @@ def naive_forward(system: AtomicSystem, params: ModelParams):
     arrays = params.arrays
     topo, basis = basis_of(system, cfg)
     units = edge_unit_vectors(system.positions, topo.edge_src, topo.edge_recv)
+    angles = triplet_angles(system.positions, topo)
     n_e, n_t, n_v = topo.num_edges, topo.num_triplets, topo.num_nodes
     rev = topo.reverse_edges() if cfg.variant == GEMNET else None
 
     m = np.array([arrays["edge_init.w"] @ basis.edge_rbf[e] + arrays["edge_init.b"] for e in range(n_e)]) if n_e else np.zeros((0, cfg.d_e))
     u = np.zeros(cfg.d_u)
     v = np.array([arrays["atom_embedding"][z - 1] for z in system.atomic_numbers])
-    t_feat = np.zeros((n_t, cfg.d_t))
+    t_feat = np.zeros((n_t, cfg.d_bil if cfg.variant == GEMNET else cfg.d_t))
 
     for b in range(cfg.blocks):
         p = f"block{b}."
@@ -46,15 +47,16 @@ def naive_forward(system: AtomicSystem, params: ModelParams):
             e_in, e_out = topo.trip_in[t], topo.trip_out[t]
             down = arrays[p + "tu.down"] @ m[e_in]
             g_rbf = arrays[p + "tu.rbf_gate"] @ basis.edge_rbf[e_out]
-            g_sbf = arrays[p + "tu.sbf_gate"] @ basis.triplet_sbf[t]
+            # sbf entry (k * l_sbf + l) = rbf_k(in-edge) * cos(l * angle)
+            sbf = np.outer(basis.edge_rbf[e_in], np.cos(np.arange(cfg.l_sbf) * angles[t]))
+            g_sbf = arrays[p + "tu.sbf_gate"] @ sbf.ravel()
             if cfg.variant == GEMNET:
-                mixed = arrays[p + "tu.bilinear_proj"] @ (
-                    (arrays[p + "tu.bilinear_a"] @ down) * (arrays[p + "tu.bilinear_b"] @ g_sbf)
-                )
-                t_feat[t] = mixed
+                a = arrays[p + "tu.bilinear_a"] @ down
+                t_feat[t] = a * (arrays[p + "tu.bilinear_b"] @ g_sbf)
+                mixed = arrays[p + "tu.bilinear_proj"] @ t_feat[t]
             else:
-                t_feat[t] = down * g_sbf
-            ta[e_out] += arrays[p + "tu.up"] @ (t_feat[t] * g_rbf)
+                t_feat[t] = mixed = down * g_sbf
+            ta[e_out] += arrays[p + "tu.up"] @ (mixed * g_rbf)
 
         m_new = np.zeros_like(m)
         for e in range(n_e):
@@ -273,23 +275,28 @@ def test_state_buffers_all_finite(rng):
             assert np.all(np.isfinite(buf))
 
 
-@pytest.mark.parametrize("variant, triplet_linears", [(DIMENET, 1), (GEMNET, 3)])
+@pytest.mark.parametrize("variant, triplet_linears", [(DIMENET, 1), (GEMNET, 0)])
 def test_triplet_update_edge_factors_run_on_edge_rows(variant, triplet_linears):
-    """Only the sbf gate and (gemnet-style) bilinear_b and bilinear_proj
-    project triplet rows; the edge-only factors project N_e rows."""
+    """Only the dimenet-style sbf gate projects triplet rows; every other
+    factor projects N_e rows once per block, gemnet-style the sbf gate and
+    ``bilinear_a`` and ``bilinear_b`` as views over all angular orders."""
     cfg = ModelConfig(variant=variant, blocks=3)
     model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
     topo, _ = build_graph(model.system, cfg.cutoff)
     n_e, n_t = topo.num_edges, topo.num_triplets
     assert 0 < n_e < n_t
-    weight_names = {nid: name for name, nid in model.handles.param_leaves.ids.items()}
+    leaves = model.handles.param_leaves
+    weight_names = {nid: name for name, nid in leaves.ids.items()}
+    weight_names.update({nid: name for name, views in leaves.views.items() for nid, _ in views})
     linears = [
         (weight_names[node.inputs[1]], model.tape.value(node.inputs[0]).shape[0])
         for node in model.tape._nodes
         if node.op == "linear"
     ]
 
-    edge_factors = ["down", "rbf_gate", "up"] + (["bilinear_a"] if variant == GEMNET else [])
+    edge_factors = ["down", "rbf_gate", "up"]
+    if variant == GEMNET:
+        edge_factors += ["sbf_gate", "bilinear_a", "bilinear_b", "bilinear_proj"]
     for b in range(cfg.blocks):
         for factor in edge_factors:
             name = f"block{b}.tu.{factor}"
@@ -298,14 +305,32 @@ def test_triplet_update_edge_factors_run_on_edge_rows(variant, triplet_linears):
     assert len(on_triplets) == triplet_linears * cfg.blocks, on_triplets
 
 
+def test_gemnet_triplet_rows_carry_only_the_angle():
+    """On a gemnet-style tape no linear and no mul runs on triplet rows, and
+    no recorded triplet-row value is wider than max(l_sbf, d_bil)."""
+    cfg = ModelConfig(variant=GEMNET, blocks=3, d_t=6, d_bil=3, l_sbf=5)
+    model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
+    topo, _ = build_graph(model.system, cfg.cutoff)
+    n_t = topo.num_triplets
+    assert n_t > max(topo.num_edges, topo.num_nodes)
+    on_triplets = [
+        (node.op, node.value.shape) for node in model.tape._nodes if node.value.shape[:1] == (n_t,)
+    ]
+    ops = {op for op, _ in on_triplets}
+    assert ops == {"triplet_angles", "angular_basis", "gather_contract"}, ops
+    assert max(shape[1] for _, shape in on_triplets if len(shape) > 1) == max(cfg.l_sbf, cfg.d_bil)
+
+
 # ---------------------------------------------------------------------------
 # References of the triplet stage.
 #
-# ``gather_then_project_tu`` is the engine's order with the in-edge factors
-# gathered into triplet rows and projected there; with sbf's radial part a
-# second Gaussian evaluation of the gathered in-edge distances, it gives the
-# engine's forward bits. The engine projects per edge and gathers the
-# results instead.
+# ``gather_then_project_tu`` is the engine's dimenet-style order with the
+# in-edge factors gathered into triplet rows and projected there; with sbf's
+# radial part a second Gaussian evaluation of the gathered in-edge distances,
+# it gives the engine's dimenet-style forward bits. The engine projects per
+# edge and gathers the results instead. Gemnet-style, it is the order in
+# which ``sbf_gate``, ``bilinear_b`` and ``bilinear_proj`` project triplet
+# rows of the whole sbf.
 #
 # ``triplet_rows_tu`` is the order before messages were aggregated at d_t:
 # every factor runs on triplet rows, each triplet is gated and up-projected,
@@ -379,10 +404,12 @@ def _cloud_above_blas_threading():
     ids=["cloud", "triangle", "no-triplets"],
 )
 def test_edge_projection_matches_gather_then_project(variant, make_system, monkeypatch):
-    """Projecting per edge before the triplet gather changes no forward bit;
-    gradients, which now sum over edges after a scatter, agree to 1e-12.
-    The order that gated and up-projected every triplet before the out-edge
-    sum agrees to 1e-12 in value and gradient."""
+    """Projecting per edge before the triplet gather changes no dimenet-style
+    forward bit; gradients, which now sum over edges after a scatter, agree
+    to 1e-12. The order that gated and up-projected every triplet before the
+    out-edge sum agrees to 1e-12 in value and gradient. Gemnet-style, both
+    references contract the whole sbf on triplet rows, where the engine
+    keeps sbf's radial factor on the in-edge, so values agree to 1e-12 too."""
     system = make_system()
     cfg = ModelConfig(variant=variant, blocks=2)
     params = init_params(cfg)
@@ -403,11 +430,12 @@ def test_edge_projection_matches_gather_then_project(variant, make_system, monke
 
     if make_system is _cloud_above_blas_threading:
         assert build_graph(system, cfg.cutoff)[0].num_triplets > 5500
-    assert np.float64(model.energy).tobytes() == np.float64(ref.energy).tobytes()
-    assert _close(np.float64(model.energy), np.float64(old.energy))
-    if variant == GEMNET:
-        assert model.forces.tobytes() == ref.forces.tobytes()
-        assert _close(model.forces, old.forces)
+    if variant == DIMENET:
+        assert np.float64(model.energy).tobytes() == np.float64(ref.energy).tobytes()
+    for other in (ref, old):
+        assert _close(np.float64(model.energy), np.float64(other.energy))
+        if variant == GEMNET:
+            assert _close(model.forces, other.forces)
     for other in (ref_grads, old_grads):
         # Energy-centric forces are the negative position gradient.
         assert _close(grads.d_positions, other.d_positions)

@@ -182,7 +182,8 @@ def test_gemnet_force_seeded_parallel_backward(medium_system, rng):
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypatch):
-    """Each worker computes angles and sbf over its own triplet shard only."""
+    """Each worker computes angles and their angular basis over its own
+    triplet shard only."""
     seen = defaultdict(list)  # thread name -> [(op, rows)]
 
     def spy(op, rows_of):
@@ -195,7 +196,7 @@ def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypa
         monkeypatch.setitem(tape_module._FORWARD, op, wrapped)
 
     spy("triplet_angles", lambda vals, aux: (aux["topology"].trip_in, aux["topology"].trip_out))
-    spy("angular_sbf", lambda vals, aux: vals[1].shape[0])
+    spy("angular_basis", lambda vals, aux: vals[0].shape[0])
     cfg = ModelConfig(variant="gemnet-style", blocks=2, workers=workers)
     group = WorkerGroup(medium_system, init_params(cfg))
     group.forward()
@@ -205,7 +206,7 @@ def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypa
     total = 0
     for rank, shard in enumerate(group.partition.triplet_shards):
         calls = seen.pop(f"egn-worker-{rank}")
-        assert [op for op, _ in calls] == ["triplet_angles", "angular_sbf"] * 2
+        assert [op for op, _ in calls] == ["triplet_angles", "angular_basis"] * 2
         for op, rows in calls:
             if op == "triplet_angles":
                 np.testing.assert_array_equal(rows[0], topo.trip_in[shard])

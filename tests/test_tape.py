@@ -1,4 +1,5 @@
 import ast
+import re
 from functools import partial
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from egn.tape import (
 )
 from egn.tasks import predict
 
-from conftest import rel_err
+from conftest import dimer, rel_err
 
 
 def numeric_vjp(build, x0, seed, h=1e-6):
@@ -224,6 +225,92 @@ def test_angular_sbf_adjoint(rng):
             assert rel_err(fd, exact[i]) < 1e-5
 
 
+@pytest.mark.parametrize("l_sbf", [1, 4])
+def test_angular_basis_adjoint(l_sbf, rng):
+    a0 = rng.uniform(0.2, np.pi - 0.2, size=7)
+    check_op(lambda t, x: t.angular_basis(x, l_sbf), a0, rng, tol=1e-5)
+
+
+@pytest.mark.parametrize("l_sbf", [1, 3])
+def test_gather_contract_value_and_adjoint(l_sbf, rng):
+    """Row t is sum_l w[t, l] * (block l of row idx[t] of c); the adjoints
+    of the weights and of c match central finite differences, with
+    repeated and unreferenced rows of c."""
+    idx = np.array([0, 2, 2, 4, 1, 0, 2])
+    inputs = [rng.standard_normal((idx.size, l_sbf)), rng.standard_normal((6, 2 * l_sbf))]
+    tape = Tape()
+    out = tape.value(tape.gather_contract(tape.leaf(inputs[0]), tape.leaf(inputs[1]), idx))
+    rows = inputs[1][idx]
+    want = sum(inputs[0][:, l : l + 1] * rows[:, 2 * l : 2 * l + 2] for l in range(l_sbf))
+    np.testing.assert_allclose(out, want, rtol=1e-15, atol=0)
+
+    for which in range(2):
+
+        def record(t, x, which=which):
+            ids = [x if i == which else t.leaf(a) for i, a in enumerate(inputs)]
+            return t.gather_contract(ids[0], ids[1], idx)
+
+        check_op(record, inputs[which], rng)
+
+
+def test_gather_contract_without_rows():
+    """No triplet rows: an empty output, and zero adjoints of the inputs'
+    shapes."""
+    tape = Tape()
+    w, c = tape.leaf(np.zeros((0, 2))), tape.leaf(np.ones((3, 8)))
+    out = tape.gather_contract(w, c, np.zeros(0, dtype=np.int64))
+    assert tape.value(out).shape == (0, 4)
+    grads = tape.backward({out: np.zeros((0, 4))})
+    assert grads[w].shape == (0, 2)
+    assert grads[c].shape == (3, 8) and not grads[c].any()
+
+
+def test_gemnet_forward_without_triplets():
+    """A gemnet-style system with edges but no triplets: the Tape and the
+    Evaluator forward agree bit for bit, and no gradient reaches the gates
+    of the angular orders."""
+    cfg = ModelConfig(variant=GEMNET, blocks=2, d_t=3, d_bil=5, l_sbf=2)
+    params = init_params(cfg)
+    system = dimer(1.0)
+    model = ModelTape(system, params)
+    assert model.state.triplet_features.shape == (0, cfg.d_bil)
+    energy, forces = predict(system, params, workers=1)
+    assert _bits(energy, forces) == _bits(model.energy, model.forces)
+    grads = model.backward(1.0, np.ones((system.n, 3)))
+    for b in range(cfg.blocks):
+        for name in ("sbf_gate", "bilinear_a", "bilinear_b"):
+            assert not grads.d_params[f"block{b}.tu.{name}"].any(), name
+    assert np.all(np.isfinite(grads.d_positions))
+
+
+@pytest.mark.parametrize("l_sbf", [1, 3])
+def test_gemnet_workers_agree_with_one(l_sbf):
+    """Gemnet-style forward_backward at P=2 and P=3 agrees with P=1 to 1e-9,
+    and P=1 with the sequential engine bit for bit."""
+    cfg = ModelConfig(variant=GEMNET, blocks=2, d_t=3, d_bil=5, l_sbf=l_sbf)
+    params = init_params(cfg)
+    system = random_cloud(24, 0.9, np.random.default_rng(11))
+    d_forces = np.random.default_rng(12).standard_normal((system.n, 3))
+    runs = {}
+    for p in (1, 2, 3):
+        group = WorkerGroup(system, ModelParams(cfg.replace(workers=p), params.arrays))
+        runs[p] = group.forward_backward(d_energy=0.5, d_forces=d_forces)
+    model = ModelTape(system, params)
+    seq = model.backward(0.5, d_forces)
+    one, one_grads = runs[1]
+    assert _bits(one.energy, one.forces, one_grads.d_positions) == _bits(
+        model.energy, model.forces, seq.d_positions
+    )
+    assert _bits(*one_grads.d_params.values()) == _bits(*seq.d_params.values())
+    for p in (2, 3):
+        result, grads = runs[p]
+        np.testing.assert_allclose(result.energy, one.energy, rtol=1e-9)
+        np.testing.assert_allclose(result.forces, one.forces, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(grads.d_positions, one_grads.d_positions, rtol=1e-9, atol=1e-12)
+        for name, g in one_grads.d_params.items():
+            np.testing.assert_allclose(grads.d_params[name], g, rtol=1e-9, atol=1e-12, err_msg=name)
+
+
 def test_quadratic_well_adjoint(rng):
     d0 = rng.uniform(0.5, 2.5, size=9)
     check_op(lambda t, x: t.quadratic_well(x, 1.5), d0, rng)
@@ -248,6 +335,8 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     well = h["quadratic_well"] = tape.quadratic_well(dist, 1.5)
     w_id, b_id = tape.leaf(w), tape.leaf(b)
     lin = tape.linear(rbf, w_id)
+    cos = h["angular_basis"] = tape.angular_basis(ang, 3)
+    h["gather_contract"] = tape.gather_contract(cos, lin, topo.trip_in)
     h["linear"] = tape.linear(tape.silu(lin), tape.leaf(w[:, :3]), b_id)
     h["silu"] = tape.silu(lin)
     h["add"] = tape.add(lin, units)
@@ -486,14 +575,16 @@ def test_backward_keeps_only_leaf_adjoints(variant, rng):
     assert leaves > len(model.handles.param_leaves.ids)  # the positions too
 
 
-@pytest.mark.parametrize("variant, by_index, by_slice", [(DIMENET, 22, 9), (GEMNET, 30, 13)])
+@pytest.mark.parametrize("variant, by_index, by_slice", [(DIMENET, 22, 9), (GEMNET, 29, 12)])
 def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monkeypatch):
     """Gathers of contiguous rows take their adjoint without scatter_add.
 
     ``by_index`` is the count when whole buffers were gathered through
     arange index arrays; with slices, only trip_in, receiver plans, rev and
-    the geometry VJPs scatter. The triplet update gathers nothing by
-    trip_out: its out-edge rbf gate runs on the summed edge rows.
+    the geometry VJPs scatter. Gemnet-style, the one trip_in gather per
+    block is that of ``gather_contract``, and the basis gathers nothing.
+    The triplet update gathers nothing by trip_out: its out-edge rbf gate
+    runs on the summed edge rows.
     """
     cfg = ModelConfig(variant=variant, blocks=3)
     model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
@@ -506,6 +597,15 @@ def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monk
     monkeypatch.setattr(tape_module, "scatter_add", spy)
     model.backward(1.0)
     assert len(calls) == by_slice < by_index
+
+
+def test_module_docstring_lists_every_primitive():
+    """The primitive list in ``egn.tape``'s docstring names exactly the
+    keys of ``_FORWARD``."""
+    listed = re.search(r"^Primitives: (.*?)\.$", tape_module.__doc__, re.M | re.S).group(1)
+    names = [name.strip() for name in re.split(r",|\band\b", listed) if name.strip()]
+    assert len(names) == len(set(names)), names
+    assert set(names) == set(_FORWARD)
 
 
 def _source_trees():
