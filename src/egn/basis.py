@@ -8,15 +8,12 @@ radial basis of its in-edge k->j with the angular basis of its angle.
 
 ``compute_basis`` records everything the model reads of the positions: edge
 distances, edge unit vectors (gemnet-style), triplet angles and the bases.
-The Gaussians are evaluated once per edge, never per triplet. The
-dimenet-style variant gates its triplets by the whole sbf, so its triplet
-rows hold the sbf composed from the in-edge rbf rows and the angular basis.
-The gemnet-style variant keeps sbf's radial factor on the in-edge (see
-``egn.engine.record_tu``), so its triplet rows hold only the angular basis,
-L wide. The sequential engine records the triplet rows over all triplets;
-each runtime worker records them over its own triplet shard, so every
-triplet's angle and basis row are computed and differentiated once, by the
-worker that owns it.
+The Gaussians are evaluated once per edge, never per triplet. Both variants
+keep sbf's radial factor on the in-edge (see ``egn.engine.record_tu``), so
+the triplet rows hold only the angular basis, L wide. The sequential engine
+records the triplet rows over all triplets; each runtime worker records
+them over its own triplet shard, so every triplet's angle and basis row are
+computed and differentiated once, by the worker that owns it.
 """
 
 from __future__ import annotations
@@ -34,9 +31,8 @@ class BasisFeatures:
     """Basis handles from ``compute_basis``; on an Evaluator, the arrays."""
 
     edge_rbf: np.ndarray  # (N_e, K)
-    # The recorded triplet rows (those in trip_rows) only: the sbf, (rows,
-    # K * L), dimenet-style; its angular factor cos(l * angle), (rows, L),
-    # gemnet-style.
+    # The recorded triplet rows (those in trip_rows) only: sbf's angular
+    # factor cos(l * angle), (rows, L).
     triplet_basis: np.ndarray
     edge_units: np.ndarray | None = None  # (N_e, 3), gemnet-style only
 
@@ -83,17 +79,6 @@ def angular_basis(angles: np.ndarray, l_sbf: int) -> np.ndarray:
     return np.cos(ang[:, None] * orders[None, :])
 
 
-def angular_outer(radial: np.ndarray, angles: np.ndarray, l_sbf: int) -> np.ndarray:
-    """Row-wise outer product of radial rows and cos(l * angle), flattened.
-
-    Row layout: entry (t, k * l_sbf + l) = radial[t, k] * cos(l * angle_t).
-    Each entry is one product with no summation.
-    """
-    angular = angular_basis(angles, l_sbf)  # (N, L)
-    out = np.einsum("tk,tl->tkl", radial, angular)
-    return out.reshape(angular.shape[0], radial.shape[1] * l_sbf)
-
-
 def compute_basis(
     tape, pos_id, topology: GraphTopology, config: ModelConfig, trip_rows: slice
 ) -> BasisFeatures:
@@ -101,10 +86,8 @@ def compute_basis(
 
     Distances, units and rbf cover every edge; angles and the triplet basis
     cover only the contiguous triplet rows ``trip_rows``, in their order.
-    Dimenet-style, sbf's radial part is the rbf rows of the triplets'
-    in-edges, so its adjoint reaches the distances through the edge rbf;
-    gemnet-style, the triplet rows are the angular basis alone. On a Tape
-    this records for a backward pass; on an Evaluator it returns the arrays.
+    On a Tape this records for a backward pass; on an Evaluator it returns
+    the arrays.
     """
     src, recv = topology.edge_src, topology.edge_recv
     trip_in = topology.trip_in[trip_rows]
@@ -113,8 +96,4 @@ def compute_basis(
     units = tape.edge_units(pos_id, src, recv) if config.variant == GEMNET else None
     angles = tape.triplet_angles(pos_id, owned)
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
-    if config.variant == GEMNET:
-        triplet = tape.angular_basis(angles, config.l_sbf)
-    else:
-        triplet = tape.angular_sbf(tape.gather(rbf, trip_in), angles, config.l_sbf)
-    return BasisFeatures(rbf, triplet, units)
+    return BasisFeatures(rbf, tape.angular_basis(angles, config.l_sbf), units)

@@ -136,13 +136,15 @@ def record_edge_init(tape: Tape, pl: ParamLeaves, rbf_id: int, rows: slice) -> i
 
 
 @lru_cache(maxsize=8)
-def bilinear_layout(l_sbf: int, d_t: int, d_bil: int, k_rbf: int) -> dict[str, np.ndarray]:
-    """Read-only ``ParamLeaves.view`` indices that regroup the gemnet-style
-    triplet gates by angular order l, for one product per edge over all
-    orders:
+def bilinear_layout(
+    l_sbf: int, d_t: int, d_bil: int, k_rbf: int, d_e: int
+) -> dict[str, np.ndarray]:
+    """Read-only ``ParamLeaves.view`` indices that regroup the triplet gates
+    by angular order l, for one product per edge over all orders:
 
       * ``sbf_gate`` (L d_t, K): row (l, j) is ``sbf_gate[j, k L + l]`` over
         k, the gate of sbf's order-l columns;
+      * ``down`` (L d_t, d_e): ``down`` once per order (dimenet-style);
       * ``bilinear_b`` (L d_bil, L d_t): ``bilinear_b`` once per order, on
         the block diagonal;
       * ``bilinear_a`` (L d_bil, d_t): ``bilinear_a`` once per order.
@@ -154,6 +156,7 @@ def bilinear_layout(l_sbf: int, d_t: int, d_bil: int, k_rbf: int) -> dict[str, n
         diag[l, :, l, :] = bil
     layout = {
         "sbf_gate": gate.reshape(l_sbf * d_t, k_rbf),
+        "down": np.tile(np.arange(d_t * d_e).reshape(d_t, d_e), (l_sbf, 1)),
         "bilinear_b": diag.reshape(l_sbf * d_bil, l_sbf * d_t),
         "bilinear_a": np.tile(bil, (l_sbf, 1)),
     }
@@ -175,46 +178,46 @@ def record_tu(
 ) -> tuple[int, int]:
     """Triplet update + aggregation over ``trip_rows``.
 
-    ``triplet_id`` holds the triplet basis rows of ``trip_rows`` only, as
-    ``compute_basis`` records them. As in DimeNet++ and GemNet, only the
-    factors that depend on the triplet run on its rows, and the in-edge
-    projection ``down`` runs on all N_e rows of ``m`` before any gather.
+    ``triplet_id`` holds the angular basis cos(l * angle) of ``trip_rows``
+    only, as ``compute_basis`` records it. As in GemNet's efficient layout,
+    sbf = rbf(in-edge) (x) cos(l * angle) keeps its radial factor on the
+    in-edge, and only the angle runs on triplet rows. ``sbf_gate`` gates
+    each edge's rbf by the order-l columns of sbf, giving G_l for every l
+    in one product of width L d_t (see ``bilinear_layout``), so a triplet's
+    gated sbf is sum_l cos(l * angle) G_l[in-edge].
 
-    Dimenet-style, a triplet's message is its gathered ``down`` row times
-    its sbf row gated to d_t. Gemnet-style, sbf = rbf(in-edge) (x) cos(l *
-    angle), and ``sbf_gate`` and ``bilinear_b`` compose with no bias between
-    them, so the bilinear product of a triplet is sum_l cos(l * angle)
-    C_l[in-edge]. C_l = ``bilinear_a``(down) * ``bilinear_b``(rbf gated by
-    the order-l columns of ``sbf_gate``) is formed per edge, for every l in
-    one product of width L d_bil (see ``bilinear_layout``). Only the
-    d_bil-wide contraction runs on triplet rows, in one ``gather_contract``,
-    and ``bilinear_proj`` runs on the summed edge rows.
+    Dimenet-style, the message is ``down``(m)[in-edge] times that gated
+    sbf; ``down`` has no bias, so it is sum_l cos(l * angle) C_l[in-edge]
+    with C_l = ``down``(m) * G_l per edge. Gemnet-style, ``sbf_gate`` and
+    ``bilinear_b`` compose with no bias between them, and C_l =
+    ``bilinear_a``(``down``(m)) * ``bilinear_b``(G_l), L d_bil wide. Either
+    way the only triplet-row work is one ``gather_contract`` of the angular
+    basis with the C_l blocks of the in-edge.
 
-    The messages are summed into their out-edges, and the sum is gated by
-    the out-edge's rbf and up-projected. None of these maps has a bias and
-    the gate depends on the out-edge alone, so they commute with the sum. A
-    runtime worker's triplet shard holds every triplet of the out-edges it
-    owns, so its rows of the result are complete; the rest are zero. That
-    edge-row work is replicated on every worker, but cheaper than its N_t/P
-    triplet rows while N_t/N_e > P. Returns (the per-triplet messages,
-    aggregated edge buffer of full size).
+    The messages are summed into their out-edges, and the sum is projected
+    by ``bilinear_proj`` (gemnet-style), gated by the out-edge's rbf and
+    up-projected. None of these maps has a bias and the gate depends on the
+    out-edge alone, so they commute with the sum. A runtime worker's
+    triplet shard holds every triplet of the out-edges it owns, so its rows
+    of the result are complete; the rest are zero. That edge-row work is
+    replicated on every worker, but cheaper than its N_t/P triplet rows
+    while N_t/N_e > P. Returns (the per-triplet messages, aggregated edge
+    buffer of full size).
     """
     p = f"block{block}.tu"
-    t_in = topology.trip_in[trip_rows]
-    t_out = topology.trip_out[trip_rows]
-    down = tape.linear(m_id, pl[p + ".down"])
+    layout = bilinear_layout(config.l_sbf, config.d_t, config.d_bil, config.k_rbf, config.d_e)
+    gates = tape.linear(rbf_id, pl.view(p + ".sbf_gate", layout["sbf_gate"]))
     if config.variant == GEMNET:
-        layout = bilinear_layout(config.l_sbf, config.d_t, config.d_bil, config.k_rbf)
-        gates = tape.linear(rbf_id, pl.view(p + ".sbf_gate", layout["sbf_gate"]))
         b = tape.linear(gates, pl.view(p + ".bilinear_b", layout["bilinear_b"]))
+        down = tape.linear(m_id, pl[p + ".down"])
         a = tape.linear(down, pl.view(p + ".bilinear_a", layout["bilinear_a"]))
-        t_msg = tape.gather_contract(triplet_id, tape.mul(a, b), t_in)
-        agg = tape.segment_sum(t_msg, t_out, topology.num_edges)
-        agg = tape.linear(agg, pl[p + ".bilinear_proj"])
+        blocks = tape.mul(a, b)
     else:
-        g_sbf = tape.linear(triplet_id, pl[p + ".sbf_gate"])
-        t_msg = tape.mul(tape.gather(down, t_in), g_sbf)
-        agg = tape.segment_sum(t_msg, t_out, topology.num_edges)
+        blocks = tape.mul(tape.linear(m_id, pl.view(p + ".down", layout["down"])), gates)
+    t_msg = tape.gather_contract(triplet_id, blocks, topology.trip_in[trip_rows])
+    agg = tape.segment_sum(t_msg, topology.trip_out[trip_rows], topology.num_edges)
+    if config.variant == GEMNET:
+        agg = tape.linear(agg, pl[p + ".bilinear_proj"])
     gated = tape.mul(agg, tape.linear(rbf_id, pl[p + ".rbf_gate"]))
     return t_msg, tape.linear(gated, pl[p + ".up"])
 

@@ -7,7 +7,7 @@ exclusively by its worker between collectives.
 
 Each worker records its geometry and basis from the positions with
 ``compute_basis``: distances and rbf over every edge, angles and the
-triplet basis (sbf, or gemnet-style its angular factor) over its own
+triplet basis, sbf's angular factor cos(l * angle), over its own
 triplet shard only. It then runs the one definition of the model
 forward, the engine's block pipeline ``record_model``, over its shards,
 with a ``share`` hook that all-reduces and an ``enter`` hook that marks

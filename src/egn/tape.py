@@ -11,16 +11,14 @@ forward is written once and yields the same bits either way.
 
 Primitives: leaf, add, mul, concat, linear, silu, gather, segment_sum,
 sum_rows, edge_distances, edge_units, triplet_angles, gaussian_rbf,
-angular_sbf, angular_basis, gather_contract, quadratic_well, allreduce and
-boundary.
+angular_basis, gather_contract, quadratic_well, allreduce and boundary.
 
 ``add`` and ``mul`` broadcast as numpy does (a bias row, a column of row
 scales), and their adjoints sum over the broadcast axes. A gather takes an
 index array or, for a contiguous range of rows, a slice; a gather by slice
 is a view of its input, so recorded values may alias each other.
-``angular_sbf`` composes the dimenet-style sbf from gathered radial rows
-and the angles; ``angular_basis`` is the angles' cos(l * angle) rows alone,
-which the gemnet-style triplet update contracts in one fused op:
+``angular_basis`` is the angles' cos(l * angle) rows, which the triplet
+update contracts in one fused op:
 
   * ``gather_contract(w, c, idx)``: with ``c`` of L column blocks of width
     d, one per column of ``w``, row t is sum_l w[t, l] * (block l of row
@@ -303,21 +301,6 @@ _op("angular_basis")(
 )
 
 
-def _angular_sbf_fwd(vals, aux):
-    return _basis.angular_outer(vals[0], vals[1], aux["l_sbf"])
-
-
-def _angular_sbf_vjp(g, vals, out, aux):
-    radial, angles = vals
-    g = g.reshape(radial.shape + (aux["l_sbf"],))
-    d_radial = np.einsum("tkl,tl->tk", g, _basis.angular_basis(angles, aux["l_sbf"]))
-    (d_angle,) = _angular_basis_vjp(np.einsum("tkl,tk->tl", g, radial), (angles,), None, aux)
-    return d_radial, d_angle
-
-
-_op("angular_sbf")((_angular_sbf_fwd, _angular_sbf_vjp))
-
-
 # Rows per chunk of a gather_contract: its gathered (rows, L * d) transients
 # stay near 1 MiB, however many triplets there are.
 _CONTRACT_ELEMENTS = 1 << 17
@@ -460,9 +443,6 @@ class Tape:
 
     def gaussian_rbf(self, distances: int, k_rbf: int, cutoff: float) -> int:
         return self._record("gaussian_rbf", (distances,), {"k_rbf": k_rbf, "cutoff": cutoff})
-
-    def angular_sbf(self, radial: int, angles: int, l_sbf: int) -> int:
-        return self._record("angular_sbf", (radial, angles), {"l_sbf": l_sbf})
 
     def angular_basis(self, angles: int, l_sbf: int) -> int:
         return self._record("angular_basis", (angles,), {"l_sbf": l_sbf})

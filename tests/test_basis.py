@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from egn.basis import angular_outer, rbf_centers, rbf_features
-from egn.config import GEMNET, ModelConfig
+from egn.basis import rbf_centers, rbf_features
+from egn.config import DIMENET, GEMNET, ModelConfig
+from egn.graph import triplet_angles
 from egn.system import AtomicSystem, random_cloud
 
-from conftest import basis_of
+from conftest import angular_outer, basis_of
 
 
 def test_rbf_peak_at_center():
@@ -41,8 +42,8 @@ def test_rbf_range_and_errors():
 
 
 def sbf(distances, angles, k_rbf, l_sbf, cutoff):
-    """The sbf rows of in-edge distances and angles, as the dimenet-style
-    basis composes them."""
+    """The sbf rows of in-edge distances and angles, as the reference
+    ``angular_outer`` composes them."""
     return angular_outer(rbf_features(distances, k_rbf, cutoff), angles, l_sbf)
 
 
@@ -103,18 +104,21 @@ def test_basis_all_finite(rng):
     assert np.all(np.isfinite(basis.edge_rbf))
     assert np.all(np.isfinite(basis.triplet_basis))
     assert basis.edge_rbf.shape == (topo.num_edges, 6)
-    assert basis.triplet_basis.shape == (topo.num_triplets, 24)
+    assert basis.triplet_basis.shape == (topo.num_triplets, 4)
 
 
-def test_gemnet_triplet_basis_is_the_angular_factor(rng):
-    """Gemnet-style triplet rows hold cos(l * angle) only; with the in-edge
-    rbf they compose the dimenet-style sbf rows exactly."""
+def test_triplet_basis_is_the_angular_factor_in_both_variants(rng):
+    """Both variants' triplet rows hold the same cos(l * angle) bits, L wide;
+    with the in-edge rbf they compose the whole sbf rows exactly."""
     system = random_cloud(20, 0.9, rng)
     cfg = ModelConfig(k_rbf=6, l_sbf=4, cutoff=1.5)
-    topo, dimenet = basis_of(system, cfg)
+    topo, dimenet = basis_of(system, cfg.replace(variant=DIMENET))
     _, gemnet = basis_of(system, cfg.replace(variant=GEMNET))
-    assert gemnet.triplet_basis.shape == (topo.num_triplets, 4)
-    np.testing.assert_array_equal(gemnet.triplet_basis[:, 0], 1.0)
-    radial = gemnet.edge_rbf[topo.trip_in]
-    composed = np.einsum("tk,tl->tkl", radial, gemnet.triplet_basis).reshape(-1, 24)
-    assert composed.tobytes() == dimenet.triplet_basis.tobytes()
+    assert topo.num_triplets > 0
+    assert dimenet.triplet_basis.shape == (topo.num_triplets, 4)
+    assert dimenet.triplet_basis.tobytes() == gemnet.triplet_basis.tobytes()
+    np.testing.assert_array_equal(dimenet.triplet_basis[:, 0], 1.0)
+    radial = dimenet.edge_rbf[topo.trip_in]
+    composed = np.einsum("tk,tl->tkl", radial, dimenet.triplet_basis).reshape(-1, 24)
+    whole = angular_outer(radial, triplet_angles(system.positions, topo), 4)
+    assert composed.tobytes() == whole.tobytes()

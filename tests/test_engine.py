@@ -13,7 +13,7 @@ from egn.graph import build_graph, edge_unit_vectors, triplet_angles
 from egn.params import ModelParams, init_params
 from egn.system import AtomicSystem, random_cloud
 
-from conftest import basis_of, dimer, equilateral_triangle, zero_params
+from conftest import basis_of, dimer, equilateral_triangle, record_angular_sbf, zero_params
 
 
 def _silu(x):
@@ -275,11 +275,11 @@ def test_state_buffers_all_finite(rng):
             assert np.all(np.isfinite(buf))
 
 
-@pytest.mark.parametrize("variant, triplet_linears", [(DIMENET, 1), (GEMNET, 0)])
-def test_triplet_update_edge_factors_run_on_edge_rows(variant, triplet_linears):
-    """Only the dimenet-style sbf gate projects triplet rows; every other
-    factor projects N_e rows once per block, gemnet-style the sbf gate and
-    ``bilinear_a`` and ``bilinear_b`` as views over all angular orders."""
+@pytest.mark.parametrize("variant", [DIMENET, GEMNET])
+def test_triplet_update_edge_factors_run_on_edge_rows(variant):
+    """No linear projects triplet rows: every factor projects N_e rows once
+    per block, the sbf gate as a view over all angular orders, and ``down``
+    too dimenet-style, ``bilinear_a`` and ``bilinear_b`` gemnet-style."""
     cfg = ModelConfig(variant=variant, blocks=3)
     model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
     topo, _ = build_graph(model.system, cfg.cutoff)
@@ -294,43 +294,47 @@ def test_triplet_update_edge_factors_run_on_edge_rows(variant, triplet_linears):
         if node.op == "linear"
     ]
 
-    edge_factors = ["down", "rbf_gate", "up"]
+    edge_factors = ["down", "rbf_gate", "sbf_gate", "up"]
     if variant == GEMNET:
-        edge_factors += ["sbf_gate", "bilinear_a", "bilinear_b", "bilinear_proj"]
+        edge_factors += ["bilinear_a", "bilinear_b", "bilinear_proj"]
     for b in range(cfg.blocks):
         for factor in edge_factors:
             name = f"block{b}.tu.{factor}"
             assert [n for w, n in linears if w == name] == [n_e], name
-    on_triplets = [w for w, n in linears if n == n_t]
-    assert len(on_triplets) == triplet_linears * cfg.blocks, on_triplets
+    assert not [w for w, n in linears if n == n_t]
 
 
 def test_gemnet_triplet_rows_carry_only_the_angle():
-    """On a gemnet-style tape no linear and no mul runs on triplet rows, and
-    no recorded triplet-row value is wider than max(l_sbf, d_bil)."""
-    cfg = ModelConfig(variant=GEMNET, blocks=3, d_t=6, d_bil=3, l_sbf=5)
-    model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
-    topo, _ = build_graph(model.system, cfg.cutoff)
-    n_t = topo.num_triplets
-    assert n_t > max(topo.num_edges, topo.num_nodes)
-    on_triplets = [
-        (node.op, node.value.shape) for node in model.tape._nodes if node.value.shape[:1] == (n_t,)
-    ]
-    ops = {op for op, _ in on_triplets}
-    assert ops == {"triplet_angles", "angular_basis", "gather_contract"}, ops
-    assert max(shape[1] for _, shape in on_triplets if len(shape) > 1) == max(cfg.l_sbf, cfg.d_bil)
+    """In both variants no linear, no mul and no gather runs on triplet
+    rows, and no recorded triplet-row value is wider than max(l_sbf, d_bil)
+    gemnet-style, max(l_sbf, d_t) dimenet-style."""
+    for variant, width in ((GEMNET, "d_bil"), (DIMENET, "d_t")):
+        cfg = ModelConfig(variant=variant, blocks=3, d_t=6, d_bil=3, l_sbf=5)
+        model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
+        topo, _ = build_graph(model.system, cfg.cutoff)
+        n_t = topo.num_triplets
+        assert n_t > max(topo.num_edges, topo.num_nodes)
+        on_triplets = [
+            (node.op, node.value.shape)
+            for node in model.tape._nodes
+            if node.value.shape[:1] == (n_t,)
+        ]
+        ops = {op for op, _ in on_triplets}
+        assert ops == {"triplet_angles", "angular_basis", "gather_contract"}, (variant, ops)
+        widest = max(shape[1] for _, shape in on_triplets if len(shape) > 1)
+        assert widest == max(cfg.l_sbf, getattr(cfg, width)), variant
 
 
 # ---------------------------------------------------------------------------
 # References of the triplet stage.
 #
-# ``gather_then_project_tu`` is the engine's dimenet-style order with the
-# in-edge factors gathered into triplet rows and projected there; with sbf's
-# radial part a second Gaussian evaluation of the gathered in-edge distances,
-# it gives the engine's dimenet-style forward bits. The engine projects per
-# edge and gathers the results instead. Gemnet-style, it is the order in
-# which ``sbf_gate``, ``bilinear_b`` and ``bilinear_proj`` project triplet
-# rows of the whole sbf.
+# ``gather_then_project_tu`` is the order in which the in-edge factors are
+# gathered into triplet rows and projected there, and ``sbf_gate``,
+# ``bilinear_b`` and ``bilinear_proj`` project triplet rows of the whole
+# sbf, whose radial part is a second Gaussian evaluation of the gathered
+# in-edge distances (``per_triplet_radial_basis``, through the reference
+# primitive ``angular_sbf``). The engine keeps sbf's radial factor on the
+# in-edge instead, projects per edge and contracts the angle last.
 #
 # ``triplet_rows_tu`` is the order before messages were aggregated at d_t:
 # every factor runs on triplet rows, each triplet is gated and up-projected,
@@ -382,7 +386,7 @@ def per_triplet_radial_basis(tape, pos_id, topology, config, trip_rows):
     angles = tape.triplet_angles(pos_id, owned)
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
     radial = tape.gaussian_rbf(tape.gather(dist, trip_in), config.k_rbf, config.cutoff)
-    sbf = tape.angular_sbf(radial, angles, config.l_sbf)
+    sbf = record_angular_sbf(tape, radial, angles, config.l_sbf)
     return BasisFeatures(rbf, sbf, units)
 
 
@@ -403,13 +407,14 @@ def _cloud_above_blas_threading():
     "make_system", [_cloud_above_blas_threading, equilateral_triangle, lambda: dimer(1.0)],
     ids=["cloud", "triangle", "no-triplets"],
 )
+@pytest.mark.usefixtures("angular_sbf")
 def test_edge_projection_matches_gather_then_project(variant, make_system, monkeypatch):
-    """Projecting per edge before the triplet gather changes no dimenet-style
-    forward bit; gradients, which now sum over edges after a scatter, agree
-    to 1e-12. The order that gated and up-projected every triplet before the
-    out-edge sum agrees to 1e-12 in value and gradient. Gemnet-style, both
-    references contract the whole sbf on triplet rows, where the engine
-    keeps sbf's radial factor on the in-edge, so values agree to 1e-12 too."""
+    """Both references gate triplet rows of the whole sbf, where the engine
+    keeps sbf's radial factor on the in-edge and contracts the angle last;
+    values and gradients agree to 1e-12. Dimenet-style, the energy on these
+    systems is that of ``gather_then_project_tu`` bit for bit. The order
+    that gated and up-projected every triplet before the out-edge sum
+    agrees to 1e-12 in value and gradient too."""
     system = make_system()
     cfg = ModelConfig(variant=variant, blocks=2)
     params = init_params(cfg)

@@ -10,7 +10,7 @@ import pytest
 
 from egn import engine
 from egn import tape as tape_module
-from egn.config import GEMNET, ModelConfig
+from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
 from egn.params import init_params
 from egn.partition import CommModel, comm_volume
@@ -182,8 +182,8 @@ def test_gemnet_force_seeded_parallel_backward(medium_system, rng):
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypatch):
-    """Each worker computes angles and their angular basis over its own
-    triplet shard only."""
+    """In both variants each worker computes angles and their angular basis
+    over its own triplet shard only."""
     seen = defaultdict(list)  # thread name -> [(op, rows)]
 
     def spy(op, rows_of):
@@ -197,25 +197,26 @@ def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypa
 
     spy("triplet_angles", lambda vals, aux: (aux["topology"].trip_in, aux["topology"].trip_out))
     spy("angular_basis", lambda vals, aux: vals[0].shape[0])
-    cfg = ModelConfig(variant="gemnet-style", blocks=2, workers=workers)
-    group = WorkerGroup(medium_system, init_params(cfg))
-    group.forward()
-    group.forward_backward()
+    for variant in (DIMENET, GEMNET):
+        cfg = ModelConfig(variant=variant, blocks=2, workers=workers)
+        group = WorkerGroup(medium_system, init_params(cfg))
+        group.forward()
+        group.forward_backward()
 
-    topo = group.topology
-    total = 0
-    for rank, shard in enumerate(group.partition.triplet_shards):
-        calls = seen.pop(f"egn-worker-{rank}")
-        assert [op for op, _ in calls] == ["triplet_angles", "angular_basis"] * 2
-        for op, rows in calls:
-            if op == "triplet_angles":
-                np.testing.assert_array_equal(rows[0], topo.trip_in[shard])
-                np.testing.assert_array_equal(rows[1], topo.trip_out[shard])
-            else:
-                assert rows == shard.stop - shard.start
-        total += shard.stop - shard.start
-    assert total == topo.num_triplets
-    assert not seen, sorted(seen)  # no triplet geometry outside the workers
+        topo = group.topology
+        total = 0
+        for rank, shard in enumerate(group.partition.triplet_shards):
+            calls = seen.pop(f"egn-worker-{rank}")
+            assert [op for op, _ in calls] == ["triplet_angles", "angular_basis"] * 2, variant
+            for op, rows in calls:
+                if op == "triplet_angles":
+                    np.testing.assert_array_equal(rows[0], topo.trip_in[shard])
+                    np.testing.assert_array_equal(rows[1], topo.trip_out[shard])
+                else:
+                    assert rows == shard.stop - shard.start
+            total += shard.stop - shard.start
+        assert total == topo.num_triplets
+        assert not seen, sorted(seen)  # no triplet geometry outside the workers
 
 
 def test_more_workers_than_triplets_contributes_zeros():
