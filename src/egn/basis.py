@@ -1,19 +1,21 @@
 """Radial and angular basis features, and the one recorder of model geometry.
 
 The radial basis is a Gaussian comb on [0, cutoff] with gamma = (K/cutoff)^2;
-the angular basis is cos(l * angle) for l = 0..L-1. Both depend only on
-distances and angles, so features are invariant under rigid motion. The
-spherical basis (sbf) of triplet (k->j, j->i) is the outer product of the
-radial basis of its in-edge k->j with the angular basis of its angle.
+the angular basis is cos(l * angle) = T_l(cos angle) for l = 0..L-1, the
+Chebyshev polynomials of the angle's cosine. Both depend only on distances
+and cosines, so features are invariant under rigid motion. The spherical
+basis (sbf) of triplet (k->j, j->i) is the outer product of the radial
+basis of its in-edge k->j with the angular basis of its angle.
 
 ``compute_basis`` records everything the model reads of the positions: edge
-distances, edge unit vectors (gemnet-style), triplet angles and the bases.
+distances, edge unit vectors (gemnet-style), the rbf and the triplet basis.
 The Gaussians are evaluated once per edge, never per triplet. Both variants
 keep sbf's radial factor on the in-edge (see ``egn.engine.record_tu``), so
-the triplet rows hold only the angular basis, L wide. The sequential engine
-records the triplet rows over all triplets; each runtime worker records
-them over its own triplet shard, so every triplet's angle and basis row are
-computed and differentiated once, by the worker that owns it.
+the triplet rows hold only the angular basis, L wide, one primitive of the
+positions. The sequential engine records the triplet rows over all
+triplets; each runtime worker records them over its own triplet shard, so
+every triplet's basis row is computed and differentiated once, by the
+worker that owns it.
 """
 
 from __future__ import annotations
@@ -68,15 +70,32 @@ def rbf_features_ddist(distances: np.ndarray, k_rbf: int, cutoff: float) -> np.n
     return -2.0 * gamma * delta * np.exp(-gamma * delta**2)
 
 
-def angular_basis(angles: np.ndarray, l_sbf: int) -> np.ndarray:
-    """The angular basis: entry (t, l) = cos(l * angle_t), for angles in [0, pi]."""
+def angular_basis(cosines: np.ndarray, l_sbf: int) -> np.ndarray:
+    """The angular basis: entry (t, l) = cos(l * angle_t) = T_l(c_t), from
+    c_t = cos(angle_t) by T_0 = 1, T_1 = c and T_{l+1} = 2c T_l - T_{l-1}."""
     if l_sbf < 1:
         raise ValueError("l_sbf must be >= 1")
-    ang = np.asarray(angles, dtype=np.float64)
-    if ang.size and (np.any(ang < -1e-12) or np.any(ang > np.pi + 1e-12)):
-        raise ValueError("angles must lie in [0, pi]")
-    orders = np.arange(l_sbf, dtype=np.float64)
-    return np.cos(ang[:, None] * orders[None, :])
+    c = np.asarray(cosines, dtype=np.float64)
+    if c.size and np.any(np.abs(c) > 1.0 + 1e-12):
+        raise ValueError("cosines must lie in [-1, 1]")
+    out = np.empty((c.shape[0], l_sbf))
+    out[:, 0] = 1.0
+    for l in range(1, l_sbf):
+        out[:, l] = c if l == 1 else 2.0 * c * out[:, l - 1] - out[:, l - 2]
+    return out
+
+
+def angular_basis_dcos(cosines: np.ndarray, l_sbf: int) -> np.ndarray:
+    """Derivative of each angular basis entry with respect to its cosine:
+    T_l'(c) = l U_{l-1}(c), with U_{-1} = 0, U_0 = 1 and
+    U_{l+1} = 2c U_l - U_{l-1}."""
+    c = np.asarray(cosines, dtype=np.float64)
+    out = np.zeros((c.shape[0], l_sbf))
+    u_prev, u = np.zeros_like(c), np.ones_like(c)
+    for l in range(1, l_sbf):
+        out[:, l] = l * u
+        u_prev, u = u, 2.0 * c * u - u_prev
+    return out
 
 
 def compute_basis(
@@ -84,8 +103,8 @@ def compute_basis(
 ) -> BasisFeatures:
     """Record the model's geometry and basis from the positions leaf ``pos_id``.
 
-    Distances, units and rbf cover every edge; angles and the triplet basis
-    cover only the contiguous triplet rows ``trip_rows``, in their order.
+    Distances, units and rbf cover every edge; the triplet basis covers
+    only the contiguous triplet rows ``trip_rows``, in their order.
     On a Tape this records for a backward pass; on an Evaluator it returns
     the arrays.
     """
@@ -94,6 +113,5 @@ def compute_basis(
     owned = replace(topology, trip_in=trip_in, trip_out=topology.trip_out[trip_rows])
     dist = tape.edge_distances(pos_id, src, recv)
     units = tape.edge_units(pos_id, src, recv) if config.variant == GEMNET else None
-    angles = tape.triplet_angles(pos_id, owned)
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
-    return BasisFeatures(rbf, tape.angular_basis(angles, config.l_sbf), units)
+    return BasisFeatures(rbf, tape.triplet_basis(pos_id, owned, config.l_sbf), units)

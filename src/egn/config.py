@@ -63,6 +63,8 @@ class ModelConfig:
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {json.dumps(data)[:40]}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -11,6 +11,7 @@ a graph therefore costs O(n + N_e + N_t) memory and, up to the sorts, time.
 ``build_graph`` returns the topology and the distances of the search; the
 geometry functions below are the forward and closed-form gradient rules of
 the tape's geometry primitives, which ``egn.basis.compute_basis`` records.
+A triplet's geometry is the cosine of its bond angle; no angle is formed.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ import numpy as np
 
 from .neighbours import concat_ranges, neighbour_pairs
 from .system import AtomicSystem
-
-# Below this sine magnitude a triplet is treated as collinear and the angle
-# gradient falls back to the zero subgradient.
-_COLLINEAR_EPS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -131,50 +128,41 @@ def _triplet_vectors(positions: np.ndarray, topology: GraphTopology):
     return v1, v2
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over (3, N) components, with np.cross's products and differences."""
-    out = np.empty_like(a)
-    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
-    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
-    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
-    return out
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over (3, N) components, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm over (3, N) components, summed in the order of a row sum."""
-    return np.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+    return np.sqrt(_dot(a, a))
 
 
-def triplet_angles(positions: np.ndarray, topology: GraphTopology) -> np.ndarray:
-    """Bond angle at the shared atom j, in [0, pi], via atan2 for stability."""
-    if topology.num_triplets == 0:
-        return np.empty(0, dtype=np.float64)
+def triplet_cosines(positions: np.ndarray, topology: GraphTopology) -> np.ndarray:
+    """Cosine of the bond angle at the shared atom j, v1 . v2 / (|v1| |v2|).
+
+    The model reads an angle only through cos(l * angle), a polynomial in
+    this cosine (``egn.basis.angular_basis``), so no angle is formed.
+    """
     v1, v2 = _triplet_vectors(positions, topology)
-    c = v1[0] * v2[0] + v1[1] * v2[1] + v1[2] * v2[2]
-    return np.arctan2(_norm(_cross(v1, v2)), c)
+    return _dot(v1, v2) / (_norm(v1) * _norm(v2))
 
 
-def angle_gradients(positions: np.ndarray, topology: GraphTopology):
-    """Closed-form d(angle)/d(position) for each triplet.
+def cosine_gradients(positions: np.ndarray, topology: GraphTopology):
+    """Closed-form d(cosine)/d(position) for each triplet.
 
     Returns (g_k, g_j, g_i), each (N_t, 3): the gradient with respect to the
-    outer atom k, the middle atom j, and the outer atom i. Exactly collinear
-    triplets get the zero subgradient instead of NaN.
+    outer atom k, the middle atom j, and the outer atom i. With
+    c = v1 . v2 / (|v1| |v2|), dc/dv1 = v2 / (|v1| |v2|) - c v1 / |v1|^2,
+    symmetrically for v2, and x_j takes minus their sum. The rule holds at
+    collinear triplets too, where the cosine is extremal and its gradient
+    zero.
     """
-    n_t = topology.num_triplets
-    if n_t == 0:
-        z = np.zeros((0, 3), dtype=np.float64)
-        return z, z, z
     v1, v2 = _triplet_vectors(positions, topology)
-    cross = _cross(v1, v2)
-    s = _norm(cross)
-    ok = s > _COLLINEAR_EPS
-    nhat = cross / np.where(ok, s, 1.0)
     n1 = _norm(v1)
     n2 = _norm(v2)
-    g_k = _cross(v1 / n1, nhat) / n1
-    g_i = _cross(nhat, v2 / n2) / n2
-    g_k[:, ~ok] = 0.0
-    g_i[:, ~ok] = 0.0
+    inv = 1.0 / (n1 * n2)
+    c = _dot(v1, v2) * inv
+    g_k = v2 * inv - v1 * (c / (n1 * n1))
+    g_i = v1 * inv - v2 * (c / (n2 * n2))
     g_j = -(g_k + g_i)
     return g_k.T, g_j.T, g_i.T

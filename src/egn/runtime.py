@@ -6,9 +6,9 @@ order, identical result delivered everywhere). Worker-local state is owned
 exclusively by its worker between collectives.
 
 Each worker records its geometry and basis from the positions with
-``compute_basis``: distances and rbf over every edge, angles and the
-triplet basis, sbf's angular factor cos(l * angle), over its own
-triplet shard only. It then runs the one definition of the model
+``compute_basis``: distances and rbf over every edge, and the triplet
+basis, sbf's angular factor cos(l * angle), over its own triplet shard
+only. It then runs the one definition of the model
 forward, the engine's block pipeline ``record_model``, over its shards,
 with a ``share`` hook that all-reduces and an ``enter`` hook that marks
 the stages. A worker's edge shard is the out-edges of its triplets (see
@@ -41,7 +41,7 @@ parameter gradients sum the partials to the exact gradient, and only rank
 Boundary nodes mark the forward's stage switches, so the backward books
 its time to its stage, the geometry's VJPs to ``backward.geometry``. The
 same walk gives the position gradient at the positions leaf, with each
-triplet's angle and basis row differentiated by its owner alone. Triplet
+triplet's basis row differentiated by its owner alone. Triplet
 features never enter a collective in either direction.
 
 A pass that needs its backward is recorded once: ``WorkerGroup.record()``
@@ -258,7 +258,7 @@ class WorkerGroup:
     Workers share read-only views of the positions, topology and parameters
     (each conceptually holds a full replica); the only cross-worker channel
     is the Collective. Each worker records its own geometry and basis, with
-    angles and the triplet basis over its triplet shard only. A group serves
+    the triplet basis over its triplet shard only. A group serves
     one driver at a time and runs any number of passes:
 
       * ``forward()`` runs the workers once and keeps no tape (inference);

@@ -113,14 +113,11 @@ def format_xyz(system: AtomicSystem, comment: str = "") -> str:
 
 # Species drawn for generated clouds; values are arbitrary light elements.
 _CLOUD_SPECIES = (1, 6, 7, 8, 14, 29)
+# Rejection-sampling draws per atom before random_cloud gives up.
+_TRIES_PER_ATOM = 500
 
 
-def random_cloud(
-    n: int,
-    density: float,
-    rng: np.random.Generator,
-    max_tries_per_atom: int = 500,
-) -> AtomicSystem:
+def random_cloud(n: int, density: float, rng: np.random.Generator) -> AtomicSystem:
     """Sample ``n`` atoms in a cube at the given number density.
 
     Atoms are rejection-sampled so that no pair is closer than
@@ -137,7 +134,7 @@ def random_cloud(
 
     placed = np.empty((n, 3), dtype=np.float64)
     for i in range(n):
-        for attempt in range(max_tries_per_atom):
+        for _ in range(_TRIES_PER_ATOM):
             candidate = rng.uniform(0.0, side, size=3)
             if i == 0:
                 placed[0] = candidate
@@ -149,7 +146,7 @@ def random_cloud(
         else:
             raise RuntimeError(
                 f"could not place atom {i + 1}/{n} at density {density} "
-                f"after {max_tries_per_atom} tries"
+                f"after {_TRIES_PER_ATOM} tries"
             )
     numbers = rng.choice(_CLOUD_SPECIES, size=n)
     return AtomicSystem(placed, numbers.astype(np.int64))

@@ -10,15 +10,16 @@ recording calls through the same forward rules and keeps nothing, so a
 forward is written once and yields the same bits either way.
 
 Primitives: leaf, add, mul, concat, linear, silu, gather, segment_sum,
-sum_rows, edge_distances, edge_units, triplet_angles, gaussian_rbf,
-angular_basis, gather_contract, quadratic_well, allreduce and boundary.
+sum_rows, edge_distances, edge_units, triplet_basis, gaussian_rbf,
+gather_contract, quadratic_well, allreduce and boundary.
 
 ``add`` and ``mul`` broadcast as numpy does (a bias row, a column of row
 scales), and their adjoints sum over the broadcast axes. A gather takes an
 index array or, for a contiguous range of rows, a slice; a gather by slice
 is a view of its input, so recorded values may alias each other.
-``angular_basis`` is the angles' cos(l * angle) rows, which the triplet
-update contracts in one fused op:
+``triplet_basis`` takes the positions to each triplet's cos(l * angle)
+row, the Chebyshev polynomials T_l of the angle's cosine; the triplet
+update contracts these rows in one fused op:
 
   * ``gather_contract(w, c, idx)``: with ``c`` of L column blocks of width
     d, one per column of ``w``, row t is sum_l w[t, l] * (block l of row
@@ -254,28 +255,28 @@ def _edge_units_vjp(g, vals, out, aux):
 _op("edge_units")((_edge_units_fwd, _edge_units_vjp))
 
 
-def _triplet_angles_fwd(vals, aux):
-    return _graph.triplet_angles(vals[0], aux["topology"])
+def _triplet_basis_fwd(vals, aux):
+    cosines = _graph.triplet_cosines(vals[0], aux["topology"])
+    return _basis.angular_basis(cosines, aux["l_sbf"])
 
 
-def _triplet_angles_vjp(g, vals, out, aux):
-    """Scatter g * d(angle)/d(position) to the outer atom k, then i, then j."""
+def _triplet_basis_vjp(g, vals, out, aux):
+    """s = sum_l g_l T_l'(c) per triplet; scatter s * dc/dx to the outer
+    atom k, then i, then j."""
+    if out.shape[1] == 1:  # the one column is T_0 = 1, whatever the positions
+        return (np.zeros_like(vals[0]),)
     topology = aux["topology"]
-    g_k, g_j, g_i = _graph.angle_gradients(vals[0], topology)
+    # Column 1 is T_1, the cosine itself.
+    s = np.einsum("tl,tl->t", g, _basis.angular_basis_dcos(out[:, 1], out.shape[1]))[:, None]
+    g_k, g_j, g_i = _graph.cosine_gradients(vals[0], topology)
     k = topology.edge_src[topology.trip_in]
     j = topology.edge_recv[topology.trip_in]
     i = topology.edge_recv[topology.trip_out]
-    w = g[:, None]
-    return (
-        scatter_add(
-            np.concatenate([k, i, j]),
-            np.concatenate([w * g_k, w * g_i, w * g_j]),
-            vals[0].shape[0],
-        ),
-    )
+    atoms = np.concatenate([k, i, j])
+    return (scatter_add(atoms, np.concatenate([s * g_k, s * g_i, s * g_j]), vals[0].shape[0]),)
 
 
-_op("triplet_angles")((_triplet_angles_fwd, _triplet_angles_vjp))
+_op("triplet_basis")((_triplet_basis_fwd, _triplet_basis_vjp))
 
 
 def _gaussian_rbf_fwd(vals, aux):
@@ -288,17 +289,6 @@ def _gaussian_rbf_vjp(g, vals, out, aux):
 
 
 _op("gaussian_rbf")((_gaussian_rbf_fwd, _gaussian_rbf_vjp))
-
-
-def _angular_basis_vjp(g, vals, out, aux):
-    orders = np.arange(aux["l_sbf"], dtype=np.float64)
-    phase = vals[0][:, None] * orders[None, :]
-    return ((g * (-orders * np.sin(phase))).sum(axis=1),)
-
-
-_op("angular_basis")(
-    (lambda vals, aux: _basis.angular_basis(vals[0], aux["l_sbf"]), _angular_basis_vjp)
-)
 
 
 # Rows per chunk of a gather_contract: its gathered (rows, L * d) transients
@@ -438,14 +428,12 @@ class Tape:
     def edge_units(self, positions: int, src: np.ndarray, recv: np.ndarray) -> int:
         return self._record("edge_units", (positions,), {"src": src, "recv": recv})
 
-    def triplet_angles(self, positions: int, topology) -> int:
-        return self._record("triplet_angles", (positions,), {"topology": topology})
+    def triplet_basis(self, positions: int, topology, l_sbf: int) -> int:
+        aux = {"topology": topology, "l_sbf": l_sbf}
+        return self._record("triplet_basis", (positions,), aux)
 
     def gaussian_rbf(self, distances: int, k_rbf: int, cutoff: float) -> int:
         return self._record("gaussian_rbf", (distances,), {"k_rbf": k_rbf, "cutoff": cutoff})
-
-    def angular_basis(self, angles: int, l_sbf: int) -> int:
-        return self._record("angular_basis", (angles,), {"l_sbf": l_sbf})
 
     def gather_contract(self, weights: int, c: int, idx: np.ndarray) -> int:
         aux = {"idx": np.asarray(idx, dtype=np.int64)}

@@ -169,6 +169,12 @@ def loss_and_grads(
     n = len(dataset)
     if n == 0:
         raise ValueError("dataset is empty")
+    for index, (system, _, f_target) in enumerate(dataset):
+        if w_forces != 0.0 and (f_target is None or np.shape(f_target) != (system.n, 3)):
+            got = "None" if f_target is None else f"shape {np.shape(f_target)}"
+            raise ValueError(
+                f"sample {index}: force target must be a ({system.n}, 3) array, got {got}"
+            )
     run_params = _at_workers(params, p)
     total_loss = 0.0
     grad_sum = {s.name: np.zeros(s.shape, dtype=np.float64) for s in param_specs(config)}

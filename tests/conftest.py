@@ -7,7 +7,7 @@ import pytest
 
 from egn import runtime
 from egn import tape as tape_module
-from egn.basis import angular_basis, compute_basis
+from egn.basis import compute_basis
 from egn.graph import build_graph
 from egn.params import ModelParams, param_specs
 from egn.runtime import Collective
@@ -62,31 +62,28 @@ def basis_of(system: AtomicSystem, config):
     return topology, compute_basis(ev, ev.leaf(system.positions), topology, config, slice(None))
 
 
-def angular_outer(radial: np.ndarray, angles: np.ndarray, l_sbf: int) -> np.ndarray:
-    """The whole sbf: row-wise outer product of radial rows and cos(l * angle),
-    flattened, entry (t, k * l_sbf + l) = radial[t, k] * cos(l * angle_t).
+def angular_outer(radial: np.ndarray, angular: np.ndarray) -> np.ndarray:
+    """The whole sbf: row-wise outer product of radial rows and angular basis
+    rows cos(l * angle), flattened, entry (t, k * L + l) = radial[t, k] *
+    angular[t, l].
 
     The engine never forms it (it keeps sbf's radial factor on the in-edge);
     tests compare against it. Each entry is one product with no summation.
     """
-    angular = angular_basis(angles, l_sbf)  # (N, L)
     out = np.einsum("tk,tl->tkl", radial, angular)
-    return out.reshape(angular.shape[0], radial.shape[1] * l_sbf)
+    return out.reshape(angular.shape[0], radial.shape[1] * angular.shape[1])
 
 
 def _angular_sbf_vjp(g, vals, out, aux):
-    radial, angles = vals
-    g = g.reshape(radial.shape + (aux["l_sbf"],))
-    d_radial = np.einsum("tkl,tl->tk", g, angular_basis(angles, aux["l_sbf"]))
-    d_cos = np.einsum("tkl,tk->tl", g, radial)
-    (d_angle,) = tape_module._VJP["angular_basis"](d_cos, (angles,), None, aux)
-    return d_radial, d_angle
+    radial, angular = vals
+    g = g.reshape(radial.shape + angular.shape[1:])
+    return np.einsum("tkl,tl->tk", g, angular), np.einsum("tkl,tk->tl", g, radial)
 
 
-def record_angular_sbf(tape, radial: int, angles: int, l_sbf: int) -> int:
-    """Record the whole sbf of ``radial`` rows and ``angles`` as one node of
-    the reference primitive ``angular_sbf`` (see the fixture)."""
-    return tape._record("angular_sbf", (radial, angles), {"l_sbf": l_sbf})
+def record_angular_sbf(tape, radial: int, angular: int) -> int:
+    """Record the whole sbf of ``radial`` rows and ``angular`` basis rows as
+    one node of the reference primitive ``angular_sbf`` (see the fixture)."""
+    return tape._record("angular_sbf", (radial, angular), {})
 
 
 @pytest.fixture
@@ -95,9 +92,7 @@ def angular_sbf(monkeypatch):
     ``angular_outer``, with its adjoint) for one test; returns
     ``record_angular_sbf``."""
     monkeypatch.setitem(
-        tape_module._FORWARD,
-        "angular_sbf",
-        lambda vals, aux: angular_outer(vals[0], vals[1], aux["l_sbf"]),
+        tape_module._FORWARD, "angular_sbf", lambda vals, aux: angular_outer(vals[0], vals[1])
     )
     monkeypatch.setitem(tape_module._VJP, "angular_sbf", _angular_sbf_vjp)
     return record_angular_sbf

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from egn.basis import rbf_centers, rbf_features
+from egn.basis import angular_basis, angular_basis_dcos, rbf_centers, rbf_features
 from egn.config import DIMENET, GEMNET, ModelConfig
-from egn.graph import triplet_angles
+from egn.graph import triplet_cosines
 from egn.system import AtomicSystem, random_cloud
 
 from conftest import angular_outer, basis_of
@@ -41,29 +41,30 @@ def test_rbf_range_and_errors():
         rbf_features(np.array([0.0]), 3, 1.5)
 
 
-def sbf(distances, angles, k_rbf, l_sbf, cutoff):
-    """The sbf rows of in-edge distances and angles, as the reference
+def sbf(distances, cosines, k_rbf, l_sbf, cutoff):
+    """The sbf rows of in-edge distances and angle cosines, as the reference
     ``angular_outer`` composes them."""
-    return angular_outer(rbf_features(distances, k_rbf, cutoff), angles, l_sbf)
+    radial = rbf_features(distances, k_rbf, cutoff)
+    return angular_outer(radial, angular_basis(cosines, l_sbf))
 
 
 def test_sbf_l_zero_equals_radial():
     d = np.array([0.7, 1.1])
-    ang = np.array([0.3, 2.0])
+    cos = np.cos([0.3, 2.0])
     radial = rbf_features(d, 3, 1.5)
-    rows = sbf(d, ang, 3, 2, 1.5)
+    rows = sbf(d, cos, 3, 2, 1.5)
     np.testing.assert_allclose(rows[:, 0::2], radial, atol=1e-15)
 
 
 def test_sbf_right_angle_kills_l1():
-    rows = sbf(np.array([1.0]), np.array([np.pi / 2]), 2, 2, 1.5)
+    rows = sbf(np.array([1.0]), np.cos([np.pi / 2]), 2, 2, 1.5)
     np.testing.assert_allclose(rows[0, 1::2], 0.0, atol=1e-15)
 
 
 def test_sbf_value_at_center_and_l2():
     k, l, cutoff = 3, 3, 1.5
     centers = rbf_centers(k, cutoff)
-    rows = sbf(np.array([centers[1]]), np.array([np.pi / 3]), k, l, cutoff)
+    rows = sbf(np.array([centers[1]]), np.cos([np.pi / 3]), k, l, cutoff)
     # radial entry 1 is exactly 1; angular order 2 gives cos(2*pi/3) = -0.5
     assert rows[0, 1 * l + 2] == pytest.approx(-0.5, abs=1e-12)
 
@@ -72,7 +73,26 @@ def test_sbf_errors():
     with pytest.raises(ValueError):
         sbf(np.array([1.0]), np.array([0.5]), 3, 0, 1.5)
     with pytest.raises(ValueError):
-        sbf(np.array([1.0]), np.array([4.0]), 3, 2, 1.5)  # angle beyond pi
+        sbf(np.array([1.0]), np.array([1.5]), 3, 2, 1.5)  # cosine beyond 1
+
+
+@pytest.mark.parametrize("l_sbf", range(1, 7))
+def test_angular_basis_is_cos_of_multiple_angles(l_sbf):
+    """The Chebyshev recurrence gives cos(l * arccos(c)) to 1e-13 on [-1, 1],
+    the collinear cosines -1 and 1 included."""
+    c = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-1.0, 1.0, 0.0]])
+    want = np.cos(np.arange(l_sbf) * np.arccos(c)[:, None])
+    got = angular_basis(c, l_sbf)
+    assert got.shape == (c.size, l_sbf)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("l_sbf", [1, 2, 5])
+def test_angular_basis_dcos_matches_central_differences(l_sbf):
+    c = np.linspace(-0.99, 0.99, 41)
+    h = 1e-6
+    fd = (angular_basis(c + h, l_sbf) - angular_basis(c - h, l_sbf)) / (2 * h)
+    np.testing.assert_allclose(angular_basis_dcos(c, l_sbf), fd, rtol=0, atol=1e-7)
 
 
 def _rigid_motion(system: AtomicSystem, rng) -> AtomicSystem:
@@ -108,8 +128,9 @@ def test_basis_all_finite(rng):
 
 
 def test_triplet_basis_is_the_angular_factor_in_both_variants(rng):
-    """Both variants' triplet rows hold the same cos(l * angle) bits, L wide;
-    with the in-edge rbf they compose the whole sbf rows exactly."""
+    """Both variants' triplet rows hold the same cos(l * angle) bits, L wide,
+    the angular basis of the triplets' cosines; with the in-edge rbf they
+    compose the whole sbf rows exactly."""
     system = random_cloud(20, 0.9, rng)
     cfg = ModelConfig(k_rbf=6, l_sbf=4, cutoff=1.5)
     topo, dimenet = basis_of(system, cfg.replace(variant=DIMENET))
@@ -120,5 +141,7 @@ def test_triplet_basis_is_the_angular_factor_in_both_variants(rng):
     np.testing.assert_array_equal(dimenet.triplet_basis[:, 0], 1.0)
     radial = dimenet.edge_rbf[topo.trip_in]
     composed = np.einsum("tk,tl->tkl", radial, dimenet.triplet_basis).reshape(-1, 24)
-    whole = angular_outer(radial, triplet_angles(system.positions, topo), 4)
+    angular = angular_basis(triplet_cosines(system.positions, topo), 4)
+    assert dimenet.triplet_basis.tobytes() == angular.tobytes()
+    whole = angular_outer(radial, angular)
     assert composed.tobytes() == whole.tobytes()

@@ -1,3 +1,4 @@
+import re
 import numpy as np
 import pytest
 
@@ -302,6 +303,26 @@ def test_cli_rejects_bad_config_values(text, name, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"egn: error: {name} must be")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["1", "null", "[1]", '"ab"'])
+def test_config_from_json_rejects_non_objects(text):
+    with pytest.raises(ValueError, match=f"config must be a JSON object, got {re.escape(text)}"):
+        ModelConfig.from_json(text)
+
+
+@pytest.mark.parametrize("text", ["1", "null", "[1]", '"ab"'])
+def test_cli_rejects_non_object_config(text, tmp_path, capsys):
+    """A config file that is not a JSON object is one error line and exit
+    code 2, not a traceback."""
+    xyz = tmp_path / "dimer.xyz"
+    xyz.write_text("2\ndimer\nH 0 0 0\nH 0 0 1.0\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["run", str(xyz), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"egn: error: config must be a JSON object, got {text}\n"
 
 
 def test_cli_relax_rejects_zero_step_size(tmp_path, capsys):

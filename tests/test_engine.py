@@ -9,7 +9,7 @@ from egn import engine
 from egn.basis import BasisFeatures
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
-from egn.graph import build_graph, edge_unit_vectors, triplet_angles
+from egn.graph import build_graph, edge_unit_vectors, triplet_cosines
 from egn.params import ModelParams, init_params
 from egn.system import AtomicSystem, random_cloud
 
@@ -31,7 +31,7 @@ def naive_forward(system: AtomicSystem, params: ModelParams):
     arrays = params.arrays
     topo, basis = basis_of(system, cfg)
     units = edge_unit_vectors(system.positions, topo.edge_src, topo.edge_recv)
-    angles = triplet_angles(system.positions, topo)
+    angles = np.arccos(np.clip(triplet_cosines(system.positions, topo), -1.0, 1.0))
     n_e, n_t, n_v = topo.num_edges, topo.num_triplets, topo.num_nodes
     rev = topo.reverse_edges() if cfg.variant == GEMNET else None
 
@@ -320,7 +320,7 @@ def test_gemnet_triplet_rows_carry_only_the_angle():
             if node.value.shape[:1] == (n_t,)
         ]
         ops = {op for op, _ in on_triplets}
-        assert ops == {"triplet_angles", "angular_basis", "gather_contract"}, (variant, ops)
+        assert ops == {"triplet_basis", "gather_contract"}, (variant, ops)
         widest = max(shape[1] for _, shape in on_triplets if len(shape) > 1)
         assert widest == max(cfg.l_sbf, getattr(cfg, width)), variant
 
@@ -383,10 +383,10 @@ def per_triplet_radial_basis(tape, pos_id, topology, config, trip_rows):
     owned = replace(topology, trip_in=trip_in, trip_out=topology.trip_out[trip_rows])
     dist = tape.edge_distances(pos_id, src, recv)
     units = tape.edge_units(pos_id, src, recv) if config.variant == GEMNET else None
-    angles = tape.triplet_angles(pos_id, owned)
+    angular = tape.triplet_basis(pos_id, owned, config.l_sbf)
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
     radial = tape.gaussian_rbf(tape.gather(dist, trip_in), config.k_rbf, config.cutoff)
-    sbf = record_angular_sbf(tape, radial, angles, config.l_sbf)
+    sbf = record_angular_sbf(tape, radial, angular)
     return BasisFeatures(rbf, sbf, units)
 
 

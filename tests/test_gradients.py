@@ -3,7 +3,7 @@ import numpy as np
 from egn.bench import sample_smooth_system
 from egn.config import ModelConfig
 from egn.engine import ModelTape
-from egn.graph import build_graph, edge_distances, triplet_angles
+from egn.graph import build_graph, cosine_gradients, edge_distances, triplet_cosines
 from egn.params import ModelParams, init_params
 from egn.system import AtomicSystem
 from egn.tape import Tape
@@ -15,16 +15,17 @@ SMALL = ModelConfig(variant="dimenet-style", blocks=2, d_u=2, d_v=3, d_e=4, d_t=
                     d_bil=2, k_rbf=3, l_sbf=2)
 
 
-def position_jacobian(record, positions: np.ndarray) -> np.ndarray:
-    """(rows, atoms, 3) Jacobian of a recorded geometry op, one tape VJP per output row."""
+def position_jacobian(record, positions: np.ndarray, column=()) -> np.ndarray:
+    """(rows, atoms, 3) Jacobian of a recorded geometry op, or of one
+    ``column`` of its output, one tape VJP per output row."""
     tape = Tape()
     pos = tape.leaf(positions)
     out = record(tape, pos)
     n_rows = tape.value(out).shape[0]
     rows = []
     for r in range(n_rows):
-        seed = np.zeros(n_rows)
-        seed[r] = 1.0
+        seed = np.zeros(tape.value(out).shape)
+        seed[(r, *column)] = 1.0
         rows.append(tape.backward({out: seed})[pos])
     return np.array(rows).reshape(n_rows, *positions.shape)
 
@@ -35,8 +36,9 @@ def distance_jacobian(positions, topo):
     )
 
 
-def angle_jacobian(positions, topo):
-    return position_jacobian(lambda t, p: t.triplet_angles(p, topo), positions)
+def cosine_jacobian(positions, topo):
+    """Jacobian of each triplet's cosine, column T_1 of its angular basis."""
+    return position_jacobian(lambda t, p: t.triplet_basis(p, topo, 2), positions, (1,))
 
 
 def test_geometry_grads_dimer_unit_vectors():
@@ -51,7 +53,7 @@ def test_geometry_grads_dimer_unit_vectors():
 def test_angle_grads_sum_to_zero_translation_invariance():
     system = equilateral_triangle()
     topo, _ = build_graph(system, cutoff=1.5)
-    total = angle_jacobian(system.positions, topo).sum(axis=1)
+    total = cosine_jacobian(system.positions, topo).sum(axis=1)
     np.testing.assert_allclose(total, 0.0, atol=1e-14)
 
 
@@ -59,7 +61,7 @@ def test_geometry_grads_match_finite_differences(rng):
     system = sample_smooth_system(rng, 5, cutoff=1.5)
     topo, _ = build_graph(system, cutoff=1.5)
     dist_grads = distance_jacobian(system.positions, topo)
-    angle_grads = angle_jacobian(system.positions, topo)
+    cosine_grads = cosine_jacobian(system.positions, topo)
     h = 1e-6
     for atom in range(system.n):
         for axis in range(3):
@@ -70,19 +72,20 @@ def test_geometry_grads_match_finite_differences(rng):
             fd_d = (d_plus - d_minus) / (2 * h)
             assert np.max(np.abs(fd_d - dist_grads[:, atom, axis])) < 1e-7
 
-            a_plus = triplet_angles(system.positions + step, topo)
-            a_minus = triplet_angles(system.positions - step, topo)
-            fd_a = (a_plus - a_minus) / (2 * h)
-            assert np.max(np.abs(fd_a - angle_grads[:, atom, axis])) < 1e-7
+            c_plus = triplet_cosines(system.positions + step, topo)
+            c_minus = triplet_cosines(system.positions - step, topo)
+            fd_c = (c_plus - c_minus) / (2 * h)
+            assert np.max(np.abs(fd_c - cosine_grads[:, atom, axis])) < 1e-7
 
 
 def test_collinear_angle_gradient_is_zero_subgradient():
+    """At an exactly collinear triplet the cosine is at its minimum, so its
+    gradient is zero with no special case."""
     from conftest import collinear_chain
-    from egn.graph import angle_gradients
 
     system = collinear_chain(1.0)
     topo, _ = build_graph(system, cutoff=1.5)
-    g_k, g_j, g_i = angle_gradients(system.positions, topo)
+    g_k, g_j, g_i = cosine_gradients(system.positions, topo)
     assert np.all(np.isfinite(g_k)) and np.all(g_k == 0)
     assert np.all(g_j == 0) and np.all(g_i == 0)
 

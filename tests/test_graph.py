@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from egn.graph import (
     GraphTopology,
-    angle_gradients,
     build_graph,
+    cosine_gradients,
     edge_distances,
     edge_unit_vectors,
     enumerate_triplets,
-    triplet_angles,
+    triplet_cosines,
 )
 from egn.system import AtomicSystem, random_cloud
 
@@ -61,7 +61,7 @@ def test_collinear_chain_edges_triplets_angles():
     topo, _ = build_graph(system, cutoff=1.5)
     assert topo.num_edges == 4
     assert topo.num_triplets == 2
-    np.testing.assert_allclose(triplet_angles(system.positions, topo), [np.pi, np.pi])
+    np.testing.assert_allclose(triplet_cosines(system.positions, topo), [-1.0, -1.0])
 
 
 def test_equilateral_triangle_counts_and_angles():
@@ -69,7 +69,7 @@ def test_equilateral_triangle_counts_and_angles():
     topo, _ = build_graph(system, cutoff=1.5)
     assert topo.num_edges == 6
     assert topo.num_triplets == 6
-    np.testing.assert_allclose(triplet_angles(system.positions, topo), np.pi / 3, atol=1e-12)
+    np.testing.assert_allclose(triplet_cosines(system.positions, topo), 0.5, atol=1e-12)
 
 
 def test_star_graph_triplet_count():
@@ -151,16 +151,15 @@ def test_triplets_match_brute_force(seed):
 def test_angles_match_recomputation_from_positions(rng):
     system = random_cloud(15, 0.9, rng)
     topo, _ = build_graph(system, cutoff=1.5)
-    angles = triplet_angles(system.positions, topo)
+    cosines = triplet_cosines(system.positions, topo)
     for t in range(topo.num_triplets):
         k = topo.edge_src[topo.trip_in[t]]
         j = topo.edge_recv[topo.trip_in[t]]
         i = topo.edge_recv[topo.trip_out[t]]
         v1 = system.positions[k] - system.positions[j]
         v2 = system.positions[i] - system.positions[j]
-        cosang = np.dot(v1, v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
-        expected = np.arccos(np.clip(cosang, -1.0, 1.0))
-        assert abs(angles[t] - expected) < 1e-12
+        expected = np.dot(v1, v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
+        assert abs(cosines[t] - expected) < 1e-12
 
 
 def test_distances_match_norms(rng):
@@ -182,12 +181,12 @@ def test_edge_symmetry_property(seed, n):
     assert all(a != b for a, b in pairs)
 
 
-def test_collinear_angle_uses_atan2_not_nan():
-    # exactly collinear triplet: angle must be pi, never NaN
+def test_collinear_cosine_is_minus_one_not_nan():
+    # exactly collinear triplet: cosine must be -1, never NaN
     topo, _ = build_graph(collinear_chain(1.0), cutoff=1.5)
-    angles = triplet_angles(collinear_chain(1.0).positions, topo)
-    assert np.all(np.isfinite(angles))
-    np.testing.assert_allclose(angles, np.pi)
+    cosines = triplet_cosines(collinear_chain(1.0).positions, topo)
+    assert np.all(np.isfinite(cosines))
+    np.testing.assert_allclose(cosines, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +235,26 @@ def reference_triplet_vectors(pos, topology):
     return pos[k] - pos[j], pos[i] - pos[j]
 
 
-def reference_triplet_angles(pos, topology):
-    """Per-atom gathers and np.cross: the formula triplet_angles must reproduce."""
-    if topology.num_triplets == 0:
-        return np.empty(0, dtype=np.float64)
-    v1, v2 = reference_triplet_vectors(pos, topology)
-    cross = np.cross(v1, v2)
-    s = np.sqrt((cross * cross).sum(axis=1))
-    c = (v1 * v2).sum(axis=1)
-    return np.arctan2(s, c)
+def _dot(a, b):
+    """Row-wise dot products of (N, 3) arrays, summed left to right."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
-def reference_angle_gradients(pos, topology):
-    """The closed-form angle gradient over per-atom gathers and np.cross."""
-    if topology.num_triplets == 0:
-        z = np.zeros((0, 3), dtype=np.float64)
-        return z, z, z
+def reference_triplet_cosines(pos, topology):
+    """Per-atom gathers: the formula triplet_cosines must reproduce."""
     v1, v2 = reference_triplet_vectors(pos, topology)
-    cross = np.cross(v1, v2)
-    s = np.sqrt((cross * cross).sum(axis=1))
-    ok = s > 1e-14
-    nhat = cross / np.where(ok, s, 1.0)[:, None]
-    n1 = np.sqrt((v1 * v1).sum(axis=1))
-    n2 = np.sqrt((v2 * v2).sum(axis=1))
-    g_k = np.cross(v1 / n1[:, None], nhat) / n1[:, None]
-    g_i = np.cross(nhat, v2 / n2[:, None]) / n2[:, None]
-    g_k[~ok] = 0.0
-    g_i[~ok] = 0.0
+    return _dot(v1, v2) / (np.sqrt(_dot(v1, v1)) * np.sqrt(_dot(v2, v2)))
+
+
+def reference_cosine_gradients(pos, topology):
+    """The closed-form cosine gradient over per-atom gathers."""
+    v1, v2 = reference_triplet_vectors(pos, topology)
+    n1 = np.sqrt(_dot(v1, v1))[:, None]
+    n2 = np.sqrt(_dot(v2, v2))[:, None]
+    inv = 1.0 / (n1 * n2)
+    c = _dot(v1, v2)[:, None] * inv
+    g_k = v2 * inv - v1 * (c / (n1 * n1))
+    g_i = v1 * inv - v2 * (c / (n2 * n2))
     return g_k, -(g_k + g_i), g_i
 
 
@@ -281,7 +273,7 @@ def dense_graph(system, cutoff):
     geometry = {
         "distances": edge_distances(pos, src, recv),
         "unit_vectors": edge_unit_vectors(pos, src, recv),
-        "angles": reference_triplet_angles(pos, topology),
+        "cosines": reference_triplet_cosines(pos, topology),
     }
     return topology, geometry, dist[src, recv]
 
@@ -302,7 +294,7 @@ def assert_matches_dense(system, cutoff):
     assert_bitwise_equal(dist, ref_geom["distances"])
     units = edge_unit_vectors(pos, topo.edge_src, topo.edge_recv)
     assert_bitwise_equal(units, ref_geom["unit_vectors"])
-    assert_bitwise_equal(triplet_angles(pos, topo), ref_geom["angles"])
+    assert_bitwise_equal(triplet_cosines(pos, topo), ref_geom["cosines"])
     assert_bitwise_equal(dist, ref_dist)
     assert_bitwise_equal(topo.reverse_edges(), dense_reverse_edges(ref_topo))
     return topo
@@ -355,17 +347,20 @@ def test_angle_gradients_match_reference(seed, n, layout, origin):
     rng = np.random.default_rng(seed)
     system = _atoms(_layout(layout, n, rng) + origin)
     topo, _ = build_graph(system, 1.5)
-    actual = angle_gradients(system.positions, topo)
-    for got, want in zip(actual, reference_angle_gradients(system.positions, topo)):
+    actual = cosine_gradients(system.positions, topo)
+    for got, want in zip(actual, reference_cosine_gradients(system.positions, topo)):
         assert_bitwise_equal(got, want)
 
 
 def test_angle_gradients_of_collinear_triplets_match_reference():
+    """At collinear triplets the cosine is extremal, so its gradient is zero
+    up to rounding, with no branch."""
     system = collinear_chain(0.7, n=6)
     topo, _ = build_graph(system, 1.5)
-    g_k, g_j, g_i = angle_gradients(system.positions, topo)
-    assert topo.num_triplets and not g_k.any() and not g_j.any() and not g_i.any()
-    for got, want in zip((g_k, g_j, g_i), reference_angle_gradients(system.positions, topo)):
+    g_k, g_j, g_i = cosine_gradients(system.positions, topo)
+    assert topo.num_triplets
+    assert max(np.abs(g).max() for g in (g_k, g_j, g_i)) < 1e-14
+    for got, want in zip((g_k, g_j, g_i), reference_cosine_gradients(system.positions, topo)):
         assert_bitwise_equal(got, want)
 
 

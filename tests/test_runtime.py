@@ -182,8 +182,8 @@ def test_gemnet_force_seeded_parallel_backward(medium_system, rng):
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypatch):
-    """In both variants each worker computes angles and their angular basis
-    over its own triplet shard only."""
+    """In both variants each worker computes the triplet basis over its own
+    triplet shard only."""
     seen = defaultdict(list)  # thread name -> [(op, rows)]
 
     def spy(op, rows_of):
@@ -195,8 +195,7 @@ def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypa
 
         monkeypatch.setitem(tape_module._FORWARD, op, wrapped)
 
-    spy("triplet_angles", lambda vals, aux: (aux["topology"].trip_in, aux["topology"].trip_out))
-    spy("angular_basis", lambda vals, aux: vals[0].shape[0])
+    spy("triplet_basis", lambda vals, aux: (aux["topology"].trip_in, aux["topology"].trip_out))
     for variant in (DIMENET, GEMNET):
         cfg = ModelConfig(variant=variant, blocks=2, workers=workers)
         group = WorkerGroup(medium_system, init_params(cfg))
@@ -207,13 +206,10 @@ def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypa
         total = 0
         for rank, shard in enumerate(group.partition.triplet_shards):
             calls = seen.pop(f"egn-worker-{rank}")
-            assert [op for op, _ in calls] == ["triplet_angles", "angular_basis"] * 2, variant
-            for op, rows in calls:
-                if op == "triplet_angles":
-                    np.testing.assert_array_equal(rows[0], topo.trip_in[shard])
-                    np.testing.assert_array_equal(rows[1], topo.trip_out[shard])
-                else:
-                    assert rows == shard.stop - shard.start
+            assert [op for op, _ in calls] == ["triplet_basis"] * 2, variant
+            for _, rows in calls:
+                np.testing.assert_array_equal(rows[0], topo.trip_in[shard])
+                np.testing.assert_array_equal(rows[1], topo.trip_out[shard])
             total += shard.stop - shard.start
         assert total == topo.num_triplets
         assert not seen, sorted(seen)  # no triplet geometry outside the workers

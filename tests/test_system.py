@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from egn import system as system_module
 from egn.system import AtomicSystem, XyzParseError, format_xyz, parse_xyz, random_cloud
 
 from conftest import min_pair_distance
@@ -91,9 +92,12 @@ def test_random_cloud_rejects_non_finite_density(density):
         random_cloud(5, density, np.random.default_rng(0))
 
 
-def test_random_cloud_impossible_packing():
-    with pytest.raises(RuntimeError):
-        random_cloud(200, 1e6, np.random.default_rng(0), max_tries_per_atom=20)
+def test_random_cloud_impossible_packing(monkeypatch):
+    # The packing fraction of a cloud does not depend on n or density, and
+    # 500 tries per atom place these 200 atoms, so shrink the budget.
+    monkeypatch.setattr(system_module, "_TRIES_PER_ATOM", 20)
+    with pytest.raises(RuntimeError, match=r"could not place atom \d+/200 .* after 20 tries"):
+        random_cloud(200, 1e6, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egn import tape as tape_module
+from egn.basis import angular_basis
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
 from egn.graph import build_graph
 from egn.params import ModelParams, init_params
 from egn.runtime import Collective, CommLog, WorkerGroup
-from egn.system import random_cloud
+from egn.system import AtomicSystem, random_cloud
 from egn.tape import (
     _ALWAYS_RUN,
     _FORWARD,
@@ -25,7 +26,7 @@ from egn.tape import (
 )
 from egn.tasks import predict
 
-from conftest import dimer, rel_err
+from conftest import collinear_chain, dimer, rel_err
 
 
 def numeric_vjp(build, x0, seed, h=1e-6):
@@ -191,8 +192,11 @@ def test_edge_units_adjoint(geometry_fixture, rng):
 
 
 def test_triplet_angles_adjoint(geometry_fixture, rng):
+    """The triplet angle's own adjoint: at l_sbf=2 the basis rows are
+    [1, cos(angle)], so this checks the position adjoint of the angle's
+    cosine alone, against central finite differences."""
     system, topo = geometry_fixture
-    check_op(lambda t, x: t.triplet_angles(x, topo), system.positions, rng, tol=1e-5)
+    check_op(lambda t, x: t.triplet_basis(x, topo, 2), system.positions, rng, tol=1e-5)
 
 
 def test_gaussian_rbf_adjoint(rng):
@@ -204,16 +208,16 @@ def test_angular_sbf_adjoint(rng, angular_sbf):
     """The test-side whole-sbf reference primitive, against central finite
     differences."""
     r0 = rng.uniform(0.0, 1.0, size=(7, 4))
-    a0 = rng.uniform(0.2, np.pi - 0.2, size=7)
+    a0 = angular_basis(rng.uniform(-0.95, 0.95, size=7), 3)
     tape = Tape()
     r, a = tape.leaf(r0), tape.leaf(a0)
-    out = angular_sbf(tape, r, a, 3)
+    out = angular_sbf(tape, r, a)
     seed = rng.standard_normal(tape.value(out).shape)
     grads = tape.backward({out: seed})
 
     def value(rv, av):
         t2 = Tape()
-        return t2.value(angular_sbf(t2, t2.leaf(rv), t2.leaf(av), 3))
+        return t2.value(angular_sbf(t2, t2.leaf(rv), t2.leaf(av)))
 
     h = 1e-6
     for which, arr, exact in (("r", r0, grads[r]), ("a", a0, grads[a])):
@@ -228,9 +232,49 @@ def test_angular_sbf_adjoint(rng, angular_sbf):
 
 
 @pytest.mark.parametrize("l_sbf", [1, 4])
-def test_angular_basis_adjoint(l_sbf, rng):
-    a0 = rng.uniform(0.2, np.pi - 0.2, size=7)
-    check_op(lambda t, x: t.angular_basis(x, l_sbf), a0, rng, tol=1e-5)
+def test_angular_basis_adjoint(l_sbf, geometry_fixture, rng):
+    """The fused triplet_basis adjoint, from the basis rows back to the
+    positions, against central finite differences."""
+    system, topo = geometry_fixture
+    check_op(lambda t, x: t.triplet_basis(x, topo, l_sbf), system.positions, rng, tol=1e-5)
+
+
+def _bent_chain(angle: float) -> np.ndarray:
+    """Three atoms, unit bonds, bent by ``angle`` from a straight line."""
+    return np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [np.sin(angle), 0.0, np.cos(angle)]])
+
+
+def test_triplet_basis_gradient_is_finite_on_a_collinear_chain(rng):
+    """Exactly collinear triplets have cosine -1 and a zero cosine gradient,
+    with no special case; the model's position gradient is finite there."""
+    positions = _bent_chain(0.0)
+    topo, _ = build_graph(AtomicSystem(positions, np.full(3, 6)), cutoff=1.5)
+    tape = Tape()
+    pos = tape.leaf(positions)
+    out = tape.triplet_basis(pos, topo, 4)
+    np.testing.assert_array_equal(tape.value(out)[:, 1], -1.0)
+    grad = tape.backward({out: rng.standard_normal(tape.value(out).shape)})[pos]
+    assert np.all(np.isfinite(grad)) and not grad.any()
+    for variant in (DIMENET, GEMNET):
+        system = collinear_chain(0.7, n=5)  # cosines -1 and +1
+        bundle = ModelTape(system, init_params(ModelConfig(variant=variant))).backward(1.0)
+        assert np.all(np.isfinite(bundle.d_positions)), variant
+
+
+@pytest.mark.parametrize("l_sbf", [2, 4])
+def test_triplet_basis_gradient_on_a_nearly_collinear_chain(l_sbf, rng):
+    """A chain bent by 1e-4 rad: the position gradient of the basis rows
+    matches central differences, though the angle's sine is 1e-4."""
+    positions = _bent_chain(1e-4)
+    topo, _ = build_graph(AtomicSystem(positions, np.full(3, 6)), cutoff=1.5)
+    assert topo.num_triplets == 2
+    tape = Tape()
+    pos = tape.leaf(positions)
+    out = tape.triplet_basis(pos, topo, l_sbf)
+    seed = rng.standard_normal(tape.value(out).shape)
+    exact = tape.backward({out: seed})[pos]
+    approx = numeric_vjp(lambda x: Evaluator().triplet_basis(x, topo, l_sbf), positions, seed)
+    assert np.abs(approx - exact).max() < 1e-5 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("l_sbf", [1, 3])
@@ -330,13 +374,12 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     pos = h["leaf"] = tape.leaf(system.positions)
     dist = h["edge_distances"] = tape.edge_distances(pos, topo.edge_src, topo.edge_recv)
     units = h["edge_units"] = tape.edge_units(pos, topo.edge_src, topo.edge_recv)
-    ang = h["triplet_angles"] = tape.triplet_angles(pos, topo)
     rbf = h["gaussian_rbf"] = tape.gaussian_rbf(dist, 4, 1.5)
     h["gather"] = tape.gather(rbf, topo.trip_in)
     well = h["quadratic_well"] = tape.quadratic_well(dist, 1.5)
     w_id, b_id = tape.leaf(w), tape.leaf(b)
     lin = tape.linear(rbf, w_id)
-    cos = h["angular_basis"] = tape.angular_basis(ang, 3)
+    cos = h["triplet_basis"] = tape.triplet_basis(pos, topo, 3)
     h["gather_contract"] = tape.gather_contract(cos, lin, topo.trip_in)
     h["linear"] = tape.linear(tape.silu(lin), tape.leaf(w[:, :3]), b_id)
     h["silu"] = tape.silu(lin)
@@ -586,7 +629,7 @@ def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monk
     block is that of ``gather_contract`` (one chunk at this size), and the
     basis gathers nothing, so dimenet-style scatters 8 times: per block the
     contract and the receiver plan, then the edge_distances and
-    triplet_angles VJPs. The triplet update gathers nothing by trip_out:
+    triplet_basis VJPs. The triplet update gathers nothing by trip_out:
     its out-edge rbf gate runs on the summed edge rows.
     """
     cfg = ModelConfig(variant=variant, blocks=3)

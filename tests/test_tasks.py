@@ -1,3 +1,4 @@
+import re
 import threading
 from collections import Counter
 
@@ -180,6 +181,25 @@ def test_train_rejects_non_finite_loss_weights(rng, w_energy, w_forces):
     dataset = _toy_dataset(rng, cfg, samples=1)
     with pytest.raises(ValueError, match="loss weights must be finite"):
         train_simple(dataset, init_params(cfg), 0.1, 1, w_energy=w_energy, w_forces=w_forces)
+
+
+@pytest.mark.parametrize("target", ["row", "flat", "none"])
+def test_loss_rejects_force_target_of_wrong_shape(rng, target):
+    """With a force loss, a target that is not the sample's (n, 3) array is
+    rejected by sample, rather than broadcast into a wrong loss or a NaN."""
+    cfg = ModelConfig(variant="gemnet-style", blocks=1)
+    dataset = _toy_dataset(rng, cfg)
+    system, energy, forces = dataset[1]
+    bad, got = {
+        "row": (forces[:1], "shape (1, 3)"),
+        "flat": (forces[0], "shape (3,)"),
+        "none": (None, "None"),
+    }[target]
+    dataset[1] = (system, energy, bad)
+    error = rf"sample 1: force target must be a \({system.n}, 3\) array, got {re.escape(got)}"
+    with pytest.raises(ValueError, match=error):
+        loss_and_grads(dataset, init_params(cfg), w_forces=1.0)
+    loss_and_grads(dataset, init_params(cfg), w_forces=0.0)  # no force loss reads no target
 
 
 def test_train_energy_centric_energy_only_loss(rng):
