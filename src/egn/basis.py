@@ -7,12 +7,13 @@ and cosines, so features are invariant under rigid motion. The spherical
 basis (sbf) of triplet (k->j, j->i) is the outer product of the radial
 basis of its in-edge k->j with the angular basis of its angle.
 
-``compute_basis`` records everything the model reads of the positions: edge
-distances, edge unit vectors (gemnet-style), the rbf and the triplet basis.
+``compute_basis`` records everything the model reads of the positions: the
+edge vectors, once, and from them edge distances, edge unit vectors
+(gemnet-style), the rbf and the triplet basis.
 The Gaussians are evaluated once per edge, never per triplet. Both variants
 keep sbf's radial factor on the in-edge (see ``egn.engine.record_tu``), so
 the triplet rows hold only the angular basis, L wide, one primitive of the
-positions. The sequential engine records the triplet rows over all
+edge vectors. The sequential engine records the triplet rows over all
 triplets; each runtime worker records them over its own triplet shard, so
 every triplet's basis row is computed and differentiated once, by the
 worker that owns it.
@@ -20,7 +21,7 @@ worker that owns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,15 +104,14 @@ def compute_basis(
 ) -> BasisFeatures:
     """Record the model's geometry and basis from the positions leaf ``pos_id``.
 
-    Distances, units and rbf cover every edge; the triplet basis covers
-    only the contiguous triplet rows ``trip_rows``, in their order.
-    On a Tape this records for a backward pass; on an Evaluator it returns
-    the arrays.
+    The edge vectors are the one node that reads the positions; distances,
+    units and rbf cover every edge, and the triplet basis covers only the
+    contiguous triplet rows ``trip_rows``, in their order. On a Tape this
+    records for a backward pass; on an Evaluator it returns the arrays.
     """
-    src, recv = topology.edge_src, topology.edge_recv
-    trip_in = topology.trip_in[trip_rows]
-    owned = replace(topology, trip_in=trip_in, trip_out=topology.trip_out[trip_rows])
-    dist = tape.edge_distances(pos_id, src, recv)
-    units = tape.edge_units(pos_id, src, recv) if config.variant == GEMNET else None
+    vectors = tape.edge_vectors(pos_id, topology.edge_src, topology.edge_recv)
+    dist = tape.edge_distances(vectors)
+    units = tape.edge_units(vectors) if config.variant == GEMNET else None
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
-    return BasisFeatures(rbf, tape.triplet_basis(pos_id, owned, config.l_sbf), units)
+    trips = (topology.trip_in[trip_rows], topology.trip_out[trip_rows])
+    return BasisFeatures(rbf, tape.triplet_basis(vectors, *trips, config.l_sbf), units)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import DIMENET, GEMNET, ModelConfig
 from .engine import ModelTape
-from .graph import build_graph, triplet_cosines
+from .graph import build_graph, edge_vectors, triplet_cosines
 from .neighbours import neighbour_pairs
 from .params import ModelParams, init_params
 from .partition import CommModel, comm_volume
@@ -40,7 +40,9 @@ def sample_smooth_system(rng: np.random.Generator, n: int, cutoff: float) -> Ato
         _, _, dist = neighbour_pairs(system.positions, cutoff + 1e-3)
         if np.any(np.abs(dist - cutoff) < 1e-3):
             continue
-        if np.any(np.abs(triplet_cosines(system.positions, topology)) > np.cos(0.05)):
+        vectors = edge_vectors(system.positions, topology.edge_src, topology.edge_recv)
+        cosines = triplet_cosines(vectors, topology.trip_in, topology.trip_out)
+        if np.any(np.abs(cosines) > np.cos(0.05)):
             continue
         return system
     raise RuntimeError("could not sample a smooth system within the retry budget")

@@ -381,6 +381,19 @@ def record_system(
     return pos_id, record_model(tape, params, topology, basis)
 
 
+def force_seed(d_forces: np.ndarray | None, config: ModelConfig, n: int) -> np.ndarray | None:
+    """A backward's force seed as float64, or None for none; one check for
+    sequential and multi-worker passes alike, before any backward begins."""
+    if d_forces is None:
+        return None
+    if config.variant != GEMNET:
+        raise ValueError("a force seed needs the force head of the force-centric variant")
+    d_forces = np.asarray(d_forces, dtype=np.float64)
+    if d_forces.shape != (n, 3):
+        raise ValueError(f"force seed has shape {d_forces.shape}, expected {(n, 3)}")
+    return d_forces
+
+
 class ModelTape:
     """One recorded sequential forward pass over a system.
 
@@ -425,10 +438,9 @@ class ModelTape:
         seeds: dict[int, np.ndarray] = {}
         if d_energy != 0.0:
             seeds[self.energy_id] = np.array([[d_energy]], dtype=np.float64)
+        d_forces = force_seed(d_forces, self.config, self.system.n)
         if d_forces is not None:
-            if self.forces_id is None:
-                raise ValueError("force seed given but this variant has no force head")
-            seeds[self.forces_id] = np.asarray(d_forces, dtype=np.float64)
+            seeds[self.forces_id] = d_forces
         if not seeds:
             seeds[self.energy_id] = np.zeros((1, 1), dtype=np.float64)
         grads = self.tape.backward(seeds)

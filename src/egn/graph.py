@@ -11,7 +11,9 @@ a graph therefore costs O(n + N_e + N_t) memory and, up to the sorts, time.
 ``build_graph`` returns the topology and the distances of the search; the
 geometry functions below are the forward and closed-form gradient rules of
 the tape's geometry primitives, which ``egn.basis.compute_basis`` records.
-A triplet's geometry is the cosine of its bond angle; no angle is formed.
+Positions are read once, as the edge vectors x_recv - x_src; distances,
+unit vectors and the triplet cosines are functions of those vectors. A
+triplet's geometry is the cosine of its bond angle; no angle is formed.
 """
 
 from __future__ import annotations
@@ -102,30 +104,14 @@ def enumerate_triplets(
     return trip_in[keep], trip_out[keep]
 
 
-def edge_distances(positions: np.ndarray, src: np.ndarray, recv: np.ndarray) -> np.ndarray:
-    diff = positions[recv] - positions[src]
-    return np.sqrt((diff * diff).sum(axis=1))
+def edge_vectors(positions: np.ndarray, src: np.ndarray, recv: np.ndarray) -> np.ndarray:
+    """x_recv - x_src per edge, (N_e, 3): the only geometry read of positions."""
+    return positions[recv] - positions[src]
 
 
-def edge_unit_vectors(positions: np.ndarray, src: np.ndarray, recv: np.ndarray) -> np.ndarray:
-    diff = positions[recv] - positions[src]
-    d = np.sqrt((diff * diff).sum(axis=1))
-    return diff / d[:, None]
-
-
-def _triplet_vectors(positions: np.ndarray, topology: GraphTopology):
-    """v1 = x_k - x_j and v2 = x_i - x_j per triplet, as (3, N_t) components.
-
-    Both are gathered from per-edge differences, one gather per vector
-    instead of two gathers of atom positions. Each edge is differenced in
-    both directions, rather than one negated, because -(a - b) is -0.0
-    where b - a is +0.0.
-    """
-    cols = np.ascontiguousarray(positions.T)
-    src, recv = topology.edge_src, topology.edge_recv
-    v1 = np.take(cols[:, src] - cols[:, recv], topology.trip_in, axis=1)
-    v2 = np.take(cols[:, recv] - cols[:, src], topology.trip_out, axis=1)
-    return v1, v2
+def edge_distances(vectors: np.ndarray) -> np.ndarray:
+    """The length of each edge vector."""
+    return np.sqrt((vectors * vectors).sum(axis=1))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,32 +123,35 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a, a))
 
 
-def triplet_cosines(positions: np.ndarray, topology: GraphTopology) -> np.ndarray:
-    """Cosine of the bond angle at the shared atom j, v1 . v2 / (|v1| |v2|).
+def _gather_columns(vectors: np.ndarray, trip_in: np.ndarray, trip_out: np.ndarray):
+    """a = x_j - x_k and b = x_i - x_j, the in-edge and out-edge vectors of
+    each triplet (k -> j, j -> i), as (3, N_t) components."""
+    cols = np.ascontiguousarray(vectors.T)
+    return np.take(cols, trip_in, axis=1), np.take(cols, trip_out, axis=1)
+
+
+def triplet_cosines(vectors: np.ndarray, trip_in: np.ndarray, trip_out: np.ndarray) -> np.ndarray:
+    """Cosine of the bond angle at the shared atom j, c = -a . b / (|a| |b|),
+    from the edge vectors a of the in-edges and b of the out-edges.
 
     The model reads an angle only through cos(l * angle), a polynomial in
     this cosine (``egn.basis.angular_basis``), so no angle is formed.
     """
-    v1, v2 = _triplet_vectors(positions, topology)
-    return _dot(v1, v2) / (_norm(v1) * _norm(v2))
+    a, b = _gather_columns(vectors, trip_in, trip_out)
+    return -_dot(a, b) / (_norm(a) * _norm(b))
 
 
-def cosine_gradients(positions: np.ndarray, topology: GraphTopology):
-    """Closed-form d(cosine)/d(position) for each triplet.
+def cosine_gradients(vectors: np.ndarray, trip_in: np.ndarray, trip_out: np.ndarray):
+    """Closed-form (dc/da, dc/db) for each triplet, each (N_t, 3).
 
-    Returns (g_k, g_j, g_i), each (N_t, 3): the gradient with respect to the
-    outer atom k, the middle atom j, and the outer atom i. With
-    c = v1 . v2 / (|v1| |v2|), dc/dv1 = v2 / (|v1| |v2|) - c v1 / |v1|^2,
-    symmetrically for v2, and x_j takes minus their sum. The rule holds at
-    collinear triplets too, where the cosine is extremal and its gradient
-    zero.
+    With c = -a . b / (|a| |b|), dc/da = -b / (|a| |b|) - c a / |a|^2, and
+    symmetrically for b. The rule holds at collinear triplets too, where the
+    cosine is extremal and its gradient zero.
     """
-    v1, v2 = _triplet_vectors(positions, topology)
-    n1 = _norm(v1)
-    n2 = _norm(v2)
-    inv = 1.0 / (n1 * n2)
-    c = _dot(v1, v2) * inv
-    g_k = v2 * inv - v1 * (c / (n1 * n1))
-    g_i = v1 * inv - v2 * (c / (n2 * n2))
-    g_j = -(g_k + g_i)
-    return g_k.T, g_j.T, g_i.T
+    a, b = _gather_columns(vectors, trip_in, trip_out)
+    n_a, n_b = _norm(a), _norm(b)
+    inv = 1.0 / (n_a * n_b)
+    c = -_dot(a, b) * inv
+    g_a = -b * inv - a * (c / (n_a * n_a))
+    g_b = -a * inv - b * (c / (n_b * n_b))
+    return g_a.T, g_b.T

@@ -19,7 +19,8 @@ def neighbour_pairs(positions: np.ndarray, radius: float):
     """All ordered pairs (i, j), i != j, with |pos[j] - pos[i]| <= radius.
 
     Returns ``(src, recv, dist)``: int64 atom indices sorted by (src, recv)
-    and the float64 distances, computed as in ``graph.edge_distances``
+    and the float64 distances, computed as the tape computes them, the
+    ``graph.edge_distances`` of the ``graph.edge_vectors``
     (``sqrt(sum((pos[recv] - pos[src])**2))``). Positions must be finite.
     """
     pos = np.asarray(positions, dtype=np.float64)

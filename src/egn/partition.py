@@ -22,11 +22,9 @@ from .graph import GraphTopology
 
 @dataclass(frozen=True)
 class GraphPartition:
-    workers: int
     triplet_shards: list[slice]
     edge_shards: list[slice]
     node_shards: list[slice]
-    topology: GraphTopology
 
 
 def _slices(cuts) -> list[slice]:
@@ -55,13 +53,7 @@ def partition_graph(topology: GraphTopology, workers: int) -> GraphPartition:
         edge_cuts = [0, *np.append(topology.trip_out, n_e)[inner], n_e]
         edge_shards = _slices(edge_cuts)
         triplet_shards = _slices(np.searchsorted(topology.trip_out, edge_cuts))
-    return GraphPartition(
-        workers=workers,
-        triplet_shards=triplet_shards,
-        edge_shards=edge_shards,
-        node_shards=split_range(topology.num_nodes, workers),
-        topology=topology,
-    )
+    return GraphPartition(triplet_shards, edge_shards, split_range(topology.num_nodes, workers))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ order, identical result delivered everywhere). Worker-local state is owned
 exclusively by its worker between collectives.
 
 Each worker records its geometry and basis from the positions with
-``compute_basis``: distances and rbf over every edge, and the triplet
-basis, sbf's angular factor cos(l * angle), over its own triplet shard
-only. It then runs the one definition of the model
+``compute_basis``: the edge vectors, distances and rbf over every edge, and
+the triplet basis, sbf's angular factor cos(l * angle), over its own
+triplet shard only. It then runs the one definition of the model
 forward, the engine's block pipeline ``record_model``, over its shards,
 with a ``share`` hook that all-reduces and an ``enter`` hook that marks
 the stages. A worker's edge shard is the out-edges of its triplets (see
@@ -40,9 +40,10 @@ parameter gradients sum the partials to the exact gradient, and only rank
 0 seeds the energy and the forces.
 Boundary nodes mark the forward's stage switches, so the backward books
 its time to its stage, the geometry's VJPs to ``backward.geometry``. The
-same walk gives the position gradient at the positions leaf, with each
-triplet's basis row differentiated by its owner alone. Triplet
-features never enter a collective in either direction.
+same walk gives the position gradient at the positions leaf, through the
+one edge-vector node that reads it, with each triplet's basis row
+differentiated by its owner alone. Triplet features never enter a
+collective in either direction.
 
 A pass that needs its backward is recorded once: ``WorkerGroup.record()``
 runs the forward and returns its ``ParallelRunResult`` holding each
@@ -61,8 +62,7 @@ from functools import partial
 import numpy as np
 
 from .basis import compute_basis
-from .config import GEMNET
-from .engine import FeatureState, GradientBundle, record_model
+from .engine import FeatureState, GradientBundle, force_seed, record_model
 from .graph import build_graph
 from .params import ModelParams
 from .partition import GraphPartition, partition_graph
@@ -213,13 +213,7 @@ class ParallelRunResult:
                 "this pass kept no tapes or has already run its backward; record() a new pass"
             )
         group, contexts, recorded = self._pending
-        if d_forces is not None:
-            if group.config.variant != GEMNET:
-                raise ValueError("force seeds require the force-centric variant")
-            d_forces = np.asarray(d_forces, dtype=np.float64)
-            shape = group.system.positions.shape
-            if d_forces.shape != shape:
-                raise ValueError(f"force seed has shape {d_forces.shape}, expected {shape}")
+        d_forces = force_seed(d_forces, group.config, group.system.n)
         self._pending = None
         bundles = group._launch(
             contexts,

@@ -10,16 +10,18 @@ recording calls through the same forward rules and keeps nothing, so a
 forward is written once and yields the same bits either way.
 
 Primitives: leaf, add, mul, concat, linear, silu, gather, segment_sum,
-sum_rows, edge_distances, edge_units, triplet_basis, gaussian_rbf,
-gather_contract, quadratic_well, allreduce and boundary.
+sum_rows, edge_vectors, edge_distances, edge_units, triplet_basis,
+gaussian_rbf, gather_contract, quadratic_well, allreduce and boundary.
 
 ``add`` and ``mul`` broadcast as numpy does (a bias row, a column of row
 scales), and their adjoints sum over the broadcast axes. A gather takes an
 index array or, for a contiguous range of rows, a slice; a gather by slice
 is a view of its input, so recorded values may alias each other.
-``triplet_basis`` takes the positions to each triplet's cos(l * angle)
-row, the Chebyshev polynomials T_l of the angle's cosine; the triplet
-update contracts these rows in one fused op:
+Positions enter once, through ``edge_vectors`` (x_recv - x_src per edge),
+whose adjoint is the one geometry adjoint that scatters into atoms.
+``edge_distances``, ``edge_units`` and ``triplet_basis`` read the vectors;
+the last gives each triplet's cos(l * angle) row, the Chebyshev polynomials
+T_l of the angle's cosine, which the triplet update contracts in one op:
 
   * ``gather_contract(w, c, idx)``: with ``c`` of L column blocks of width
     d, one per column of ``w``, row t is sum_l w[t, l] * (block l of row
@@ -94,11 +96,6 @@ def scatter_add(idx: np.ndarray, x: np.ndarray, num: int) -> np.ndarray:
         raise IndexError(f"scatter index out of range [0, {num})")
     # bincount returns int64 for an empty index, even with weights.
     return out.astype(np.float64, copy=False).reshape((num,) + tail)
-
-
-def scatter_edge_ends(contrib: np.ndarray, src: np.ndarray, recv: np.ndarray, n: int):
-    """+contrib at each edge's receiver, then -contrib at its source, as one scatter."""
-    return scatter_add(np.concatenate([recv, src]), np.concatenate([contrib, -contrib]), n)
 
 
 # Forward rules: fn(input_values, aux) -> value.
@@ -226,54 +223,50 @@ _op("sum_rows")(
 )
 
 
-def _edge_distances_fwd(vals, aux):
-    return _graph.edge_distances(vals[0], aux["src"], aux["recv"])
+def _edge_vectors_vjp(g, vals, out, aux):
+    """+g at each edge's receiver, then -g at its source, as one scatter:
+    the only geometry adjoint that writes into atoms."""
+    src, recv = aux["src"], aux["recv"]
+    return (scatter_add(np.concatenate([recv, src]), np.concatenate([g, -g]), vals[0].shape[0]),)
 
 
-def _edge_distances_vjp(g, vals, out, aux):
-    unit = (vals[0][aux["recv"]] - vals[0][aux["src"]]) / out[:, None]
-    contrib = g[:, None] * unit
-    return (scatter_edge_ends(contrib, aux["src"], aux["recv"], vals[0].shape[0]),)
+_op("edge_vectors")(
+    (lambda vals, aux: _graph.edge_vectors(vals[0], aux["src"], aux["recv"]), _edge_vectors_vjp)
+)
 
-
-_op("edge_distances")((_edge_distances_fwd, _edge_distances_vjp))
-
-
-def _edge_units_fwd(vals, aux):
-    return _graph.edge_unit_vectors(vals[0], aux["src"], aux["recv"])
+_op("edge_distances")(
+    (
+        lambda vals, aux: _graph.edge_distances(vals[0]),
+        lambda g, vals, out, aux: (g[:, None] * (vals[0] / out[:, None]),),
+    )
+)
 
 
 def _edge_units_vjp(g, vals, out, aux):
-    diff = vals[0][aux["recv"]] - vals[0][aux["src"]]
-    d = np.sqrt((diff * diff).sum(axis=1))
-    unit = diff / d[:, None]
-    proj = (g * unit).sum(axis=1, keepdims=True)
-    contrib = (g - proj * unit) / d[:, None]
-    return (scatter_edge_ends(contrib, aux["src"], aux["recv"], vals[0].shape[0]),)
+    proj = (g * out).sum(axis=1, keepdims=True)
+    return ((g - proj * out) / _graph.edge_distances(vals[0])[:, None],)
 
 
-_op("edge_units")((_edge_units_fwd, _edge_units_vjp))
+_op("edge_units")(
+    (lambda vals, aux: vals[0] / _graph.edge_distances(vals[0])[:, None], _edge_units_vjp)
+)
 
 
 def _triplet_basis_fwd(vals, aux):
-    cosines = _graph.triplet_cosines(vals[0], aux["topology"])
+    cosines = _graph.triplet_cosines(vals[0], aux["trip_in"], aux["trip_out"])
     return _basis.angular_basis(cosines, aux["l_sbf"])
 
 
 def _triplet_basis_vjp(g, vals, out, aux):
-    """s = sum_l g_l T_l'(c) per triplet; scatter s * dc/dx to the outer
-    atom k, then i, then j."""
-    if out.shape[1] == 1:  # the one column is T_0 = 1, whatever the positions
+    """s = sum_l g_l T_l'(c) per triplet; scatter s * dc/da into the
+    in-edge rows, then s * dc/db into the out-edge rows."""
+    if out.shape[1] == 1:  # the one column is T_0 = 1, whatever the vectors
         return (np.zeros_like(vals[0]),)
-    topology = aux["topology"]
     # Column 1 is T_1, the cosine itself.
     s = np.einsum("tl,tl->t", g, _basis.angular_basis_dcos(out[:, 1], out.shape[1]))[:, None]
-    g_k, g_j, g_i = _graph.cosine_gradients(vals[0], topology)
-    k = topology.edge_src[topology.trip_in]
-    j = topology.edge_recv[topology.trip_in]
-    i = topology.edge_recv[topology.trip_out]
-    atoms = np.concatenate([k, i, j])
-    return (scatter_add(atoms, np.concatenate([s * g_k, s * g_i, s * g_j]), vals[0].shape[0]),)
+    g_a, g_b = _graph.cosine_gradients(vals[0], aux["trip_in"], aux["trip_out"])
+    edges = np.concatenate([aux["trip_in"], aux["trip_out"]])
+    return (scatter_add(edges, np.concatenate([s * g_a, s * g_b]), vals[0].shape[0]),)
 
 
 _op("triplet_basis")((_triplet_basis_fwd, _triplet_basis_vjp))
@@ -422,15 +415,20 @@ class Tape:
     def sum_rows(self, x: int) -> int:
         return self._record("sum_rows", (x,), {})
 
-    def edge_distances(self, positions: int, src: np.ndarray, recv: np.ndarray) -> int:
-        return self._record("edge_distances", (positions,), {"src": src, "recv": recv})
+    def edge_vectors(self, positions: int, src: np.ndarray, recv: np.ndarray) -> int:
+        return self._record("edge_vectors", (positions,), {"src": src, "recv": recv})
 
-    def edge_units(self, positions: int, src: np.ndarray, recv: np.ndarray) -> int:
-        return self._record("edge_units", (positions,), {"src": src, "recv": recv})
+    def edge_distances(self, vectors: int) -> int:
+        return self._record("edge_distances", (vectors,), {})
 
-    def triplet_basis(self, positions: int, topology, l_sbf: int) -> int:
-        aux = {"topology": topology, "l_sbf": l_sbf}
-        return self._record("triplet_basis", (positions,), aux)
+    def edge_units(self, vectors: int) -> int:
+        return self._record("edge_units", (vectors,), {})
+
+    def triplet_basis(
+        self, vectors: int, trip_in: np.ndarray, trip_out: np.ndarray, l_sbf: int
+    ) -> int:
+        aux = {"trip_in": trip_in, "trip_out": trip_out, "l_sbf": l_sbf}
+        return self._record("triplet_basis", (vectors,), aux)
 
     def gaussian_rbf(self, distances: int, k_rbf: int, cutoff: float) -> int:
         return self._record("gaussian_rbf", (distances,), {"k_rbf": k_rbf, "cutoff": cutoff})

@@ -24,7 +24,7 @@ def _predict_diagnostic(system: AtomicSystem, config: ModelConfig) -> tuple[floa
     topology, _ = build_graph(system, config.cutoff)
     tape = Tape()
     pos = tape.leaf(system.positions)
-    dist = tape.edge_distances(pos, topology.edge_src, topology.edge_recv)
+    dist = tape.edge_distances(tape.edge_vectors(pos, topology.edge_src, topology.edge_recv))
     well = tape.quadratic_well(dist, WELL_CENTER)
     total = tape.sum_rows(well)
     energy = float(tape.value(total)[0, 0])
@@ -151,7 +151,9 @@ def loss_and_grads(
 
     Loss per sample: w_energy * (E - E*)^2 + w_forces * mean_i ||f_i - f*_i||^2,
     averaged over samples. The force term is only differentiable for the
-    force-centric variant (forces are a forward output there).
+    force-centric variant (forces are a forward output there). Every energy
+    target must be a real scalar; targets are checked, by sample, before
+    any forward runs.
     """
     config = params.config
     if config.diagnostic:
@@ -169,7 +171,12 @@ def loss_and_grads(
     n = len(dataset)
     if n == 0:
         raise ValueError("dataset is empty")
-    for index, (system, _, f_target) in enumerate(dataset):
+    for index, (system, e_target, f_target) in enumerate(dataset):
+        target = np.asarray(e_target)
+        if target.shape != () or target.dtype.kind not in "iuf":
+            raise ValueError(
+                f"sample {index}: energy target must be a real number, got {e_target!r}"
+            )
         if w_forces != 0.0 and (f_target is None or np.shape(f_target) != (system.n, 3)):
             got = "None" if f_target is None else f"shape {np.shape(f_target)}"
             raise ValueError(

@@ -3,7 +3,7 @@ import pytest
 
 from egn.basis import angular_basis, angular_basis_dcos, rbf_centers, rbf_features
 from egn.config import DIMENET, GEMNET, ModelConfig
-from egn.graph import triplet_cosines
+from egn.graph import edge_vectors, triplet_cosines
 from egn.system import AtomicSystem, random_cloud
 
 from conftest import angular_outer, basis_of
@@ -141,7 +141,8 @@ def test_triplet_basis_is_the_angular_factor_in_both_variants(rng):
     np.testing.assert_array_equal(dimenet.triplet_basis[:, 0], 1.0)
     radial = dimenet.edge_rbf[topo.trip_in]
     composed = np.einsum("tk,tl->tkl", radial, dimenet.triplet_basis).reshape(-1, 24)
-    angular = angular_basis(triplet_cosines(system.positions, topo), 4)
+    vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
+    angular = angular_basis(triplet_cosines(vectors, topo.trip_in, topo.trip_out), 4)
     assert dimenet.triplet_basis.tobytes() == angular.tobytes()
     whole = angular_outer(radial, angular)
     assert composed.tobytes() == whole.tobytes()

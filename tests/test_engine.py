@@ -1,7 +1,5 @@
 """Engine tests, anchored by an independent per-triplet/per-edge loop oracle."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ from egn import engine
 from egn.basis import BasisFeatures
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
-from egn.graph import build_graph, edge_unit_vectors, triplet_cosines
+from egn.graph import build_graph, edge_distances, edge_vectors, triplet_cosines
 from egn.params import ModelParams, init_params
 from egn.system import AtomicSystem, random_cloud
 
@@ -30,8 +28,10 @@ def naive_forward(system: AtomicSystem, params: ModelParams):
     cfg = params.config
     arrays = params.arrays
     topo, basis = basis_of(system, cfg)
-    units = edge_unit_vectors(system.positions, topo.edge_src, topo.edge_recv)
-    angles = np.arccos(np.clip(triplet_cosines(system.positions, topo), -1.0, 1.0))
+    vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
+    units = vectors / edge_distances(vectors)[:, None]
+    cosines = triplet_cosines(vectors, topo.trip_in, topo.trip_out)
+    angles = np.arccos(np.clip(cosines, -1.0, 1.0))
     n_e, n_t, n_v = topo.num_edges, topo.num_triplets, topo.num_nodes
     rev = topo.reverse_edges() if cfg.variant == GEMNET else None
 
@@ -378,12 +378,11 @@ def triplet_rows_tu(tape, pl, block, config, m_id, rbf_id, sbf_id, trip_rows, to
 
 
 def per_triplet_radial_basis(tape, pos_id, topology, config, trip_rows):
-    src, recv = topology.edge_src, topology.edge_recv
     trip_in = topology.trip_in[trip_rows]
-    owned = replace(topology, trip_in=trip_in, trip_out=topology.trip_out[trip_rows])
-    dist = tape.edge_distances(pos_id, src, recv)
-    units = tape.edge_units(pos_id, src, recv) if config.variant == GEMNET else None
-    angular = tape.triplet_basis(pos_id, owned, config.l_sbf)
+    vectors = tape.edge_vectors(pos_id, topology.edge_src, topology.edge_recv)
+    dist = tape.edge_distances(vectors)
+    units = tape.edge_units(vectors) if config.variant == GEMNET else None
+    angular = tape.triplet_basis(vectors, trip_in, topology.trip_out[trip_rows], config.l_sbf)
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
     radial = tape.gaussian_rbf(tape.gather(dist, trip_in), config.k_rbf, config.cutoff)
     sbf = record_angular_sbf(tape, radial, angular)

@@ -3,7 +3,7 @@ import numpy as np
 from egn.bench import sample_smooth_system
 from egn.config import ModelConfig
 from egn.engine import ModelTape
-from egn.graph import build_graph, cosine_gradients, edge_distances, triplet_cosines
+from egn.graph import build_graph, cosine_gradients, edge_distances, edge_vectors, triplet_cosines
 from egn.params import ModelParams, init_params
 from egn.system import AtomicSystem
 from egn.tape import Tape
@@ -30,15 +30,23 @@ def position_jacobian(record, positions: np.ndarray, column=()) -> np.ndarray:
     return np.array(rows).reshape(n_rows, *positions.shape)
 
 
+def record_vectors(tape, pos, topo):
+    return tape.edge_vectors(pos, topo.edge_src, topo.edge_recv)
+
+
 def distance_jacobian(positions, topo):
     return position_jacobian(
-        lambda t, p: t.edge_distances(p, topo.edge_src, topo.edge_recv), positions
+        lambda t, p: t.edge_distances(record_vectors(t, p, topo)), positions
     )
 
 
 def cosine_jacobian(positions, topo):
     """Jacobian of each triplet's cosine, column T_1 of its angular basis."""
-    return position_jacobian(lambda t, p: t.triplet_basis(p, topo, 2), positions, (1,))
+    return position_jacobian(
+        lambda t, p: t.triplet_basis(record_vectors(t, p, topo), topo.trip_in, topo.trip_out, 2),
+        positions,
+        (1,),
+    )
 
 
 def test_geometry_grads_dimer_unit_vectors():
@@ -67,13 +75,13 @@ def test_geometry_grads_match_finite_differences(rng):
         for axis in range(3):
             step = np.zeros_like(system.positions)
             step[atom, axis] = h
-            d_plus = edge_distances(system.positions + step, topo.edge_src, topo.edge_recv)
-            d_minus = edge_distances(system.positions - step, topo.edge_src, topo.edge_recv)
-            fd_d = (d_plus - d_minus) / (2 * h)
+            plus = edge_vectors(system.positions + step, topo.edge_src, topo.edge_recv)
+            minus = edge_vectors(system.positions - step, topo.edge_src, topo.edge_recv)
+            fd_d = (edge_distances(plus) - edge_distances(minus)) / (2 * h)
             assert np.max(np.abs(fd_d - dist_grads[:, atom, axis])) < 1e-7
 
-            c_plus = triplet_cosines(system.positions + step, topo)
-            c_minus = triplet_cosines(system.positions - step, topo)
+            c_plus = triplet_cosines(plus, topo.trip_in, topo.trip_out)
+            c_minus = triplet_cosines(minus, topo.trip_in, topo.trip_out)
             fd_c = (c_plus - c_minus) / (2 * h)
             assert np.max(np.abs(fd_c - cosine_grads[:, atom, axis])) < 1e-7
 
@@ -85,9 +93,10 @@ def test_collinear_angle_gradient_is_zero_subgradient():
 
     system = collinear_chain(1.0)
     topo, _ = build_graph(system, cutoff=1.5)
-    g_k, g_j, g_i = cosine_gradients(system.positions, topo)
-    assert np.all(np.isfinite(g_k)) and np.all(g_k == 0)
-    assert np.all(g_j == 0) and np.all(g_i == 0)
+    vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
+    g_a, g_b = cosine_gradients(vectors, topo.trip_in, topo.trip_out)
+    assert np.all(np.isfinite(g_a)) and np.all(g_a == 0)
+    assert np.all(g_b == 0)
 
 
 def test_constant_model_gradient_hits_only_readout_bias(rng):

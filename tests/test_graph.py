@@ -9,12 +9,12 @@ from egn.graph import (
     GraphTopology,
     build_graph,
     cosine_gradients,
-    edge_distances,
-    edge_unit_vectors,
+    edge_vectors,
     enumerate_triplets,
     triplet_cosines,
 )
 from egn.system import AtomicSystem, random_cloud
+from egn.tape import Evaluator
 
 from conftest import collinear_chain, dimer, equilateral_triangle
 
@@ -39,6 +39,18 @@ def brute_force_triplets(system: AtomicSystem, cutoff: float) -> set[tuple[int, 
     return found
 
 
+def cosines_of(positions, topology: GraphTopology) -> np.ndarray:
+    """Triplet cosines from the edge vectors of ``positions``."""
+    vectors = edge_vectors(positions, topology.edge_src, topology.edge_recv)
+    return triplet_cosines(vectors, topology.trip_in, topology.trip_out)
+
+
+def cosine_gradients_of(positions, topology: GraphTopology):
+    """(dc/da, dc/db) from the edge vectors of ``positions``."""
+    vectors = edge_vectors(positions, topology.edge_src, topology.edge_recv)
+    return cosine_gradients(vectors, topology.trip_in, topology.trip_out)
+
+
 def triplet_atom_set(topology: GraphTopology) -> set[tuple[int, int, int]]:
     out = set()
     for t in range(topology.num_triplets):
@@ -61,7 +73,7 @@ def test_collinear_chain_edges_triplets_angles():
     topo, _ = build_graph(system, cutoff=1.5)
     assert topo.num_edges == 4
     assert topo.num_triplets == 2
-    np.testing.assert_allclose(triplet_cosines(system.positions, topo), [-1.0, -1.0])
+    np.testing.assert_allclose(cosines_of(system.positions, topo), [-1.0, -1.0])
 
 
 def test_equilateral_triangle_counts_and_angles():
@@ -69,7 +81,7 @@ def test_equilateral_triangle_counts_and_angles():
     topo, _ = build_graph(system, cutoff=1.5)
     assert topo.num_edges == 6
     assert topo.num_triplets == 6
-    np.testing.assert_allclose(triplet_cosines(system.positions, topo), 0.5, atol=1e-12)
+    np.testing.assert_allclose(cosines_of(system.positions, topo), 0.5, atol=1e-12)
 
 
 def test_star_graph_triplet_count():
@@ -151,7 +163,7 @@ def test_triplets_match_brute_force(seed):
 def test_angles_match_recomputation_from_positions(rng):
     system = random_cloud(15, 0.9, rng)
     topo, _ = build_graph(system, cutoff=1.5)
-    cosines = triplet_cosines(system.positions, topo)
+    cosines = cosines_of(system.positions, topo)
     for t in range(topo.num_triplets):
         k = topo.edge_src[topo.trip_in[t]]
         j = topo.edge_recv[topo.trip_in[t]]
@@ -184,7 +196,7 @@ def test_edge_symmetry_property(seed, n):
 def test_collinear_cosine_is_minus_one_not_nan():
     # exactly collinear triplet: cosine must be -1, never NaN
     topo, _ = build_graph(collinear_chain(1.0), cutoff=1.5)
-    cosines = triplet_cosines(collinear_chain(1.0).positions, topo)
+    cosines = cosines_of(collinear_chain(1.0).positions, topo)
     assert np.all(np.isfinite(cosines))
     np.testing.assert_allclose(cosines, -1.0)
 
@@ -229,10 +241,11 @@ def dense_reverse_edges(topology):
 
 
 def reference_triplet_vectors(pos, topology):
+    """a = x_j - x_k and b = x_i - x_j per triplet, by per-atom gathers."""
     k = topology.edge_src[topology.trip_in]
     j = topology.edge_recv[topology.trip_in]
     i = topology.edge_recv[topology.trip_out]
-    return pos[k] - pos[j], pos[i] - pos[j]
+    return pos[j] - pos[k], pos[i] - pos[j]
 
 
 def _dot(a, b):
@@ -242,20 +255,20 @@ def _dot(a, b):
 
 def reference_triplet_cosines(pos, topology):
     """Per-atom gathers: the formula triplet_cosines must reproduce."""
-    v1, v2 = reference_triplet_vectors(pos, topology)
-    return _dot(v1, v2) / (np.sqrt(_dot(v1, v1)) * np.sqrt(_dot(v2, v2)))
+    a, b = reference_triplet_vectors(pos, topology)
+    return -_dot(a, b) / (np.sqrt(_dot(a, a)) * np.sqrt(_dot(b, b)))
 
 
 def reference_cosine_gradients(pos, topology):
-    """The closed-form cosine gradient over per-atom gathers."""
-    v1, v2 = reference_triplet_vectors(pos, topology)
-    n1 = np.sqrt(_dot(v1, v1))[:, None]
-    n2 = np.sqrt(_dot(v2, v2))[:, None]
-    inv = 1.0 / (n1 * n2)
-    c = _dot(v1, v2)[:, None] * inv
-    g_k = v2 * inv - v1 * (c / (n1 * n1))
-    g_i = v1 * inv - v2 * (c / (n2 * n2))
-    return g_k, -(g_k + g_i), g_i
+    """The closed-form (dc/da, dc/db) over per-atom gathers."""
+    a, b = reference_triplet_vectors(pos, topology)
+    n_a = np.sqrt(_dot(a, a))[:, None]
+    n_b = np.sqrt(_dot(b, b))[:, None]
+    inv = 1.0 / (n_a * n_b)
+    c = -_dot(a, b)[:, None] * inv
+    g_a = -b * inv - a * (c / (n_a * n_a))
+    g_b = -a * inv - b * (c / (n_b * n_b))
+    return g_a, g_b
 
 
 def dense_graph(system, cutoff):
@@ -270,9 +283,11 @@ def dense_graph(system, cutoff):
     recv = recv.astype(np.int64)
     trip_in, trip_out = dense_triplets(n, src, recv)
     topology = GraphTopology(n, src, recv, trip_in, trip_out)
+    edge_diff = pos[recv] - pos[src]
+    distances = np.sqrt((edge_diff * edge_diff).sum(axis=1))
     geometry = {
-        "distances": edge_distances(pos, src, recv),
-        "unit_vectors": edge_unit_vectors(pos, src, recv),
+        "distances": distances,
+        "unit_vectors": edge_diff / distances[:, None],
         "cosines": reference_triplet_cosines(pos, topology),
     }
     return topology, geometry, dist[src, recv]
@@ -292,9 +307,10 @@ def assert_matches_dense(system, cutoff):
         assert_bitwise_equal(getattr(topo, name), getattr(ref_topo, name))
     pos = system.positions
     assert_bitwise_equal(dist, ref_geom["distances"])
-    units = edge_unit_vectors(pos, topo.edge_src, topo.edge_recv)
+    ev = Evaluator()
+    units = ev.edge_units(ev.edge_vectors(ev.leaf(pos), topo.edge_src, topo.edge_recv))
     assert_bitwise_equal(units, ref_geom["unit_vectors"])
-    assert_bitwise_equal(triplet_cosines(pos, topo), ref_geom["cosines"])
+    assert_bitwise_equal(cosines_of(pos, topo), ref_geom["cosines"])
     assert_bitwise_equal(dist, ref_dist)
     assert_bitwise_equal(topo.reverse_edges(), dense_reverse_edges(ref_topo))
     return topo
@@ -347,7 +363,7 @@ def test_angle_gradients_match_reference(seed, n, layout, origin):
     rng = np.random.default_rng(seed)
     system = _atoms(_layout(layout, n, rng) + origin)
     topo, _ = build_graph(system, 1.5)
-    actual = cosine_gradients(system.positions, topo)
+    actual = cosine_gradients_of(system.positions, topo)
     for got, want in zip(actual, reference_cosine_gradients(system.positions, topo)):
         assert_bitwise_equal(got, want)
 
@@ -357,10 +373,10 @@ def test_angle_gradients_of_collinear_triplets_match_reference():
     up to rounding, with no branch."""
     system = collinear_chain(0.7, n=6)
     topo, _ = build_graph(system, 1.5)
-    g_k, g_j, g_i = cosine_gradients(system.positions, topo)
+    g_a, g_b = cosine_gradients_of(system.positions, topo)
     assert topo.num_triplets
-    assert max(np.abs(g).max() for g in (g_k, g_j, g_i)) < 1e-14
-    for got, want in zip((g_k, g_j, g_i), reference_cosine_gradients(system.positions, topo)):
+    assert max(np.abs(g).max() for g in (g_a, g_b)) < 1e-14
+    for got, want in zip((g_a, g_b), reference_cosine_gradients(system.positions, topo)):
         assert_bitwise_equal(got, want)
 
 

@@ -1,6 +1,7 @@
 """Multi-worker runtime tests: collective semantics and engine equivalence."""
 
 import gc
+import re
 import threading
 import time
 from collections import Counter, defaultdict
@@ -195,7 +196,7 @@ def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypa
 
         monkeypatch.setitem(tape_module._FORWARD, op, wrapped)
 
-    spy("triplet_basis", lambda vals, aux: (aux["topology"].trip_in, aux["topology"].trip_out))
+    spy("triplet_basis", lambda vals, aux: (aux["trip_in"], aux["trip_out"]))
     for variant in (DIMENET, GEMNET):
         cfg = ModelConfig(variant=variant, blocks=2, workers=workers)
         group = WorkerGroup(medium_system, init_params(cfg))
@@ -550,6 +551,23 @@ def test_force_seed_shape_is_checked_before_backward(workers, medium_system):
     dimenet = WorkerGroup(medium_system, init_params(cfg.replace(variant="dimenet-style")))
     with pytest.raises(ValueError, match="force-centric"):
         dimenet.record().backward(d_forces=np.ones((n, 3)))
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["sequential", "P2"])
+def test_force_seed_is_checked_with_one_set_of_messages(workers):
+    """A sequential ModelTape and a two-worker pass reject a bad force seed
+    with the same message, before any backward begins."""
+    system = random_cloud(6, 0.9, np.random.default_rng(2))
+
+    def recorded(variant):
+        params = init_params(ModelConfig(variant=variant, blocks=1, workers=workers))
+        return ModelTape(system, params) if workers == 1 else WorkerGroup(system, params).record()
+
+    with pytest.raises(ValueError, match=re.escape("force seed has shape (1, 3), expected (6, 3)")):
+        recorded(GEMNET).backward(d_forces=np.ones((1, 3)))
+    message = "a force seed needs the force head of the force-centric variant"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        recorded(DIMENET).backward(d_forces=np.ones((6, 3)))
 
 
 def test_recorded_pass_runs_one_backward(medium_system):

@@ -12,7 +12,7 @@ from egn import tape as tape_module
 from egn.basis import angular_basis
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
-from egn.graph import build_graph
+from egn.graph import build_graph, edge_vectors
 from egn.params import ModelParams, init_params
 from egn.runtime import Collective, CommLog, WorkerGroup
 from egn.system import AtomicSystem, random_cloud
@@ -171,32 +171,38 @@ def geometry_fixture(rng):
     return system, topo
 
 
+def _vectors(tape, positions, topo):
+    return tape.edge_vectors(positions, topo.edge_src, topo.edge_recv)
+
+
+def _triplet_basis(tape, vectors, topo, l_sbf):
+    return tape.triplet_basis(vectors, topo.trip_in, topo.trip_out, l_sbf)
+
+
+def test_edge_vectors_adjoint(geometry_fixture, rng):
+    system, topo = geometry_fixture
+    check_op(lambda t, x: _vectors(t, x, topo), system.positions, rng)
+
+
 def test_edge_distances_adjoint(geometry_fixture, rng):
     system, topo = geometry_fixture
-    check_op(
-        lambda t, x: t.edge_distances(x, topo.edge_src, topo.edge_recv),
-        system.positions,
-        rng,
-        tol=1e-5,
-    )
+    vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
+    check_op(lambda t, v: t.edge_distances(v), vectors, rng, tol=1e-5)
 
 
 def test_edge_units_adjoint(geometry_fixture, rng):
     system, topo = geometry_fixture
-    check_op(
-        lambda t, x: t.edge_units(x, topo.edge_src, topo.edge_recv),
-        system.positions,
-        rng,
-        tol=1e-5,
-    )
+    vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
+    check_op(lambda t, v: t.edge_units(v), vectors, rng, tol=1e-5)
 
 
 def test_triplet_angles_adjoint(geometry_fixture, rng):
     """The triplet angle's own adjoint: at l_sbf=2 the basis rows are
-    [1, cos(angle)], so this checks the position adjoint of the angle's
+    [1, cos(angle)], so this checks the edge-vector adjoint of the angle's
     cosine alone, against central finite differences."""
     system, topo = geometry_fixture
-    check_op(lambda t, x: t.triplet_basis(x, topo, 2), system.positions, rng, tol=1e-5)
+    vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
+    check_op(lambda t, v: _triplet_basis(t, v, topo, 2), vectors, rng, tol=1e-5)
 
 
 def test_gaussian_rbf_adjoint(rng):
@@ -233,10 +239,51 @@ def test_angular_sbf_adjoint(rng, angular_sbf):
 
 @pytest.mark.parametrize("l_sbf", [1, 4])
 def test_angular_basis_adjoint(l_sbf, geometry_fixture, rng):
-    """The fused triplet_basis adjoint, from the basis rows back to the
-    positions, against central finite differences."""
+    """The triplet_basis adjoint, from the basis rows through the edge
+    vectors back to the positions, against central finite differences."""
     system, topo = geometry_fixture
-    check_op(lambda t, x: t.triplet_basis(x, topo, l_sbf), system.positions, rng, tol=1e-5)
+    check_op(
+        lambda t, x: _triplet_basis(t, _vectors(t, x, topo), topo, l_sbf),
+        system.positions,
+        rng,
+        tol=1e-5,
+    )
+
+
+def _position_readers(tape: Tape, positions: np.ndarray) -> list[str]:
+    """The ops of the nodes that take the one positions leaf as input."""
+    leaves = [
+        nid
+        for nid, node in enumerate(tape._nodes)
+        if node.op == "leaf" and node.value.tobytes() == positions.tobytes()
+    ]
+    assert len(leaves) == 1, leaves
+    return [node.op for node in tape._nodes if leaves[0] in node.inputs]
+
+
+def test_positions_are_read_only_by_edge_vectors(monkeypatch):
+    """On a ModelTape of each variant, on each worker tape at P=2 and on the
+    diagnostic tape, exactly one node reads the positions: edge_vectors."""
+    system = random_cloud(12, 0.9, np.random.default_rng(6))
+    walked = []
+    backward = Tape.backward
+
+    def keep(self, seeds):
+        walked.append(self)
+        return backward(self, seeds)
+
+    monkeypatch.setattr(Tape, "backward", keep)
+    for variant in (DIMENET, GEMNET):
+        cfg = ModelConfig(variant=variant, blocks=2)
+        model = ModelTape(system, init_params(cfg))
+        assert _position_readers(model.tape, system.positions) == ["edge_vectors"]
+        WorkerGroup(system, init_params(cfg.replace(workers=2))).forward_backward()
+        assert len(walked) == 2
+        while walked:
+            assert _position_readers(walked.pop(), system.positions) == ["edge_vectors"]
+    predict(system, init_params(ModelConfig(diagnostic=True)))
+    assert len(walked) == 1
+    assert _position_readers(walked.pop(), system.positions) == ["edge_vectors"]
 
 
 def _bent_chain(angle: float) -> np.ndarray:
@@ -251,7 +298,7 @@ def test_triplet_basis_gradient_is_finite_on_a_collinear_chain(rng):
     topo, _ = build_graph(AtomicSystem(positions, np.full(3, 6)), cutoff=1.5)
     tape = Tape()
     pos = tape.leaf(positions)
-    out = tape.triplet_basis(pos, topo, 4)
+    out = _triplet_basis(tape, _vectors(tape, pos, topo), topo, 4)
     np.testing.assert_array_equal(tape.value(out)[:, 1], -1.0)
     grad = tape.backward({out: rng.standard_normal(tape.value(out).shape)})[pos]
     assert np.all(np.isfinite(grad)) and not grad.any()
@@ -270,10 +317,13 @@ def test_triplet_basis_gradient_on_a_nearly_collinear_chain(l_sbf, rng):
     assert topo.num_triplets == 2
     tape = Tape()
     pos = tape.leaf(positions)
-    out = tape.triplet_basis(pos, topo, l_sbf)
+    out = _triplet_basis(tape, _vectors(tape, pos, topo), topo, l_sbf)
     seed = rng.standard_normal(tape.value(out).shape)
     exact = tape.backward({out: seed})[pos]
-    approx = numeric_vjp(lambda x: Evaluator().triplet_basis(x, topo, l_sbf), positions, seed)
+    ev = Evaluator()
+    approx = numeric_vjp(
+        lambda x: _triplet_basis(ev, _vectors(ev, x, topo), topo, l_sbf), positions, seed
+    )
     assert np.abs(approx - exact).max() < 1e-5 * np.abs(exact).max()
 
 
@@ -372,14 +422,15 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     """Record each primitive once on ``tape``; map op name to its handle."""
     h = {}
     pos = h["leaf"] = tape.leaf(system.positions)
-    dist = h["edge_distances"] = tape.edge_distances(pos, topo.edge_src, topo.edge_recv)
-    units = h["edge_units"] = tape.edge_units(pos, topo.edge_src, topo.edge_recv)
+    vec = h["edge_vectors"] = _vectors(tape, pos, topo)
+    dist = h["edge_distances"] = tape.edge_distances(vec)
+    units = h["edge_units"] = tape.edge_units(vec)
     rbf = h["gaussian_rbf"] = tape.gaussian_rbf(dist, 4, 1.5)
     h["gather"] = tape.gather(rbf, topo.trip_in)
     well = h["quadratic_well"] = tape.quadratic_well(dist, 1.5)
     w_id, b_id = tape.leaf(w), tape.leaf(b)
     lin = tape.linear(rbf, w_id)
-    cos = h["triplet_basis"] = tape.triplet_basis(pos, topo, 3)
+    cos = h["triplet_basis"] = _triplet_basis(tape, vec, topo, 3)
     h["gather_contract"] = tape.gather_contract(cos, lin, topo.trip_in)
     h["linear"] = tape.linear(tape.silu(lin), tape.leaf(w[:, :3]), b_id)
     h["silu"] = tape.silu(lin)
@@ -628,8 +679,8 @@ def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monk
     the geometry VJPs scatter. In both variants the one trip_in gather per
     block is that of ``gather_contract`` (one chunk at this size), and the
     basis gathers nothing, so dimenet-style scatters 8 times: per block the
-    contract and the receiver plan, then the edge_distances and
-    triplet_basis VJPs. The triplet update gathers nothing by trip_out:
+    contract and the receiver plan, then the triplet_basis VJP into edge
+    rows and the edge_vectors VJP into atoms. The triplet update gathers nothing by trip_out:
     its out-edge rbf gate runs on the summed edge rows.
     """
     cfg = ModelConfig(variant=variant, blocks=3)

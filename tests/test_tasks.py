@@ -202,6 +202,42 @@ def test_loss_rejects_force_target_of_wrong_shape(rng, target):
     loss_and_grads(dataset, init_params(cfg), w_forces=0.0)  # no force loss reads no target
 
 
+@pytest.mark.parametrize(
+    "target", [None, np.array([1.0, 2.0]), "1.0"], ids=["none", "vector", "string"]
+)
+def test_loss_rejects_energy_target_that_is_not_a_real_number(rng, target, monkeypatch):
+    """An energy target that is not a real scalar is rejected by sample,
+    before any forward runs."""
+    import egn.tasks as tasks
+
+    cfg = ModelConfig(variant="dimenet-style", blocks=1)
+    dataset = _toy_dataset(rng, cfg)
+    system, _, forces = dataset[1]
+    dataset[1] = (system, target, forces)
+
+    def refuse(*args):
+        raise AssertionError("a forward ran before the targets were checked")
+
+    monkeypatch.setattr(tasks, "_record", refuse)
+    error = rf"sample 1: energy target must be a real number, got {re.escape(repr(target))}"
+    with pytest.raises(ValueError, match=error):
+        loss_and_grads(dataset, init_params(cfg))
+
+
+def test_loss_accepts_integer_and_zero_dimensional_energy_targets(rng):
+    """An int or a 0-d array target gives the loss and gradients of the
+    equal float, bit for bit."""
+    cfg = ModelConfig(variant="dimenet-style", blocks=1)
+    params = init_params(cfg)
+    dataset = [(s, float(round(e)), f) for s, e, f in _toy_dataset(rng, cfg)]
+    want_loss, want_grads = loss_and_grads(dataset, params)
+    for convert in (int, np.array):
+        loss, grads = loss_and_grads([(s, convert(e), f) for s, e, f in dataset], params)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes(), convert
+        for name, g in want_grads.items():
+            assert grads[name].tobytes() == g.tobytes(), (convert, name)
+
+
 def test_train_energy_centric_energy_only_loss(rng):
     cfg = ModelConfig(variant="dimenet-style", blocks=1)
     dataset = _toy_dataset(rng, cfg)
