@@ -8,15 +8,12 @@ basis (sbf) of triplet (k->j, j->i) is the outer product of the radial
 basis of its in-edge k->j with the angular basis of its angle.
 
 ``compute_basis`` records everything the model reads of the positions: the
-edge vectors, once, and from them edge distances, edge unit vectors
-(gemnet-style), the rbf and the triplet basis.
-The Gaussians are evaluated once per edge, never per triplet. Both variants
-keep sbf's radial factor on the in-edge (see ``egn.engine.record_tu``), so
-the triplet rows hold only the angular basis, L wide, one primitive of the
-edge vectors. The sequential engine records the triplet rows over all
-triplets; each runtime worker records them over its own triplet shard, so
-every triplet's basis row is computed and differentiated once, by the
-worker that owns it.
+edge vectors, once, and from them distances, unit vectors and the rbf of
+every edge. sbf's radial factor stays on the in-edge (see
+``egn.engine.record_tu``), so the triplet basis is only the angular basis,
+L wide: T_l of each center atom's Gram block of out-edge unit vectors, in
+the block layout of a ``egn.graph.TripletPlan``, for every atom in the
+sequential engine and for its own center atoms on a runtime worker.
 """
 
 from __future__ import annotations
@@ -25,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GEMNET, ModelConfig
-from .graph import GraphTopology
+from .config import ModelConfig
+from .graph import GraphTopology, TripletPlan, triplet_plan
 
 
 @dataclass(frozen=True)
@@ -34,10 +31,11 @@ class BasisFeatures:
     """Basis handles from ``compute_basis``; on an Evaluator, the arrays."""
 
     edge_rbf: np.ndarray  # (N_e, K)
-    # The recorded triplet rows (those in trip_rows) only: sbf's angular
-    # factor cos(l * angle), (rows, L).
+    edge_units: np.ndarray  # (N_e, 3)
+    # sbf's angular factor cos(l * angle) of the plan's center atoms, in its
+    # block layout, with zero rows where k == i: (plan.rows, L).
     triplet_basis: np.ndarray
-    edge_units: np.ndarray | None = None  # (N_e, 3), gemnet-style only
+    plan: TripletPlan
 
 
 def rbf_centers(k_rbf: int, cutoff: float) -> np.ndarray:
@@ -79,11 +77,11 @@ def angular_basis(cosines: np.ndarray, l_sbf: int) -> np.ndarray:
     c = np.asarray(cosines, dtype=np.float64)
     if c.size and np.any(np.abs(c) > 1.0 + 1e-12):
         raise ValueError("cosines must lie in [-1, 1]")
-    out = np.empty((c.shape[0], l_sbf))
-    out[:, 0] = 1.0
+    cols = np.empty((l_sbf, c.shape[0]))  # one contiguous row per order
+    cols[0] = 1.0
     for l in range(1, l_sbf):
-        out[:, l] = c if l == 1 else 2.0 * c * out[:, l - 1] - out[:, l - 2]
-    return out
+        cols[l] = c if l == 1 else 2.0 * c * cols[l - 1] - cols[l - 2]
+    return cols.T.copy()
 
 
 def angular_basis_dcos(cosines: np.ndarray, l_sbf: int) -> np.ndarray:
@@ -91,27 +89,28 @@ def angular_basis_dcos(cosines: np.ndarray, l_sbf: int) -> np.ndarray:
     T_l'(c) = l U_{l-1}(c), with U_{-1} = 0, U_0 = 1 and
     U_{l+1} = 2c U_l - U_{l-1}."""
     c = np.asarray(cosines, dtype=np.float64)
-    out = np.zeros((c.shape[0], l_sbf))
+    cols = np.zeros((l_sbf, c.shape[0]))
     u_prev, u = np.zeros_like(c), np.ones_like(c)
     for l in range(1, l_sbf):
-        out[:, l] = l * u
+        cols[l] = l * u
         u_prev, u = u, 2.0 * c * u - u_prev
-    return out
+    return cols.T.copy()
 
 
 def compute_basis(
-    tape, pos_id, topology: GraphTopology, config: ModelConfig, trip_rows: slice
+    tape, pos_id, topology: GraphTopology, config: ModelConfig, centers: slice
 ) -> BasisFeatures:
     """Record the model's geometry and basis from the positions leaf ``pos_id``.
 
     The edge vectors are the one node that reads the positions; distances,
     units and rbf cover every edge, and the triplet basis covers only the
-    contiguous triplet rows ``trip_rows``, in their order. On a Tape this
-    records for a backward pass; on an Evaluator it returns the arrays.
+    contiguous center atoms ``centers``, through the plan built here, once
+    per forward. On a Tape this records for a backward pass; on an
+    Evaluator it returns the arrays.
     """
     vectors = tape.edge_vectors(pos_id, topology.edge_src, topology.edge_recv)
     dist = tape.edge_distances(vectors)
-    units = tape.edge_units(vectors) if config.variant == GEMNET else None
+    units = tape.edge_units(vectors)
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
-    trips = (topology.trip_in[trip_rows], topology.trip_out[trip_rows])
-    return BasisFeatures(rbf, tape.triplet_basis(vectors, *trips, config.l_sbf), units)
+    plan = triplet_plan(topology, centers)
+    return BasisFeatures(rbf, units, tape.triplet_basis(units, plan, config.l_sbf), plan)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import DIMENET, GEMNET, ModelConfig
 from .engine import ModelTape
-from .graph import build_graph, edge_vectors, triplet_cosines
+from .graph import build_graph, edge_distances, edge_vectors, gram_blocks, triplet_plan
 from .neighbours import neighbour_pairs
 from .params import ModelParams, init_params
 from .partition import CommModel, comm_volume
@@ -41,7 +41,8 @@ def sample_smooth_system(rng: np.random.Generator, n: int, cutoff: float) -> Ato
         if np.any(np.abs(dist - cutoff) < 1e-3):
             continue
         vectors = edge_vectors(system.positions, topology.edge_src, topology.edge_recv)
-        cosines = triplet_cosines(vectors, topology.trip_in, topology.trip_out)
+        units = vectors / edge_distances(vectors)[:, None]
+        cosines = gram_blocks(units, triplet_plan(topology, slice(None)))
         if np.any(np.abs(cosines) > np.cos(0.05)):
             continue
         return system
@@ -85,12 +86,8 @@ def _equivalence_check(config, seeds, p_list) -> CheckResult:
         params = init_params(config.replace(seed=seed))
         model = ModelTape(system, params)
         seq_e = model.energy
-        if config.variant == GEMNET:
-            seq_f = model.forces
-            seq_grad = model.backward(d_energy=1.0)
-        else:
-            seq_grad = model.backward(d_energy=1.0)
-            seq_f = -seq_grad.d_positions
+        seq_grad = model.backward(d_energy=1.0)
+        seq_f = model.forces if config.variant == GEMNET else -seq_grad.d_positions
         for p in p_list:
             run = ModelParams(params.config.replace(workers=p), params.arrays)
             group = WorkerGroup(system, run)

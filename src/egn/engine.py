@@ -7,16 +7,13 @@ the two directed messages on each undirected edge, and finally the global
 update (GU). The dimenet-style variant is energy-centric (forces come from
 the position gradient); the gemnet-style variant adds a direct force head.
 
-Each stage has one definition, a ``record_*`` function that takes the tape
-first; geometry and basis features have theirs in ``egn.basis.compute_basis``.
-The block pipeline has one definition too, ``record_model``, which chains
-the stages from the basis to the readout over the rows it is given. The
-sequential forward (``record_system``, which ``ModelTape`` records) runs it
-over every row after the geometry, on one tape; each multi-worker runtime
-worker runs it over its shards, with hooks that all-reduce the shared
-buffers and mark its stages, so a single-worker run reproduces this
-engine bit for bit. Where no backward follows (inference) they run on an
-``Evaluator``, which computes the same values and keeps no tape.
+Each stage has one ``record_*`` definition that takes the tape first, and
+``record_model`` chains them from the basis (``egn.basis.compute_basis``)
+to the readout over the rows it is given: every row in the sequential
+forward ``record_system``, a worker's shards in the runtime, whose hooks
+all-reduce shared buffers, so one worker reproduces this engine bit for
+bit. Without a backward (inference) they run on an ``Evaluator``, which
+computes the same values and keeps no tape.
 """
 
 from __future__ import annotations
@@ -41,10 +38,6 @@ class FeatureState:
     global_features: np.ndarray  # (1, d_u)
     node_features: np.ndarray  # (N_v, d_v)
     edge_features: np.ndarray  # (N_e, d_e)
-    # The last block's per-triplet messages, before the sum into out-edges:
-    # (N_t, d_t) dimenet-style, before the out-edge rbf gate; (N_t, d_bil)
-    # gemnet-style, before bilinear_proj too. None when sharded away.
-    triplet_features: np.ndarray | None
 
 
 @dataclass
@@ -102,20 +95,18 @@ class ParamLeaves:
 ALL_ROWS = slice(None)
 
 
-def receiver_plan(topology: GraphTopology, nodes: slice):
+def receiver_plan(topology: GraphTopology, nodes: slice, rev: np.ndarray):
     """Edges grouped by receiver for the contiguous node rows ``nodes``.
 
     Returns (edge_sel, seg, num_rows): edge indices ordered by (receiver,
-    edge index), the receiver's local index for each, and the number of
-    node rows. Aggregating with this plan adds contributions in ascending
-    edge order within every node, the same order a direct scatter over all
-    edges would use.
+    edge index), a slice of ``rev`` since the in-edges of atom j are
+    rev[O_j] in ascending order; the receiver's local index for each; and
+    the number of node rows. Sums over it add in ascending edge order
+    within every node, as a direct scatter over all edges would.
     """
     lo, hi, _ = nodes.indices(topology.num_nodes)
-    order = np.argsort(topology.edge_recv, kind="stable").astype(np.int64)
-    bounds = np.searchsorted(topology.edge_recv[order], np.arange(topology.num_nodes + 1))
-    edge_sel = order[bounds[lo] : bounds[hi]]
-    return edge_sel, topology.edge_recv[edge_sel] - lo, hi - lo
+    rows = slice(*np.searchsorted(topology.edge_src, [lo, hi]).tolist())
+    return rev[rows], topology.edge_src[rows] - lo, hi - lo
 
 
 # ---------------------------------------------------------------------------
@@ -171,42 +162,31 @@ def record_tu(
     block: int,
     config: ModelConfig,
     m_id: int,
-    rbf_id: int,
-    triplet_id: int,
-    trip_rows: slice,
-    topology: GraphTopology,
-) -> tuple[int, int]:
-    """Triplet update + aggregation over ``trip_rows``.
+    basis: BasisFeatures,
+) -> int:
+    """Triplet update + aggregation for the center atoms of ``basis.plan``.
 
-    ``triplet_id`` holds the angular basis cos(l * angle) of ``trip_rows``
-    only, as ``compute_basis`` records it. As in GemNet's efficient layout,
-    sbf = rbf(in-edge) (x) cos(l * angle) keeps its radial factor on the
-    in-edge, and only the angle runs on triplet rows. ``sbf_gate`` gates
-    each edge's rbf by the order-l columns of sbf, giving G_l for every l
-    in one product of width L d_t (see ``bilinear_layout``), so a triplet's
-    gated sbf is sum_l cos(l * angle) G_l[in-edge].
-
-    Dimenet-style, the message is ``down``(m)[in-edge] times that gated
-    sbf; ``down`` has no bias, so it is sum_l cos(l * angle) C_l[in-edge]
-    with C_l = ``down``(m) * G_l per edge. Gemnet-style, ``sbf_gate`` and
+    As in GemNet's efficient layout, sbf = rbf(in-edge) (x) cos(l * angle)
+    keeps its radial factor on the in-edge, and only the angle, the blocks
+    of ``basis.triplet_basis``, runs on triplets. ``sbf_gate`` gates each
+    edge's rbf by sbf's order-l columns, giving G_l for every l in one
+    product of width L d_t (see ``bilinear_layout``). Dimenet-style the
+    message of triplet (k -> j, j -> i) is sum_l cos(l * angle) C_l[k -> j]
+    with C_l = ``down``(m) * G_l; gemnet-style, ``sbf_gate`` and
     ``bilinear_b`` compose with no bias between them, and C_l =
-    ``bilinear_a``(``down``(m)) * ``bilinear_b``(G_l), L d_bil wide. Either
-    way the only triplet-row work is one ``gather_contract`` of the angular
-    basis with the C_l blocks of the in-edge.
+    ``bilinear_a``(``down``(m)) * ``bilinear_b``(G_l), L d_bil wide. The
+    messages summed into each out-edge of center atom j are one product of
+    j's blocks with C_l at its in-edges, ``triplet_contract``.
 
-    The messages are summed into their out-edges, and the sum is projected
-    by ``bilinear_proj`` (gemnet-style), gated by the out-edge's rbf and
-    up-projected. None of these maps has a bias and the gate depends on the
-    out-edge alone, so they commute with the sum. A runtime worker's
-    triplet shard holds every triplet of the out-edges it owns, so its rows
-    of the result are complete; the rest are zero. That edge-row work is
-    replicated on every worker, but cheaper than its N_t/P triplet rows
-    while N_t/N_e > P. Returns (the per-triplet messages, aggregated edge
-    buffer of full size).
+    The sum is projected by ``bilinear_proj`` (gemnet-style), gated by the
+    out-edge's rbf and up-projected; none of these maps has a bias and the
+    gate depends on the out-edge alone, so they commute with the sum. A
+    runtime worker's center atoms own their out-edges, so its rows of the
+    result are complete and the rest zero. Returns the full edge buffer.
     """
     p = f"block{block}.tu"
     layout = bilinear_layout(config.l_sbf, config.d_t, config.d_bil, config.k_rbf, config.d_e)
-    gates = tape.linear(rbf_id, pl.view(p + ".sbf_gate", layout["sbf_gate"]))
+    gates = tape.linear(basis.edge_rbf, pl.view(p + ".sbf_gate", layout["sbf_gate"]))
     if config.variant == GEMNET:
         b = tape.linear(gates, pl.view(p + ".bilinear_b", layout["bilinear_b"]))
         down = tape.linear(m_id, pl[p + ".down"])
@@ -214,12 +194,11 @@ def record_tu(
         blocks = tape.mul(a, b)
     else:
         blocks = tape.mul(tape.linear(m_id, pl.view(p + ".down", layout["down"])), gates)
-    t_msg = tape.gather_contract(triplet_id, blocks, topology.trip_in[trip_rows])
-    agg = tape.segment_sum(t_msg, topology.trip_out[trip_rows], topology.num_edges)
+    agg = tape.triplet_contract(basis.triplet_basis, blocks, basis.plan)
     if config.variant == GEMNET:
         agg = tape.linear(agg, pl[p + ".bilinear_proj"])
-    gated = tape.mul(agg, tape.linear(rbf_id, pl[p + ".rbf_gate"]))
-    return t_msg, tape.linear(gated, pl[p + ".up"])
+    gated = tape.mul(agg, tape.linear(basis.edge_rbf, pl[p + ".rbf_gate"]))
+    return tape.linear(gated, pl[p + ".up"])
 
 
 def record_eu(
@@ -306,7 +285,6 @@ class ModelHandles:
     m: int
     v: int
     u: int
-    t: int | None
     energy: int
     forces: int | None  # force-centric variant only
 
@@ -316,36 +294,35 @@ def record_model(
     params: ModelParams,
     topology: GraphTopology,
     basis: BasisFeatures,
-    rows: tuple[slice, slice, slice] = (ALL_ROWS, ALL_ROWS, ALL_ROWS),
+    rows: tuple[slice, slice] = (ALL_ROWS, ALL_ROWS),
     share=lambda x, *where: x,
     enter=lambda stage: None,
 ) -> ModelHandles:
     """The block pipeline from the basis to the readout: the one definition
     of the model forward.
 
-    ``rows`` are the (triplet, edge, node) rows this forward owns, every
-    row sequentially and a worker's shards in the runtime; ``basis`` holds
-    the triplet basis for those triplet rows. The edge, node and global
-    buffers the owned rows only partly compute pass through ``share(x,
-    stage, level, block[, rows, shape])``, which returns the whole buffer:
-    the identity here, an all-reduce in the runtime. ``enter(stage)`` is
-    called as each stage begins. The initial edge embedding, the symmetric
-    coupling and the force head run over all rows.
+    ``rows`` are the (edge, node) rows this forward owns, every row
+    sequentially and a worker's shards in the runtime, where ``basis``
+    holds the triplet blocks of the worker's center atoms, the owners of
+    its edge rows. Buffers the owned rows only partly compute pass through
+    ``share(x, stage, level, block[, rows, shape])``, which returns the
+    whole buffer: the identity here, an all-reduce in the runtime.
+    ``enter(stage)`` is called as each stage begins. The initial edge
+    embedding, the symmetric coupling and the force head run over all rows.
     """
     config = params.config
     gemnet = config.variant == GEMNET
-    trips, edges, nodes = rows
+    edges, nodes = rows
     pl = ParamLeaves(tape, params)
-    plan = receiver_plan(topology, nodes)
-    rev = topology.reverse_edges() if gemnet else None
+    rev = basis.plan.rev
+    plan = receiver_plan(topology, nodes, rev)
     edge_shape = (topology.num_edges, config.d_e)
-    rbf_id, triplet_id = basis.edge_rbf, basis.triplet_basis
 
-    m_id = record_edge_init(tape, pl, rbf_id, ALL_ROWS)
+    m_id = record_edge_init(tape, pl, basis.edge_rbf, ALL_ROWS)
     u_id = tape.leaf(np.zeros((1, config.d_u)))
     for b in range(config.blocks):
         enter(f"block{b}.tu")
-        t_id, ta_id = record_tu(tape, pl, b, config, m_id, rbf_id, triplet_id, trips, topology)
+        ta_id = record_tu(tape, pl, b, config, m_id, basis)
         enter(f"block{b}.eu")
         m_id = share(record_eu(tape, pl, b, m_id, ta_id, edges), "eu", "edge", b, edges, edge_shape)
         enter(f"block{b}.nu")
@@ -365,9 +342,9 @@ def record_model(
     energy_id = record_energy(tape, pl, u_id)
     forces_id = None
     if gemnet:
-        full = plan if nodes == ALL_ROWS else receiver_plan(topology, ALL_ROWS)
+        full = plan if nodes == ALL_ROWS else receiver_plan(topology, ALL_ROWS, rev)
         forces_id = record_force_head(tape, pl, m_id, basis.edge_units, *full)
-    return ModelHandles(pl, m_id, v_id, u_id, t_id, energy_id, forces_id)
+    return ModelHandles(pl, m_id, v_id, u_id, energy_id, forces_id)
 
 
 def record_system(
@@ -429,7 +406,6 @@ class ModelTape:
             global_features=self.tape.value(h.u),
             node_features=self.tape.value(h.v),
             edge_features=self.tape.value(h.m),
-            triplet_features=self.tape.value(h.t) if h.t is not None else None,
         )
 
     def backward(

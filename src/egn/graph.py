@@ -1,24 +1,27 @@
 """Cutoff-radius graphs over atomic systems: edges, triplets, and geometry.
 
 Edges are directed and enumerated for every ordered pair within the cutoff,
-sorted by (source, receiver). A triplet is an ordered pair of adjacent
-directed edges (k -> j), (j -> i) with k != i, sorted by (out_edge, in_edge).
+sorted by (source, receiver), so the out-edges O_j of atom j are one
+contiguous block of rows and its in-edges are rev[O_j], in ascending edge
+order. A triplet is an ordered pair of adjacent directed edges (k -> j),
+(j -> i) with k != i; listed, triplets are sorted by (out_edge, in_edge).
 All downstream determinism relies on these orderings.
 
-Edges come from a cell-list neighbour search (``egn.neighbours``); triplets
-and reverse edges are found by sorting and searching integer keys. Building
-a graph therefore costs O(n + N_e + N_t) memory and, up to the sorts, time.
-``build_graph`` returns the topology and the distances of the search; the
-geometry functions below are the forward and closed-form gradient rules of
-the tape's geometry primitives, which ``egn.basis.compute_basis`` records.
-Positions are read once, as the edge vectors x_recv - x_src; distances,
-unit vectors and the triplet cosines are functions of those vectors. A
-triplet's geometry is the cosine of its bond angle; no angle is formed.
+Edges come from a cell-list neighbour search (``egn.neighbours``). The
+model never lists triplets: those of center atom j are the off-diagonal
+entries of the Gram matrix of its out-edge unit vectors, laid out by a
+``TripletPlan``. ``GraphTopology.trip_in`` and ``trip_out`` list them on
+first read, for readers of the topology itself. The geometry functions
+below are the forward and closed-form gradient rules of the tape's
+geometry primitives, which ``egn.basis.compute_basis`` records from the
+edge vectors x_recv - x_src; no angle is formed, only its cosine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,21 +31,30 @@ from .system import AtomicSystem
 
 @dataclass(frozen=True)
 class GraphTopology:
-    """Directed edges and triplets over ``num_nodes`` atoms."""
+    """Directed edges over ``num_nodes`` atoms, and their triplets on demand."""
 
     num_nodes: int
     edge_src: np.ndarray  # (N_e,) int64, source node per edge
     edge_recv: np.ndarray  # (N_e,) int64, receiver node per edge
-    trip_in: np.ndarray  # (N_t,) int64, in-edge (k -> j) index per triplet
-    trip_out: np.ndarray  # (N_t,) int64, out-edge (j -> i) index per triplet
 
     @property
     def num_edges(self) -> int:
         return int(self.edge_src.shape[0])
 
+    @cached_property
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray]:
+        return enumerate_triplets(self.num_nodes, self.edge_src, self.edge_recv)
+
+    trip_in = property(lambda self: self._triplets[0])  # (N_t,) in-edge (k -> j)
+    trip_out = property(lambda self: self._triplets[1])  # (N_t,) out-edge (j -> i)
+
     @property
     def num_triplets(self) -> int:
         return int(self.trip_in.shape[0])
+
+    def out_edge_starts(self) -> np.ndarray:
+        """(num_nodes + 1,) row offsets: O_j is rows [starts[j], starts[j + 1])."""
+        return np.searchsorted(self.edge_src, np.arange(self.num_nodes + 1))
 
     def reverse_edges(self) -> np.ndarray:
         """Index map r with edges[r[k]] == (recv_k, src_k).
@@ -75,8 +87,7 @@ def build_graph(system: AtomicSystem, cutoff: float) -> tuple[GraphTopology, np.
         raise ValueError("cutoff must be positive")
     # Coincident atoms are rejected by AtomicSystem, so every pair has d > 0.
     src, recv, distances = neighbour_pairs(system.positions, cutoff)
-    trip_in, trip_out = enumerate_triplets(system.n, src, recv)
-    return GraphTopology(system.n, src, recv, trip_in, trip_out), distances
+    return GraphTopology(system.n, src, recv), distances
 
 
 def enumerate_triplets(
@@ -86,11 +97,6 @@ def enumerate_triplets(
 
     Output is sorted by (out_edge index, in_edge index).
     """
-    n_e = edge_src.shape[0]
-    if n_e == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-
     # In-edges grouped by receiver; stable sort keeps edge order within groups.
     order = np.argsort(edge_recv, kind="stable").astype(np.int64)
     bounds = np.searchsorted(edge_recv[order], np.arange(num_nodes + 1))
@@ -98,10 +104,46 @@ def enumerate_triplets(
     # Pair each out-edge (j -> i) with every in-edge of j, then drop k == i.
     first = bounds[edge_src]
     count = bounds[edge_src + 1] - first
-    trip_out = np.repeat(np.arange(n_e, dtype=np.int64), count)
+    trip_out = np.repeat(np.arange(edge_src.shape[0], dtype=np.int64), count)
     trip_in = order[concat_ranges(first, count)]
     keep = edge_src[trip_in] != edge_recv[trip_out]
     return trip_in[keep], trip_out[keep]
+
+
+class DegreeBucket(NamedTuple):
+    """The m center atoms of one degree n, in ascending order."""
+
+    out_rows: np.ndarray  # (m, n) int64, row a is the out-edges O_j of atom a
+    in_rows: np.ndarray  # (m, n) int64, rev[out_rows], the in-edges
+    rows: slice  # its m n x n blocks in the plan's block layout, row-major
+
+
+@dataclass(frozen=True)
+class TripletPlan:
+    """The triplets of a range of center atoms, as dense blocks: atoms of
+    degree >= 2 grouped by ascending degree. Row (a, q, p) of a bucket's
+    blocks is out-edge q and in-edge p (the reverse of out-edge p) of its
+    atom a; rows with q == p are no triplet."""
+
+    rev: np.ndarray  # (N_e,) int64, the reverse-edge map of the whole graph
+    buckets: tuple[DegreeBucket, ...]
+    rows: int  # rows of the block layout
+
+
+def triplet_plan(topology: GraphTopology, atoms: slice) -> TripletPlan:
+    """The plan of the center atoms ``atoms``, with edges sorted by source."""
+    rev = topology.reverse_edges()
+    starts = topology.out_edge_starts()
+    lo, hi, _ = atoms.indices(topology.num_nodes)
+    degree = np.diff(starts[lo : hi + 1])
+    buckets, offset = [], 0
+    for n in np.unique(degree[degree >= 2]).tolist():
+        centers = lo + np.flatnonzero(degree == n)
+        out_rows = starts[centers][:, None] + np.arange(n)
+        rows = slice(offset, offset + centers.size * n * n)
+        buckets.append(DegreeBucket(out_rows, rev[out_rows], rows))
+        offset = rows.stop
+    return TripletPlan(rev, tuple(buckets), offset)
 
 
 def edge_vectors(positions: np.ndarray, src: np.ndarray, recv: np.ndarray) -> np.ndarray:
@@ -114,44 +156,36 @@ def edge_distances(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt((vectors * vectors).sum(axis=1))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over (3, N) components, summed left to right."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+def zero_diagonals(x: np.ndarray, plan: TripletPlan) -> np.ndarray:
+    """Zero the rows (a, q, q) of ``x``, in the plan's block layout, in place."""
+    for out_rows, _, rows in plan.buckets:
+        m, n = out_rows.shape
+        x[rows].reshape(m, n * n, -1)[:, :: n + 1] = 0.0
+    return x
 
 
-def _norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot(a, a))
+def gram_blocks(units: np.ndarray, plan: TripletPlan) -> np.ndarray:
+    """The triplet cosines in the plan's block layout: row (a, q, p) is
+    u_q . u_p of atom a's out-edge unit vectors, summed left to right, and
+    the diagonal, where k == i, is zero."""
+    out = np.empty(plan.rows)
+    for out_rows, _, rows in plan.buckets:
+        m, n = out_rows.shape
+        u = units[out_rows]
+        gram = out[rows].reshape(m, n, n)
+        np.multiply(u[:, :, None, 0], u[:, None, :, 0], out=gram)
+        gram += u[:, :, None, 1] * u[:, None, :, 1]
+        gram += u[:, :, None, 2] * u[:, None, :, 2]
+    return zero_diagonals(out, plan)
 
 
-def _gather_columns(vectors: np.ndarray, trip_in: np.ndarray, trip_out: np.ndarray):
-    """a = x_j - x_k and b = x_i - x_j, the in-edge and out-edge vectors of
-    each triplet (k -> j, j -> i), as (3, N_t) components."""
-    cols = np.ascontiguousarray(vectors.T)
-    return np.take(cols, trip_in, axis=1), np.take(cols, trip_out, axis=1)
-
-
-def triplet_cosines(vectors: np.ndarray, trip_in: np.ndarray, trip_out: np.ndarray) -> np.ndarray:
-    """Cosine of the bond angle at the shared atom j, c = -a . b / (|a| |b|),
-    from the edge vectors a of the in-edges and b of the out-edges.
-
-    The model reads an angle only through cos(l * angle), a polynomial in
-    this cosine (``egn.basis.angular_basis``), so no angle is formed.
-    """
-    a, b = _gather_columns(vectors, trip_in, trip_out)
-    return -_dot(a, b) / (_norm(a) * _norm(b))
-
-
-def cosine_gradients(vectors: np.ndarray, trip_in: np.ndarray, trip_out: np.ndarray):
-    """Closed-form (dc/da, dc/db) for each triplet, each (N_t, 3).
-
-    With c = -a . b / (|a| |b|), dc/da = -b / (|a| |b|) - c a / |a|^2, and
-    symmetrically for b. The rule holds at collinear triplets too, where the
-    cosine is extremal and its gradient zero.
-    """
-    a, b = _gather_columns(vectors, trip_in, trip_out)
-    n_a, n_b = _norm(a), _norm(b)
-    inv = 1.0 / (n_a * n_b)
-    c = -_dot(a, b) * inv
-    g_a = -b * inv - a * (c / (n_a * n_a))
-    g_b = -a * inv - b * (c / (n_b * n_b))
-    return g_a.T, g_b.T
+def gram_gradient(s: np.ndarray, units: np.ndarray, plan: TripletPlan) -> np.ndarray:
+    """The adjoint of ``gram_blocks``, (s + s^T) @ U per atom with s's
+    diagonal ignored: each out-edge row of the plan is written once."""
+    s = zero_diagonals(s.copy(), plan)
+    grad = np.zeros_like(units)
+    for out_rows, _, rows in plan.buckets:
+        m, n = out_rows.shape
+        s_a = s[rows].reshape(m, n, n)
+        grad[out_rows] = (s_a + s_a.transpose(0, 2, 1)) @ units[out_rows]
+    return grad

@@ -1,13 +1,12 @@
-"""Sharding of triplets, edges, and nodes across workers, plus the analytic
-communication-volume model.
+"""Sharding of center atoms, edges, and nodes across workers, plus the
+analytic communication-volume model.
 
-Shards are contiguous ranges of the deterministic sorted orderings, and
-each is a ``slice`` with integer start and stop: indexing a buffer with it
-gives a view of the worker's rows, not a copy. Node shards are balanced to
-within one node, triplet shards to within the largest group of triplets
-that share an out-edge. Every worker keeps the complete edge and node
-topology; triplet features and their sums into the worker's own edges
-stay shard-local.
+Shards are contiguous ranges of the sorted orderings, each a ``slice``
+with integer bounds, so indexing a buffer with one gives a view. A worker
+owns the triplets of a range of center atoms J, balanced by their counts
+n_j (n_j - 1) to within the largest atom's, and its edge shard is their
+out-edges O_J; node shards are balanced to within one node. Triplet
+features and their sums into the worker's own edges stay shard-local.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .graph import GraphTopology
 
 @dataclass(frozen=True)
 class GraphPartition:
-    triplet_shards: list[slice]
+    center_shards: list[slice]
     edge_shards: list[slice]
     node_shards: list[slice]
 
@@ -38,22 +37,24 @@ def split_range(n: int, workers: int) -> list[slice]:
 
 
 def partition_graph(topology: GraphTopology, workers: int) -> GraphPartition:
-    """Owner-computes shards: triplets are sorted by out-edge, so each
-    balanced triplet cut moves back to the start of its out-edge's group,
-    and a worker's edge shard is the out-edges of its triplets. With no
-    triplets the edges are split evenly."""
+    """Owner-computes shards, with edges sorted by source: each balanced cut
+    of the triplets, counted atom by atom, moves back to the start of the
+    center atom it falls in, and a worker's edge shard is the out-edges of
+    its atoms. With no triplets the atoms are split evenly."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    n_t, n_e = topology.num_triplets, topology.num_edges
-    if n_t == 0:
-        edge_shards = split_range(n_e, workers)
-        triplet_shards = split_range(0, workers)
+    n = topology.num_nodes
+    starts = topology.out_edge_starts()
+    degree = np.diff(starts)
+    before = np.concatenate([[0], np.cumsum(degree * (degree - 1))])
+    if before[-1] == 0:
+        atom_cuts = [s.start for s in split_range(n, workers)] + [n]
     else:
-        inner = [s.stop for s in split_range(n_t, workers)[:-1]]
-        edge_cuts = [0, *np.append(topology.trip_out, n_e)[inner], n_e]
-        edge_shards = _slices(edge_cuts)
-        triplet_shards = _slices(np.searchsorted(topology.trip_out, edge_cuts))
-    return GraphPartition(triplet_shards, edge_shards, split_range(topology.num_nodes, workers))
+        inner = [s.stop for s in split_range(int(before[-1]), workers)[:-1]]
+        atom_cuts = [0, *(np.searchsorted(before, inner, side="right") - 1), n]
+    return GraphPartition(
+        _slices(atom_cuts), _slices(starts[atom_cuts]), split_range(n, workers)
+    )
 
 
 @dataclass(frozen=True)

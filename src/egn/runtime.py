@@ -5,25 +5,21 @@ endpoint offering a deterministic all-reduce (reduction in ascending rank
 order, identical result delivered everywhere). Worker-local state is owned
 exclusively by its worker between collectives.
 
-Each worker records its geometry and basis from the positions with
-``compute_basis``: the edge vectors, distances and rbf over every edge, and
-the triplet basis, sbf's angular factor cos(l * angle), over its own
-triplet shard only. It then runs the one definition of the model
-forward, the engine's block pipeline ``record_model``, over its shards,
-with a ``share`` hook that all-reduces and an ``enter`` hook that marks
-the stages. A worker's edge shard is the out-edges of its triplets (see
-``egn.partition``), and it gets every shared buffer in one of two ways: it
-all-reduces the rows or partial sums it owns, or it computes the whole
-buffer itself with no collective. Per block (dimenet-style):
-  * triplet update over the worker's shard, its d_t-wide messages summed by
-    out-edge, gated and up-projected: complete on its own edges, so no
-    collective (the in-edge factors are projected over all edges first),
-  * edge update over the edge shard into a zero edge buffer, all-reduce
-    (N_e * d_e elements),
-  * edge aggregation + node update for the node shard into a zero node
-    buffer, all-reduce (N_v * d_v elements),
-  * global head: the node sum of the shard projected to d_u, all-reduce
-    (d_u elements), tail finished by every worker.
+Each worker records its geometry and basis with ``compute_basis``: edge
+vectors, distances, unit vectors and rbf over every edge, and the triplet
+basis of its own center atoms only. It then runs the engine's block
+pipeline ``record_model``, the one definition of the model forward, over
+its shards (see ``egn.partition``), with a ``share`` hook that all-reduces
+and an ``enter`` hook that marks the stages. A worker gets every shared
+buffer by all-reducing the rows or partial sums it owns, or computes the
+whole buffer itself with no collective. Per block (dimenet-style):
+  * triplet update of its center atoms, summed into their out-edges, its
+    own edge shard, gated and up-projected: complete rows, no collective;
+  * edge update over the edge shard, all-reduce (N_e * d_e elements);
+  * edge aggregation + node update for the node shard, all-reduce
+    (N_v * d_v elements);
+  * global head: the shard's node sum projected to d_u, all-reduce (d_u
+    elements), tail finished by every worker.
 The gemnet-style variant adds the second edge update over the edge shard
 and its edge all-reduce, then every worker forms the symmetric coupling
 over all edges. The initial edge embedding and the force head also run
@@ -32,24 +28,19 @@ over all rows on every worker.
 A recording worker keeps its geometry and every stage on one tape, where
 each all-reduce is a collective node (see ``egn.tape``): its adjoint sums
 the workers' partial adjoints and hands each worker its rows, so the
-backward is one walk of that tape and its collectives mirror the
-forward's. A buffer every worker computed in full each differentiates in
-full from its own partial adjoint; every VJP is linear in its adjoint, so
-the collectives upstream and the final all-reduce of position and
-parameter gradients sum the partials to the exact gradient, and only rank
-0 seeds the energy and the forces.
-Boundary nodes mark the forward's stage switches, so the backward books
-its time to its stage, the geometry's VJPs to ``backward.geometry``. The
-same walk gives the position gradient at the positions leaf, through the
-one edge-vector node that reads it, with each triplet's basis row
-differentiated by its owner alone. Triplet features never enter a
-collective in either direction.
+backward is one walk of that tape. Every VJP is linear in its adjoint, so
+the collectives and the final all-reduce of position and parameter
+gradients sum the partials to the exact gradient; only rank 0 seeds the
+energy and the forces. Boundary nodes book the backward's time to the
+forward's stages, the geometry's VJPs to ``backward.geometry``. Each
+center atom's triplet blocks are differentiated by their owner alone, and
+triplet features never enter a collective in either direction.
 
-A pass that needs its backward is recorded once: ``WorkerGroup.record()``
-runs the forward and returns its ``ParallelRunResult`` holding each
-worker's tape, whose ``backward()`` runs the workers again over those
-tapes on the same collective, after the caller has read the energy and
-forces it seeds from. ``forward()`` keeps no tape.
+``WorkerGroup.record()`` runs a forward and returns its
+``ParallelRunResult`` holding each worker's tape, whose ``backward()``
+runs the workers again over those tapes on the same collective, after the
+caller has read the energy and forces it seeds from. ``forward()`` keeps
+no tape.
 """
 
 from __future__ import annotations
@@ -198,7 +189,6 @@ class ParallelRunResult:
     energy: float
     forces: np.ndarray | None
     state: FeatureState
-    triplet_shards: list[np.ndarray]
     comm_log: CommLog
     stage_seconds: dict[str, float]
     # (group, worker contexts, each worker's (tape, positions leaf, model
@@ -252,7 +242,7 @@ class WorkerGroup:
     Workers share read-only views of the positions, topology and parameters
     (each conceptually holds a full replica); the only cross-worker channel
     is the Collective. Each worker records its own geometry and basis, with
-    the triplet basis over its triplet shard only. A group serves
+    the triplet basis over its own center atoms only. A group serves
     one driver at a time and runs any number of passes:
 
       * ``forward()`` runs the workers once and keeps no tape (inference);
@@ -310,13 +300,11 @@ class WorkerGroup:
             global_features=fwd0["u"],
             node_features=fwd0["v"],
             edge_features=fwd0["m"],
-            triplet_features=None,
         )
         return ParallelRunResult(
             energy=float(fwd0["energy"]),
             forces=fwd0["forces"],
             state=state,
-            triplet_shards=[out["t_own"] for out in outputs],
             comm_log=log,
             stage_seconds=contexts[0].stage_seconds,
             _pending=(self, contexts, [out["recorded"] for out in outputs]) if record else None,
@@ -371,7 +359,7 @@ class WorkerGroup:
         (a backward follows), otherwise on an Evaluator."""
         rank = ctx.rank
         part = self.partition
-        shards = (part.triplet_shards[rank], part.edge_shards[rank], part.node_shards[rank])
+        rows = (part.edge_shards[rank], part.node_shards[rank])
         tape = Tape() if record else Evaluator()
 
         def share(x, stage: str, level: str, block: int, rows=None, shape=None):
@@ -388,9 +376,9 @@ class WorkerGroup:
 
         ctx.set_stage("init")
         pos = tape.leaf(self.system.positions)
-        basis = compute_basis(tape, pos, self.topology, self.config, shards[0])
+        basis = compute_basis(tape, pos, self.topology, self.config, part.center_shards[rank])
         tape.boundary(partial(ctx.set_stage, "backward.geometry"))
-        h = record_model(tape, self.params, self.topology, basis, shards, share, enter)
+        h = record_model(tape, self.params, self.topology, basis, rows, share, enter)
         val = tape.value
         return {
             "energy": float(val(h.energy)[0, 0]),
@@ -398,7 +386,6 @@ class WorkerGroup:
             "m": val(h.m),
             "v": val(h.v),
             "u": val(h.u),
-            "t_own": val(h.t),
             # Not kept on the context: the tape's collective and boundary
             # nodes refer to it, and that cycle would hold every pass's
             # tape until the cyclic garbage collector ran.

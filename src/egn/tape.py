@@ -11,7 +11,7 @@ forward is written once and yields the same bits either way.
 
 Primitives: leaf, add, mul, concat, linear, silu, gather, segment_sum,
 sum_rows, edge_vectors, edge_distances, edge_units, triplet_basis,
-gaussian_rbf, gather_contract, quadratic_well, allreduce and boundary.
+gaussian_rbf, triplet_contract, quadratic_well, allreduce and boundary.
 
 ``add`` and ``mul`` broadcast as numpy does (a bias row, a column of row
 scales), and their adjoints sum over the broadcast axes. A gather takes an
@@ -19,14 +19,18 @@ index array or, for a contiguous range of rows, a slice; a gather by slice
 is a view of its input, so recorded values may alias each other.
 Positions enter once, through ``edge_vectors`` (x_recv - x_src per edge),
 whose adjoint is the one geometry adjoint that scatters into atoms.
-``edge_distances``, ``edge_units`` and ``triplet_basis`` read the vectors;
-the last gives each triplet's cos(l * angle) row, the Chebyshev polynomials
-T_l of the angle's cosine, which the triplet update contracts in one op:
+Triplets are dense per-atom blocks in the layout of an
+``egn.graph.TripletPlan``:
 
-  * ``gather_contract(w, c, idx)``: with ``c`` of L column blocks of width
-    d, one per column of ``w``, row t is sum_l w[t, l] * (block l of row
-    idx[t] of c). No recorded value holds the L gathered blocks of a
-    triplet row; forward and adjoint gather them in chunks of rows.
+  * ``triplet_basis(units, plan, l_sbf)`` is T_l of each center atom's Gram
+    block of out-edge unit vectors with a zero diagonal, cos(l * angle) of
+    its triplets; its adjoint writes each out-edge row of ``units`` once;
+  * ``triplet_contract(blocks, c, plan)``, with ``c`` of L column blocks
+    C_l, gives each center atom j's out-edges O_j the product sum_l (block
+    l of j) @ C_l[rev[O_j]], and zero to every other row. Atoms of one
+    degree form one batched matmul, chunked by atoms with the same bits
+    for each atom however it is chunked; the adjoint writes each in-edge
+    row once, since rev is a permutation.
 
 ``allreduce`` and ``boundary`` serve a worker that records its shard of a
 model split across workers:
@@ -60,12 +64,10 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)), from e = exp(-|x|) <= 1, which never overflows.
+    min(x, -x) is -|x| that keeps a NaN's sign bit, as exp does."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _silu_grad(x: np.ndarray) -> np.ndarray:
@@ -253,20 +255,18 @@ _op("edge_units")(
 
 
 def _triplet_basis_fwd(vals, aux):
-    cosines = _graph.triplet_cosines(vals[0], aux["trip_in"], aux["trip_out"])
-    return _basis.angular_basis(cosines, aux["l_sbf"])
+    plan = aux["plan"]
+    basis = _basis.angular_basis(_graph.gram_blocks(vals[0], plan), aux["l_sbf"])
+    return _graph.zero_diagonals(basis, plan)
 
 
 def _triplet_basis_vjp(g, vals, out, aux):
-    """s = sum_l g_l T_l'(c) per triplet; scatter s * dc/da into the
-    in-edge rows, then s * dc/db into the out-edge rows."""
-    if out.shape[1] == 1:  # the one column is T_0 = 1, whatever the vectors
+    """s = sum_l g_l T_l'(c) per block entry, then the Gram adjoint."""
+    if out.shape[1] == 1:  # the one column is T_0, constant off the diagonal
         return (np.zeros_like(vals[0]),)
-    # Column 1 is T_1, the cosine itself.
-    s = np.einsum("tl,tl->t", g, _basis.angular_basis_dcos(out[:, 1], out.shape[1]))[:, None]
-    g_a, g_b = _graph.cosine_gradients(vals[0], aux["trip_in"], aux["trip_out"])
-    edges = np.concatenate([aux["trip_in"], aux["trip_out"]])
-    return (scatter_add(edges, np.concatenate([s * g_a, s * g_b]), vals[0].shape[0]),)
+    # Column 1 is T_1, the cosine itself (zero on the diagonal, ignored there).
+    s = np.einsum("rl,rl->r", g, _basis.angular_basis_dcos(out[:, 1], out.shape[1]))
+    return (_graph.gram_gradient(s, vals[0], aux["plan"]),)
 
 
 _op("triplet_basis")((_triplet_basis_fwd, _triplet_basis_vjp))
@@ -284,40 +284,48 @@ def _gaussian_rbf_vjp(g, vals, out, aux):
 _op("gaussian_rbf")((_gaussian_rbf_fwd, _gaussian_rbf_vjp))
 
 
-# Rows per chunk of a gather_contract: its gathered (rows, L * d) transients
-# stay near 1 MiB, however many triplets there are.
-_CONTRACT_ELEMENTS = 1 << 17
+# Atoms per chunk of a triplet_contract: its gathered (atoms, n, L * d)
+# in-edge blocks stay near 1 MiB, however many atoms share a degree.
+_CHUNK_ELEMENTS = 1 << 17
 
 
-def _row_chunks(n: int, width: int) -> list[slice]:
-    step = max(1, _CONTRACT_ELEMENTS // width)
-    return [slice(s, s + step) for s in range(0, n, step)]
+def _chunks(plan, width: int):
+    """(out_rows, in_rows, rows) of each chunk of a bucket's atoms whose
+    in-edge blocks, ``width`` wide, hold about _CHUNK_ELEMENTS entries;
+    ``rows`` are the chunk's rows of the block layout."""
+    for out_rows, in_rows, rows in plan.buckets:
+        m, n = out_rows.shape
+        step = max(1, _CHUNK_ELEMENTS // (n * width))
+        for a in range(0, m, step):
+            stop = min(a + step, m)
+            span = slice(rows.start + a * n * n, rows.start + stop * n * n)
+            yield out_rows[a:stop], in_rows[a:stop], span
 
 
-def _gather_contract_fwd(vals, aux):
-    weights, c, idx = vals[0], vals[1], aux["idx"]
-    n, orders = weights.shape
-    out = np.empty((n, c.shape[1] // orders))
-    for rows in _row_chunks(n, c.shape[1]):
-        blocks = np.take(c, idx[rows], axis=0).reshape(-1, orders, out.shape[1])
-        np.einsum("tl,tld->td", weights[rows], blocks, out=out[rows])
+def _triplet_contract_fwd(vals, aux):
+    blocks, c = vals
+    out = np.zeros((c.shape[0], c.shape[1] // blocks.shape[1]))
+    for out_rows, in_rows, rows in _chunks(aux["plan"], c.shape[1]):
+        t = blocks[rows].reshape(out_rows.shape + (-1,))
+        out[out_rows] = t @ c[in_rows].reshape(t.shape[0], t.shape[2], -1)
     return out
 
 
-def _gather_contract_vjp(g, vals, out, aux):
-    weights, c, idx = vals[0], vals[1], aux["idx"]
-    n, orders = weights.shape
-    d_weights = np.empty_like(weights)
-    d_c = np.zeros(c.shape)
-    for rows in _row_chunks(n, c.shape[1]):
-        blocks = np.take(c, idx[rows], axis=0).reshape(-1, orders, g.shape[1])
-        np.einsum("tld,td->tl", blocks, g[rows], out=d_weights[rows])
-        outer = np.einsum("tl,td->tld", weights[rows], g[rows])
-        d_c += scatter_add(idx[rows], outer, c.shape[0]).reshape(c.shape)
-    return d_weights, d_c
+def _triplet_contract_vjp(g, vals, out, aux):
+    blocks, c = vals
+    d_blocks = np.empty_like(blocks)
+    d_c = np.zeros_like(c)
+    for out_rows, in_rows, rows in _chunks(aux["plan"], c.shape[1]):
+        t = blocks[rows].reshape(out_rows.shape + (-1,))
+        in_blocks = c[in_rows].reshape(t.shape[0], t.shape[2], -1)
+        g_out = g[out_rows]
+        np.matmul(g_out, in_blocks.transpose(0, 2, 1), out=d_blocks[rows].reshape(t.shape))
+        # rev is a permutation, so each in-edge row is written once.
+        d_c[in_rows] = (t.transpose(0, 2, 1) @ g_out).reshape(in_rows.shape + (-1,))
+    return d_blocks, d_c
 
 
-_op("gather_contract")((_gather_contract_fwd, _gather_contract_vjp))
+_op("triplet_contract")((_triplet_contract_fwd, _triplet_contract_vjp))
 
 _op("quadratic_well")(
     (
@@ -424,18 +432,14 @@ class Tape:
     def edge_units(self, vectors: int) -> int:
         return self._record("edge_units", (vectors,), {})
 
-    def triplet_basis(
-        self, vectors: int, trip_in: np.ndarray, trip_out: np.ndarray, l_sbf: int
-    ) -> int:
-        aux = {"trip_in": trip_in, "trip_out": trip_out, "l_sbf": l_sbf}
-        return self._record("triplet_basis", (vectors,), aux)
+    def triplet_basis(self, units: int, plan, l_sbf: int) -> int:
+        return self._record("triplet_basis", (units,), {"plan": plan, "l_sbf": l_sbf})
 
     def gaussian_rbf(self, distances: int, k_rbf: int, cutoff: float) -> int:
         return self._record("gaussian_rbf", (distances,), {"k_rbf": k_rbf, "cutoff": cutoff})
 
-    def gather_contract(self, weights: int, c: int, idx: np.ndarray) -> int:
-        aux = {"idx": np.asarray(idx, dtype=np.int64)}
-        return self._record("gather_contract", (weights, c), aux)
+    def triplet_contract(self, blocks: int, c: int, plan) -> int:
+        return self._record("triplet_contract", (blocks, c), {"plan": plan})
 
     def quadratic_well(self, distances: int, center: float) -> int:
         return self._record("quadratic_well", (distances,), {"center": center})

@@ -56,10 +56,40 @@ def min_pair_distance(positions: np.ndarray) -> float:
 
 
 def basis_of(system: AtomicSystem, config):
-    """The topology and basis arrays of a system, over all triplets, with no tape."""
+    """The topology and basis arrays of a system, over all center atoms, with no tape."""
     topology, _ = build_graph(system, config.cutoff)
     ev = Evaluator()
     return topology, compute_basis(ev, ev.leaf(system.positions), topology, config, slice(None))
+
+
+def triplet_cosines(vectors: np.ndarray, trip_in: np.ndarray, trip_out: np.ndarray) -> np.ndarray:
+    """Per-triplet reference cosine of the bond angle at the shared atom j,
+    c = -a . b / (|a| |b|), from the edge vectors a = x_j - x_k of the
+    in-edges and b = x_i - x_j of the out-edges, summed left to right."""
+    a, b = vectors[trip_in].T, vectors[trip_out].T
+
+    def dot(x, y):
+        return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+    return -dot(a, b) / (np.sqrt(dot(a, a)) * np.sqrt(dot(b, b)))
+
+
+def block_rows(plan, topology) -> np.ndarray:
+    """Each triplet's row in the block layout of ``plan``: (center j,
+    position of its out-edge in O_j, position of its in-edge's reverse in
+    O_j); -1 for triplets whose center is not one of the plan's atoms."""
+    starts = topology.out_edge_starts()
+    base = np.full(topology.num_nodes, -1)
+    degree = np.zeros(topology.num_nodes, dtype=np.int64)
+    for bucket in plan.buckets:
+        m, n = bucket.out_rows.shape
+        centers = topology.edge_src[bucket.out_rows[:, 0]]
+        base[centers] = bucket.rows.start + np.arange(m) * n * n
+        degree[centers] = n
+    j = topology.edge_src[topology.trip_out]
+    q = topology.trip_out - starts[j]
+    p = plan.rev[topology.trip_in] - starts[j]
+    return np.where(base[j] >= 0, base[j] + q * degree[j] + p, -1)
 
 
 def angular_outer(radial: np.ndarray, angular: np.ndarray) -> np.ndarray:

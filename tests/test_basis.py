@@ -3,10 +3,10 @@ import pytest
 
 from egn.basis import angular_basis, angular_basis_dcos, rbf_centers, rbf_features
 from egn.config import DIMENET, GEMNET, ModelConfig
-from egn.graph import edge_vectors, triplet_cosines
+from egn.graph import edge_distances, edge_vectors
 from egn.system import AtomicSystem, random_cloud
 
-from conftest import angular_outer, basis_of
+from conftest import angular_outer, basis_of, block_rows
 
 
 def test_rbf_peak_at_center():
@@ -124,25 +124,33 @@ def test_basis_all_finite(rng):
     assert np.all(np.isfinite(basis.edge_rbf))
     assert np.all(np.isfinite(basis.triplet_basis))
     assert basis.edge_rbf.shape == (topo.num_edges, 6)
-    assert basis.triplet_basis.shape == (topo.num_triplets, 4)
+    # One n x n block per center atom of degree n >= 2: its triplets and
+    # its n diagonal entries.
+    degree = np.bincount(topo.edge_src, minlength=topo.num_nodes)
+    assert basis.triplet_basis.shape == (topo.num_triplets + degree[degree >= 2].sum(), 4)
 
 
 def test_triplet_basis_is_the_angular_factor_in_both_variants(rng):
-    """Both variants' triplet rows hold the same cos(l * angle) bits, L wide,
-    the angular basis of the triplets' cosines; with the in-edge rbf they
-    compose the whole sbf rows exactly."""
+    """Both variants' triplet blocks hold the same cos(l * angle) bits, L
+    wide: read at each triplet, the angular basis of its cosine u_out .
+    u_rev(in) of edge unit vectors, summed left to right; with the in-edge
+    rbf they compose the whole sbf rows exactly."""
     system = random_cloud(20, 0.9, rng)
     cfg = ModelConfig(k_rbf=6, l_sbf=4, cutoff=1.5)
     topo, dimenet = basis_of(system, cfg.replace(variant=DIMENET))
     _, gemnet = basis_of(system, cfg.replace(variant=GEMNET))
     assert topo.num_triplets > 0
-    assert dimenet.triplet_basis.shape == (topo.num_triplets, 4)
     assert dimenet.triplet_basis.tobytes() == gemnet.triplet_basis.tobytes()
-    np.testing.assert_array_equal(dimenet.triplet_basis[:, 0], 1.0)
+    rows = dimenet.triplet_basis[block_rows(dimenet.plan, topo)]
+    assert rows.shape == (topo.num_triplets, 4)
+    np.testing.assert_array_equal(rows[:, 0], 1.0)
     radial = dimenet.edge_rbf[topo.trip_in]
-    composed = np.einsum("tk,tl->tkl", radial, dimenet.triplet_basis).reshape(-1, 24)
+    composed = np.einsum("tk,tl->tkl", radial, rows).reshape(-1, 24)
     vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
-    angular = angular_basis(triplet_cosines(vectors, topo.trip_in, topo.trip_out), 4)
-    assert dimenet.triplet_basis.tobytes() == angular.tobytes()
+    units = vectors / edge_distances(vectors)[:, None]
+    u_out, u_in = units[topo.trip_out], units[dimenet.plan.rev[topo.trip_in]]
+    cosines = u_out[:, 0] * u_in[:, 0] + u_out[:, 1] * u_in[:, 1] + u_out[:, 2] * u_in[:, 2]
+    angular = angular_basis(cosines, 4)
+    assert rows.tobytes() == angular.tobytes()
     whole = angular_outer(radial, angular)
     assert composed.tobytes() == whole.tobytes()

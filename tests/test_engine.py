@@ -1,5 +1,7 @@
 """Engine tests, anchored by an independent per-triplet/per-edge loop oracle."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,19 @@ from egn import engine
 from egn.basis import BasisFeatures
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
-from egn.graph import build_graph, edge_distances, edge_vectors, triplet_cosines
+from egn.graph import build_graph, edge_distances, edge_vectors, triplet_plan
 from egn.params import ModelParams, init_params
 from egn.system import AtomicSystem, random_cloud
 
-from conftest import basis_of, dimer, equilateral_triangle, record_angular_sbf, zero_params
+from conftest import (
+    basis_of,
+    block_rows,
+    dimer,
+    equilateral_triangle,
+    record_angular_sbf,
+    triplet_cosines,
+    zero_params,
+)
 
 
 def _silu(x):
@@ -38,7 +48,6 @@ def naive_forward(system: AtomicSystem, params: ModelParams):
     m = np.array([arrays["edge_init.w"] @ basis.edge_rbf[e] + arrays["edge_init.b"] for e in range(n_e)]) if n_e else np.zeros((0, cfg.d_e))
     u = np.zeros(cfg.d_u)
     v = np.array([arrays["atom_embedding"][z - 1] for z in system.atomic_numbers])
-    t_feat = np.zeros((n_t, cfg.d_bil if cfg.variant == GEMNET else cfg.d_t))
 
     for b in range(cfg.blocks):
         p = f"block{b}."
@@ -52,10 +61,10 @@ def naive_forward(system: AtomicSystem, params: ModelParams):
             g_sbf = arrays[p + "tu.sbf_gate"] @ sbf.ravel()
             if cfg.variant == GEMNET:
                 a = arrays[p + "tu.bilinear_a"] @ down
-                t_feat[t] = a * (arrays[p + "tu.bilinear_b"] @ g_sbf)
-                mixed = arrays[p + "tu.bilinear_proj"] @ t_feat[t]
+                msg = a * (arrays[p + "tu.bilinear_b"] @ g_sbf)
+                mixed = arrays[p + "tu.bilinear_proj"] @ msg
             else:
-                t_feat[t] = mixed = down * g_sbf
+                mixed = down * g_sbf
             ta[e_out] += arrays[p + "tu.up"] @ (mixed * g_rbf)
 
         m_new = np.zeros_like(m)
@@ -92,7 +101,7 @@ def naive_forward(system: AtomicSystem, params: ModelParams):
         for e in range(n_e):
             scale = float((arrays["force_head.w"] @ m[e])[0])
             forces[topo.edge_recv[e]] += scale * units[e]
-    return energy, m, v, u, t_feat, forces
+    return energy, m, v, u, forces
 
 
 @pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
@@ -102,14 +111,13 @@ def test_forward_matches_naive_loops(variant):
     cfg = ModelConfig(variant=variant, blocks=2)
     params = init_params(cfg)
     model = ModelTape(system, params)
-    energy, m, v, u, t_feat, forces = naive_forward(system, params)
+    energy, m, v, u, forces = naive_forward(system, params)
 
     assert abs(model.energy - energy) < 1e-12
     state = model.state
     np.testing.assert_allclose(state.edge_features, m, atol=1e-12)
     np.testing.assert_allclose(state.node_features, v, atol=1e-12)
     np.testing.assert_allclose(state.global_features[0], u, atol=1e-12)
-    np.testing.assert_allclose(state.triplet_features, t_feat, atol=1e-12)
     if variant == "gemnet-style":
         np.testing.assert_allclose(model.forces, forces, atol=1e-12)
 
@@ -260,7 +268,6 @@ def test_forward_bitwise_deterministic(variant, rng):
     np.testing.assert_array_equal(a.state.edge_features, b.state.edge_features)
     np.testing.assert_array_equal(a.state.node_features, b.state.node_features)
     np.testing.assert_array_equal(a.state.global_features, b.state.global_features)
-    np.testing.assert_array_equal(a.state.triplet_features, b.state.triplet_features)
     if variant == "gemnet-style":
         np.testing.assert_array_equal(a.forces, b.forces)
 
@@ -270,8 +277,7 @@ def test_state_buffers_all_finite(rng):
     for variant in ("dimenet-style", "gemnet-style"):
         model = ModelTape(system, init_params(ModelConfig(variant=variant, blocks=3)))
         state = model.state
-        for buf in (state.edge_features, state.node_features, state.global_features,
-                    state.triplet_features):
+        for buf in (state.edge_features, state.node_features, state.global_features):
             assert np.all(np.isfinite(buf))
 
 
@@ -305,24 +311,21 @@ def test_triplet_update_edge_factors_run_on_edge_rows(variant):
 
 
 def test_gemnet_triplet_rows_carry_only_the_angle():
-    """In both variants no linear, no mul and no gather runs on triplet
-    rows, and no recorded triplet-row value is wider than max(l_sbf, d_bil)
-    gemnet-style, max(l_sbf, d_t) dimenet-style."""
-    for variant, width in ((GEMNET, "d_bil"), (DIMENET, "d_t")):
+    """In both variants the only recorded value on triplet rows (the rows
+    of the per-atom blocks) is the triplet basis, l_sbf wide: no linear, no
+    mul, no gather and no per-triplet message runs on them."""
+    for variant in (GEMNET, DIMENET):
         cfg = ModelConfig(variant=variant, blocks=3, d_t=6, d_bil=3, l_sbf=5)
         model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
         topo, _ = build_graph(model.system, cfg.cutoff)
-        n_t = topo.num_triplets
-        assert n_t > max(topo.num_edges, topo.num_nodes)
+        rows = triplet_plan(topo, slice(None)).rows
+        assert rows > topo.num_triplets > max(topo.num_edges, topo.num_nodes)
         on_triplets = [
             (node.op, node.value.shape)
             for node in model.tape._nodes
-            if node.value.shape[:1] == (n_t,)
+            if node.value.shape[:1] in ((rows,), (topo.num_triplets,))
         ]
-        ops = {op for op, _ in on_triplets}
-        assert ops == {"triplet_basis", "gather_contract"}, (variant, ops)
-        widest = max(shape[1] for _, shape in on_triplets if len(shape) > 1)
-        assert widest == max(cfg.l_sbf, getattr(cfg, width)), variant
+        assert on_triplets == [("triplet_basis", (rows, cfg.l_sbf))], variant
 
 
 # ---------------------------------------------------------------------------
@@ -343,30 +346,27 @@ def test_gemnet_triplet_rows_carry_only_the_angle():
 # ---------------------------------------------------------------------------
 
 
-def gather_then_project_tu(tape, pl, block, config, m_id, rbf_id, sbf_id, trip_rows, topology):
+def gather_then_project_tu(tape, pl, block, config, m_id, basis, topology):
     p = f"block{block}.tu"
-    t_in = topology.trip_in[trip_rows]
-    t_out = topology.trip_out[trip_rows]
-    down = tape.linear(tape.gather(m_id, t_in), pl[p + ".down"])
-    g_sbf = tape.linear(sbf_id, pl[p + ".sbf_gate"])
+    down = tape.linear(tape.gather(m_id, topology.trip_in), pl[p + ".down"])
+    g_sbf = tape.linear(basis.triplet_basis, pl[p + ".sbf_gate"])
     if config.variant == GEMNET:
         a = tape.linear(down, pl[p + ".bilinear_a"])
         b = tape.linear(g_sbf, pl[p + ".bilinear_b"])
         t_msg = tape.linear(tape.mul(a, b), pl[p + ".bilinear_proj"])
     else:
         t_msg = tape.mul(down, g_sbf)
-    agg = tape.segment_sum(t_msg, t_out, topology.num_edges)
-    gated = tape.mul(agg, tape.linear(rbf_id, pl[p + ".rbf_gate"]))
-    return t_msg, tape.linear(gated, pl[p + ".up"])
+    agg = tape.segment_sum(t_msg, topology.trip_out, topology.num_edges)
+    gated = tape.mul(agg, tape.linear(basis.edge_rbf, pl[p + ".rbf_gate"]))
+    return tape.linear(gated, pl[p + ".up"])
 
 
-def triplet_rows_tu(tape, pl, block, config, m_id, rbf_id, sbf_id, trip_rows, topology):
+def triplet_rows_tu(tape, pl, block, config, m_id, basis, topology):
     p = f"block{block}.tu"
-    t_in = topology.trip_in[trip_rows]
-    t_out = topology.trip_out[trip_rows]
+    t_in, t_out = topology.trip_in, topology.trip_out
     down = tape.linear(tape.gather(m_id, t_in), pl[p + ".down"])
-    g_rbf = tape.linear(tape.gather(rbf_id, t_out), pl[p + ".rbf_gate"])
-    g_sbf = tape.linear(sbf_id, pl[p + ".sbf_gate"])
+    g_rbf = tape.linear(tape.gather(basis.edge_rbf, t_out), pl[p + ".rbf_gate"])
+    g_sbf = tape.linear(basis.triplet_basis, pl[p + ".sbf_gate"])
     if config.variant == GEMNET:
         a = tape.linear(down, pl[p + ".bilinear_a"])
         b = tape.linear(g_sbf, pl[p + ".bilinear_b"])
@@ -374,19 +374,22 @@ def triplet_rows_tu(tape, pl, block, config, m_id, rbf_id, sbf_id, trip_rows, to
     else:
         t_msg = tape.mul(down, g_sbf)
     up = tape.linear(tape.mul(t_msg, g_rbf), pl[p + ".up"])
-    return t_msg, tape.segment_sum(up, t_out, topology.num_edges)
+    return tape.segment_sum(up, t_out, topology.num_edges)
 
 
-def per_triplet_radial_basis(tape, pos_id, topology, config, trip_rows):
-    trip_in = topology.trip_in[trip_rows]
+def per_triplet_radial_basis(tape, pos_id, topology, config, centers):
+    """Whole sbf rows per triplet: the angular blocks read at each triplet's
+    row, times a second Gaussian evaluation of its in-edge distance."""
     vectors = tape.edge_vectors(pos_id, topology.edge_src, topology.edge_recv)
     dist = tape.edge_distances(vectors)
-    units = tape.edge_units(vectors) if config.variant == GEMNET else None
-    angular = tape.triplet_basis(vectors, trip_in, topology.trip_out[trip_rows], config.l_sbf)
+    units = tape.edge_units(vectors)
+    plan = triplet_plan(topology, centers)
+    blocks = tape.triplet_basis(units, plan, config.l_sbf)
+    angular = tape.gather(blocks, block_rows(plan, topology))
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
-    radial = tape.gaussian_rbf(tape.gather(dist, trip_in), config.k_rbf, config.cutoff)
+    radial = tape.gaussian_rbf(tape.gather(dist, topology.trip_in), config.k_rbf, config.cutoff)
     sbf = record_angular_sbf(tape, radial, angular)
-    return BasisFeatures(rbf, sbf, units)
+    return BasisFeatures(rbf, units, sbf, plan)
 
 
 def _close(got, want, rel=1e-12):
@@ -426,14 +429,15 @@ def test_edge_projection_matches_gather_then_project(variant, make_system, monke
         return model, model.backward(d_energy=1.0, d_forces=d_forces)
 
     model, grads = run()
+    topology = build_graph(system, cfg.cutoff)[0]
     monkeypatch.setattr(engine, "compute_basis", per_triplet_radial_basis)
-    monkeypatch.setattr(engine, "record_tu", gather_then_project_tu)
+    monkeypatch.setattr(engine, "record_tu", partial(gather_then_project_tu, topology=topology))
     ref, ref_grads = run()
-    monkeypatch.setattr(engine, "record_tu", triplet_rows_tu)
+    monkeypatch.setattr(engine, "record_tu", partial(triplet_rows_tu, topology=topology))
     old, old_grads = run()
 
     if make_system is _cloud_above_blas_threading:
-        assert build_graph(system, cfg.cutoff)[0].num_triplets > 5500
+        assert topology.num_triplets > 5500
     if variant == DIMENET:
         assert np.float64(model.energy).tobytes() == np.float64(ref.energy).tobytes()
     for other in (ref, old):
@@ -446,3 +450,57 @@ def test_edge_projection_matches_gather_then_project(variant, make_system, monke
         assert grads.d_params.keys() == other.d_params.keys()
         for name, g in grads.d_params.items():
             assert _close(g, other.d_params[name]), name
+
+
+@pytest.mark.parametrize("variant", [DIMENET, GEMNET])
+def test_model_never_lists_triplets(variant, monkeypatch):
+    """predict, one relax step and WorkerGroup.forward_backward at one and
+    two workers run with no triplet list; the topology still lists its
+    triplets when read, Σ deg (deg - 1) of them."""
+    from egn import graph
+    from egn.runtime import WorkerGroup
+    from egn.tasks import predict, relax
+
+    def refuse(*args):
+        raise AssertionError("the model listed triplets")
+
+    system = random_cloud(24, 0.9, np.random.default_rng(8))
+    params = init_params(ModelConfig(variant=variant, blocks=2))
+    groups = []
+    monkeypatch.setattr(graph, "enumerate_triplets", refuse)
+    for workers in (1, 2):
+        predict(system, params, workers=workers)
+        at_p = ModelParams(params.config.replace(workers=workers), params.arrays)
+        relax(system, at_p, 1e-9, max_steps=1)
+        groups.append(WorkerGroup(system, at_p))
+        groups[-1].forward_backward()
+    monkeypatch.undo()
+    degree = np.bincount(groups[0].topology.edge_src, minlength=system.n)
+    for group in groups:
+        assert group.topology.num_triplets == (degree * (degree - 1)).sum() > 0
+
+
+def argsort_receiver_plan(topology, nodes):
+    """Edges grouped by receiver through a stable argsort of the receivers:
+    the order receiver_plan must reproduce."""
+    lo, hi, _ = nodes.indices(topology.num_nodes)
+    order = np.argsort(topology.edge_recv, kind="stable")
+    bounds = np.searchsorted(topology.edge_recv[order], np.arange(topology.num_nodes + 1))
+    edge_sel = order[bounds[lo] : bounds[hi]]
+    return edge_sel, topology.edge_recv[edge_sel] - lo, hi - lo
+
+
+@pytest.mark.parametrize("atoms", [40, 100, 300])
+def test_receiver_plan_is_a_slice_of_the_reverse_edges(atoms):
+    """For whole buffers and for 3-way node shards, the plan read from the
+    reverse-edge map has the bits of the argsort plan."""
+    from egn.partition import split_range
+
+    topo, _ = build_graph(random_cloud(atoms, 0.9, np.random.default_rng(atoms)), 2.0)
+    rev = topo.reverse_edges()
+    for nodes in [slice(None), *split_range(topo.num_nodes, 3)]:
+        got = engine.receiver_plan(topo, nodes, rev)
+        want = argsort_receiver_plan(topo, nodes)
+        assert got[2] == want[2]
+        for a, b in zip(got[:2], want[:2]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

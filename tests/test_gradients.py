@@ -3,13 +3,21 @@ import numpy as np
 from egn.bench import sample_smooth_system
 from egn.config import ModelConfig
 from egn.engine import ModelTape
-from egn.graph import build_graph, cosine_gradients, edge_distances, edge_vectors, triplet_cosines
+from egn.graph import build_graph, edge_distances, edge_vectors, triplet_plan
 from egn.params import ModelParams, init_params
 from egn.system import AtomicSystem
 from egn.tape import Tape
 from egn.tasks import predict
 
-from conftest import dimer, equilateral_triangle, fd_allowance, rel_err, zero_params
+from conftest import (
+    block_rows,
+    dimer,
+    equilateral_triangle,
+    fd_allowance,
+    rel_err,
+    triplet_cosines,
+    zero_params,
+)
 
 SMALL = ModelConfig(variant="dimenet-style", blocks=2, d_u=2, d_v=3, d_e=4, d_t=2,
                     d_bil=2, k_rbf=3, l_sbf=2)
@@ -41,12 +49,15 @@ def distance_jacobian(positions, topo):
 
 
 def cosine_jacobian(positions, topo):
-    """Jacobian of each triplet's cosine, column T_1 of its angular basis."""
-    return position_jacobian(
-        lambda t, p: t.triplet_basis(record_vectors(t, p, topo), topo.trip_in, topo.trip_out, 2),
+    """Jacobian of each triplet's cosine, column T_1 of its angular basis,
+    read from the Gram blocks at the triplet's row."""
+    plan = triplet_plan(topo, slice(None))
+    jacobian = position_jacobian(
+        lambda t, p: t.triplet_basis(t.edge_units(record_vectors(t, p, topo)), plan, 2),
         positions,
         (1,),
     )
+    return jacobian[block_rows(plan, topo)]
 
 
 def test_geometry_grads_dimer_unit_vectors():
@@ -93,10 +104,9 @@ def test_collinear_angle_gradient_is_zero_subgradient():
 
     system = collinear_chain(1.0)
     topo, _ = build_graph(system, cutoff=1.5)
-    vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
-    g_a, g_b = cosine_gradients(vectors, topo.trip_in, topo.trip_out)
-    assert np.all(np.isfinite(g_a)) and np.all(g_a == 0)
-    assert np.all(g_b == 0)
+    grads = cosine_jacobian(system.positions, topo)
+    assert grads.shape == (topo.num_triplets, system.n, 3)
+    assert np.all(np.isfinite(grads)) and np.all(grads == 0)
 
 
 def test_constant_model_gradient_hits_only_readout_bias(rng):

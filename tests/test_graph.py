@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 from egn.graph import (
     GraphTopology,
     build_graph,
-    cosine_gradients,
+    edge_distances,
     edge_vectors,
     enumerate_triplets,
-    triplet_cosines,
+    gram_blocks,
+    gram_gradient,
+    triplet_plan,
 )
 from egn.system import AtomicSystem, random_cloud
-from egn.tape import Evaluator
+from egn.tape import Evaluator, Tape
 
-from conftest import collinear_chain, dimer, equilateral_triangle
+from conftest import block_rows, collinear_chain, dimer, equilateral_triangle, triplet_cosines
 
 
 def brute_force_triplets(system: AtomicSystem, cutoff: float) -> set[tuple[int, int, int]]:
@@ -39,16 +41,15 @@ def brute_force_triplets(system: AtomicSystem, cutoff: float) -> set[tuple[int, 
     return found
 
 
+def units_of(positions, topology: GraphTopology) -> np.ndarray:
+    vectors = edge_vectors(positions, topology.edge_src, topology.edge_recv)
+    return vectors / edge_distances(vectors)[:, None]
+
+
 def cosines_of(positions, topology: GraphTopology) -> np.ndarray:
-    """Triplet cosines from the edge vectors of ``positions``."""
-    vectors = edge_vectors(positions, topology.edge_src, topology.edge_recv)
-    return triplet_cosines(vectors, topology.trip_in, topology.trip_out)
-
-
-def cosine_gradients_of(positions, topology: GraphTopology):
-    """(dc/da, dc/db) from the edge vectors of ``positions``."""
-    vectors = edge_vectors(positions, topology.edge_src, topology.edge_recv)
-    return cosine_gradients(vectors, topology.trip_in, topology.trip_out)
+    """Triplet cosines from the Gram blocks of ``positions``, per triplet."""
+    plan = triplet_plan(topology, slice(None))
+    return gram_blocks(units_of(positions, topology), plan)[block_rows(plan, topology)]
 
 
 def triplet_atom_set(topology: GraphTopology) -> set[tuple[int, int, int]]:
@@ -143,8 +144,6 @@ def test_reverse_edges_roundtrip_and_error():
         num_nodes=2,
         edge_src=np.array([0], dtype=np.int64),
         edge_recv=np.array([1], dtype=np.int64),
-        trip_in=np.empty(0, dtype=np.int64),
-        trip_out=np.empty(0, dtype=np.int64),
     )
     with pytest.raises(ValueError):
         lop_sided.reverse_edges()
@@ -240,35 +239,34 @@ def dense_reverse_edges(topology):
     return rev
 
 
-def reference_triplet_vectors(pos, topology):
-    """a = x_j - x_k and b = x_i - x_j per triplet, by per-atom gathers."""
-    k = topology.edge_src[topology.trip_in]
-    j = topology.edge_recv[topology.trip_in]
-    i = topology.edge_recv[topology.trip_out]
-    return pos[j] - pos[k], pos[i] - pos[j]
-
-
 def _dot(a, b):
     """Row-wise dot products of (N, 3) arrays, summed left to right."""
     return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
-def reference_triplet_cosines(pos, topology):
-    """Per-atom gathers: the formula triplet_cosines must reproduce."""
-    a, b = reference_triplet_vectors(pos, topology)
-    return -_dot(a, b) / (np.sqrt(_dot(a, a)) * np.sqrt(_dot(b, b)))
+def reference_triplet_cosines(units, topology, trip_in, trip_out):
+    """Per-triplet gathers: u_out . u_rev(in), the formula the Gram blocks
+    must reproduce at each triplet, with the dict-based reverse map."""
+    rev = dense_reverse_edges(topology)
+    return _dot(units[trip_out], units[rev[trip_in]])
 
 
-def reference_cosine_gradients(pos, topology):
-    """The closed-form (dc/da, dc/db) over per-atom gathers."""
-    a, b = reference_triplet_vectors(pos, topology)
-    n_a = np.sqrt(_dot(a, a))[:, None]
-    n_b = np.sqrt(_dot(b, b))[:, None]
-    inv = 1.0 / (n_a * n_b)
-    c = -_dot(a, b)[:, None] * inv
-    g_a = -b * inv - a * (c / (n_a * n_a))
-    g_b = -a * inv - b * (c / (n_b * n_b))
-    return g_a, g_b
+def reference_gram_gradient(s, units, plan, topology):
+    """The Gram adjoint one center atom at a time: its out-edge rows in a
+    loop, (s + s^T) @ U with s's diagonal zeroed."""
+    grad = np.zeros_like(units)
+    for j in range(topology.num_nodes):
+        out = np.flatnonzero(topology.edge_src == j)
+        n = out.size
+        if n < 2:
+            continue
+        bucket = next(b for b in plan.buckets if b.out_rows.shape[1] == n)
+        a = int(np.flatnonzero(bucket.out_rows[:, 0] == out[0])[0])
+        first = bucket.rows.start + a * n * n
+        s_j = s[first : first + n * n].reshape(n, n).copy()
+        np.fill_diagonal(s_j, 0.0)
+        grad[out] = (s_j + s_j.T) @ units[out]
+    return grad
 
 
 def dense_graph(system, cutoff):
@@ -282,13 +280,16 @@ def dense_graph(system, cutoff):
     src = src.astype(np.int64)
     recv = recv.astype(np.int64)
     trip_in, trip_out = dense_triplets(n, src, recv)
-    topology = GraphTopology(n, src, recv, trip_in, trip_out)
+    topology = GraphTopology(n, src, recv)
     edge_diff = pos[recv] - pos[src]
     distances = np.sqrt((edge_diff * edge_diff).sum(axis=1))
+    units = edge_diff / distances[:, None]
     geometry = {
+        "trip_in": trip_in,
+        "trip_out": trip_out,
         "distances": distances,
-        "unit_vectors": edge_diff / distances[:, None],
-        "cosines": reference_triplet_cosines(pos, topology),
+        "unit_vectors": units,
+        "cosines": reference_triplet_cosines(units, topology, trip_in, trip_out),
     }
     return topology, geometry, dist[src, recv]
 
@@ -303,8 +304,10 @@ def assert_matches_dense(system, cutoff):
     topo, dist = build_graph(system, cutoff)
     ref_topo, ref_geom, ref_dist = dense_graph(system, cutoff)
     assert topo.num_nodes == ref_topo.num_nodes
-    for name in ("edge_src", "edge_recv", "trip_in", "trip_out"):
+    for name in ("edge_src", "edge_recv"):
         assert_bitwise_equal(getattr(topo, name), getattr(ref_topo, name))
+    for name in ("trip_in", "trip_out"):
+        assert_bitwise_equal(getattr(topo, name), ref_geom[name])
     pos = system.positions
     assert_bitwise_equal(dist, ref_geom["distances"])
     ev = Evaluator()
@@ -363,21 +366,72 @@ def test_angle_gradients_match_reference(seed, n, layout, origin):
     rng = np.random.default_rng(seed)
     system = _atoms(_layout(layout, n, rng) + origin)
     topo, _ = build_graph(system, 1.5)
-    actual = cosine_gradients_of(system.positions, topo)
-    for got, want in zip(actual, reference_cosine_gradients(system.positions, topo)):
-        assert_bitwise_equal(got, want)
+    plan = triplet_plan(topo, slice(None))
+    units = units_of(system.positions, topo)
+    s = rng.standard_normal(plan.rows)
+    actual = gram_gradient(s, units, plan)
+    assert_bitwise_equal(actual, reference_gram_gradient(s, units, plan, topo))
 
 
 def test_angle_gradients_of_collinear_triplets_match_reference():
-    """At collinear triplets the cosine is extremal, so its gradient is zero
-    up to rounding, with no branch."""
+    """At collinear triplets the cosine is extremal, so its position
+    gradient is zero up to rounding, with no branch."""
     system = collinear_chain(0.7, n=6)
     topo, _ = build_graph(system, 1.5)
-    g_a, g_b = cosine_gradients_of(system.positions, topo)
     assert topo.num_triplets
-    assert max(np.abs(g).max() for g in (g_a, g_b)) < 1e-14
-    for got, want in zip((g_a, g_b), reference_cosine_gradients(system.positions, topo)):
-        assert_bitwise_equal(got, want)
+    plan = triplet_plan(topo, slice(None))
+    tape = Tape()
+    pos = tape.leaf(system.positions)
+    units = tape.edge_units(tape.edge_vectors(pos, topo.edge_src, topo.edge_recv))
+    out = tape.triplet_basis(units, plan, 2)
+    seed = np.zeros((plan.rows, 2))
+    seed[block_rows(plan, topo), 1] = np.random.default_rng(0).standard_normal(topo.num_triplets)
+    assert np.abs(tape.backward({out: seed})[pos]).max() < 1e-14
+    s = seed[:, 1]
+    actual = gram_gradient(s, tape.value(units), plan)
+    assert_bitwise_equal(actual, reference_gram_gradient(s, tape.value(units), plan, topo))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_blocks_are_the_triplet_cosines(seed):
+    """The identity: read at each triplet's (center, out-edge position,
+    in-edge position), the Gram blocks of the out-edge unit vectors are the
+    per-triplet cosines -a . b / (|a| |b|) to rounding. Every other entry
+    is a diagonal, which is zero, and atoms of degree < 2 have no block."""
+    rng = np.random.default_rng(seed)
+    system = random_cloud(int(rng.integers(20, 60)), 0.9, rng)
+    topo, _ = build_graph(system, 1.5)
+    plan = triplet_plan(topo, slice(None))
+    blocks = gram_blocks(units_of(system.positions, topo), plan)
+    rows = block_rows(plan, topo)
+    vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
+    want = triplet_cosines(vectors, topo.trip_in, topo.trip_out)
+    assert topo.num_triplets and np.all(rows >= 0)
+    np.testing.assert_allclose(blocks[rows], want, rtol=0, atol=4 * np.finfo(float).eps)
+    rest = np.ones(plan.rows, dtype=bool)
+    rest[rows] = False
+    degree = np.bincount(topo.edge_src, minlength=topo.num_nodes)
+    assert rest.sum() == degree[degree >= 2].sum()  # one diagonal entry per out-edge
+    assert not blocks[rest].any()
+    in_plan = np.concatenate([b.out_rows.ravel() for b in plan.buckets])
+    np.testing.assert_array_equal(np.sort(in_plan), np.flatnonzero(degree[topo.edge_src] >= 2))
+
+
+def test_triplets_are_listed_only_when_read(monkeypatch):
+    """build_graph lists no triplet; the first read of the topology's
+    triplets lists them, through the module's enumerate_triplets."""
+    calls = []
+    listing = enumerate_triplets
+
+    def counted(*args):
+        calls.append(args[0])
+        return listing(*args)
+
+    monkeypatch.setattr("egn.graph.enumerate_triplets", counted)
+    topo, _ = build_graph(equilateral_triangle(), cutoff=1.5)
+    assert not calls
+    assert topo.num_triplets == 6 and topo.trip_in.size == topo.trip_out.size == 6
+    assert calls == [3]
 
 
 def _lattice(side, spacing):
@@ -425,13 +479,12 @@ def test_graph_matches_dense_reference_on_edge_cases(system):
 def test_reverse_edges_on_unsorted_hand_built_topology():
     edges = [(2, 0), (0, 1), (1, 2), (0, 2), (2, 1), (1, 0)]
     src, recv = (np.array(column, dtype=np.int64) for column in zip(*edges))
-    empty = np.empty(0, dtype=np.int64)
-    topo = GraphTopology(3, src, recv, empty, empty)
+    topo = GraphTopology(3, src, recv)
     rev = topo.reverse_edges()
     np.testing.assert_array_equal(rev, dense_reverse_edges(topo))
     np.testing.assert_array_equal(rev, [3, 5, 4, 0, 2, 1])
 
-    missing = GraphTopology(3, src[:5], recv[:5], empty, empty)  # (1, 0) dropped
+    missing = GraphTopology(3, src[:5], recv[:5])  # (1, 0) dropped
     with pytest.raises(ValueError, match=r"edge 1 has no reverse edge \(1, 0\)"):
         missing.reverse_edges()
 

@@ -42,7 +42,10 @@ def test_more_workers_than_items_leaves_empty_shards():
 def test_triangle_partition_contiguous():
     topo, _ = build_graph(equilateral_triangle(), cutoff=1.5)
     part = partition_graph(topo, 2)
-    assert part.triplet_shards == [slice(0, 3), slice(3, 6)]
+    # Each atom centers 2 of the 6 triplets: the balanced cut at triplet 3
+    # falls in atom 1 and moves back to its start.
+    assert part.center_shards == [slice(0, 1), slice(1, 3)]
+    assert part.edge_shards == [slice(0, 2), slice(2, 6)]
 
 
 def test_partition_rejects_zero_workers():
@@ -70,32 +73,45 @@ def random_partition(seed, workers):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 1000), workers=st.integers(1, 16))
 def test_partition_properties_on_random_graphs(seed, workers):
-    """Nodes split within one. Triplet and edge shards cover their rows;
-    each triplet cut lies before the balanced cut by less than the largest
-    out-edge group, and with no triplets the edges split within one."""
+    """Nodes split within one. Center-atom and edge shards cover their rows,
+    and every edge cut lies at an atom boundary: a worker's edges are the
+    out-edges of its atoms. Each cut, counted in triplets, lies before the
+    balanced cut by less than the largest atom's n (n - 1), so each
+    worker's count is within that of its balanced share; with no triplets
+    the atoms split within one."""
     topo, part = random_partition(seed, workers)
     n_t = topo.num_triplets
     for shards, total, spread in (
-        (part.triplet_shards, n_t, None),
-        (part.edge_shards, topo.num_edges, None if n_t else 1),
+        (part.center_shards, topo.num_nodes, None if n_t else 1),
+        (part.edge_shards, topo.num_edges, None),
         (part.node_shards, topo.num_nodes, 1),
     ):
         assert_contiguous_cover(shards, total, spread)
         merged = np.concatenate([np.arange(total)[s] for s in shards])
         np.testing.assert_array_equal(np.sort(merged), np.arange(total))
-    group = np.bincount(topo.trip_out).max() if n_t else 1
-    for got, balanced in zip(part.triplet_shards, split_range(n_t, workers)):
-        assert 0 <= balanced.start - got.start < group
+    starts = topo.out_edge_starts()
+    weight = np.diff(starts) * (np.diff(starts) - 1)
+    assert weight.sum() == n_t
+    largest = max(int(weight.max()), 1)
+    before = np.concatenate([[0], np.cumsum(weight)])
+    balanced = split_range(n_t, workers)
+    for atoms, edges, share in zip(part.center_shards, part.edge_shards, balanced):
+        assert edges == slice(int(starts[atoms.start]), int(starts[atoms.stop]))
+        assert 0 <= share.start - before[atoms.start] < largest
+        count = before[atoms.stop] - before[atoms.start]
+        assert abs(count - (share.stop - share.start)) < largest
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 1000), workers=st.integers(1, 16))
 def test_triplets_live_with_their_out_edges(seed, workers):
-    """Every triplet's out-edge lies in its worker's edge shard, so each
-    worker aggregates complete rows for the edges it owns."""
+    """Every triplet's out-edge lies in the edge shard of the worker that
+    owns its center atom, so each worker aggregates complete rows for the
+    edges it owns."""
     topo, part = random_partition(seed, workers)
-    for trips, edges in zip(part.triplet_shards, part.edge_shards):
-        out = topo.trip_out[trips]
+    centers = topo.edge_src[topo.trip_out]
+    for atoms, edges in zip(part.center_shards, part.edge_shards):
+        out = topo.trip_out[(atoms.start <= centers) & (centers < atoms.stop)]
         assert np.all((edges.start <= out) & (out < edges.stop))
 
 

@@ -25,7 +25,7 @@ from egn.runtime import (
 )
 from egn.system import AtomicSystem, random_cloud
 
-from conftest import DropLastCollective, dimer, load_perfbench_layers
+from conftest import DropLastCollective, basis_of, block_rows, dimer, load_perfbench_layers
 
 
 def run_collective(buffers, timeout=5.0, op=None):
@@ -161,11 +161,6 @@ def test_parallel_matches_sequential(variant, workers, medium_system):
     np.testing.assert_allclose(
         result.state.global_features, model.state.global_features, rtol=1e-9, atol=1e-12
     )
-    # triplet buffer: shards concatenate to the sequential buffer and are never reduced
-    assembled = np.concatenate(result.triplet_shards)
-    np.testing.assert_allclose(
-        assembled, model.state.triplet_features, rtol=1e-9, atol=1e-12
-    )
 
 
 def test_gemnet_force_seeded_parallel_backward(medium_system, rng):
@@ -184,35 +179,41 @@ def test_gemnet_force_seeded_parallel_backward(medium_system, rng):
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypatch):
     """In both variants each worker computes the triplet basis over its own
-    triplet shard only."""
-    seen = defaultdict(list)  # thread name -> [(op, rows)]
+    center atoms only, and its blocks, read at those atoms' triplets, have
+    the bits of the sequential blocks: the workers' blocks assemble to them."""
+    cfg = ModelConfig(blocks=2, workers=workers)
+    topo, whole = basis_of(medium_system, cfg)
+    want = whole.triplet_basis[block_rows(whole.plan, topo)]
+    centers = topo.edge_src[topo.trip_out]
+    degree = np.bincount(topo.edge_src, minlength=topo.num_nodes)
 
-    def spy(op, rows_of):
-        rule = tape_module._FORWARD[op]
+    seen = defaultdict(list)  # thread name -> [(plan, value)]
+    rule = tape_module._FORWARD["triplet_basis"]
 
-        def wrapped(vals, aux):
-            seen[threading.current_thread().name].append((op, rows_of(vals, aux)))
-            return rule(vals, aux)
+    def wrapped(vals, aux):
+        value = rule(vals, aux)
+        seen[threading.current_thread().name].append((aux["plan"], value))
+        return value
 
-        monkeypatch.setitem(tape_module._FORWARD, op, wrapped)
-
-    spy("triplet_basis", lambda vals, aux: (aux["trip_in"], aux["trip_out"]))
+    monkeypatch.setitem(tape_module._FORWARD, "triplet_basis", wrapped)
     for variant in (DIMENET, GEMNET):
-        cfg = ModelConfig(variant=variant, blocks=2, workers=workers)
-        group = WorkerGroup(medium_system, init_params(cfg))
+        group = WorkerGroup(medium_system, init_params(cfg.replace(variant=variant)))
         group.forward()
         group.forward_backward()
-
-        topo = group.topology
-        total = 0
-        for rank, shard in enumerate(group.partition.triplet_shards):
+        rows = 0
+        for rank, atoms in enumerate(group.partition.center_shards):
             calls = seen.pop(f"egn-worker-{rank}")
-            assert [op for op, _ in calls] == ["triplet_basis"] * 2, variant
-            for _, rows in calls:
-                np.testing.assert_array_equal(rows[0], topo.trip_in[shard])
-                np.testing.assert_array_equal(rows[1], topo.trip_out[shard])
-            total += shard.stop - shard.start
-        assert total == topo.num_triplets
+            assert len(calls) == 2, variant
+            mine = (atoms.start <= centers) & (centers < atoms.stop)
+            in_shard = np.arange(atoms.start, atoms.stop)
+            for plan, value in calls:
+                owned = [int(j) for b in plan.buckets for j in topo.edge_src[b.out_rows[:, 0]]]
+                assert sorted(owned) == in_shard[degree[in_shard] >= 2].tolist()
+                at = block_rows(plan, topo)
+                assert np.all(at[mine] >= 0) and np.all(at[~mine] == -1)
+                assert value[at[mine]].tobytes() == want[mine].tobytes()
+            rows += plan.rows
+        assert rows == whole.plan.rows
         assert not seen, sorted(seen)  # no triplet geometry outside the workers
 
 

@@ -12,7 +12,7 @@ from egn import tape as tape_module
 from egn.basis import angular_basis
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
-from egn.graph import build_graph, edge_vectors
+from egn.graph import build_graph, edge_vectors, triplet_plan, zero_diagonals
 from egn.params import ModelParams, init_params
 from egn.runtime import Collective, CommLog, WorkerGroup
 from egn.system import AtomicSystem, random_cloud
@@ -26,7 +26,7 @@ from egn.tape import (
 )
 from egn.tasks import predict
 
-from conftest import collinear_chain, dimer, rel_err
+from conftest import block_rows, collinear_chain, dimer, rel_err
 
 
 def numeric_vjp(build, x0, seed, h=1e-6):
@@ -176,7 +176,8 @@ def _vectors(tape, positions, topo):
 
 
 def _triplet_basis(tape, vectors, topo, l_sbf):
-    return tape.triplet_basis(vectors, topo.trip_in, topo.trip_out, l_sbf)
+    plan = triplet_plan(topo, slice(None))
+    return tape.triplet_basis(tape.edge_units(vectors), plan, l_sbf)
 
 
 def test_edge_vectors_adjoint(geometry_fixture, rng):
@@ -198,8 +199,9 @@ def test_edge_units_adjoint(geometry_fixture, rng):
 
 def test_triplet_angles_adjoint(geometry_fixture, rng):
     """The triplet angle's own adjoint: at l_sbf=2 the basis rows are
-    [1, cos(angle)], so this checks the edge-vector adjoint of the angle's
-    cosine alone, against central finite differences."""
+    [1, cos(angle)] off the diagonals, so this checks the edge-vector
+    adjoint of the angle's cosine alone, through the unit vectors, against
+    central finite differences."""
     system, topo = geometry_fixture
     vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
     check_op(lambda t, v: _triplet_basis(t, v, topo, 2), vectors, rng, tol=1e-5)
@@ -299,7 +301,8 @@ def test_triplet_basis_gradient_is_finite_on_a_collinear_chain(rng):
     tape = Tape()
     pos = tape.leaf(positions)
     out = _triplet_basis(tape, _vectors(tape, pos, topo), topo, 4)
-    np.testing.assert_array_equal(tape.value(out)[:, 1], -1.0)
+    rows = block_rows(triplet_plan(topo, slice(None)), topo)
+    np.testing.assert_array_equal(tape.value(out)[rows, 1], -1.0)
     grad = tape.backward({out: rng.standard_normal(tape.value(out).shape)})[pos]
     assert np.all(np.isfinite(grad)) and not grad.any()
     for variant in (DIMENET, GEMNET):
@@ -328,37 +331,92 @@ def test_triplet_basis_gradient_on_a_nearly_collinear_chain(l_sbf, rng):
 
 
 @pytest.mark.parametrize("l_sbf", [1, 3])
-def test_gather_contract_value_and_adjoint(l_sbf, rng):
-    """Row t is sum_l w[t, l] * (block l of row idx[t] of c); the adjoints
-    of the weights and of c match central finite differences, with
-    repeated and unreferenced rows of c."""
-    idx = np.array([0, 2, 2, 4, 1, 0, 2])
-    inputs = [rng.standard_normal((idx.size, l_sbf)), rng.standard_normal((6, 2 * l_sbf))]
+def test_triplet_contract_value_and_adjoint(l_sbf, geometry_fixture, rng):
+    """Out-edge j -> i gets sum over triplets (k -> j, j -> i) of sum_l
+    T_l[t] * (block l of c's row k -> j), per triplet in a loop, where the
+    blocks have a zero diagonal; the adjoints of the blocks and of c match
+    central finite differences."""
+    _, topo = geometry_fixture
+    plan = triplet_plan(topo, slice(None))
+    inputs = [
+        zero_diagonals(rng.standard_normal((plan.rows, l_sbf)), plan),
+        rng.standard_normal((topo.num_edges, 2 * l_sbf)),
+    ]
     tape = Tape()
-    out = tape.value(tape.gather_contract(tape.leaf(inputs[0]), tape.leaf(inputs[1]), idx))
-    rows = inputs[1][idx]
-    want = sum(inputs[0][:, l : l + 1] * rows[:, 2 * l : 2 * l + 2] for l in range(l_sbf))
-    np.testing.assert_allclose(out, want, rtol=1e-15, atol=0)
+    out = tape.value(tape.triplet_contract(tape.leaf(inputs[0]), tape.leaf(inputs[1]), plan))
+    want, scale = np.zeros((topo.num_edges, 2)), np.zeros((topo.num_edges, 2))
+    for t, row in enumerate(block_rows(plan, topo)):
+        products = inputs[0][row][:, None] * inputs[1][topo.trip_in[t]].reshape(l_sbf, 2)
+        want[topo.trip_out[t]] += products.sum(axis=0)
+        scale[topo.trip_out[t]] += np.abs(products).sum(axis=0)
+    # Both orders of summation lie within the rounding bound of a sum of
+    # ``terms`` products: terms * eps * sum |product|.
+    terms = np.bincount(topo.trip_out).max() * l_sbf
+    assert np.all(np.abs(out - want) <= terms * np.finfo(float).eps * scale)
 
     for which in range(2):
 
         def record(t, x, which=which):
             ids = [x if i == which else t.leaf(a) for i, a in enumerate(inputs)]
-            return t.gather_contract(ids[0], ids[1], idx)
+            return t.triplet_contract(ids[0], ids[1], plan)
 
         check_op(record, inputs[which], rng)
 
 
-def test_gather_contract_without_rows():
-    """No triplet rows: an empty output, and zero adjoints of the inputs'
-    shapes."""
+def test_triplet_contract_without_triplets():
+    """No center atom of degree 2 or more: a zero output, and zero adjoints
+    of the inputs' shapes."""
+    topo, _ = build_graph(dimer(1.0), cutoff=1.5)
+    plan = triplet_plan(topo, slice(None))
+    assert plan.rows == 0 and not plan.buckets
     tape = Tape()
-    w, c = tape.leaf(np.zeros((0, 2))), tape.leaf(np.ones((3, 8)))
-    out = tape.gather_contract(w, c, np.zeros(0, dtype=np.int64))
-    assert tape.value(out).shape == (0, 4)
-    grads = tape.backward({out: np.zeros((0, 4))})
+    w, c = tape.leaf(np.zeros((0, 2))), tape.leaf(np.ones((2, 8)))
+    out = tape.triplet_contract(w, c, plan)
+    assert tape.value(out).shape == (2, 4) and not tape.value(out).any()
+    grads = tape.backward({out: np.ones((2, 4))})
     assert grads[w].shape == (0, 2)
-    assert grads[c].shape == (3, 8) and not grads[c].any()
+    assert grads[c].shape == (2, 8) and not grads[c].any()
+
+
+@pytest.mark.parametrize("l_sbf", [1, 4])
+def test_triplet_contract_bits_do_not_depend_on_the_chunks(l_sbf, monkeypatch):
+    """Each atom's output rows, and its rows of both adjoints, are bit-equal
+    whether its degree bucket is contracted whole or atom by atom; so are
+    the rows of a plan over a range of center atoms."""
+    topo, _ = build_graph(random_cloud(60, 0.9, np.random.default_rng(2)), cutoff=1.5)
+    rng = np.random.default_rng(3)
+    plan = triplet_plan(topo, slice(None))
+    assert max(len(b.out_rows) for b in plan.buckets) > 3
+    blocks = zero_diagonals(rng.standard_normal((plan.rows, l_sbf)), plan)
+    c = rng.standard_normal((topo.num_edges, 5 * l_sbf))
+    g = rng.standard_normal((topo.num_edges, 5))
+
+    def contract(plan, blocks):
+        tape = Tape()
+        ids = tape.leaf(blocks), tape.leaf(c)
+        out = tape.triplet_contract(*ids, plan)
+        grads = tape.backward({out: g})
+        return tape.value(out), grads[ids[0]], grads[ids[1]]
+
+    whole = contract(plan, blocks)
+    monkeypatch.setattr(tape_module, "_CHUNK_ELEMENTS", 1)
+    single = contract(plan, blocks)
+    for got, want in zip(single, whole):
+        assert got.tobytes() == want.tobytes()
+
+    cut = topo.num_nodes // 3
+    part = triplet_plan(topo, slice(cut, 2 * cut))
+    rows = block_rows(part, topo)
+    mine = rows >= 0
+    part_blocks = np.zeros((part.rows, l_sbf))
+    part_blocks[rows[mine]] = blocks[block_rows(plan, topo)[mine]]
+    out, d_blocks, d_c = contract(part, part_blocks)
+    edges = slice(*topo.out_edge_starts()[[cut, 2 * cut]])
+    assert out[edges].tobytes() == whole[0][edges].tobytes()
+    assert not out[: edges.start].any() and not out[edges.stop :].any()
+    in_edges = part.rev[edges]
+    assert d_c[in_edges].tobytes() == whole[2][in_edges].tobytes()
+    assert d_blocks[rows[mine]].tobytes() == whole[1][block_rows(plan, topo)[mine]].tobytes()
 
 
 def test_gemnet_forward_without_triplets():
@@ -369,7 +427,8 @@ def test_gemnet_forward_without_triplets():
     params = init_params(cfg)
     system = dimer(1.0)
     model = ModelTape(system, params)
-    assert model.state.triplet_features.shape == (0, cfg.d_bil)
+    basis = [node.value for node in model.tape._nodes if node.op == "triplet_basis"]
+    assert [value.shape for value in basis] == [(0, cfg.l_sbf)]
     energy, forces = predict(system, params, workers=1)
     assert _bits(energy, forces) == _bits(model.energy, model.forces)
     grads = model.backward(1.0, np.ones((system.n, 3)))
@@ -426,12 +485,13 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     dist = h["edge_distances"] = tape.edge_distances(vec)
     units = h["edge_units"] = tape.edge_units(vec)
     rbf = h["gaussian_rbf"] = tape.gaussian_rbf(dist, 4, 1.5)
-    h["gather"] = tape.gather(rbf, topo.trip_in)
+    h["gather"] = tape.gather(rbf, topo.edge_recv)
     well = h["quadratic_well"] = tape.quadratic_well(dist, 1.5)
     w_id, b_id = tape.leaf(w), tape.leaf(b)
     lin = tape.linear(rbf, w_id)
-    cos = h["triplet_basis"] = _triplet_basis(tape, vec, topo, 3)
-    h["gather_contract"] = tape.gather_contract(cos, lin, topo.trip_in)
+    plan = triplet_plan(topo, slice(None))
+    cos = h["triplet_basis"] = tape.triplet_basis(units, plan, 3)
+    h["triplet_contract"] = tape.triplet_contract(cos, lin, plan)
     h["linear"] = tape.linear(tape.silu(lin), tape.leaf(w[:, :3]), b_id)
     h["silu"] = tape.silu(lin)
     h["add"] = tape.add(lin, units)
@@ -536,6 +596,30 @@ def test_backward_seed_shape_mismatch(rng):
     out = tape.silu(x)
     with pytest.raises(ValueError):
         tape.backward({out: np.ones((2, 2))})
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The two-branch sigmoid by boolean masks, the reference of _sigmoid."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_has_the_bits_of_the_masked_branches(rng):
+    """One pass of exp(-|x|) gives the bits of the masked two-branch form,
+    at signed zeros, far tails, infinities and NaN too."""
+    from egn.tape import _sigmoid
+
+    special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 36.5, -36.5, 745.2])
+    x = np.concatenate([special, rng.standard_normal(500) * 20])
+    with np.errstate(over="ignore"):
+        want = masked_sigmoid(x)
+    got = _sigmoid(x)
+    assert got.tobytes() == want.tobytes()
+    assert _sigmoid(x.reshape(-1, 5)).tobytes() == want.tobytes()
 
 
 def test_multiple_consumers_accumulate(rng):
@@ -670,18 +754,18 @@ def test_backward_keeps_only_leaf_adjoints(variant, rng):
     assert leaves > len(model.handles.param_leaves.ids)  # the positions too
 
 
-@pytest.mark.parametrize("variant, by_index, by_slice", [(DIMENET, 18, 8), (GEMNET, 29, 12)])
+@pytest.mark.parametrize("variant, by_index, by_slice", [(DIMENET, 14, 4), (GEMNET, 25, 8)])
 def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monkeypatch):
     """Gathers of contiguous rows take their adjoint without scatter_add.
 
     ``by_index`` is the count when whole buffers were gathered through
-    arange index arrays; with slices, only trip_in, receiver plans, rev and
-    the geometry VJPs scatter. In both variants the one trip_in gather per
-    block is that of ``gather_contract`` (one chunk at this size), and the
-    basis gathers nothing, so dimenet-style scatters 8 times: per block the
-    contract and the receiver plan, then the triplet_basis VJP into edge
-    rows and the edge_vectors VJP into atoms. The triplet update gathers nothing by trip_out:
-    its out-edge rbf gate runs on the summed edge rows.
+    arange index arrays; with slices, only receiver plans, rev and the
+    edge-vector VJP scatter. The triplet path scatters nothing: the
+    contraction's adjoint writes each in-edge row once and the triplet
+    basis's adjoint each out-edge row once. So dimenet-style scatters 4
+    times: per block the receiver plan, then the edge_vectors VJP into
+    atoms. The triplet update gathers nothing by out-edge: its rbf gate
+    runs on the summed edge rows.
     """
     cfg = ModelConfig(variant=variant, blocks=3)
     model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
