@@ -12,8 +12,8 @@ edge vectors, once, and from them distances, unit vectors and the rbf of
 every edge. sbf's radial factor stays on the in-edge (see
 ``egn.engine.record_tu``), so the triplet basis is only the angular basis,
 L wide: T_l of each center atom's Gram block of out-edge unit vectors, in
-the block layout of a ``egn.graph.TripletPlan``, for every atom in the
-sequential engine and for its own center atoms on a runtime worker.
+the block layout of a ``egn.graph.TripletPlan``, for the center atoms a
+forward owns: every atom sequentially, a range on a runtime worker.
 """
 
 from __future__ import annotations
@@ -98,19 +98,20 @@ def angular_basis_dcos(cosines: np.ndarray, l_sbf: int) -> np.ndarray:
 
 
 def compute_basis(
-    tape, pos_id, topology: GraphTopology, config: ModelConfig, centers: slice
+    tape, pos_id, topology: GraphTopology, config: ModelConfig, atoms: slice
 ) -> BasisFeatures:
     """Record the model's geometry and basis from the positions leaf ``pos_id``.
 
     The edge vectors are the one node that reads the positions; distances,
-    units and rbf cover every edge, and the triplet basis covers only the
-    contiguous center atoms ``centers``, through the plan built here, once
-    per forward. On a Tape this records for a backward pass; on an
-    Evaluator it returns the arrays.
+    units and rbf cover every edge. The center atoms J this forward owns,
+    ``atoms``, enter here only, through the plan built once per forward;
+    the triplet basis reads the units of J's out-edges O_J. On a Tape this
+    records for a backward pass; on an Evaluator it returns the arrays.
     """
     vectors = tape.edge_vectors(pos_id, topology.edge_src, topology.edge_recv)
     dist = tape.edge_distances(vectors)
     units = tape.edge_units(vectors)
     rbf = tape.gaussian_rbf(dist, config.k_rbf, config.cutoff)
-    plan = triplet_plan(topology, centers)
-    return BasisFeatures(rbf, units, tape.triplet_basis(units, plan, config.l_sbf), plan)
+    plan = triplet_plan(topology, atoms)
+    blocks = tape.triplet_basis(tape.gather(units, plan.edges), plan, config.l_sbf)
+    return BasisFeatures(rbf, units, blocks, plan)

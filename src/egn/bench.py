@@ -42,7 +42,8 @@ def sample_smooth_system(rng: np.random.Generator, n: int, cutoff: float) -> Ato
             continue
         vectors = edge_vectors(system.positions, topology.edge_src, topology.edge_recv)
         units = vectors / edge_distances(vectors)[:, None]
-        cosines = gram_blocks(units, triplet_plan(topology, slice(None)))
+        plan = triplet_plan(topology, slice(None))
+        cosines = gram_blocks(units[plan.edges], plan)
         if np.any(np.abs(cosines) > np.cos(0.05)):
             continue
         return system

@@ -9,11 +9,14 @@ the position gradient); the gemnet-style variant adds a direct force head.
 
 Each stage has one ``record_*`` definition that takes the tape first, and
 ``record_model`` chains them from the basis (``egn.basis.compute_basis``)
-to the readout over the rows it is given: every row in the sequential
-forward ``record_system``, a worker's shards in the runtime, whose hooks
-all-reduce shared buffers, so one worker reproduces this engine bit for
-bit. Without a backward (inference) they run on an ``Evaluator``, which
-computes the same values and keeps no tape.
+to the readout. A forward owns the center atoms of its basis's plan, and
+its edge and node rows derive from them: the sequential forward
+``record_system`` is the one owner of every atom, a runtime worker owns a
+range and its hooks all-reduce shared buffers, so one worker reproduces
+this engine bit for bit. ``record_tu`` runs over the owned atoms' edges
+only, their in-edges and out-edges. Without a backward (inference) the
+stages run on an ``Evaluator``, which computes the same values and keeps
+no tape.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .basis import BasisFeatures, compute_basis
 from .config import GEMNET, ModelConfig
-from .graph import GraphTopology, build_graph
+from .graph import GraphTopology, TripletPlan, build_graph
 from .params import ModelParams
 from .system import AtomicSystem
 from .tape import Tape, scatter_add
@@ -90,23 +93,13 @@ class ParamLeaves:
         return out
 
 
-# Rows that cover a whole buffer. Contiguous rows, these and a worker's
-# shards, are slices, so gathering them is a view of the buffer.
-ALL_ROWS = slice(None)
-
-
-def receiver_plan(topology: GraphTopology, nodes: slice, rev: np.ndarray):
-    """Edges grouped by receiver for the contiguous node rows ``nodes``.
-
-    Returns (edge_sel, seg, num_rows): edge indices ordered by (receiver,
-    edge index), a slice of ``rev`` since the in-edges of atom j are
-    rev[O_j] in ascending order; the receiver's local index for each; and
-    the number of node rows. Sums over it add in ascending edge order
-    within every node, as a direct scatter over all edges would.
-    """
-    lo, hi, _ = nodes.indices(topology.num_nodes)
-    rows = slice(*np.searchsorted(topology.edge_src, [lo, hi]).tolist())
-    return rev[rows], topology.edge_src[rows] - lo, hi - lo
+def receiver_plan(topology: GraphTopology, plan: TripletPlan):
+    """(edge_sel, seg, num_rows) of the atoms J of ``plan``: J's in-edges
+    rev[O_J], by (receiver, edge index), since rev[O_j] lists atom j's
+    in-edges in ascending order; each one's local receiver; and |J|. Sums
+    over it add as a direct scatter over all edges would."""
+    lo, hi = plan.atoms.start, plan.atoms.stop
+    return plan.in_edges, topology.edge_src[plan.edges] - lo, hi - lo
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +114,8 @@ def record_mlp2(tape: Tape, x: int, pl: ParamLeaves, prefix: str) -> int:
     return tape.linear(tape.silu(h), pl[prefix + ".w2"], pl[prefix + ".b2"])
 
 
-def record_edge_init(tape: Tape, pl: ParamLeaves, rbf_id: int, rows: slice) -> int:
-    rbf_rows = tape.gather(rbf_id, rows)
-    return tape.linear(rbf_rows, pl["edge_init.w"], pl["edge_init.b"])
+def record_edge_init(tape: Tape, pl: ParamLeaves, rbf_id: int) -> int:
+    return tape.linear(rbf_id, pl["edge_init.w"], pl["edge_init.b"])
 
 
 @lru_cache(maxsize=8)
@@ -164,40 +156,45 @@ def record_tu(
     m_id: int,
     basis: BasisFeatures,
 ) -> int:
-    """Triplet update + aggregation for the center atoms of ``basis.plan``.
+    """Triplet update + aggregation for the center atoms J of ``basis.plan``:
+    it reads m and the rbf at J's in-edges rev[O_J] only, and returns the
+    rows of J's out-edges O_J, complete, since J owns them.
 
     As in GemNet's efficient layout, sbf = rbf(in-edge) (x) cos(l * angle)
     keeps its radial factor on the in-edge, and only the angle, the blocks
     of ``basis.triplet_basis``, runs on triplets. ``sbf_gate`` gates each
-    edge's rbf by sbf's order-l columns, giving G_l for every l in one
+    in-edge's rbf by sbf's order-l columns, giving G_l for every l in one
     product of width L d_t (see ``bilinear_layout``). Dimenet-style the
     message of triplet (k -> j, j -> i) is sum_l cos(l * angle) C_l[k -> j]
     with C_l = ``down``(m) * G_l; gemnet-style, ``sbf_gate`` and
     ``bilinear_b`` compose with no bias between them, and C_l =
-    ``bilinear_a``(``down``(m)) * ``bilinear_b``(G_l), L d_bil wide. The
-    messages summed into each out-edge of center atom j are one product of
-    j's blocks with C_l at its in-edges, ``triplet_contract``.
+    ``bilinear_a``(``down``(m)) * ``bilinear_b``(G_l), L d_bil wide. In
+    the order of rev[O_J], C_l at atom j's in-edges are j's own local rows,
+    and the messages summed into j's out-edges are one product of j's
+    blocks with them, ``triplet_contract``.
 
     The sum is projected by ``bilinear_proj`` (gemnet-style), gated by the
     out-edge's rbf and up-projected; none of these maps has a bias and the
-    gate depends on the out-edge alone, so they commute with the sum. A
-    runtime worker's center atoms own their out-edges, so its rows of the
-    result are complete and the rest zero. Returns the full edge buffer.
+    gate depends on the out-edge alone, so they commute with the sum.
     """
     p = f"block{block}.tu"
+    plan = basis.plan
     layout = bilinear_layout(config.l_sbf, config.d_t, config.d_bil, config.k_rbf, config.d_e)
-    gates = tape.linear(basis.edge_rbf, pl.view(p + ".sbf_gate", layout["sbf_gate"]))
+    m_in = tape.gather(m_id, plan.in_edges)
+    rbf_in = tape.gather(basis.edge_rbf, plan.in_edges)
+    gates = tape.linear(rbf_in, pl.view(p + ".sbf_gate", layout["sbf_gate"]))
     if config.variant == GEMNET:
         b = tape.linear(gates, pl.view(p + ".bilinear_b", layout["bilinear_b"]))
-        down = tape.linear(m_id, pl[p + ".down"])
+        down = tape.linear(m_in, pl[p + ".down"])
         a = tape.linear(down, pl.view(p + ".bilinear_a", layout["bilinear_a"]))
         blocks = tape.mul(a, b)
     else:
-        blocks = tape.mul(tape.linear(m_id, pl.view(p + ".down", layout["down"])), gates)
-    agg = tape.triplet_contract(basis.triplet_basis, blocks, basis.plan)
+        blocks = tape.mul(tape.linear(m_in, pl.view(p + ".down", layout["down"])), gates)
+    agg = tape.triplet_contract(basis.triplet_basis, blocks, plan)
     if config.variant == GEMNET:
         agg = tape.linear(agg, pl[p + ".bilinear_proj"])
-    gated = tape.mul(agg, tape.linear(basis.edge_rbf, pl[p + ".rbf_gate"]))
+    rbf_out = tape.gather(basis.edge_rbf, plan.edges)
+    gated = tape.mul(agg, tape.linear(rbf_out, pl[p + ".rbf_gate"]))
     return tape.linear(gated, pl[p + ".up"])
 
 
@@ -205,8 +202,7 @@ def record_eu(
     tape: Tape, pl: ParamLeaves, block: int, m_id: int, ta_id: int, rows: slice
 ) -> int:
     m_rows = tape.gather(m_id, rows)
-    ta_rows = tape.gather(ta_id, rows)
-    x = tape.concat(m_rows, ta_rows)
+    x = tape.concat(m_rows, ta_id)
     return tape.add(m_rows, record_mlp2(tape, x, pl, f"block{block}.eu"))
 
 
@@ -239,12 +235,9 @@ def record_eu2(
     return tape.add(m_rows, record_mlp2(tape, x, pl, f"block{block}.eu2"))
 
 
-def record_sym(
-    tape: Tape, pl: ParamLeaves, block: int, m2_id: int, rows: slice, rev: np.ndarray
-) -> int:
-    own = tape.gather(m2_id, rows)
-    mirrored = tape.gather(m2_id, rev[rows])
-    return tape.add(own, tape.linear(mirrored, pl[f"block{block}.sym.w"]))
+def record_sym(tape: Tape, pl: ParamLeaves, block: int, m2_id: int, rev: np.ndarray) -> int:
+    mirrored = tape.gather(m2_id, rev)
+    return tape.add(m2_id, tape.linear(mirrored, pl[f"block{block}.sym.w"]))
 
 
 def record_gu_head(tape: Tape, pl: ParamLeaves, block: int, v_id: int, rows: slice) -> int:
@@ -263,18 +256,14 @@ def record_energy(tape: Tape, pl: ParamLeaves, u_id: int) -> int:
 
 
 def record_force_head(
-    tape: Tape,
-    pl: ParamLeaves,
-    m_id: int,
-    units_id: int,
-    edge_sel: np.ndarray,
-    seg: np.ndarray,
-    num_rows: int,
+    tape: Tape, pl: ParamLeaves, m_id: int, units_id: int, topology: GraphTopology
 ) -> int:
-    m_rows = tape.gather(m_id, edge_sel)
-    scale = tape.linear(m_rows, pl["force_head.w"])
-    scaled = tape.mul(scale, tape.gather(units_id, edge_sel))
-    return tape.segment_sum(scaled, seg, num_rows)
+    """Each atom's force, summed over its in-edges rev[O_j] in ascending
+    order: every atom's receiver plan."""
+    rev = topology.reverse_edges()
+    scale = tape.linear(tape.gather(m_id, rev), pl["force_head.w"])
+    scaled = tape.mul(scale, tape.gather(units_id, rev))
+    return tape.segment_sum(scaled, topology.edge_src, topology.num_nodes)
 
 
 @dataclass(frozen=True)
@@ -294,31 +283,29 @@ def record_model(
     params: ModelParams,
     topology: GraphTopology,
     basis: BasisFeatures,
-    rows: tuple[slice, slice] = (ALL_ROWS, ALL_ROWS),
     share=lambda x, *where: x,
     enter=lambda stage: None,
 ) -> ModelHandles:
     """The block pipeline from the basis to the readout: the one definition
     of the model forward.
 
-    ``rows`` are the (edge, node) rows this forward owns, every row
-    sequentially and a worker's shards in the runtime, where ``basis``
-    holds the triplet blocks of the worker's center atoms, the owners of
-    its edge rows. Buffers the owned rows only partly compute pass through
-    ``share(x, stage, level, block[, rows, shape])``, which returns the
-    whole buffer: the identity here, an all-reduce in the runtime.
-    ``enter(stage)`` is called as each stage begins. The initial edge
-    embedding, the symmetric coupling and the force head run over all rows.
+    The forward owns the center atoms J of ``basis.plan``, every atom
+    sequentially and a contiguous range on a runtime worker; its edge rows
+    are J's out-edges O_J and its node rows are J. Buffers these rows only
+    partly compute pass through ``share(x, stage, level, block[, rows,
+    shape])``, which returns the whole buffer: the identity here, an
+    all-reduce in the runtime. ``enter(stage)`` is called as each stage
+    begins. The initial edge embedding, the symmetric coupling and the
+    force head run over all rows.
     """
     config = params.config
     gemnet = config.variant == GEMNET
-    edges, nodes = rows
+    edges, atoms = basis.plan.edges, basis.plan.atoms
     pl = ParamLeaves(tape, params)
-    rev = basis.plan.rev
-    plan = receiver_plan(topology, nodes, rev)
+    nodes = receiver_plan(topology, basis.plan)
     edge_shape = (topology.num_edges, config.d_e)
 
-    m_id = record_edge_init(tape, pl, basis.edge_rbf, ALL_ROWS)
+    m_id = record_edge_init(tape, pl, basis.edge_rbf)
     u_id = tape.leaf(np.zeros((1, config.d_u)))
     for b in range(config.blocks):
         enter(f"block{b}.tu")
@@ -326,35 +313,34 @@ def record_model(
         enter(f"block{b}.eu")
         m_id = share(record_eu(tape, pl, b, m_id, ta_id, edges), "eu", "edge", b, edges, edge_shape)
         enter(f"block{b}.nu")
-        v_id = record_ea_nu(tape, pl, b, m_id, *plan)
-        v_id = share(v_id, "nu", "node", b, nodes, (topology.num_nodes, config.d_v))
+        v_id = record_ea_nu(tape, pl, b, m_id, *nodes)
+        v_id = share(v_id, "nu", "node", b, atoms, (topology.num_nodes, config.d_v))
         if gemnet:
             enter(f"block{b}.eu2")
             m_id = record_eu2(tape, pl, b, m_id, v_id, edges, topology)
             m_id = share(m_id, "eu2", "edge", b, edges, edge_shape)
             enter(f"block{b}.sym")
-            m_id = record_sym(tape, pl, b, m_id, ALL_ROWS, rev)
+            m_id = record_sym(tape, pl, b, m_id, topology.reverse_edges())
         enter(f"block{b}.gu")
-        z_id = share(record_gu_head(tape, pl, b, v_id, nodes), "gu", "global", b)
+        z_id = share(record_gu_head(tape, pl, b, v_id, atoms), "gu", "global", b)
         u_id = record_gu_tail(tape, pl, b, z_id, u_id)
 
     enter("readout")
     energy_id = record_energy(tape, pl, u_id)
     forces_id = None
     if gemnet:
-        full = plan if nodes == ALL_ROWS else receiver_plan(topology, ALL_ROWS, rev)
-        forces_id = record_force_head(tape, pl, m_id, basis.edge_units, *full)
+        forces_id = record_force_head(tape, pl, m_id, basis.edge_units, topology)
     return ModelHandles(pl, m_id, v_id, u_id, energy_id, forces_id)
 
 
 def record_system(
     tape: Tape, system: AtomicSystem, params: ModelParams
 ) -> tuple[int, ModelHandles]:
-    """The sequential forward over a whole system, from positions to
-    readout. Returns (the positions leaf, the model's handles)."""
+    """The sequential forward over a whole system, the one owner of every
+    atom. Returns (the positions leaf, the model's handles)."""
     topology, _ = build_graph(system, params.config.cutoff)
     pos_id = tape.leaf(system.positions)
-    basis = compute_basis(tape, pos_id, topology, params.config, ALL_ROWS)
+    basis = compute_basis(tape, pos_id, topology, params.config, slice(None))
     return pos_id, record_model(tape, params, topology, basis)
 
 

@@ -10,7 +10,7 @@ All downstream determinism relies on these orderings.
 Edges come from a cell-list neighbour search (``egn.neighbours``). The
 model never lists triplets: those of center atom j are the off-diagonal
 entries of the Gram matrix of its out-edge unit vectors, laid out by a
-``TripletPlan``. ``GraphTopology.trip_in`` and ``trip_out`` list them on
+``TripletPlan`` of a range of center atoms, in rows local to its edges. ``GraphTopology.trip_in`` and ``trip_out`` list them on
 first read, for readers of the topology itself. The geometry functions
 below are the forward and closed-form gradient rules of the tape's
 geometry primitives, which ``egn.basis.compute_basis`` records from the
@@ -57,11 +57,16 @@ class GraphTopology:
         return np.searchsorted(self.edge_src, np.arange(self.num_nodes + 1))
 
     def reverse_edges(self) -> np.ndarray:
-        """Index map r with edges[r[k]] == (recv_k, src_k).
+        """Index map r with edges[r[k]] == (recv_k, src_k), computed once per
+        topology and read-only.
 
         Raises ValueError when some edge has no reverse partner; cutoff
         graphs always have one by symmetry of the distance criterion.
         """
+        return self._reverse
+
+    @cached_property
+    def _reverse(self) -> np.ndarray:
         n = self.num_nodes
         key = self.edge_src * n + self.edge_recv
         order = np.argsort(key, kind="stable")
@@ -74,7 +79,9 @@ class GraphTopology:
             idx = int(np.argmax(missing))
             pair = (int(self.edge_recv[idx]), int(self.edge_src[idx]))
             raise ValueError(f"edge {idx} has no reverse edge {pair}")
-        return order[slot]
+        rev = order[slot]
+        rev.setflags(write=False)
+        return rev
 
 
 def build_graph(system: AtomicSystem, cutoff: float) -> tuple[GraphTopology, np.ndarray]:
@@ -113,37 +120,40 @@ def enumerate_triplets(
 class DegreeBucket(NamedTuple):
     """The m center atoms of one degree n, in ascending order."""
 
-    out_rows: np.ndarray  # (m, n) int64, row a is the out-edges O_j of atom a
-    in_rows: np.ndarray  # (m, n) int64, rev[out_rows], the in-edges
+    out_rows: np.ndarray  # (m, n) int64, row a is atom a's out-edges, local to O_J
     rows: slice  # its m n x n blocks in the plan's block layout, row-major
 
 
 @dataclass(frozen=True)
 class TripletPlan:
-    """The triplets of a range of center atoms, as dense blocks: atoms of
-    degree >= 2 grouped by ascending degree. Row (a, q, p) of a bucket's
-    blocks is out-edge q and in-edge p (the reverse of out-edge p) of its
-    atom a; rows with q == p are no triplet."""
+    """The triplets of a range of center atoms J as dense blocks, atoms of
+    degree >= 2 grouped by ascending degree, in rows local to J's out-edges
+    O_J. In-edge inputs are laid out in the order of ``in_edges``, so local
+    row e holds the reverse of out-edge e. Row (a, q, p) of a bucket's
+    blocks is out-edge q and in-edge p of atom a; q == p is no triplet."""
 
-    rev: np.ndarray  # (N_e,) int64, the reverse-edge map of the whole graph
+    atoms: slice  # J, the center atoms
+    edges: slice  # O_J, their out-edges, contiguous
+    in_edges: np.ndarray  # rev[O_J], their in-edges, ascending within each atom
     buckets: tuple[DegreeBucket, ...]
     rows: int  # rows of the block layout
 
 
 def triplet_plan(topology: GraphTopology, atoms: slice) -> TripletPlan:
-    """The plan of the center atoms ``atoms``, with edges sorted by source."""
-    rev = topology.reverse_edges()
+    """The plan of the contiguous center atoms ``atoms``, with edges sorted
+    by source."""
     starts = topology.out_edge_starts()
     lo, hi, _ = atoms.indices(topology.num_nodes)
+    edges = slice(int(starts[lo]), int(starts[hi]))
     degree = np.diff(starts[lo : hi + 1])
     buckets, offset = [], 0
     for n in np.unique(degree[degree >= 2]).tolist():
-        centers = lo + np.flatnonzero(degree == n)
-        out_rows = starts[centers][:, None] + np.arange(n)
-        rows = slice(offset, offset + centers.size * n * n)
-        buckets.append(DegreeBucket(out_rows, rev[out_rows], rows))
+        first = starts[lo + np.flatnonzero(degree == n)] - edges.start
+        rows = slice(offset, offset + first.size * n * n)
+        buckets.append(DegreeBucket(first[:, None] + np.arange(n), rows))
         offset = rows.stop
-    return TripletPlan(rev, tuple(buckets), offset)
+    in_edges = topology.reverse_edges()[edges]
+    return TripletPlan(slice(lo, hi), edges, in_edges, tuple(buckets), offset)
 
 
 def edge_vectors(positions: np.ndarray, src: np.ndarray, recv: np.ndarray) -> np.ndarray:
@@ -158,18 +168,18 @@ def edge_distances(vectors: np.ndarray) -> np.ndarray:
 
 def zero_diagonals(x: np.ndarray, plan: TripletPlan) -> np.ndarray:
     """Zero the rows (a, q, q) of ``x``, in the plan's block layout, in place."""
-    for out_rows, _, rows in plan.buckets:
+    for out_rows, rows in plan.buckets:
         m, n = out_rows.shape
         x[rows].reshape(m, n * n, -1)[:, :: n + 1] = 0.0
     return x
 
 
 def gram_blocks(units: np.ndarray, plan: TripletPlan) -> np.ndarray:
-    """The triplet cosines in the plan's block layout: row (a, q, p) is
-    u_q . u_p of atom a's out-edge unit vectors, summed left to right, and
-    the diagonal, where k == i, is zero."""
+    """The triplet cosines in the plan's block layout, from the unit
+    vectors ``units`` of its out-edges O_J: row (a, q, p) is u_q . u_p of
+    atom a's, summed left to right, and the diagonal, where k == i, is zero."""
     out = np.empty(plan.rows)
-    for out_rows, _, rows in plan.buckets:
+    for out_rows, rows in plan.buckets:
         m, n = out_rows.shape
         u = units[out_rows]
         gram = out[rows].reshape(m, n, n)
@@ -184,7 +194,7 @@ def gram_gradient(s: np.ndarray, units: np.ndarray, plan: TripletPlan) -> np.nda
     diagonal ignored: each out-edge row of the plan is written once."""
     s = zero_diagonals(s.copy(), plan)
     grad = np.zeros_like(units)
-    for out_rows, _, rows in plan.buckets:
+    for out_rows, rows in plan.buckets:
         m, n = out_rows.shape
         s_a = s[rows].reshape(m, n, n)
         grad[out_rows] = (s_a + s_a.transpose(0, 2, 1)) @ units[out_rows]

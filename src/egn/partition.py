@@ -1,12 +1,13 @@
-"""Sharding of center atoms, edges, and nodes across workers, plus the
-analytic communication-volume model.
+"""Sharding of center atoms across workers, plus the analytic
+communication-volume model.
 
-Shards are contiguous ranges of the sorted orderings, each a ``slice``
-with integer bounds, so indexing a buffer with one gives a view. A worker
-owns the triplets of a range of center atoms J, balanced by their counts
-n_j (n_j - 1) to within the largest atom's, and its edge shard is their
-out-edges O_J; node shards are balanced to within one node. Triplet
-features and their sums into the worker's own edges stay shard-local.
+A worker owns one contiguous range of center atoms J, a ``slice`` with
+integer bounds, balanced by their triplet counts n_j (n_j - 1) to within
+the largest atom's; with no triplets the atoms are split evenly. Its
+other rows derive from J: its node rows are J, and its edge rows are J's
+out-edges O_J, contiguous since edges are sorted by source (see
+``egn.graph.triplet_plan``). Triplet features and their sums into the
+worker's own edges stay shard-local.
 """
 
 from __future__ import annotations
@@ -19,13 +20,6 @@ from .config import GEMNET, ModelConfig
 from .graph import GraphTopology
 
 
-@dataclass(frozen=True)
-class GraphPartition:
-    center_shards: list[slice]
-    edge_shards: list[slice]
-    node_shards: list[slice]
-
-
 def _slices(cuts) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])]
 
@@ -36,25 +30,24 @@ def split_range(n: int, workers: int) -> list[slice]:
     return _slices([p * base + min(p, extra) for p in range(workers + 1)])
 
 
-def partition_graph(topology: GraphTopology, workers: int) -> GraphPartition:
-    """Owner-computes shards, with edges sorted by source: each balanced cut
-    of the triplets, counted atom by atom, moves back to the start of the
-    center atom it falls in, and a worker's edge shard is the out-edges of
-    its atoms. With no triplets the atoms are split evenly."""
+def _triplets_per_atom(topology: GraphTopology) -> np.ndarray:
+    """n_j (n_j - 1) per atom j of degree n_j, with no triplet listed."""
+    degree = np.diff(topology.out_edge_starts())
+    return degree * (degree - 1)
+
+
+def partition_graph(topology: GraphTopology, workers: int) -> list[slice]:
+    """Each worker's center atoms, in rank order: each balanced cut of the
+    triplets, counted atom by atom, moves back to the start of the center
+    atom it falls in. With no triplets the atoms are split evenly."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n = topology.num_nodes
-    starts = topology.out_edge_starts()
-    degree = np.diff(starts)
-    before = np.concatenate([[0], np.cumsum(degree * (degree - 1))])
+    before = np.concatenate([[0], np.cumsum(_triplets_per_atom(topology))])
     if before[-1] == 0:
-        atom_cuts = [s.start for s in split_range(n, workers)] + [n]
-    else:
-        inner = [s.stop for s in split_range(int(before[-1]), workers)[:-1]]
-        atom_cuts = [0, *(np.searchsorted(before, inner, side="right") - 1), n]
-    return GraphPartition(
-        _slices(atom_cuts), _slices(starts[atom_cuts]), split_range(n, workers)
-    )
+        return split_range(n, workers)
+    inner = [s.stop for s in split_range(int(before[-1]), workers)[:-1]]
+    return _slices([0, *(np.searchsorted(before, inner, side="right") - 1), n])
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,7 @@ class CommModel:
         return cls(
             n_v=topology.num_nodes,
             n_e=topology.num_edges,
-            n_t=topology.num_triplets,
+            n_t=int(_triplets_per_atom(topology).sum()),
             d_v=config.d_v,
             d_e=config.d_e,
             d_t=config.d_t,

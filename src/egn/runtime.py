@@ -5,25 +5,28 @@ endpoint offering a deterministic all-reduce (reduction in ascending rank
 order, identical result delivered everywhere). Worker-local state is owned
 exclusively by its worker between collectives.
 
-Each worker records its geometry and basis with ``compute_basis``: edge
+A worker owns a contiguous range of center atoms J (see
+``egn.partition``); its edge rows are J's out-edges O_J and its node rows
+are J. It records its geometry and basis with ``compute_basis``: edge
 vectors, distances, unit vectors and rbf over every edge, and the triplet
-basis of its own center atoms only. It then runs the engine's block
-pipeline ``record_model``, the one definition of the model forward, over
-its shards (see ``egn.partition``), with a ``share`` hook that all-reduces
-and an ``enter`` hook that marks the stages. A worker gets every shared
-buffer by all-reducing the rows or partial sums it owns, or computes the
-whole buffer itself with no collective. Per block (dimenet-style):
-  * triplet update of its center atoms, summed into their out-edges, its
-    own edge shard, gated and up-projected: complete rows, no collective;
-  * edge update over the edge shard, all-reduce (N_e * d_e elements);
-  * edge aggregation + node update for the node shard, all-reduce
-    (N_v * d_v elements);
-  * global head: the shard's node sum projected to d_u, all-reduce (d_u
+basis of J only. It then runs the engine's block pipeline
+``record_model``, the one definition of the model forward, over those
+rows, with a ``share`` hook that all-reduces and an ``enter`` hook that
+marks the stages. A worker gets every shared buffer by all-reducing the
+rows or partial sums it owns, or computes the whole buffer itself with no
+collective. Per block (dimenet-style):
+  * triplet update of J over J's edges only: gates and C_l at the
+    in-edges rev[O_J], summed into O_J, gated and up-projected there:
+    |O_J| complete rows, no collective;
+  * edge update over O_J, all-reduce (N_e * d_e elements);
+  * edge aggregation + node update for J, all-reduce (N_v * d_v
+    elements);
+  * global head: J's node sum projected to d_u, all-reduce (d_u
     elements), tail finished by every worker.
-The gemnet-style variant adds the second edge update over the edge shard
-and its edge all-reduce, then every worker forms the symmetric coupling
-over all edges. The initial edge embedding and the force head also run
-over all rows on every worker.
+The gemnet-style variant adds the second edge update over O_J and its
+edge all-reduce, then every worker forms the symmetric coupling over all
+edges. The initial edge embedding and the force head also run over all
+rows on every worker.
 
 A recording worker keeps its geometry and every stage on one tape, where
 each all-reduce is a collective node (see ``egn.tape``): its adjoint sums
@@ -56,7 +59,7 @@ from .basis import compute_basis
 from .engine import FeatureState, GradientBundle, force_seed, record_model
 from .graph import build_graph
 from .params import ModelParams
-from .partition import GraphPartition, partition_graph
+from .partition import partition_graph
 from .system import AtomicSystem
 from .tape import Evaluator, Tape
 
@@ -265,7 +268,9 @@ class WorkerGroup:
         self.timeout = timeout
 
         self.topology, _ = build_graph(system, config.cutoff)
-        self.partition: GraphPartition = partition_graph(self.topology, self.workers)
+        # Each worker's center atoms; its edge and node rows derive from them.
+        self.partition: list[slice] = partition_graph(self.topology, self.workers)
+        self.topology.reverse_edges()  # once, before the workers read it
 
     # -- public API ----------------------------------------------------
 
@@ -358,8 +363,6 @@ class WorkerGroup:
         the block pipeline over its rows, all on one tape when ``record``
         (a backward follows), otherwise on an Evaluator."""
         rank = ctx.rank
-        part = self.partition
-        rows = (part.edge_shards[rank], part.node_shards[rank])
         tape = Tape() if record else Evaluator()
 
         def share(x, stage: str, level: str, block: int, rows=None, shape=None):
@@ -376,9 +379,9 @@ class WorkerGroup:
 
         ctx.set_stage("init")
         pos = tape.leaf(self.system.positions)
-        basis = compute_basis(tape, pos, self.topology, self.config, part.center_shards[rank])
+        basis = compute_basis(tape, pos, self.topology, self.config, self.partition[rank])
         tape.boundary(partial(ctx.set_stage, "backward.geometry"))
-        h = record_model(tape, self.params, self.topology, basis, rows, share, enter)
+        h = record_model(tape, self.params, self.topology, basis, share, enter)
         val = tape.value
         return {
             "energy": float(val(h.energy)[0, 0]),

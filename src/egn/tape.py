@@ -23,14 +23,15 @@ Triplets are dense per-atom blocks in the layout of an
 ``egn.graph.TripletPlan``:
 
   * ``triplet_basis(units, plan, l_sbf)`` is T_l of each center atom's Gram
-    block of out-edge unit vectors with a zero diagonal, cos(l * angle) of
-    its triplets; its adjoint writes each out-edge row of ``units`` once;
+    block of out-edge unit vectors, ``units`` holding the rows O_J, with a
+    zero diagonal: cos(l * angle) of its triplets; its adjoint writes each
+    row of ``units`` once;
   * ``triplet_contract(blocks, c, plan)``, with ``c`` of L column blocks
-    C_l, gives each center atom j's out-edges O_j the product sum_l (block
-    l of j) @ C_l[rev[O_j]], and zero to every other row. Atoms of one
-    degree form one batched matmul, chunked by atoms with the same bits
-    for each atom however it is chunked; the adjoint writes each in-edge
-    row once, since rev is a permutation.
+    C_l in the order of the plan's in-edges, gives the rows O_j of each
+    center atom j the product sum_l (block l of j) @ C_l[O_j], in rows
+    local to the plan's out-edges O_J. Atoms of one degree form one batched
+    matmul, chunked by atoms with the same bits for each atom however it
+    is chunked; the adjoint writes each row of ``c`` once.
 
 ``allreduce`` and ``boundary`` serve a worker that records its shard of a
 model split across workers:
@@ -290,24 +291,23 @@ _CHUNK_ELEMENTS = 1 << 17
 
 
 def _chunks(plan, width: int):
-    """(out_rows, in_rows, rows) of each chunk of a bucket's atoms whose
-    in-edge blocks, ``width`` wide, hold about _CHUNK_ELEMENTS entries;
-    ``rows`` are the chunk's rows of the block layout."""
-    for out_rows, in_rows, rows in plan.buckets:
+    """(out_rows, rows) of each chunk of a bucket's atoms whose in-edge
+    blocks, ``width`` wide, hold about _CHUNK_ELEMENTS entries; ``rows``
+    are the chunk's rows of the block layout."""
+    for out_rows, rows in plan.buckets:
         m, n = out_rows.shape
         step = max(1, _CHUNK_ELEMENTS // (n * width))
         for a in range(0, m, step):
             stop = min(a + step, m)
-            span = slice(rows.start + a * n * n, rows.start + stop * n * n)
-            yield out_rows[a:stop], in_rows[a:stop], span
+            yield out_rows[a:stop], slice(rows.start + a * n * n, rows.start + stop * n * n)
 
 
 def _triplet_contract_fwd(vals, aux):
     blocks, c = vals
     out = np.zeros((c.shape[0], c.shape[1] // blocks.shape[1]))
-    for out_rows, in_rows, rows in _chunks(aux["plan"], c.shape[1]):
+    for out_rows, rows in _chunks(aux["plan"], c.shape[1]):
         t = blocks[rows].reshape(out_rows.shape + (-1,))
-        out[out_rows] = t @ c[in_rows].reshape(t.shape[0], t.shape[2], -1)
+        out[out_rows] = t @ c[out_rows].reshape(t.shape[0], t.shape[2], -1)
     return out
 
 
@@ -315,13 +315,13 @@ def _triplet_contract_vjp(g, vals, out, aux):
     blocks, c = vals
     d_blocks = np.empty_like(blocks)
     d_c = np.zeros_like(c)
-    for out_rows, in_rows, rows in _chunks(aux["plan"], c.shape[1]):
+    for out_rows, rows in _chunks(aux["plan"], c.shape[1]):
         t = blocks[rows].reshape(out_rows.shape + (-1,))
-        in_blocks = c[in_rows].reshape(t.shape[0], t.shape[2], -1)
+        in_blocks = c[out_rows].reshape(t.shape[0], t.shape[2], -1)
         g_out = g[out_rows]
         np.matmul(g_out, in_blocks.transpose(0, 2, 1), out=d_blocks[rows].reshape(t.shape))
-        # rev is a permutation, so each in-edge row is written once.
-        d_c[in_rows] = (t.transpose(0, 2, 1) @ g_out).reshape(in_rows.shape + (-1,))
+        # Each local row is one atom's, so each row of d_c is written once.
+        d_c[out_rows] = (t.transpose(0, 2, 1) @ g_out).reshape(out_rows.shape + (-1,))
     return d_blocks, d_c
 
 

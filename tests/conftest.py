@@ -83,12 +83,12 @@ def block_rows(plan, topology) -> np.ndarray:
     degree = np.zeros(topology.num_nodes, dtype=np.int64)
     for bucket in plan.buckets:
         m, n = bucket.out_rows.shape
-        centers = topology.edge_src[bucket.out_rows[:, 0]]
+        centers = topology.edge_src[plan.edges.start + bucket.out_rows[:, 0]]
         base[centers] = bucket.rows.start + np.arange(m) * n * n
         degree[centers] = n
     j = topology.edge_src[topology.trip_out]
     q = topology.trip_out - starts[j]
-    p = plan.rev[topology.trip_in] - starts[j]
+    p = topology.reverse_edges()[topology.trip_in] - starts[j]
     return np.where(base[j] >= 0, base[j] + q * degree[j] + p, -1)
 
 

@@ -148,7 +148,7 @@ def test_triplet_basis_is_the_angular_factor_in_both_variants(rng):
     composed = np.einsum("tk,tl->tkl", radial, rows).reshape(-1, 24)
     vectors = edge_vectors(system.positions, topo.edge_src, topo.edge_recv)
     units = vectors / edge_distances(vectors)[:, None]
-    u_out, u_in = units[topo.trip_out], units[dimenet.plan.rev[topo.trip_in]]
+    u_out, u_in = units[topo.trip_out], units[topo.reverse_edges()[topo.trip_in]]
     cosines = u_out[:, 0] * u_in[:, 0] + u_out[:, 1] * u_in[:, 1] + u_out[:, 2] * u_in[:, 2]
     angular = angular_basis(cosines, 4)
     assert rows.tobytes() == angular.tobytes()

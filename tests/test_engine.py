@@ -492,14 +492,14 @@ def argsort_receiver_plan(topology, nodes):
 
 @pytest.mark.parametrize("atoms", [40, 100, 300])
 def test_receiver_plan_is_a_slice_of_the_reverse_edges(atoms):
-    """For whole buffers and for 3-way node shards, the plan read from the
-    reverse-edge map has the bits of the argsort plan."""
-    from egn.partition import split_range
+    """For every atom and for each worker's atoms of a 3-way partition, the
+    plan read from the reverse-edge map, the plan's in-edges rev[O_J], has
+    the bits of the argsort plan."""
+    from egn.partition import partition_graph
 
     topo, _ = build_graph(random_cloud(atoms, 0.9, np.random.default_rng(atoms)), 2.0)
-    rev = topo.reverse_edges()
-    for nodes in [slice(None), *split_range(topo.num_nodes, 3)]:
-        got = engine.receiver_plan(topo, nodes, rev)
+    for nodes in [slice(None), *partition_graph(topo, 3)]:
+        got = engine.receiver_plan(topo, triplet_plan(topo, nodes))
         want = argsort_receiver_plan(topo, nodes)
         assert got[2] == want[2]
         for a, b in zip(got[:2], want[:2]):

@@ -484,9 +484,12 @@ def test_reverse_edges_on_unsorted_hand_built_topology():
     np.testing.assert_array_equal(rev, dense_reverse_edges(topo))
     np.testing.assert_array_equal(rev, [3, 5, 4, 0, 2, 1])
 
+    assert topo.reverse_edges() is rev and not rev.flags.writeable
+
     missing = GraphTopology(3, src[:5], recv[:5])  # (1, 0) dropped
-    with pytest.raises(ValueError, match=r"edge 1 has no reverse edge \(1, 0\)"):
-        missing.reverse_edges()
+    for _ in range(2):  # a missing reverse raises on every call
+        with pytest.raises(ValueError, match=r"edge 1 has no reverse edge \(1, 0\)"):
+            missing.reverse_edges()
 
 
 def test_triplets_of_unsorted_edge_list_match_loop():

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egn.config import ModelConfig
-from egn.graph import build_graph
+from egn.graph import build_graph, triplet_plan
 from egn.partition import CommModel, comm_volume, partition_graph, split_range
 from egn.system import random_cloud
 
-from conftest import equilateral_triangle
+from conftest import dimer, equilateral_triangle
 
 
 def sizes(shards):
@@ -44,8 +44,8 @@ def test_triangle_partition_contiguous():
     part = partition_graph(topo, 2)
     # Each atom centers 2 of the 6 triplets: the balanced cut at triplet 3
     # falls in atom 1 and moves back to its start.
-    assert part.center_shards == [slice(0, 1), slice(1, 3)]
-    assert part.edge_shards == [slice(0, 2), slice(2, 6)]
+    assert part == [slice(0, 1), slice(1, 3)]
+    assert [triplet_plan(topo, atoms).edges for atoms in part] == [slice(0, 2), slice(2, 6)]
 
 
 def test_partition_rejects_zero_workers():
@@ -73,44 +73,63 @@ def random_partition(seed, workers):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 1000), workers=st.integers(1, 16))
 def test_partition_properties_on_random_graphs(seed, workers):
-    """Nodes split within one. Center-atom and edge shards cover their rows,
-    and every edge cut lies at an atom boundary: a worker's edges are the
-    out-edges of its atoms. Each cut, counted in triplets, lies before the
-    balanced cut by less than the largest atom's n (n - 1), so each
-    worker's count is within that of its balanced share; with no triplets
-    the atoms split within one."""
+    """One list of center-atom slices, one per worker, covers the atoms in
+    order; the edge rows derived from it, each worker's out-edges, cover the
+    edges, so every edge cut lies at an atom boundary. Each cut, counted in
+    triplets, lies before the balanced cut by less than the largest atom's
+    n (n - 1), so each worker's count is within that of its balanced share;
+    with no triplets the atoms split within one."""
     topo, part = random_partition(seed, workers)
     n_t = topo.num_triplets
-    for shards, total, spread in (
-        (part.center_shards, topo.num_nodes, None if n_t else 1),
-        (part.edge_shards, topo.num_edges, None),
-        (part.node_shards, topo.num_nodes, 1),
-    ):
-        assert_contiguous_cover(shards, total, spread)
-        merged = np.concatenate([np.arange(total)[s] for s in shards])
-        np.testing.assert_array_equal(np.sort(merged), np.arange(total))
+    assert len(part) == workers
+    assert_contiguous_cover(part, topo.num_nodes, None if n_t else 1)
+    edges = [triplet_plan(topo, atoms).edges for atoms in part]
+    assert_contiguous_cover(edges, topo.num_edges, None)
     starts = topo.out_edge_starts()
     weight = np.diff(starts) * (np.diff(starts) - 1)
     assert weight.sum() == n_t
     largest = max(int(weight.max()), 1)
     before = np.concatenate([[0], np.cumsum(weight)])
     balanced = split_range(n_t, workers)
-    for atoms, edges, share in zip(part.center_shards, part.edge_shards, balanced):
-        assert edges == slice(int(starts[atoms.start]), int(starts[atoms.stop]))
+    for atoms, rows, share in zip(part, edges, balanced):
+        assert rows == slice(int(starts[atoms.start]), int(starts[atoms.stop]))
         assert 0 <= share.start - before[atoms.start] < largest
         count = before[atoms.stop] - before[atoms.start]
         assert abs(count - (share.stop - share.start)) < largest
 
 
+def test_partition_without_triplets_splits_evenly():
+    """A dimer has no triplet: its atoms split as evenly as any rows, and
+    workers past the atom count own none."""
+    topo, _ = build_graph(dimer(1.0), cutoff=1.5)
+    assert topo.num_triplets == 0
+    for workers in (1, 2, 5):
+        assert partition_graph(topo, workers) == split_range(2, workers)
+    assert sizes(partition_graph(topo, 5)) == [1, 1, 0, 0, 0]
+
+
+def test_more_workers_than_atoms_leaves_empty_shards():
+    """Past the atom count some workers own no atom, hence no edge row; the
+    slices still cover the atoms and the edges in order."""
+    topo, _ = build_graph(equilateral_triangle(), cutoff=1.5)
+    part = partition_graph(topo, 8)
+    assert_contiguous_cover(part, 3, None)
+    assert sizes(part).count(0) == 5 and sorted(sizes(part))[-3:] == [1, 1, 1]
+    edges = [triplet_plan(topo, atoms).edges for atoms in part]
+    assert_contiguous_cover(edges, topo.num_edges, None)
+    assert [e.stop - e.start for e in edges if e.stop > e.start] == [2, 2, 2]
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 1000), workers=st.integers(1, 16))
 def test_triplets_live_with_their_out_edges(seed, workers):
-    """Every triplet's out-edge lies in the edge shard of the worker that
+    """Every triplet's out-edge lies in the edge rows of the worker that
     owns its center atom, so each worker aggregates complete rows for the
     edges it owns."""
     topo, part = random_partition(seed, workers)
     centers = topo.edge_src[topo.trip_out]
-    for atoms, edges in zip(part.center_shards, part.edge_shards):
+    for atoms in part:
+        edges = triplet_plan(topo, atoms).edges
         out = topo.trip_out[(atoms.start <= centers) & (centers < atoms.stop)]
         assert np.all((edges.start <= out) & (out < edges.stop))
 
@@ -145,6 +164,26 @@ def test_comm_volume_scales_with_blocks():
     model = CommModel(n_v=5, n_e=12, n_t=50, d_v=3, d_e=4, d_t=2, d_u=2,
                       variant="gemnet-style")
     assert comm_volume(model, 4).total == 4 * comm_volume(model, 1).per_block
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_comm_model_counts_triplets_without_listing_them(seed, monkeypatch):
+    """n_t is sum_j n_j (n_j - 1) over the out-edge offsets: the listed
+    triplet count of a random cloud, found with no triplet listed."""
+    from egn import graph
+
+    rng = np.random.default_rng(seed)
+    system = random_cloud(int(rng.integers(5, 60)), 0.9, rng)
+    cfg = ModelConfig()
+    topo, _ = build_graph(system, cutoff=cfg.cutoff)
+
+    def refuse(*args):
+        raise AssertionError("from_graph listed triplets")
+
+    monkeypatch.setattr(graph, "enumerate_triplets", refuse)
+    model = CommModel.from_graph(topo, cfg)
+    monkeypatch.undo()
+    assert model.n_t == topo.num_triplets
 
 
 def test_comm_model_from_graph():

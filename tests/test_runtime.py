@@ -13,7 +13,7 @@ from egn import engine
 from egn import tape as tape_module
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
-from egn.params import init_params
+from egn.params import ModelParams, init_params
 from egn.partition import CommModel, comm_volume
 from egn.runtime import (
     Collective,
@@ -201,13 +201,14 @@ def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypa
         group.forward()
         group.forward_backward()
         rows = 0
-        for rank, atoms in enumerate(group.partition.center_shards):
+        for rank, atoms in enumerate(group.partition):
             calls = seen.pop(f"egn-worker-{rank}")
             assert len(calls) == 2, variant
             mine = (atoms.start <= centers) & (centers < atoms.stop)
             in_shard = np.arange(atoms.start, atoms.stop)
             for plan, value in calls:
-                owned = [int(j) for b in plan.buckets for j in topo.edge_src[b.out_rows[:, 0]]]
+                first = [plan.edges.start + b.out_rows[:, 0] for b in plan.buckets]
+                owned = [int(j) for rows in first for j in topo.edge_src[rows]]
                 assert sorted(owned) == in_shard[degree[in_shard] >= 2].tolist()
                 at = block_rows(plan, topo)
                 assert np.all(at[mine] >= 0) and np.all(at[~mine] == -1)
@@ -226,6 +227,101 @@ def test_more_workers_than_triplets_contributes_zeros():
     result, par_bundle = group.forward_backward(d_energy=1.0)
     assert np.isclose(result.energy, model.energy, rtol=1e-9)
     np.testing.assert_allclose(-par_bundle.d_positions, forces, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", [DIMENET, GEMNET])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_triplet_update_runs_on_the_workers_own_edges(variant, workers, medium_system, monkeypatch):
+    """Each worker's triplet update returns exactly the rows of its center
+    atoms' out-edges O_J, and every linear recorded inside it projects
+    |O_J| rows, never N_e: gates and C_l run at the in-edges rev[O_J], the
+    tail at O_J."""
+    cfg = ModelConfig(variant=variant, blocks=2, workers=workers)
+    group = WorkerGroup(medium_system, init_params(cfg))
+    inside = threading.local()
+    seen = defaultdict(list)  # thread name -> [(rows returned, rows of each linear)]
+    record_tu, linear = engine.record_tu, tape_module._FORWARD["linear"]
+
+    def spy_tu(tape, *args):
+        inside.rows = []
+        out = record_tu(tape, *args)
+        seen[threading.current_thread().name].append((tape.value(out).shape[0], inside.rows))
+        inside.rows = None
+        return out
+
+    def spy_linear(vals, aux):
+        if getattr(inside, "rows", None) is not None:
+            inside.rows.append(vals[0].shape[0])
+        return linear(vals, aux)
+
+    monkeypatch.setattr(engine, "record_tu", spy_tu)
+    monkeypatch.setitem(tape_module._FORWARD, "linear", spy_linear)
+    group.forward()
+    group.forward_backward()
+    starts = group.topology.out_edge_starts()
+    for rank, atoms in enumerate(group.partition):
+        own = int(starts[atoms.stop] - starts[atoms.start])
+        assert 0 < own < group.topology.num_edges
+        calls = seen.pop(f"egn-worker-{rank}")
+        assert [rows for rows, _ in calls] == [own] * (2 * cfg.blocks)
+        for _, linears in calls:
+            assert len(linears) == (7 if variant == GEMNET else 4) and set(linears) == {own}
+    assert not seen
+
+
+@pytest.mark.parametrize("variant", [DIMENET, GEMNET])
+def test_workers_that_own_no_atom(variant):
+    """At P=8 over 6 atoms some workers own no atom, hence no edge and no
+    node row: they issue the same collectives as at P=2, and the results
+    agree with the sequential engine to 1e-9."""
+    system = random_cloud(6, 0.9, np.random.default_rng(4))
+    cfg = ModelConfig(variant=variant, blocks=2, workers=8)
+    params = init_params(cfg)
+    group = WorkerGroup(system, params)
+    assert group.topology.num_triplets > 0
+    assert [a.stop - a.start for a in group.partition].count(0) >= 2
+    d_forces = np.random.default_rng(5).standard_normal((6, 3)) if variant == GEMNET else None
+    result, grads = group.forward_backward(d_energy=1.0, d_forces=d_forces)
+    pair = WorkerGroup(system, ModelParams(cfg.replace(workers=2), params.arrays))
+    assert result.comm_log.records == pair.forward_backward(1.0, d_forces)[0].comm_log.records
+    model = ModelTape(system, params)
+    want = model.backward(d_energy=1.0, d_forces=d_forces)
+    assert np.isclose(result.energy, model.energy, rtol=1e-9, atol=1e-12)
+    if variant == GEMNET:
+        np.testing.assert_allclose(result.forces, model.forces, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(grads.d_positions, want.d_positions, rtol=1e-9, atol=1e-12)
+    for name, g in want.d_params.items():
+        np.testing.assert_allclose(grads.d_params[name], g, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(
+        result.state.edge_features, model.state.edge_features, rtol=1e-9, atol=1e-12
+    )
+
+
+def test_reverse_edges_are_computed_once_per_group(medium_system, monkeypatch):
+    """A WorkerGroup's forward() and forward_backward() at two workers
+    compute the reverse-edge map of its topology once, and every read
+    returns that one read-only array."""
+    from functools import cached_property
+
+    from egn.graph import GraphTopology
+
+    computed = []
+    compute = GraphTopology._reverse.func
+
+    def counting(topology):
+        computed.append(topology)
+        return compute(topology)
+
+    spy = cached_property(counting)
+    spy.__set_name__(GraphTopology, "_reverse")
+    monkeypatch.setattr(GraphTopology, "_reverse", spy)
+    group = WorkerGroup(medium_system, init_params(ModelConfig(blocks=2, workers=2)))
+    group.forward()
+    group.forward_backward()
+    group.forward_backward()
+    assert len(computed) == 1 and computed[0] is group.topology
+    rev = group.topology.reverse_edges()
+    assert rev is group.topology.reverse_edges() and not rev.flags.writeable
 
 
 def test_zero_edge_graph_parallel():
@@ -460,7 +556,9 @@ def test_edge_update_runs_on_the_edge_shard(workers, medium_system, monkeypatch)
     group = WorkerGroup(medium_system, init_params(cfg))
     calls = _calls_per_worker(monkeypatch, ["record_eu"])
     group.forward_backward()
-    for rank, edges in enumerate(group.partition.edge_shards):
+    starts = group.topology.out_edge_starts()
+    for rank, atoms in enumerate(group.partition):
+        edges = slice(int(starts[atoms.start]), int(starts[atoms.stop]))
         assert calls.pop(f"egn-worker-{rank}") == [("record_eu", edges)] * cfg.blocks
     assert not calls
 

@@ -333,9 +333,10 @@ def test_triplet_basis_gradient_on_a_nearly_collinear_chain(l_sbf, rng):
 @pytest.mark.parametrize("l_sbf", [1, 3])
 def test_triplet_contract_value_and_adjoint(l_sbf, geometry_fixture, rng):
     """Out-edge j -> i gets sum over triplets (k -> j, j -> i) of sum_l
-    T_l[t] * (block l of c's row k -> j), per triplet in a loop, where the
-    blocks have a zero diagonal; the adjoints of the blocks and of c match
-    central finite differences."""
+    T_l[t] * (block l of c's row for k -> j), per triplet in a loop, where
+    the blocks have a zero diagonal and c is laid out in the order of the
+    in-edges, so k -> j is at the row of its reverse j -> k; the adjoints of
+    the blocks and of c match central finite differences."""
     _, topo = geometry_fixture
     plan = triplet_plan(topo, slice(None))
     inputs = [
@@ -345,8 +346,9 @@ def test_triplet_contract_value_and_adjoint(l_sbf, geometry_fixture, rng):
     tape = Tape()
     out = tape.value(tape.triplet_contract(tape.leaf(inputs[0]), tape.leaf(inputs[1]), plan))
     want, scale = np.zeros((topo.num_edges, 2)), np.zeros((topo.num_edges, 2))
+    rev = topo.reverse_edges()
     for t, row in enumerate(block_rows(plan, topo)):
-        products = inputs[0][row][:, None] * inputs[1][topo.trip_in[t]].reshape(l_sbf, 2)
+        products = inputs[0][row][:, None] * inputs[1][rev[topo.trip_in[t]]].reshape(l_sbf, 2)
         want[topo.trip_out[t]] += products.sum(axis=0)
         scale[topo.trip_out[t]] += np.abs(products).sum(axis=0)
     # Both orders of summation lie within the rounding bound of a sum of
@@ -382,7 +384,8 @@ def test_triplet_contract_without_triplets():
 def test_triplet_contract_bits_do_not_depend_on_the_chunks(l_sbf, monkeypatch):
     """Each atom's output rows, and its rows of both adjoints, are bit-equal
     whether its degree bucket is contracted whole or atom by atom; so are
-    the rows of a plan over a range of center atoms."""
+    the rows of a plan over a range of center atoms J, which are local to
+    J's out-edges O_J: it reads and writes |O_J| rows and no other."""
     topo, _ = build_graph(random_cloud(60, 0.9, np.random.default_rng(2)), cutoff=1.5)
     rng = np.random.default_rng(3)
     plan = triplet_plan(topo, slice(None))
@@ -391,16 +394,16 @@ def test_triplet_contract_bits_do_not_depend_on_the_chunks(l_sbf, monkeypatch):
     c = rng.standard_normal((topo.num_edges, 5 * l_sbf))
     g = rng.standard_normal((topo.num_edges, 5))
 
-    def contract(plan, blocks):
+    def contract(plan, blocks, c, g):
         tape = Tape()
         ids = tape.leaf(blocks), tape.leaf(c)
         out = tape.triplet_contract(*ids, plan)
         grads = tape.backward({out: g})
         return tape.value(out), grads[ids[0]], grads[ids[1]]
 
-    whole = contract(plan, blocks)
+    whole = contract(plan, blocks, c, g)
     monkeypatch.setattr(tape_module, "_CHUNK_ELEMENTS", 1)
-    single = contract(plan, blocks)
+    single = contract(plan, blocks, c, g)
     for got, want in zip(single, whole):
         assert got.tobytes() == want.tobytes()
 
@@ -410,12 +413,12 @@ def test_triplet_contract_bits_do_not_depend_on_the_chunks(l_sbf, monkeypatch):
     mine = rows >= 0
     part_blocks = np.zeros((part.rows, l_sbf))
     part_blocks[rows[mine]] = blocks[block_rows(plan, topo)[mine]]
-    out, d_blocks, d_c = contract(part, part_blocks)
-    edges = slice(*topo.out_edge_starts()[[cut, 2 * cut]])
-    assert out[edges].tobytes() == whole[0][edges].tobytes()
-    assert not out[: edges.start].any() and not out[edges.stop :].any()
-    in_edges = part.rev[edges]
-    assert d_c[in_edges].tobytes() == whole[2][in_edges].tobytes()
+    edges = part.edges
+    assert edges == slice(*topo.out_edge_starts()[[cut, 2 * cut]].tolist())
+    out, d_blocks, d_c = contract(part, part_blocks, c[edges], g[edges])
+    assert out.shape == (edges.stop - edges.start, 5) and d_c.shape == c[edges].shape
+    assert out.tobytes() == whole[0][edges].tobytes()
+    assert d_c.tobytes() == whole[2][edges].tobytes()
     assert d_blocks[rows[mine]].tobytes() == whole[1][block_rows(plan, topo)[mine]].tobytes()
 
 
@@ -754,18 +757,18 @@ def test_backward_keeps_only_leaf_adjoints(variant, rng):
     assert leaves > len(model.handles.param_leaves.ids)  # the positions too
 
 
-@pytest.mark.parametrize("variant, by_index, by_slice", [(DIMENET, 14, 4), (GEMNET, 25, 8)])
+@pytest.mark.parametrize("variant, by_index, by_slice", [(DIMENET, 20, 10), (GEMNET, 26, 14)])
 def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monkeypatch):
     """Gathers of contiguous rows take their adjoint without scatter_add.
 
-    ``by_index`` is the count when whole buffers were gathered through
+    ``by_index`` is the count when contiguous rows are gathered through
     arange index arrays; with slices, only receiver plans, rev and the
     edge-vector VJP scatter. The triplet path scatters nothing: the
-    contraction's adjoint writes each in-edge row once and the triplet
-    basis's adjoint each out-edge row once. So dimenet-style scatters 4
-    times: per block the receiver plan, then the edge_vectors VJP into
-    atoms. The triplet update gathers nothing by out-edge: its rbf gate
-    runs on the summed edge rows.
+    contraction's adjoint writes each row of C once and the triplet
+    basis's adjoint each out-edge row once. So dimenet-style scatters 10
+    times: per block the receiver plan and the triplet update's gathers of
+    m and of the rbf at the in-edges rev[O_J], then the edge_vectors VJP
+    into atoms. The triplet update gathers its out-edges O_J by a slice.
     """
     cfg = ModelConfig(variant=variant, blocks=3)
     model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
