@@ -193,7 +193,7 @@ class ParallelRunResult:
     forces: np.ndarray | None
     state: FeatureState
     comm_log: CommLog
-    stage_seconds: dict[str, float]
+    stage_seconds: dict[str, float]  # rank 0's
     # (group, worker contexts, each worker's (tape, positions leaf, model
     # handles)) of a recorded pass until its backward.
     _pending: tuple | None = field(default=None, compare=False, repr=False)
@@ -216,17 +216,16 @@ class ParallelRunResult:
 
 
 class _WorkerContext:
-    def __init__(self, rank: int, collective: Collective, timed: bool):
+    def __init__(self, rank: int, collective: Collective):
         self.rank = rank
         self.collective = collective
         self.stage = "setup"
         self.stage_seconds: dict[str, float] = {}
-        self._timed = timed
         self._tic: float | None = None
 
     def set_stage(self, name: str) -> None:
         now = time.perf_counter()
-        if self._timed and self._tic is not None:
+        if self._tic is not None:
             self.stage_seconds[self.stage] = (
                 self.stage_seconds.get(self.stage, 0.0) + now - self._tic
             )
@@ -254,18 +253,12 @@ class WorkerGroup:
       * ``forward_backward()`` is ``record()`` followed by its backward.
     """
 
-    def __init__(
-        self,
-        system: AtomicSystem,
-        params: ModelParams,
-        timeout: float = 30.0,
-    ):
+    def __init__(self, system: AtomicSystem, params: ModelParams):
         config = params.config
         self.system = system
         self.params = params
         self.config = config
         self.workers = config.workers
-        self.timeout = timeout
 
         self.topology, _ = build_graph(system, config.cutoff)
         # Each worker's center atoms; its edge and node rows derive from them.
@@ -290,10 +283,8 @@ class WorkerGroup:
 
     def _forward(self, record: bool):
         log = CommLog()
-        collective = Collective(self.workers, log, timeout=self.timeout)
-        contexts = [
-            _WorkerContext(rank, collective, timed=rank == 0) for rank in range(self.workers)
-        ]
+        collective = Collective(self.workers, log)
+        contexts = [_WorkerContext(rank, collective) for rank in range(self.workers)]
         outputs = self._launch(contexts, lambda ctx: self._worker_forward(ctx, record))
         fwd0 = outputs[0]
         # Bit patterns, not values: identical NaNs agree, since NaN != NaN.
@@ -316,15 +307,17 @@ class WorkerGroup:
         )
 
     def _launch(self, contexts: list[_WorkerContext], work) -> list:
-        """Run ``work(ctx)`` for every rank on its own thread; return the
-        outputs by rank, or raise the primary failure as a WorkerGroupError
-        (a rank's own error before the timeouts it caused elsewhere)."""
+        """Run ``work(ctx)`` for every rank on its own thread, which closes
+        its last stage as soon as its work returns; return the outputs by
+        rank, or raise the primary failure as a WorkerGroupError (a rank's
+        own error before the timeouts it caused elsewhere)."""
         outputs: list = [None] * self.workers
         errors: list = [None] * self.workers
 
         def body(rank: int) -> None:
             try:
                 outputs[rank] = work(contexts[rank])
+                contexts[rank].finish_timing()
             except BaseException as exc:  # noqa: BLE001 - reported to the caller
                 errors[rank] = exc
                 contexts[rank].collective.abort()
@@ -353,7 +346,6 @@ class WorkerGroup:
         if primary is not None:
             rank, exc = primary
             raise WorkerGroupError(contexts[rank].stage, rank, exc) from exc
-        contexts[0].finish_timing()
         return outputs
 
     # -- worker forward ----------------------------------------------------

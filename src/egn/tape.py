@@ -11,7 +11,7 @@ forward is written once and yields the same bits either way.
 
 Primitives: leaf, add, mul, concat, linear, silu, gather, segment_sum,
 sum_rows, edge_vectors, edge_distances, edge_units, triplet_basis,
-gaussian_rbf, triplet_contract, quadratic_well, allreduce and boundary.
+gaussian_rbf, triplet_contract, allreduce and boundary.
 
 ``add`` and ``mul`` broadcast as numpy does (a bias row, a column of row
 scales), and their adjoints sum over the broadcast axes. A gather takes an
@@ -30,8 +30,9 @@ Triplets are dense per-atom blocks in the layout of an
     C_l in the order of the plan's in-edges, gives the rows O_j of each
     center atom j the product sum_l (block l of j) @ C_l[O_j], in rows
     local to the plan's out-edges O_J. Atoms of one degree form one batched
-    matmul, chunked by atoms with the same bits for each atom however it
-    is chunked; the adjoint writes each row of ``c`` once.
+    matmul, taken whole: each atom owns its out-edge rows, so the in-edge
+    blocks a bucket gathers are at most the rows of ``c``; the adjoint
+    writes each row of ``c`` once.
 
 ``allreduce`` and ``boundary`` serve a worker that records its shard of a
 model split across workers:
@@ -285,27 +286,10 @@ def _gaussian_rbf_vjp(g, vals, out, aux):
 _op("gaussian_rbf")((_gaussian_rbf_fwd, _gaussian_rbf_vjp))
 
 
-# Atoms per chunk of a triplet_contract: its gathered (atoms, n, L * d)
-# in-edge blocks stay near 1 MiB, however many atoms share a degree.
-_CHUNK_ELEMENTS = 1 << 17
-
-
-def _chunks(plan, width: int):
-    """(out_rows, rows) of each chunk of a bucket's atoms whose in-edge
-    blocks, ``width`` wide, hold about _CHUNK_ELEMENTS entries; ``rows``
-    are the chunk's rows of the block layout."""
-    for out_rows, rows in plan.buckets:
-        m, n = out_rows.shape
-        step = max(1, _CHUNK_ELEMENTS // (n * width))
-        for a in range(0, m, step):
-            stop = min(a + step, m)
-            yield out_rows[a:stop], slice(rows.start + a * n * n, rows.start + stop * n * n)
-
-
 def _triplet_contract_fwd(vals, aux):
     blocks, c = vals
     out = np.zeros((c.shape[0], c.shape[1] // blocks.shape[1]))
-    for out_rows, rows in _chunks(aux["plan"], c.shape[1]):
+    for out_rows, rows in aux["plan"].buckets:
         t = blocks[rows].reshape(out_rows.shape + (-1,))
         out[out_rows] = t @ c[out_rows].reshape(t.shape[0], t.shape[2], -1)
     return out
@@ -315,7 +299,7 @@ def _triplet_contract_vjp(g, vals, out, aux):
     blocks, c = vals
     d_blocks = np.empty_like(blocks)
     d_c = np.zeros_like(c)
-    for out_rows, rows in _chunks(aux["plan"], c.shape[1]):
+    for out_rows, rows in aux["plan"].buckets:
         t = blocks[rows].reshape(out_rows.shape + (-1,))
         in_blocks = c[out_rows].reshape(t.shape[0], t.shape[2], -1)
         g_out = g[out_rows]
@@ -326,13 +310,6 @@ def _triplet_contract_vjp(g, vals, out, aux):
 
 
 _op("triplet_contract")((_triplet_contract_fwd, _triplet_contract_vjp))
-
-_op("quadratic_well")(
-    (
-        lambda vals, aux: ((vals[0] - aux["center"]) ** 2)[:, None],
-        lambda g, vals, out, aux: (2.0 * g[:, 0] * (vals[0] - aux["center"]),),
-    )
-)
 
 
 def _allreduce_fwd(vals, aux):
@@ -375,9 +352,6 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
     def value(self, nid: int) -> np.ndarray:
         return self._nodes[nid].value
@@ -440,9 +414,6 @@ class Tape:
 
     def triplet_contract(self, blocks: int, c: int, plan) -> int:
         return self._record("triplet_contract", (blocks, c), {"plan": plan})
-
-    def quadratic_well(self, distances: int, center: float) -> int:
-        return self._record("quadratic_well", (distances,), {"center": center})
 
     def allreduce(
         self, x: int, link, rows: slice | None = None, shape: tuple | None = None

@@ -25,10 +25,10 @@ def _predict_diagnostic(system: AtomicSystem, config: ModelConfig) -> tuple[floa
     tape = Tape()
     pos = tape.leaf(system.positions)
     dist = tape.edge_distances(tape.edge_vectors(pos, topology.edge_src, topology.edge_recv))
-    well = tape.quadratic_well(dist, WELL_CENTER)
-    total = tape.sum_rows(well)
-    energy = float(tape.value(total)[0, 0])
-    grads = tape.backward({total: np.ones((1, 1), dtype=np.float64)})
+    x = tape.add(dist, tape.leaf(-WELL_CENTER))
+    total = tape.sum_rows(tape.mul(x, x))
+    energy = float(tape.value(total)[0])
+    grads = tape.backward({total: np.ones(1, dtype=np.float64)})
     d_pos = grads[pos]
     forces = -d_pos if d_pos is not None else np.zeros_like(system.positions)
     return energy, forces

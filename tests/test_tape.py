@@ -381,15 +381,15 @@ def test_triplet_contract_without_triplets():
 
 
 @pytest.mark.parametrize("l_sbf", [1, 4])
-def test_triplet_contract_bits_do_not_depend_on_the_chunks(l_sbf, monkeypatch):
-    """Each atom's output rows, and its rows of both adjoints, are bit-equal
-    whether its degree bucket is contracted whole or atom by atom; so are
-    the rows of a plan over a range of center atoms J, which are local to
-    J's out-edges O_J: it reads and writes |O_J| rows and no other."""
+def test_triplet_contract_rows_of_an_atom_range_match_the_whole_plan(l_sbf):
+    """The rows of a plan over a range of center atoms J, which are local to
+    J's out-edges O_J, are bit-equal to the whole plan's in the output and
+    both adjoints, though J's degree buckets batch fewer atoms: each atom's
+    bits do not depend on how many atoms share its batched matmul, and the
+    plan reads and writes |O_J| rows and no other."""
     topo, _ = build_graph(random_cloud(60, 0.9, np.random.default_rng(2)), cutoff=1.5)
     rng = np.random.default_rng(3)
     plan = triplet_plan(topo, slice(None))
-    assert max(len(b.out_rows) for b in plan.buckets) > 3
     blocks = zero_diagonals(rng.standard_normal((plan.rows, l_sbf)), plan)
     c = rng.standard_normal((topo.num_edges, 5 * l_sbf))
     g = rng.standard_normal((topo.num_edges, 5))
@@ -402,13 +402,11 @@ def test_triplet_contract_bits_do_not_depend_on_the_chunks(l_sbf, monkeypatch):
         return tape.value(out), grads[ids[0]], grads[ids[1]]
 
     whole = contract(plan, blocks, c, g)
-    monkeypatch.setattr(tape_module, "_CHUNK_ELEMENTS", 1)
-    single = contract(plan, blocks, c, g)
-    for got, want in zip(single, whole):
-        assert got.tobytes() == want.tobytes()
-
     cut = topo.num_nodes // 3
     part = triplet_plan(topo, slice(cut, 2 * cut))
+    # Some bucket of J batches fewer atoms than the whole plan's of its degree.
+    whole_batch = {b.out_rows.shape[1]: b.out_rows.shape[0] for b in plan.buckets}
+    assert any(b.out_rows.shape[0] < whole_batch[b.out_rows.shape[1]] for b in part.buckets)
     rows = block_rows(part, topo)
     mine = rows >= 0
     part_blocks = np.zeros((part.rows, l_sbf))
@@ -469,11 +467,6 @@ def test_gemnet_workers_agree_with_one(l_sbf):
             np.testing.assert_allclose(grads.d_params[name], g, rtol=1e-9, atol=1e-12, err_msg=name)
 
 
-def test_quadratic_well_adjoint(rng):
-    d0 = rng.uniform(0.5, 2.5, size=9)
-    check_op(lambda t, x: t.quadratic_well(x, 1.5), d0, rng)
-
-
 def _one_worker_link():
     """A collective node's link to a one-worker Collective."""
     collective = Collective(1, CommLog())
@@ -489,9 +482,9 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     units = h["edge_units"] = tape.edge_units(vec)
     rbf = h["gaussian_rbf"] = tape.gaussian_rbf(dist, 4, 1.5)
     h["gather"] = tape.gather(rbf, topo.edge_recv)
-    well = h["quadratic_well"] = tape.quadratic_well(dist, 1.5)
     w_id, b_id = tape.leaf(w), tape.leaf(b)
     lin = tape.linear(rbf, w_id)
+    column = tape.linear(rbf, tape.leaf(w[:1]))
     plan = triplet_plan(topo, slice(None))
     cos = h["triplet_basis"] = tape.triplet_basis(units, plan, 3)
     h["triplet_contract"] = tape.triplet_contract(cos, lin, plan)
@@ -500,7 +493,7 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     h["add"] = tape.add(lin, units)
     h["add:bias"] = tape.add(lin, b_id)
     h["mul"] = tape.mul(lin, units)
-    h["mul:rows"] = tape.mul(well, units)
+    h["mul:rows"] = tape.mul(column, units)
     h["concat"] = tape.concat(lin, units)
     h["segment_sum"] = tape.segment_sum(units, topo.edge_recv, topo.num_nodes)
     h["sum_rows"] = tape.sum_rows(units)
@@ -518,7 +511,7 @@ def test_evaluator_matches_tape_on_every_primitive(geometry_fixture, rng):
     recorded = _every_primitive(tape, system, topo, w, b)
     evaluated = _every_primitive(ev, system, topo, w, b)
     assert {name.split(":")[0] for name in recorded} == set(_FORWARD)
-    assert len(ev) == 0
+    assert not ev._nodes
     for op, nid in recorded.items():
         want, got = tape.value(nid), ev.value(evaluated[op])
         assert got.shape == want.shape and got.dtype == want.dtype, op
@@ -790,6 +783,26 @@ def test_module_docstring_lists_every_primitive():
     names = [name.strip() for name in re.split(r",|\band\b", listed) if name.strip()]
     assert len(names) == len(set(names)), names
     assert set(names) == set(_FORWARD)
+
+
+def test_every_primitive_is_recorded_by_a_pass(monkeypatch):
+    """The model in both variants, a two-worker runtime pass with its
+    backward and the diagnostic well together record every primitive."""
+    recorded = set()
+    original = Tape._record
+
+    def spy(self, op, inputs, aux):
+        recorded.add(op)
+        return original(self, op, inputs, aux)
+
+    monkeypatch.setattr(Tape, "_record", spy)
+    system = random_cloud(16, 0.9, np.random.default_rng(5))
+    for variant in (DIMENET, GEMNET):
+        ModelTape(system, init_params(ModelConfig(variant=variant, blocks=1)))
+    params = init_params(ModelConfig(variant=GEMNET, blocks=1, workers=2))
+    WorkerGroup(system, params).record().backward()
+    predict(system, init_params(ModelConfig(diagnostic=True)))
+    assert recorded == set(_FORWARD)
 
 
 def _source_trees():
