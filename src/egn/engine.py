@@ -10,11 +10,13 @@ the position gradient); the gemnet-style variant adds a direct force head.
 Each stage has one ``record_*`` definition that takes the tape first, and
 ``record_model`` chains them from the basis (``egn.basis.compute_basis``)
 to the readout. A forward owns the center atoms of its basis's plan, and
-its edge and node rows derive from them: the sequential forward
-``record_system`` is the one owner of every atom, a runtime worker owns a
-range and its hooks all-reduce shared buffers, so one worker reproduces
-this engine bit for bit. ``record_tu`` runs over the owned atoms' edges
-only, their in-edges and out-edges. Without a backward (inference) the
+its edge and node rows derive from them. ``record_model`` is a generator
+that yields each buffer its rows only partly compute and resumes with the
+whole buffer: the sequential forward ``record_system`` is the one owner
+of every atom and hands each buffer back, a runtime worker owns a range
+and all-reduces them, so one worker reproduces this engine bit for bit.
+``record_tu`` runs over the owned atoms' edges only, their in-edges and
+out-edges. Without a backward (inference) the
 stages run on an ``Evaluator``, which computes the same values and keeps
 no tape.
 """
@@ -31,7 +33,7 @@ from .config import GEMNET, ModelConfig
 from .graph import GraphTopology, TripletPlan, build_graph
 from .params import ModelParams
 from .system import AtomicSystem
-from .tape import Tape, scatter_add
+from .tape import Tape, run_alone, scatter_add
 
 
 @dataclass(frozen=True)
@@ -283,20 +285,21 @@ def record_model(
     params: ModelParams,
     topology: GraphTopology,
     basis: BasisFeatures,
-    share=lambda x, *where: x,
     enter=lambda stage: None,
-) -> ModelHandles:
+):
     """The block pipeline from the basis to the readout: the one definition
-    of the model forward.
+    of the model forward, as a generator that returns the ``ModelHandles``.
 
     The forward owns the center atoms J of ``basis.plan``, every atom
     sequentially and a contiguous range on a runtime worker; its edge rows
-    are J's out-edges O_J and its node rows are J. Buffers these rows only
-    partly compute pass through ``share(x, stage, level, block[, rows,
-    shape])``, which returns the whole buffer: the identity here, an
-    all-reduce in the runtime. ``enter(stage)`` is called as each stage
-    begins. The initial edge embedding, the symmetric coupling and the
-    force head run over all rows.
+    are J's out-edges O_J and its node rows are J. For each buffer these
+    rows only partly compute it yields ``(x, stage, level, block, rows,
+    shape)``, ``x`` to be placed at ``rows`` of a buffer of ``shape`` (or
+    taken whole where they are None), and resumes with the handle of the
+    whole buffer: ``x`` itself for the one owner, an all-reduce in the
+    runtime. ``enter(stage)`` is called as each stage begins. The initial
+    edge embedding, the symmetric coupling and the force head run over all
+    rows.
     """
     config = params.config
     gemnet = config.variant == GEMNET
@@ -311,18 +314,20 @@ def record_model(
         enter(f"block{b}.tu")
         ta_id = record_tu(tape, pl, b, config, m_id, basis)
         enter(f"block{b}.eu")
-        m_id = share(record_eu(tape, pl, b, m_id, ta_id, edges), "eu", "edge", b, edges, edge_shape)
+        m_id = record_eu(tape, pl, b, m_id, ta_id, edges)
+        m_id = yield m_id, "eu", "edge", b, edges, edge_shape
         enter(f"block{b}.nu")
         v_id = record_ea_nu(tape, pl, b, m_id, *nodes)
-        v_id = share(v_id, "nu", "node", b, atoms, (topology.num_nodes, config.d_v))
+        v_id = yield v_id, "nu", "node", b, atoms, (topology.num_nodes, config.d_v)
         if gemnet:
             enter(f"block{b}.eu2")
             m_id = record_eu2(tape, pl, b, m_id, v_id, edges, topology)
-            m_id = share(m_id, "eu2", "edge", b, edges, edge_shape)
+            m_id = yield m_id, "eu2", "edge", b, edges, edge_shape
             enter(f"block{b}.sym")
             m_id = record_sym(tape, pl, b, m_id, topology.reverse_edges())
         enter(f"block{b}.gu")
-        z_id = share(record_gu_head(tape, pl, b, v_id, atoms), "gu", "global", b)
+        z_id = record_gu_head(tape, pl, b, v_id, atoms)
+        z_id = yield z_id, "gu", "global", b, None, None
         u_id = record_gu_tail(tape, pl, b, z_id, u_id)
 
     enter("readout")
@@ -337,11 +342,12 @@ def record_system(
     tape: Tape, system: AtomicSystem, params: ModelParams
 ) -> tuple[int, ModelHandles]:
     """The sequential forward over a whole system, the one owner of every
-    atom. Returns (the positions leaf, the model's handles)."""
+    atom, whose rows compute each buffer whole. Returns (the positions
+    leaf, the model's handles)."""
     topology, _ = build_graph(system, params.config.cutoff)
     pos_id = tape.leaf(system.positions)
     basis = compute_basis(tape, pos_id, topology, params.config, slice(None))
-    return pos_id, record_model(tape, params, topology, basis)
+    return pos_id, run_alone(record_model(tape, params, topology, basis))
 
 
 def force_seed(d_forces: np.ndarray | None, config: ModelConfig, n: int) -> np.ndarray | None:

@@ -10,11 +10,15 @@ All downstream determinism relies on these orderings.
 Edges come from a cell-list neighbour search (``egn.neighbours``). The
 model never lists triplets: those of center atom j are the off-diagonal
 entries of the Gram matrix of its out-edge unit vectors, laid out by a
-``TripletPlan`` of a range of center atoms, in rows local to its edges. ``GraphTopology.trip_in`` and ``trip_out`` list them on
-first read, for readers of the topology itself. The geometry functions
-below are the forward and closed-form gradient rules of the tape's
-geometry primitives, which ``egn.basis.compute_basis`` records from the
-edge vectors x_recv - x_src; no angle is formed, only its cosine.
+``TripletPlan`` of a range of center atoms, in rows local to its edges.
+``GraphTopology.trip_in`` and ``trip_out`` list them on first read, for
+readers of the topology itself. Index arrays whose entries never repeat,
+the reverse-edge map and a plan's in-edges, are marked ``DistinctRows``
+where they are built, so a gather by them takes its adjoint by
+assignment. The geometry functions below are the forward and closed-form
+gradient rules of the tape's geometry primitives, which
+``egn.basis.compute_basis`` records from the edge vectors x_recv - x_src;
+no angle is formed, only its cosine.
 """
 
 from __future__ import annotations
@@ -27,6 +31,19 @@ import numpy as np
 
 from .neighbours import concat_ranges, neighbour_pairs
 from .system import AtomicSystem
+
+
+class DistinctRows(np.ndarray):
+    """Row indices that never repeat, marked where they are built. Arrays
+    derived from them, by indexing or arithmetic, are plain again, since
+    they promise nothing."""
+
+    def __getitem__(self, key):
+        return self.view(np.ndarray)[key]
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        array = array.view(np.ndarray)
+        return array[()] if return_scalar else array
 
 
 @dataclass(frozen=True)
@@ -58,7 +75,8 @@ class GraphTopology:
 
     def reverse_edges(self) -> np.ndarray:
         """Index map r with edges[r[k]] == (recv_k, src_k), computed once per
-        topology and read-only.
+        topology and read-only; ``DistinctRows`` when no edge repeats, since
+        r is then a permutation.
 
         Raises ValueError when some edge has no reverse partner; cutoff
         graphs always have one by symmetry of the distance criterion.
@@ -81,6 +99,8 @@ class GraphTopology:
             raise ValueError(f"edge {idx} has no reverse edge {pair}")
         rev = order[slot]
         rev.setflags(write=False)
+        if (sorted_key[1:] != sorted_key[:-1]).all():
+            rev = rev.view(DistinctRows)
         return rev
 
 
@@ -152,7 +172,8 @@ def triplet_plan(topology: GraphTopology, atoms: slice) -> TripletPlan:
         rows = slice(offset, offset + first.size * n * n)
         buckets.append(DegreeBucket(first[:, None] + np.arange(n), rows))
         offset = rows.stop
-    in_edges = topology.reverse_edges()[edges]
+    rev = topology.reverse_edges()
+    in_edges = rev[edges].view(type(rev))
     return TripletPlan(slice(lo, hi), edges, in_edges, tuple(buckets), offset)
 
 

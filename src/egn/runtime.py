@@ -1,9 +1,14 @@
 """Simulated multi-worker execution of the block pipeline.
 
-P workers run as threads that communicate only through a Collective
-endpoint offering a deterministic all-reduce (reduction in ascending rank
-order, identical result delivered everywhere). Worker-local state is owned
-exclusively by its worker between collectives.
+P workers take turns on one thread and communicate only through a
+Collective endpoint offering a deterministic all-reduce (reduction in
+ascending rank order, one read-only total read by every worker). Each
+worker is a generator that runs to its next all-reduce and yields its
+buffer there; ``WorkerGroup`` steps ranks 0..P-1 to their next
+collective, sums their buffers once, outside every rank, and resumes each
+with the total. Worker-local state is owned by its worker alone, and a
+rank's stage clock runs only while it is stepped, so stage times are its
+own compute and no worker ever waits.
 
 A worker owns a contiguous range of center atoms J (see
 ``egn.partition``); its edge rows are J's out-edges O_J and its node rows
@@ -11,10 +16,10 @@ are J. It records its geometry and basis with ``compute_basis``: edge
 vectors, distances, unit vectors and rbf over every edge, and the triplet
 basis of J only. It then runs the engine's block pipeline
 ``record_model``, the one definition of the model forward, over those
-rows, with a ``share`` hook that all-reduces and an ``enter`` hook that
-marks the stages. A worker gets every shared buffer by all-reducing the
-rows or partial sums it owns, or computes the whole buffer itself with no
-collective. Per block (dimenet-style):
+rows; each buffer the pipeline yields is all-reduced, and an ``enter``
+hook marks the stages. A worker gets every shared buffer by all-reducing
+the rows or partial sums it owns, or computes the whole buffer itself with
+no collective. Per block (dimenet-style):
   * triplet update of J over J's edges only: gates and C_l at the
     in-edges rev[O_J], summed into O_J, gated and up-projected there:
     |O_J| complete rows, no collective;
@@ -29,26 +34,29 @@ edges. The initial edge embedding and the force head also run over all
 rows on every worker.
 
 A recording worker keeps its geometry and every stage on one tape, where
-each all-reduce is a collective node (see ``egn.tape``): its adjoint sums
-the workers' partial adjoints and hands each worker its rows, so the
-backward is one walk of that tape. Every VJP is linear in its adjoint, so
-the collectives and the final all-reduce of position and parameter
-gradients sum the partials to the exact gradient; only rank 0 seeds the
-energy and the forces. Boundary nodes book the backward's time to the
-forward's stages, the geometry's VJPs to ``backward.geometry``. Each
-center atom's triplet blocks are differentiated by their owner alone, and
-triplet features never enter a collective in either direction.
+each all-reduce is a collective node (see ``egn.tape``). Its backward is
+one walk of that tape, which yields at each collective node the adjoint
+of the whole buffer; the group sums the workers' adjoints as in the
+forward, and each worker takes its rows of the sum. Every VJP is linear
+in its adjoint, so the collectives and the final all-reduce of position
+and parameter gradients sum the partials to the exact gradient; only rank
+0 seeds the energy and the forces. Boundary nodes book the backward's
+time to the forward's stages, the geometry's VJPs to
+``backward.geometry``. Each center atom's triplet blocks are
+differentiated by their owner alone, and triplet features never enter a
+collective in either direction.
 
 ``WorkerGroup.record()`` runs a forward and returns its
 ``ParallelRunResult`` holding each worker's tape, whose ``backward()``
 runs the workers again over those tapes on the same collective, after the
 caller has read the energy and forces it seeds from. ``forward()`` keeps
-no tape.
+no tape. A rank that raises fails the pass at once with its rank and
+stage; ranks that disagree on a collective fail it with a
+``CollectiveError``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -71,10 +79,6 @@ class CollectiveError(RuntimeError):
 
 
 class CollectiveShapeError(CollectiveError):
-    pass
-
-
-class CollectiveTimeoutError(CollectiveError):
     pass
 
 
@@ -110,32 +114,16 @@ class CommLog:
 
 
 class Collective:
-    """Group endpoint: deterministic all-reduce-sum for P workers."""
+    """Group endpoint: deterministic all-reduce-sum for P workers.
 
-    def __init__(self, workers: int, log: CommLog, timeout: float = 30.0):
+    Each collective takes one ``allreduce_sum`` call per rank, in rank
+    order; the last rank's call sums the buffers and logs the collective.
+    """
+
+    def __init__(self, workers: int, log: CommLog):
         self.workers = workers
         self.log = log
-        self.timeout = timeout
-        self._slots: list[np.ndarray | None] = [None] * workers
-        self._result: np.ndarray | None = None
-        self._error: str | None = None
-        self._enter = threading.Barrier(workers)
-        self._exit = threading.Barrier(workers)
-
-    def abort(self) -> None:
-        self._enter.abort()
-        self._exit.abort()
-
-    def _wait(self, barrier: threading.Barrier) -> None:
-        try:
-            barrier.wait(timeout=self.timeout)
-        except threading.BrokenBarrierError:
-            if barrier.broken:
-                raise CollectiveTimeoutError(
-                    f"collective did not complete within {self.timeout}s "
-                    "(missing participant or aborted group)"
-                ) from None
-            raise
+        self._slots: list[np.ndarray] = []
 
     def sum_slots(self, slots: list[np.ndarray]) -> np.ndarray:
         """Sum the workers' buffers in ascending rank order into a new array."""
@@ -153,28 +141,33 @@ class Collective:
         block: int,
         stage: str,
         level: str,
-    ) -> np.ndarray:
-        """Rank-ordered sum of all workers' buffers, identical on every worker."""
+    ) -> np.ndarray | None:
+        """Rank ``rank``'s buffer for the open collective. Returns None until
+        the last rank's call, which returns the rank-ordered sum of all
+        buffers, read-only: the one total every worker reads."""
         if level not in ALLOWED_LEVELS:
             raise ValueError(f"buffers of level {level!r} must never enter a collective")
-        self._slots[rank] = np.asarray(buffer, dtype=np.float64)
-        self._wait(self._enter)
-        if rank == 0:
-            shapes = {slot.shape for slot in self._slots}
-            if len(shapes) != 1:
-                self._error = f"shape mismatch across workers: {sorted(shapes)}"
-                self._result = None
-            else:
-                self._result = self.sum_slots(self._slots)
-                self._error = None
-                self.log.records.append(
-                    CommRecord(phase=phase, block=block, stage=stage, level=level,
-                               elements=int(self._result.size))
-                )
-        self._wait(self._exit)
-        if self._error is not None:
-            raise CollectiveShapeError(self._error)
-        return self._result.copy()
+        if rank != len(self._slots):
+            raise CollectiveError(
+                f"rank {rank} entered collective {stage!r} of block {block}, "
+                f"which waits for rank {len(self._slots)}"
+            )
+        self._slots.append(np.asarray(buffer, dtype=np.float64))
+        if rank < self.workers - 1:
+            return None
+        slots, self._slots = self._slots, []
+        shapes = [slot.shape for slot in slots]
+        if len(set(shapes)) != 1:
+            ranks = ", ".join(f"rank {r} {shape}" for r, shape in enumerate(shapes))
+            raise CollectiveShapeError(
+                f"buffer shapes disagree at collective {stage!r} of block {block}: {ranks}"
+            )
+        total = self.sum_slots(slots)
+        total.setflags(write=False)
+        self.log.records.append(
+            CommRecord(phase=phase, block=block, stage=stage, level=level, elements=total.size)
+        )
+        return total
 
 
 @dataclass
@@ -186,17 +179,24 @@ class ParallelRunResult:
     d_forces)``, which runs the workers again over the tapes they
     recorded, on the same collective, so the comm log holds the forward's
     records followed by the backward's. A pass runs one backward, and its
-    tapes are released then; a result of ``forward()`` has none.
+    tapes are released then; a result of ``forward()`` has none. The stage
+    clocks of the backward add to those of the forward. Arrays that are a
+    collective's total, the backward's gradients among them, are read-only.
     """
 
     energy: float
     forces: np.ndarray | None
     state: FeatureState
     comm_log: CommLog
-    stage_seconds: dict[str, float]  # rank 0's
-    # (group, worker contexts, each worker's (tape, positions leaf, model
-    # handles)) of a recorded pass until its backward.
+    rank_stage_seconds: list[dict[str, float]]  # one per rank: its compute per stage
+    # (group, collective, worker contexts, each worker's (tape, positions
+    # leaf, model handles)) of a recorded pass until its backward.
     _pending: tuple | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def stage_seconds(self) -> dict[str, float]:
+        """Rank 0's seconds per stage."""
+        return self.rank_stage_seconds[0]
 
     def backward(
         self, d_energy: float = 1.0, d_forces: np.ndarray | None = None
@@ -205,36 +205,44 @@ class ParallelRunResult:
             raise RuntimeError(
                 "this pass kept no tapes or has already run its backward; record() a new pass"
             )
-        group, contexts, recorded = self._pending
+        group, collective, contexts, recorded = self._pending
         d_forces = force_seed(d_forces, group.config, group.system.n)
         self._pending = None
-        bundles = group._launch(
-            contexts,
-            lambda ctx: group._worker_backward(ctx, recorded[ctx.rank], d_energy, d_forces),
-        )
-        return bundles[0]
+        steps = [
+            group._worker_backward(ctx, recorded[ctx.rank], d_energy, d_forces)
+            for ctx in contexts
+        ]
+        return group._run(collective, contexts, steps)[0]
 
 
 class _WorkerContext:
-    def __init__(self, rank: int, collective: Collective):
-        self.rank = rank
-        self.collective = collective
-        self.stage = "setup"
-        self.stage_seconds: dict[str, float] = {}
-        self._tic: float | None = None
+    """A rank's stage clock. It runs only while the scheduler steps the
+    rank, so each stage books the rank's own compute, never a wait."""
 
-    def set_stage(self, name: str) -> None:
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.stage: str | None = None  # the open stage
+        self.stage_seconds: dict[str, float] = {}
+        self._tic: float | None = None  # while the rank runs, when it last booked
+
+    def _book(self) -> None:
         now = time.perf_counter()
-        if self._tic is not None:
+        if self._tic is not None and self.stage is not None:
             self.stage_seconds[self.stage] = (
                 self.stage_seconds.get(self.stage, 0.0) + now - self._tic
             )
-        self.stage = name
         self._tic = now
 
-    def finish_timing(self) -> None:
-        """Close the running stage; the gap before the next phase is not timed."""
-        self.set_stage("done")
+    def set_stage(self, name: str | None) -> None:
+        """Close the open stage and open ``name``; None opens none."""
+        self._book()
+        self.stage = name
+
+    def resume(self) -> None:
+        self._tic = time.perf_counter()
+
+    def pause(self) -> None:
+        self._book()
         self._tic = None
 
 
@@ -284,8 +292,9 @@ class WorkerGroup:
     def _forward(self, record: bool):
         log = CommLog()
         collective = Collective(self.workers, log)
-        contexts = [_WorkerContext(rank, collective) for rank in range(self.workers)]
-        outputs = self._launch(contexts, lambda ctx: self._worker_forward(ctx, record))
+        contexts = [_WorkerContext(rank) for rank in range(self.workers)]
+        steps = [self._worker_forward(ctx, record) for ctx in contexts]
+        outputs = self._run(collective, contexts, steps)
         fwd0 = outputs[0]
         # Bit patterns, not values: identical NaNs agree, since NaN != NaN.
         energies = {np.float64(out["energy"]).tobytes() for out in outputs}
@@ -297,73 +306,70 @@ class WorkerGroup:
             node_features=fwd0["v"],
             edge_features=fwd0["m"],
         )
+        recorded = [out["recorded"] for out in outputs]
         return ParallelRunResult(
             energy=float(fwd0["energy"]),
             forces=fwd0["forces"],
             state=state,
             comm_log=log,
-            stage_seconds=contexts[0].stage_seconds,
-            _pending=(self, contexts, [out["recorded"] for out in outputs]) if record else None,
+            rank_stage_seconds=[ctx.stage_seconds for ctx in contexts],
+            _pending=(self, collective, contexts, recorded) if record else None,
         )
 
-    def _launch(self, contexts: list[_WorkerContext], work) -> list:
-        """Run ``work(ctx)`` for every rank on its own thread, which closes
-        its last stage as soon as its work returns; return the outputs by
-        rank, or raise the primary failure as a WorkerGroupError (a rank's
-        own error before the timeouts it caused elsewhere)."""
+    def _run(self, collective: Collective, contexts: list[_WorkerContext], steps: list) -> list:
+        """Step each rank's generator to its next collective, rank 0 first,
+        sum their buffers through ``collective`` and resume every rank with
+        the one total, until all return; their return values by rank.
+
+        A generator yields ``(buffer, where)``, ``where`` the keywords of
+        ``Collective.allreduce_sum`` besides rank and buffer. A rank that
+        raises fails the group at once as a WorkerGroupError naming its rank
+        and stage; a rank that returns while others wait at a collective
+        fails it as a CollectiveError. Either way every generator is closed.
+        """
         outputs: list = [None] * self.workers
-        errors: list = [None] * self.workers
-
-        def body(rank: int) -> None:
-            try:
-                outputs[rank] = work(contexts[rank])
-                contexts[rank].finish_timing()
-            except BaseException as exc:  # noqa: BLE001 - reported to the caller
-                errors[rank] = exc
-                contexts[rank].collective.abort()
-
-        if self.workers == 1:
-            body(0)
-        else:
-            threads = [
-                threading.Thread(target=body, args=(rank,), name=f"egn-worker-{rank}")
-                for rank in range(self.workers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-
-        primary = None
-        for rank, exc in enumerate(errors):
-            if exc is None:
-                continue
-            if primary is None or (
-                isinstance(primary[1], CollectiveTimeoutError)
-                and not isinstance(exc, CollectiveTimeoutError)
-            ):
-                primary = (rank, exc)
-        if primary is not None:
-            rank, exc = primary
-            raise WorkerGroupError(contexts[rank].stage, rank, exc) from exc
-        return outputs
+        total = None
+        try:
+            while True:
+                requests = []
+                for ctx, step in zip(contexts, steps):
+                    ctx.resume()
+                    try:
+                        requests.append(step.send(total))
+                    except StopIteration as stop:
+                        requests.append(None)
+                        outputs[ctx.rank] = stop.value
+                        ctx.set_stage(None)  # its last stage ends with it
+                    except Exception as exc:
+                        raise WorkerGroupError(ctx.stage, ctx.rank, exc) from exc
+                    finally:
+                        ctx.pause()
+                waiting = [rank for rank, request in enumerate(requests) if request is not None]
+                if not waiting:
+                    return outputs
+                if len(waiting) < self.workers:
+                    where = requests[waiting[0]][1]
+                    done = [rank for rank, request in enumerate(requests) if request is None]
+                    raise CollectiveError(
+                        f"ranks {done} returned while ranks {waiting} wait at collective "
+                        f"{where['stage']!r} of block {where['block']}"
+                    )
+                for rank, (buffer, where) in enumerate(requests):
+                    total = collective.allreduce_sum(rank, buffer, **where)
+        finally:
+            for step in steps:
+                step.close()
 
     # -- worker forward ----------------------------------------------------
 
-    def _worker_forward(self, ctx: _WorkerContext, record: bool) -> dict:
+    def _worker_forward(self, ctx: _WorkerContext, record: bool):
         """This worker's shard of the model: its geometry and basis, then
         the block pipeline over its rows, all on one tape when ``record``
-        (a backward follows), otherwise on an Evaluator."""
-        rank = ctx.rank
+        (a backward follows), otherwise on an Evaluator. Yields each
+        buffer the pipeline shares, placed in a zero buffer where the
+        worker holds only some of its rows, and records the total it
+        resumes with as a collective node."""
         tape = Tape() if record else Evaluator()
-
-        def share(x, stage: str, level: str, block: int, rows=None, shape=None):
-            """All-reduce ``x`` over the workers, placed at ``rows`` of a
-            zero buffer of ``shape`` if given; the comm record carries
-            ``block``, ``stage`` and ``level``."""
-            c = ctx.collective
-            link = partial(c.allreduce_sum, rank, block=block, stage=stage, level=level)
-            return tape.allreduce(x, link, rows, shape)
 
         def enter(stage: str) -> None:
             tape.boundary(partial(ctx.set_stage, "backward." + ctx.stage))
@@ -371,9 +377,22 @@ class WorkerGroup:
 
         ctx.set_stage("init")
         pos = tape.leaf(self.system.positions)
-        basis = compute_basis(tape, pos, self.topology, self.config, self.partition[rank])
+        basis = compute_basis(tape, pos, self.topology, self.config, self.partition[ctx.rank])
         tape.boundary(partial(ctx.set_stage, "backward.geometry"))
-        h = record_model(tape, self.params, self.topology, basis, share, enter)
+        model = record_model(tape, self.params, self.topology, basis, enter)
+        handle = None
+        try:
+            while True:
+                x, stage, level, block, rows, shape = model.send(handle)
+                buffer = tape.value(x)
+                if rows is not None:
+                    buffer = np.zeros(shape, dtype=np.float64)
+                    buffer[rows] = tape.value(x)
+                where = {"block": block, "stage": stage, "level": level}
+                total = yield buffer, {"phase": "forward", **where}
+                handle = tape.allreduce(x, total, rows, {"phase": "backward", **where})
+        except StopIteration as stop:
+            h = stop.value
         val = tape.value
         return {
             "energy": float(val(h.energy)[0, 0]),
@@ -381,9 +400,9 @@ class WorkerGroup:
             "m": val(h.m),
             "v": val(h.v),
             "u": val(h.u),
-            # Not kept on the context: the tape's collective and boundary
-            # nodes refer to it, and that cycle would hold every pass's
-            # tape until the cyclic garbage collector ran.
+            # Not kept on the context: the tape's boundary nodes refer to
+            # it, and that cycle would hold every pass's tape until the
+            # cyclic garbage collector ran.
             "recorded": (tape, pos, h) if record else None,
         }
 
@@ -391,10 +410,11 @@ class WorkerGroup:
 
     def _worker_backward(
         self, ctx: _WorkerContext, recorded: tuple, d_energy: float, d_forces: np.ndarray | None
-    ) -> GradientBundle:
-        """One walk of the worker's tape, whose collective nodes sum the
-        adjoints across workers, then the all-reduce of the partial position
-        and parameter gradients. Only rank 0 seeds the energy and forces."""
+    ):
+        """One walk of the worker's tape, whose collective nodes yield their
+        adjoints to be summed across workers, then the all-reduce of the
+        partial position and parameter gradients. Only rank 0 seeds the
+        energy and forces."""
         tape, pos, h = recorded
         ctx.set_stage("backward.readout")
         seeds = {}
@@ -402,16 +422,14 @@ class WorkerGroup:
             seeds[h.energy] = np.array([[d_energy]], dtype=np.float64)
         if ctx.rank == 0 and d_forces is not None:
             seeds[h.forces] = d_forces
-        grads = tape.backward(seeds)
+        grads = yield from tape.walk(seeds)
 
         ctx.set_stage("backward.reduce")
-        allreduce = ctx.collective.allreduce_sum
-        pos_grad = allreduce(
-            ctx.rank, grads[pos], phase="backward", block=-1, stage="positions", level="position"
-        )
+        where = {"phase": "backward", "block": -1}
+        pos_grad = yield grads[pos], {**where, "stage": "positions", "level": "position"}
         d_params = h.param_leaves.gradients(grads)
         flat = np.concatenate([g.ravel() for g in d_params.values()])
-        flat = allreduce(ctx.rank, flat, phase="backward", block=-1, stage="params", level="param")
+        flat = yield flat, {**where, "stage": "params", "level": "param"}
         offset = 0
         for name, g in d_params.items():
             d_params[name] = flat[offset : offset + g.size].reshape(g.shape)

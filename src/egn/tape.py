@@ -4,10 +4,9 @@ Every primitive stores its inputs, auxiliary constants, and output value, so
 the tape can be walked backward with exact adjoints. Re-running a node's
 forward rule on its recorded inputs gives its value bit for bit; the tests
 check this with a replay helper over ``_FORWARD``. One tape belongs to a
-single forward/backward pair; independent tapes may run on different
-threads. Where no backward follows, an ``Evaluator`` runs the same
-recording calls through the same forward rules and keeps nothing, so a
-forward is written once and yields the same bits either way.
+single forward/backward pair. Where no backward follows, an ``Evaluator``
+runs the same recording calls through the same forward rules and keeps
+nothing, so a forward is written once and yields the same bits either way.
 
 Primitives: leaf, add, mul, concat, linear, silu, gather, segment_sum,
 sum_rows, edge_vectors, edge_distances, edge_units, triplet_basis,
@@ -16,7 +15,10 @@ gaussian_rbf, triplet_contract, allreduce and boundary.
 ``add`` and ``mul`` broadcast as numpy does (a bias row, a column of row
 scales), and their adjoints sum over the broadcast axes. A gather takes an
 index array or, for a contiguous range of rows, a slice; a gather by slice
-is a view of its input, so recorded values may alias each other.
+is a view of its input, so recorded values may alias each other. A gather
+by ``egn.graph.DistinctRows``, indices that never repeat, assigns its
+adjoint into zeros where a general index scatters it with ``scatter_add``;
+both give the same bits.
 Positions enter once, through ``edge_vectors`` (x_recv - x_src per edge),
 whose adjoint is the one geometry adjoint that scatters into atoms.
 Triplets are dense per-atom blocks in the layout of an
@@ -37,17 +39,20 @@ Triplets are dense per-atom blocks in the layout of an
 ``allreduce`` and ``boundary`` serve a worker that records its shard of a
 model split across workers:
 
-  * ``allreduce(x, link, rows, shape)`` places ``x`` at ``rows`` of a zero
-    buffer of ``shape`` (or takes ``x`` whole) and sums that buffer over
-    all workers by ``link(buffer, phase="forward")``; its adjoint sums the
-    workers' adjoints by ``link(g, phase="backward")`` and returns this
-    worker's rows of the sum;
+  * ``allreduce(x, total, rows, where)`` records ``total``, the sum over
+    the workers of ``x`` placed at ``rows`` of a zero buffer of total's
+    shape (or of ``x`` whole), summed by the caller; its adjoint is this
+    worker's rows of the sum over the workers of their adjoints;
   * ``boundary(enter)`` takes no input and changes no number; its adjoint
     calls ``enter()``, so a worker's backward can book its time to the
     forward stage the boundary closed.
 
-A backward runs both even where no adjoint reached them, so all workers
-issue the same collectives in the same order.
+The backward is one walk, ``Tape.walk``, a generator that yields
+``(adjoint, where)`` at each ``allreduce`` node and resumes with the sum
+of that adjoint over the workers; ``Tape.backward`` drives it alone, where
+each adjoint is its own sum. A walk runs both kinds of node even where no
+adjoint reached them, so all workers yield the same collectives in the
+same order.
 """
 
 from __future__ import annotations
@@ -169,7 +174,7 @@ _op("concat")((_concat_fwd, _concat_vjp))
 def _linear_fwd(vals, aux):
     y = vals[0] @ vals[1].T
     if len(vals) == 3:
-        y = y + vals[2]
+        y += vals[2]
     return y
 
 
@@ -201,6 +206,13 @@ def _gather_vjp(g, vals, out, aux):
         # Added into zeros, not assigned: -0.0 becomes +0.0, as in scatter_add.
         grad = np.zeros_like(vals[0])
         grad[rows] += g
+        return (grad,)
+    if isinstance(rows, _graph.DistinctRows):
+        # Each row is written once; + 0.0 has the bits of scatter_add's sum
+        # into zeros, -0.0 included.
+        grad = np.zeros_like(vals[0])
+        grad[rows] = g
+        grad += 0.0
         return (grad,)
     return (scatter_add(rows, g, vals[0].shape[0]),)
 
@@ -312,20 +324,13 @@ def _triplet_contract_vjp(g, vals, out, aux):
 _op("triplet_contract")((_triplet_contract_fwd, _triplet_contract_vjp))
 
 
-def _allreduce_fwd(vals, aux):
-    x = vals[0]
-    if aux["rows"] is not None:
-        x = np.zeros(aux["shape"], dtype=np.float64)
-        x[aux["rows"]] = vals[0]
-    return aux["link"](x, phase="forward")
-
-
-def _allreduce_vjp(g, vals, out, aux):
-    total = aux["link"](g, phase="backward")
-    return (total if aux["rows"] is None else total[aux["rows"]],)
-
-
-_op("allreduce")((_allreduce_fwd, _allreduce_vjp))
+# The walk hands the VJP the adjoint summed over the workers.
+_op("allreduce")(
+    (
+        lambda vals, aux: aux["total"],
+        lambda g, vals, out, aux: (g if aux["rows"] is None else g[aux["rows"]],),
+    )
+)
 
 _NO_VALUE = np.zeros(0)
 
@@ -337,6 +342,18 @@ def _boundary_vjp(g, vals, out, aux):
 
 _op("boundary")((lambda vals, aux: _NO_VALUE, _boundary_vjp))
 _ALWAYS_RUN = frozenset({"allreduce", "boundary"})
+
+
+def run_alone(steps):
+    """Run a generator that yields ``(buffer, ...)`` at each all-reduce and
+    resumes with the sum, as the only worker: each buffer is its own sum.
+    Returns the generator's return value."""
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(request[0])
+    except StopIteration as stop:
+        return stop.value
 
 
 @dataclass
@@ -385,7 +402,7 @@ class Tape:
         return self._record("silu", (x,), {})
 
     def gather(self, x: int, idx: np.ndarray | slice) -> int:
-        if not isinstance(idx, slice):
+        if not isinstance(idx, (slice, _graph.DistinctRows)):
             idx = np.asarray(idx, dtype=np.int64)
         return self._record("gather", (x,), {"idx": idx})
 
@@ -416,28 +433,32 @@ class Tape:
         return self._record("triplet_contract", (blocks, c), {"plan": plan})
 
     def allreduce(
-        self, x: int, link, rows: slice | None = None, shape: tuple | None = None
+        self, x: int, total: np.ndarray, rows: slice | None = None, where=None
     ) -> int:
-        return self._record("allreduce", (x,), {"link": link, "rows": rows, "shape": shape})
+        return self._record("allreduce", (x,), {"total": total, "rows": rows, "where": where})
 
     def boundary(self, enter) -> int:
         return self._record("boundary", (), {"enter": enter})
 
     # -- backward -----------------------------------------------------
 
-    def backward(self, seeds: dict[int, np.ndarray]) -> list[np.ndarray | None]:
-        """Accumulate adjoints for every node reachable from the seeds.
+    def walk(self, seeds: dict[int, np.ndarray]):
+        """The backward walk, as a generator: accumulate adjoints for every
+        node reachable from the seeds.
 
         ``seeds`` maps node id to the upstream gradient of that node's
-        output. Returns a per-node list in which only leaf entries hold
-        gradients: a leaf's accumulated adjoint, or None where none flowed
-        to it. Every non-leaf entry is None, since each non-leaf adjoint is
-        dropped once its node's VJP has run; the walk then holds only the
-        adjoints of its live frontier, not one per node of the tape.
-        Accumulation runs in reverse recording order, which makes the result
-        deterministic. Collective and boundary nodes run even where no
-        gradient reached them, on a zero adjoint. The gradients may share
-        memory with the seeds and with each other, so treat them as read-only.
+        output. At each ``allreduce`` node the walk yields ``(g, where)``,
+        the adjoint of the node's whole buffer and the label it was recorded
+        with, and resumes with the sum of ``g`` over the workers. It returns
+        a per-node list in which only leaf entries hold gradients: a leaf's
+        accumulated adjoint, or None where none flowed to it. Every non-leaf
+        entry is None, since each non-leaf adjoint is dropped once its
+        node's VJP has run; the walk then holds only the adjoints of its
+        live frontier, not one per node of the tape. Accumulation runs in
+        reverse recording order, which makes the result deterministic.
+        Collective and boundary nodes run even where no gradient reached
+        them, on a zero adjoint. The gradients may share memory with the
+        seeds, the sums and each other, so treat them as read-only.
         """
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
         for nid, seed in seeds.items():
@@ -455,6 +476,8 @@ class Tape:
                 g = np.zeros_like(node.value)
             if g is None or node.op == "leaf":
                 continue
+            if node.op == "allreduce":
+                g = yield g, node.aux["where"]
             vals = [self._nodes[i].value for i in node.inputs]
             input_grads = _VJP[node.op](g, vals, node.value, node.aux)
             grads[nid] = g = None
@@ -465,6 +488,10 @@ class Tape:
                 # each other and views of recorded values.
                 grads[iid] = ig if grads[iid] is None else grads[iid] + ig
         return grads
+
+    def backward(self, seeds: dict[int, np.ndarray]) -> list[np.ndarray | None]:
+        """``walk(seeds)`` run alone: each all-reduced adjoint is its own sum."""
+        return run_alone(self.walk(seeds))
 
 
 class Evaluator(Tape):

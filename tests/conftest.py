@@ -141,24 +141,25 @@ class DropLastCollective(Collective):
 
 @pytest.fixture
 def replica_digests(monkeypatch):
-    """Swap in an ``egn.runtime.Collective`` that keeps, per rank, a SHA-256
-    digest of every all-reduce result it returns.
+    """Swap in an ``egn.runtime.Collective`` that keeps a SHA-256 digest of
+    every total it hands the workers.
 
     Returns a list with one entry per collective made, that is per pass, in
-    order: the per-rank lists of digests.
+    order: the digests of its totals.
     """
     made = []
 
     class DigestCollective(Collective):
-        def __init__(self, workers, log, timeout=30.0):
-            super().__init__(workers, log, timeout)
-            self.digests = [[] for _ in range(workers)]
+        def __init__(self, workers, log):
+            super().__init__(workers, log)
+            self.digests = []
             made.append(self.digests)
 
         def allreduce_sum(self, rank, buffer, **kwargs):
-            out = super().allreduce_sum(rank, buffer, **kwargs)
-            self.digests[rank].append(hashlib.sha256(out.tobytes()).hexdigest())
-            return out
+            total = super().allreduce_sum(rank, buffer, **kwargs)
+            if total is not None:
+                self.digests.append(hashlib.sha256(total.tobytes()).hexdigest())
+            return total
 
     monkeypatch.setattr(runtime, "Collective", DigestCollective)
     return made

@@ -1,9 +1,11 @@
 """Multi-worker runtime tests: collective semantics and engine equivalence."""
 
 import gc
+import hashlib
 import re
 import threading
 import time
+import weakref
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -17,92 +19,88 @@ from egn.params import ModelParams, init_params
 from egn.partition import CommModel, comm_volume
 from egn.runtime import (
     Collective,
+    CollectiveError,
     CollectiveShapeError,
-    CollectiveTimeoutError,
     CommLog,
     WorkerGroup,
     WorkerGroupError,
 )
 from egn.system import AtomicSystem, random_cloud
+from egn.tasks import predict, train_simple
 
 from conftest import DropLastCollective, basis_of, block_rows, dimer, load_perfbench_layers
 
 
-def run_collective(buffers, timeout=5.0, op=None):
-    workers = len(buffers)
+def run_collective(buffers):
+    """Each rank's buffer into one collective, in rank order; returns what
+    each call returned and the comm log."""
     log = CommLog()
-    col = Collective(workers, log, timeout=timeout)
-    results = [None] * workers
-    errors = [None] * workers
-
-    def body(rank):
-        try:
-            if op is not None:
-                results[rank] = op(col, rank)
-            else:
-                results[rank] = col.allreduce_sum(
-                    rank, buffers[rank], phase="forward", block=0, stage="t", level="edge"
-                )
-        except BaseException as exc:  # noqa: BLE001
-            errors[rank] = exc
-
-    threads = [threading.Thread(target=body, args=(r,)) for r in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return results, errors, log
+    col = Collective(len(buffers), log)
+    results = [
+        col.allreduce_sum(rank, buffer, phase="forward", block=0, stage="t", level="edge")
+        for rank, buffer in enumerate(buffers)
+    ]
+    return results, log
 
 
 def test_allreduce_two_workers():
-    results, errors, log = run_collective([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-    assert all(e is None for e in errors)
-    for res in results:
-        np.testing.assert_array_equal(res, [4.0, 6.0])
+    results, log = run_collective([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
+    assert results[0] is None  # the sum waits for the last rank
+    np.testing.assert_array_equal(results[1], [4.0, 6.0])
+    assert not results[1].flags.writeable  # one total, read by every worker
     assert log.records[0].elements == 2
 
 
 def test_allreduce_single_worker_identity():
     buf = np.array([[1.5, -2.0]])
-    results, errors, _ = run_collective([buf])
-    assert errors == [None]
+    results, _ = run_collective([buf])
     np.testing.assert_array_equal(results[0], buf)
+    assert results[0] is not buf
 
 
 def test_allreduce_matches_rank_ordered_sum_bitwise(rng):
     buffers = [rng.standard_normal((7, 3)) for _ in range(3)]
-    results, errors, _ = run_collective(buffers)
-    assert all(e is None for e in errors)
+    results, _ = run_collective(buffers)
+    assert results[:2] == [None, None]
     expected = buffers[0].copy()
     for b in buffers[1:]:
         expected += b
-    for res in results:
-        np.testing.assert_array_equal(res, expected)
+    np.testing.assert_array_equal(results[2], expected)
 
 
-def test_allreduce_shape_mismatch_errors_everywhere():
-    results, errors, _ = run_collective([np.zeros((2, 2)), np.zeros((3, 2))])
-    assert all(isinstance(e, CollectiveShapeError) for e in errors)
-
-
-def test_allreduce_missing_participant_times_out():
+def test_allreduce_shape_mismatch_names_ranks_stage_and_block():
     log = CommLog()
-    col = Collective(2, log, timeout=0.2)
-    with pytest.raises(CollectiveTimeoutError):
-        col.allreduce_sum(0, np.zeros(3), phase="forward", block=0, stage="t", level="edge")
+    col = Collective(2, log)
+    col.allreduce_sum(0, np.zeros((2, 2)), phase="forward", block=3, stage="eu", level="edge")
+    want = "collective 'eu' of block 3: rank 0 (2, 2), rank 1 (3, 2)"
+    with pytest.raises(CollectiveShapeError, match=re.escape(want)):
+        col.allreduce_sum(1, np.zeros((3, 2)), phase="forward", block=3, stage="eu", level="edge")
+    assert not log.records
+
+
+def test_allreduce_out_of_rank_order_names_ranks():
+    """A rank that enters before a lower rank has, a missing participant,
+    fails at once with no wait."""
+    col = Collective(2, CommLog())
+    want = "rank 1 entered collective 't' of block 0, which waits for rank 0"
+    with pytest.raises(CollectiveError, match=re.escape(want)):
+        col.allreduce_sum(1, np.zeros(3), phase="forward", block=0, stage="t", level="edge")
+    col.allreduce_sum(0, np.zeros(3), phase="forward", block=0, stage="t", level="edge")
+    want = "rank 0 entered collective 't' of block 1, which waits for rank 1"
+    with pytest.raises(CollectiveError, match=re.escape(want)):
+        col.allreduce_sum(0, np.zeros(3), phase="forward", block=1, stage="t", level="edge")
 
 
 def test_triplet_level_buffers_are_rejected():
     log = CommLog()
-    col = Collective(1, log, timeout=1.0)
+    col = Collective(1, log)
     with pytest.raises(ValueError):
         col.allreduce_sum(0, np.zeros(3), phase="forward", block=0, stage="t", level="triplet")
 
 
 def test_empty_buffers_allreduce():
-    results, errors, log = run_collective([np.zeros((0, 4)), np.zeros((0, 4))])
-    assert all(e is None for e in errors)
-    assert results[0].shape == (0, 4)
+    results, log = run_collective([np.zeros((0, 4)), np.zeros((0, 4))])
+    assert results[1].shape == (0, 4)
     assert log.records[0].elements == 0
 
 
@@ -187,12 +185,13 @@ def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypa
     centers = topo.edge_src[topo.trip_out]
     degree = np.bincount(topo.edge_src, minlength=topo.num_nodes)
 
-    seen = defaultdict(list)  # thread name -> [(plan, value)]
+    seen = defaultdict(list)  # the plan's atoms -> [(plan, value)]
     rule = tape_module._FORWARD["triplet_basis"]
 
     def wrapped(vals, aux):
         value = rule(vals, aux)
-        seen[threading.current_thread().name].append((aux["plan"], value))
+        atoms = aux["plan"].atoms
+        seen[atoms.start, atoms.stop].append((aux["plan"], value))
         return value
 
     monkeypatch.setitem(tape_module._FORWARD, "triplet_basis", wrapped)
@@ -201,8 +200,8 @@ def test_triplet_geometry_is_recorded_per_shard(workers, medium_system, monkeypa
         group.forward()
         group.forward_backward()
         rows = 0
-        for rank, atoms in enumerate(group.partition):
-            calls = seen.pop(f"egn-worker-{rank}")
+        for atoms in group.partition:
+            calls = seen.pop((atoms.start, atoms.stop))
             assert len(calls) == 2, variant
             mine = (atoms.start <= centers) & (centers < atoms.stop)
             in_shard = np.arange(atoms.start, atoms.stop)
@@ -238,20 +237,20 @@ def test_triplet_update_runs_on_the_workers_own_edges(variant, workers, medium_s
     tail at O_J."""
     cfg = ModelConfig(variant=variant, blocks=2, workers=workers)
     group = WorkerGroup(medium_system, init_params(cfg))
-    inside = threading.local()
-    seen = defaultdict(list)  # thread name -> [(rows returned, rows of each linear)]
+    inside = []  # rows of each linear inside the open record_tu, if one is open
+    seen = defaultdict(list)  # the plan's atoms -> [(rows returned, rows of each linear)]
     record_tu, linear = engine.record_tu, tape_module._FORWARD["linear"]
 
-    def spy_tu(tape, *args):
-        inside.rows = []
-        out = record_tu(tape, *args)
-        seen[threading.current_thread().name].append((tape.value(out).shape[0], inside.rows))
-        inside.rows = None
+    def spy_tu(tape, pl, block, config, m_id, basis):
+        inside.append([])
+        out = record_tu(tape, pl, block, config, m_id, basis)
+        atoms = basis.plan.atoms
+        seen[atoms.start, atoms.stop].append((tape.value(out).shape[0], inside.pop()))
         return out
 
     def spy_linear(vals, aux):
-        if getattr(inside, "rows", None) is not None:
-            inside.rows.append(vals[0].shape[0])
+        if inside:
+            inside[-1].append(vals[0].shape[0])
         return linear(vals, aux)
 
     monkeypatch.setattr(engine, "record_tu", spy_tu)
@@ -259,10 +258,10 @@ def test_triplet_update_runs_on_the_workers_own_edges(variant, workers, medium_s
     group.forward()
     group.forward_backward()
     starts = group.topology.out_edge_starts()
-    for rank, atoms in enumerate(group.partition):
+    for atoms in group.partition:
         own = int(starts[atoms.stop] - starts[atoms.start])
         assert 0 < own < group.topology.num_edges
-        calls = seen.pop(f"egn-worker-{rank}")
+        calls = seen.pop((atoms.start, atoms.stop))
         assert [rows for rows, _ in calls] == [own] * (2 * cfg.blocks)
         for _, linears in calls:
             assert len(linears) == (7 if variant == GEMNET else 4) and set(linears) == {own}
@@ -378,15 +377,32 @@ def test_no_triplet_buffers_in_collectives(medium_system):
             assert rec.elements in sizes
 
 
-def test_replica_buffers_identical_after_every_collective(medium_system, replica_digests):
+def test_replica_buffers_identical_after_every_collective(
+    medium_system, replica_digests, monkeypatch
+):
+    """Every worker records, at each collective node of its tape, the total
+    the collective made, and its walk takes its rows of the backward's
+    totals in turn; the final two totals are the position and parameter
+    gradients."""
     cfg = ModelConfig(variant="gemnet-style", blocks=2, workers=4)
     group = WorkerGroup(medium_system, init_params(cfg))
+    made = _recorded_tapes(monkeypatch)
+    summed = {}  # id of a collective node's aux -> digest of the adjoint sum it took
+    vjp = tape_module._VJP["allreduce"]
+
+    def spy(g, vals, out, aux):
+        summed[id(aux)] = hashlib.sha256(g.tobytes()).hexdigest()
+        return vjp(g, vals, out, aux)
+
+    monkeypatch.setitem(tape_module._VJP, "allreduce", spy)
     group.forward_backward(d_energy=1.0)
     (digests,) = replica_digests
-    lengths = {len(d) for d in digests}
-    assert lengths == {len(digests[0])} and len(digests[0]) > 0
-    for position in range(len(digests[0])):
-        assert len({d[position] for d in digests}) == 1
+    assert len(made) == cfg.workers
+    for tape in made:
+        nodes = [node for node in tape._nodes if node.op == "allreduce"]
+        forward = [hashlib.sha256(node.value.tobytes()).hexdigest() for node in nodes]
+        backward = [summed[id(node.aux)] for node in reversed(nodes)]
+        assert forward + backward == digests[:-2]
 
 
 def test_fixed_seed_and_workers_bit_identical_across_runs(medium_system):
@@ -473,26 +489,29 @@ def test_stage_timing_csv(medium_system):
 
 
 def test_each_worker_closes_its_own_last_stage(medium_system, monkeypatch):
-    """A rank that lingers after its forward does not lengthen rank 0's last
-    stage: each worker closes its stages on its own thread, and every rank
-    times them."""
+    """A rank's stage clock runs only while the rank is stepped: a primitive
+    that sleeps on rank 1's tape alone, forward and backward, lengthens
+    rank 1's stages and none of rank 0's, and every rank times its own."""
     cfg = ModelConfig(variant=GEMNET, blocks=1, workers=2)
     group = WorkerGroup(medium_system, init_params(cfg))
-    original = WorkerGroup._worker_forward
-    contexts = []
+    slow = group.partition[1]
 
-    def lingering(self, ctx, record):
-        out = original(self, ctx, record)
-        contexts.append(ctx)
-        if ctx.rank == 1:
-            time.sleep(0.3)
-        return out
+    def sleeping(rule):
+        def wrapped(*args):
+            if args[-1]["plan"].atoms == slow:
+                time.sleep(0.3)
+            return rule(*args)
 
-    monkeypatch.setattr(WorkerGroup, "_worker_forward", lingering)
-    result = group.forward()
-    assert result.stage_seconds["readout"] < 0.1
-    assert sorted(ctx.rank for ctx in contexts) == [0, 1]
-    assert all("readout" in ctx.stage_seconds for ctx in contexts)
+        return wrapped
+
+    for table in (tape_module._FORWARD, tape_module._VJP):
+        monkeypatch.setitem(table, "triplet_basis", sleeping(table["triplet_basis"]))
+    result, _ = group.forward_backward()
+    rank0, rank1 = result.rank_stage_seconds
+    assert result.stage_seconds is rank0
+    assert rank0.keys() == rank1.keys() and "readout" in rank0 and "backward.reduce" in rank0
+    assert max(rank0.values()) < 0.1
+    assert rank1["init"] >= 0.3 and rank1["backward.geometry"] >= 0.3
 
 
 def _bytes(x):
@@ -524,7 +543,7 @@ def test_recorded_pass_matches_forward_backward(
     assert set(phases[n_forward:]) == {"backward"}  # the forward, then the backward
     want_digests, got_digests = replica_digests
     assert got_digests == want_digests
-    assert len(got_digests[0]) == len(phases)
+    assert len(got_digests) == len(phases)
 
 
 @pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
@@ -560,12 +579,12 @@ def test_backward_elements_mirror_forward(variant, workers, medium_system):
 
 
 def _calls_per_worker(monkeypatch, names) -> dict:
-    """Wrap the block pipeline's recorders ``names``; returns thread name ->
-    [(recorder name, its last argument)] of every call."""
+    """Wrap the block pipeline's recorders ``names``; returns the tape each
+    ran on -> [(recorder name, its last argument)] of every call."""
     calls = defaultdict(list)
     for name in names:
         def spy(*args, _name=name, _fn=getattr(engine, name)):
-            calls[threading.current_thread().name].append((_name, args[-1]))
+            calls[args[0]].append((_name, args[-1]))
             return _fn(*args)
 
         monkeypatch.setattr(engine, name, spy)
@@ -580,10 +599,11 @@ def test_edge_update_runs_on_the_edge_shard(workers, medium_system, monkeypatch)
     calls = _calls_per_worker(monkeypatch, ["record_eu"])
     group.forward_backward()
     starts = group.topology.out_edge_starts()
-    for rank, atoms in enumerate(group.partition):
-        edges = slice(int(starts[atoms.start]), int(starts[atoms.stop]))
-        assert calls.pop(f"egn-worker-{rank}") == [("record_eu", edges)] * cfg.blocks
-    assert not calls
+    want = [
+        [("record_eu", slice(int(starts[atoms.start]), int(starts[atoms.stop])))] * cfg.blocks
+        for atoms in group.partition
+    ]
+    assert sorted(calls.values(), key=lambda seen: seen[0][1].start) == want
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -643,13 +663,13 @@ def test_one_tape_per_worker(workers, medium_system, monkeypatch):
     group = WorkerGroup(medium_system, init_params(cfg))
     made = _recorded_tapes(monkeypatch)
     walks = []
-    backward = tape_module.Tape.backward
+    walk = tape_module.Tape.walk
 
     def counted(self, seeds):
         walks.append(self)
-        return backward(self, seeds)
+        return walk(self, seeds)
 
-    monkeypatch.setattr(tape_module.Tape, "backward", counted)
+    monkeypatch.setattr(tape_module.Tape, "walk", counted)
     group.forward_backward()
     assert len(made) == workers
     assert sorted(map(id, walks)) == sorted(map(id, made))
@@ -732,21 +752,133 @@ def test_backward_failure_names_rank_and_stage(medium_system, monkeypatch):
     cfg = ModelConfig(variant="dimenet-style", blocks=1, workers=2)
     group = WorkerGroup(medium_system, init_params(cfg))
     recorded = group.record()
-    original = tape_module._VJP["linear"]
+    records = len(recorded.comm_log.records)
+    original = tape_module._VJP["triplet_contract"]
 
     def broken(g, vals, out, aux):
-        if threading.current_thread().name == "egn-worker-1":
+        if aux["plan"].atoms == group.partition[1]:
             raise FloatingPointError("synthetic backward failure")
         return original(g, vals, out, aux)
 
-    monkeypatch.setitem(tape_module._VJP, "linear", broken)
-    tic = time.perf_counter()
+    monkeypatch.setitem(tape_module._VJP, "triplet_contract", broken)
     with pytest.raises(WorkerGroupError) as info:
         recorded.backward()
-    # Rank 0 is released by the abort, long before the collective's 30 s timeout.
-    assert time.perf_counter() - tic < 5.0
     assert info.value.rank == 1
-    assert info.value.stage.startswith("backward.")
+    assert info.value.stage == "backward.block0.tu"
     assert isinstance(info.value.__cause__, FloatingPointError)
+    # At once: the backward's last collectives, of positions and
+    # parameters, never ran.
+    assert [rec.stage for rec in recorded.comm_log.records[records:]] == ["gu", "nu", "eu"]
     with pytest.raises(RuntimeError, match="already run its backward"):
         recorded.backward()
+
+
+def _weak_tapes(monkeypatch) -> list:
+    """Make every Tape and Evaluator the runtime builds append a weak
+    reference to itself to the returned list."""
+    from egn import runtime as rt
+
+    made = []
+    for name in ("Tape", "Evaluator"):
+        base = getattr(rt, name)
+
+        def init(self, _base=base):
+            _base.__init__(self)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(rt, name, type("Seen" + name, (base,), {"__init__": init}))
+    return made
+
+
+@pytest.mark.parametrize("phase", ["forward", "record", "backward"])
+def test_failure_closes_every_worker_and_keeps_no_tape(phase, medium_system, monkeypatch):
+    """A rank that raises fails the pass at once with its rank and stage;
+    the other ranks are closed, and no tape outlives the error, with no
+    reference cycle left for the garbage collector."""
+    cfg = ModelConfig(variant=GEMNET, blocks=2, workers=3)
+    group = WorkerGroup(medium_system, init_params(cfg))
+    made = _weak_tapes(monkeypatch)
+    op = "triplet_contract"
+    table = tape_module._VJP if phase == "backward" else tape_module._FORWARD
+    original = table[op]
+    calls = []
+
+    def broken(*args):
+        calls.append(args[-1]["plan"].atoms)
+        if args[-1]["plan"].atoms == group.partition[1] and len(calls) > 3:
+            raise FloatingPointError("synthetic failure")
+        return original(*args)
+
+    monkeypatch.setitem(table, op, broken)
+    closed = []
+    for name in ("_worker_forward", "_worker_backward"):
+
+        def tracked(self, ctx, *args, _work=getattr(WorkerGroup, name)):
+            try:
+                return (yield from _work(self, ctx, *args))
+            except GeneratorExit:
+                closed.append(ctx.rank)
+                raise
+
+        monkeypatch.setattr(WorkerGroup, name, tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            if phase == "forward":
+                group.forward()
+            elif phase == "record":
+                group.record()
+            else:
+                group.forward_backward()
+        except WorkerGroupError as err:
+            failure = (err.rank, err.stage, type(err.__cause__))
+            assert sorted(closed) == [0, 2]  # before the error reaches the caller
+        block = "block0" if phase == "backward" else "block1"
+        stage = ("backward." if phase == "backward" else "") + block + ".tu"
+        assert failure == (1, stage, FloatingPointError)
+        # Rank 2 never reached the stage rank 1 failed in.
+        assert calls[-2:] == [group.partition[0], group.partition[1]]
+        assert len(made) == cfg.workers
+        assert all(ref() is None for ref in made)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_rank_that_returns_early_fails_the_collective(medium_system, monkeypatch):
+    """A rank that returns while the others wait at a collective fails the
+    pass with a CollectiveError naming the ranks, stage and block."""
+    cfg = ModelConfig(variant=DIMENET, blocks=2, workers=3)
+    group = WorkerGroup(medium_system, init_params(cfg))
+    original = WorkerGroup._worker_forward
+
+    def early(self, ctx, record):
+        if ctx.rank == 1:
+            return {}
+        return (yield from original(self, ctx, record))
+
+    monkeypatch.setattr(WorkerGroup, "_worker_forward", early)
+    want = "ranks [1] returned while ranks [0, 2] wait at collective 'eu' of block 0"
+    with pytest.raises(CollectiveError, match=re.escape(want)):
+        group.forward()
+
+
+def test_runtime_starts_no_thread(monkeypatch):
+    """Workers take turns on the caller's thread: with thread starts
+    refused, a P=4 forward, a P=4 recorded pass and its backward, and a
+    two-epoch P=2 training run complete."""
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    system = random_cloud(16, 0.9, np.random.default_rng(3))
+    params = init_params(ModelConfig(variant=GEMNET, blocks=2, workers=4))
+    WorkerGroup(system, params).forward()
+    WorkerGroup(system, params).record().backward(1.0, np.ones((system.n, 3)))
+    teacher = init_params(ModelConfig(variant=GEMNET, blocks=1, seed=8))
+    dataset = [(system, *predict(system, teacher, workers=1))]
+    _, history = train_simple(
+        dataset, init_params(ModelConfig(variant=GEMNET, blocks=1, workers=2)), 1e-3, 2, 1.0, 1.0
+    )
+    assert len(history) == 2 and np.isfinite(history).all()

@@ -1,6 +1,5 @@
 import ast
 import re
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,8 @@ from egn import tape as tape_module
 from egn.basis import angular_basis
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
-from egn.graph import build_graph, edge_vectors, triplet_plan, zero_diagonals
+from egn.graph import DistinctRows, build_graph, edge_vectors, triplet_plan, zero_diagonals
+from egn.partition import partition_graph
 from egn.params import ModelParams, init_params
 from egn.runtime import Collective, CommLog, WorkerGroup
 from egn.system import AtomicSystem, random_cloud
@@ -268,13 +268,13 @@ def test_positions_are_read_only_by_edge_vectors(monkeypatch):
     diagnostic tape, exactly one node reads the positions: edge_vectors."""
     system = random_cloud(12, 0.9, np.random.default_rng(6))
     walked = []
-    backward = Tape.backward
+    walk = Tape.walk
 
     def keep(self, seeds):
         walked.append(self)
-        return backward(self, seeds)
+        return walk(self, seeds)
 
-    monkeypatch.setattr(Tape, "backward", keep)
+    monkeypatch.setattr(Tape, "walk", keep)
     for variant in (DIMENET, GEMNET):
         cfg = ModelConfig(variant=variant, blocks=2)
         model = ModelTape(system, init_params(cfg))
@@ -467,10 +467,13 @@ def test_gemnet_workers_agree_with_one(l_sbf):
             np.testing.assert_allclose(grads.d_params[name], g, rtol=1e-9, atol=1e-12, err_msg=name)
 
 
-def _one_worker_link():
-    """A collective node's link to a one-worker Collective."""
+def _one_worker_total(value, rows, shape):
+    """A one-worker Collective's total of ``value`` placed at ``rows`` of
+    a zero buffer of ``shape``."""
+    buffer = np.zeros(shape)
+    buffer[rows] = value
     collective = Collective(1, CommLog())
-    return partial(collective.allreduce_sum, 0, block=0, stage="test", level="edge")
+    return collective.allreduce_sum(0, buffer, phase="forward", block=0, stage="t", level="edge")
 
 
 def _every_primitive(tape, system, topo, w, b) -> dict:
@@ -499,7 +502,8 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     h["sum_rows"] = tape.sum_rows(units)
     rows = slice(1, topo.num_edges // 2)
     own = h["gather:slice"] = tape.gather(lin, rows)
-    h["allreduce"] = tape.allreduce(own, _one_worker_link(), rows, (topo.num_edges, 3))
+    total = _one_worker_total(tape.value(own), rows, (topo.num_edges, 3))
+    h["allreduce"] = tape.allreduce(own, total, rows)
     h["boundary"] = tape.boundary(lambda: None)
     return h
 
@@ -752,7 +756,8 @@ def test_backward_keeps_only_leaf_adjoints(variant, rng):
 
 @pytest.mark.parametrize("variant, by_index, by_slice", [(DIMENET, 20, 10), (GEMNET, 26, 14)])
 def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monkeypatch):
-    """Gathers of contiguous rows take their adjoint without scatter_add.
+    """Gathers of contiguous rows, or of rows that never repeat, take their
+    adjoint without scatter_add.
 
     ``by_index`` is the count when contiguous rows are gathered through
     arange index arrays; with slices, only receiver plans, rev and the
@@ -762,9 +767,13 @@ def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monk
     times: per block the receiver plan and the triplet update's gathers of
     m and of the rbf at the in-edges rev[O_J], then the edge_vectors VJP
     into atoms. The triplet update gathers its out-edges O_J by a slice.
+    rev and rev[O_J] are ``DistinctRows``, whose gathers assign their
+    adjoint, so only scatters into atoms remain: the edge_vectors VJP and,
+    gemnet-style, eu2's gathers of node rows by receiver.
     """
     cfg = ModelConfig(variant=variant, blocks=3)
-    model = ModelTape(random_cloud(20, 0.9, np.random.default_rng(0)), init_params(cfg))
+    system = random_cloud(20, 0.9, np.random.default_rng(0))
+    model = ModelTape(system, init_params(cfg))
     calls = []
 
     def spy(idx, x, num):
@@ -773,7 +782,34 @@ def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monk
 
     monkeypatch.setattr(tape_module, "scatter_add", spy)
     model.backward(1.0)
+    assert calls and set(calls) == {system.n}
+    calls.clear()
+    monkeypatch.setattr(tape_module._graph, "DistinctRows", type("Unmarked", (), {}))
+    model.backward(1.0)
     assert len(calls) == by_slice < by_index
+
+
+def test_distinct_gathers_match_scatter_add_bitwise(rng):
+    """On the reference topology, the adjoint of a gather by rev, or by the
+    in-edges rev[O_J] of each worker at P=4, has the bits of scatter_add,
+    with -0.0 and NaN rows."""
+    topo, _ = build_graph(random_cloud(300, 0.9, np.random.default_rng(0)), 2.0)
+    payload_nan = np.array([0xFFF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    indices = [topo.reverse_edges()]
+    indices += [triplet_plan(topo, atoms).in_edges for atoms in partition_graph(topo, 4)]
+    assert np.isnan(payload_nan) and np.signbit(payload_nan)
+    for idx in indices:
+        assert isinstance(idx, DistinctRows)
+        g = rng.standard_normal((idx.size, 32))
+        g[0::6] = -0.0
+        g[1::6] = np.nan
+        g[2::6] = payload_nan
+        tape = Tape()
+        x = tape.leaf(np.zeros((topo.num_edges, 32)))
+        got = tape.backward({tape.gather(x, idx): g})[x]
+        want = scatter_add(np.asarray(idx), g, topo.num_edges)
+        assert not np.signbit(want[np.asarray(idx)[0::6]]).any()  # -0.0 + 0.0 is +0.0
+        assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
 
 
 def test_module_docstring_lists_every_primitive():
@@ -820,6 +856,26 @@ def test_no_ufunc_at_under_src():
             if isinstance(node, ast.Attribute) and node.attr == "at":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"ufunc.at found at {found}; use tape.scatter_add"
+
+
+def test_no_threads_or_timeouts_under_src():
+    """Workers take turns on one thread: no module imports threading, and
+    nothing waits with a timeout."""
+    found = []
+    for path, tree in _source_trees():
+        for node in ast.walk(tree):
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            named = getattr(node, "id", None) or getattr(node, "attr", None)
+            named = named or getattr(node, "arg", None)
+            if any(m.split(".")[0] in ("threading", "concurrent") for m in modules) or (
+                isinstance(named, str) and "timeout" in named.lower()
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 def test_no_arange_over_whole_buffers_under_src():

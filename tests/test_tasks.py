@@ -1,6 +1,4 @@
 import re
-import threading
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -324,16 +322,21 @@ def test_loss_and_grads_matches_two_pass_loop(variant, workers, rng):
 def test_loss_and_grads_runs_one_forward_per_sample(rng, monkeypatch):
     cfg = ModelConfig(variant="gemnet-style", blocks=1)
     dataset = _toy_dataset(rng, cfg, samples=2)
-    calls = Counter()
+    calls = []
     compute_basis = runtime.compute_basis
 
-    def spy(*args, **kwargs):
-        calls[threading.current_thread().name] += 1
-        return compute_basis(*args, **kwargs)
+    def spy(tape, pos, topology, config, atoms):
+        calls.append((topology.num_nodes, atoms))
+        return compute_basis(tape, pos, topology, config, atoms)
 
     monkeypatch.setattr(runtime, "compute_basis", spy)
     loss_and_grads(dataset, init_params(cfg), 1.0, 1.0, workers=2)
-    assert calls == {"egn-worker-0": 2, "egn-worker-1": 2}
+    # Per sample, rank 0 then rank 1, each over its own atoms.
+    want = []
+    for system, _, _ in dataset:
+        half = WorkerGroup(system, init_params(cfg.replace(workers=2))).partition
+        want += [(system.n, atoms) for atoms in half]
+    assert calls == want
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
