@@ -10,15 +10,17 @@ the position gradient); the gemnet-style variant adds a direct force head.
 Each stage has one ``record_*`` definition that takes the tape first, and
 ``record_model`` chains them from the basis (``egn.basis.compute_basis``)
 to the readout. A forward owns the center atoms of its basis's plan, and
-its edge and node rows derive from them. ``record_model`` is a generator
-that yields each buffer its rows only partly compute and resumes with the
-whole buffer: the sequential forward ``record_system`` is the one owner
-of every atom and hands each buffer back, a runtime worker owns a range
-and all-reduces them, so one worker reproduces this engine bit for bit.
-``record_tu`` runs over the owned atoms' edges only, their in-edges and
-out-edges. Without a backward (inference) the
-stages run on an ``Evaluator``, which computes the same values and keeps
-no tape.
+its edge and node rows derive from them; ``record_tu`` runs over the owned
+atoms' edges only, their in-edges and out-edges. ``record_model`` is a
+generator that yields each buffer its rows only partly compute, as
+``(buffer, where)``, and resumes with the buffer's total. The sequential
+forward ``record_system`` is the one owner of every atom: it resumes with
+None and its tape holds no collective node. A runtime worker owns a range
+of atoms and resumes with the all-reduced total, which the engine records
+as a collective node, so one worker reproduces this engine bit for bit.
+``ModelHandles`` reads out, seeds and differentiates a pass for both.
+Without a backward (inference) the stages run on an ``Evaluator``, which
+computes the same values and keeps no tape.
 """
 
 from __future__ import annotations
@@ -93,15 +95,6 @@ class ParamLeaves:
                     g = part.reshape(arr.shape) if g is None else g + part.reshape(arr.shape)
             out[name] = g if g is not None else np.zeros_like(arr)
         return out
-
-
-def receiver_plan(topology: GraphTopology, plan: TripletPlan):
-    """(edge_sel, seg, num_rows) of the atoms J of ``plan``: J's in-edges
-    rev[O_J], by (receiver, edge index), since rev[O_j] lists atom j's
-    in-edges in ascending order; each one's local receiver; and |J|. Sums
-    over it add as a direct scatter over all edges would."""
-    lo, hi = plan.atoms.start, plan.atoms.stop
-    return plan.in_edges, topology.edge_src[plan.edges] - lo, hi - lo
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +201,12 @@ def record_eu(
     return tape.add(m_rows, record_mlp2(tape, x, pl, f"block{block}.eu"))
 
 
-def record_ea_nu(
-    tape: Tape,
-    pl: ParamLeaves,
-    block: int,
-    m_id: int,
-    edge_sel: np.ndarray,
-    seg: np.ndarray,
-    num_rows: int,
-) -> int:
-    gathered = tape.gather(m_id, edge_sel)
-    h = tape.segment_sum(gathered, seg, num_rows)
+def record_ea_nu(tape: Tape, pl: ParamLeaves, block: int, m_id: int, plan: TripletPlan) -> int:
+    """Edge aggregation and node update of the center atoms J of ``plan``:
+    each atom sums m over its in-edges rev[O_J], in ascending order, as a
+    direct scatter over all edges would."""
+    gathered = tape.gather(m_id, plan.in_edges)
+    h = tape.segment_sum(gathered, plan.receivers, plan.atoms.stop - plan.atoms.start)
     return record_mlp2(tape, h, pl, f"block{block}.nu")
 
 
@@ -261,7 +249,7 @@ def record_force_head(
     tape: Tape, pl: ParamLeaves, m_id: int, units_id: int, topology: GraphTopology
 ) -> int:
     """Each atom's force, summed over its in-edges rev[O_j] in ascending
-    order: every atom's receiver plan."""
+    order, as ``record_ea_nu`` sums a plan of every atom."""
     rev = topology.reverse_edges()
     scale = tape.linear(tape.gather(m_id, rev), pl["force_head.w"])
     scaled = tape.mul(scale, tape.gather(units_id, rev))
@@ -270,43 +258,114 @@ def record_force_head(
 
 @dataclass(frozen=True)
 class ModelHandles:
-    """Handles of one model forward; on an Evaluator they are the values."""
+    """Handles of one model forward, from the positions leaf to the
+    readout; on an Evaluator they are the values. What a pass reads out,
+    seeds and differentiates is defined here once, for the sequential
+    ``ModelTape`` and each runtime worker alike."""
 
     param_leaves: ParamLeaves
+    positions: int
     m: int
     v: int
     u: int
     energy: int
     forces: int | None  # force-centric variant only
 
+    def outputs(self, tape: Tape) -> tuple[float, np.ndarray | None, FeatureState]:
+        """The energy, the direct forces (None energy-centric) and the final
+        feature buffers of the forward recorded on ``tape``."""
+        forces = None if self.forces is None else tape.value(self.forces)
+        state = FeatureState(tape.value(self.u), tape.value(self.v), tape.value(self.m))
+        return float(tape.value(self.energy)[0, 0]), forces, state
+
+    def seeds(
+        self, tape: Tape, d_energy: float = 1.0, d_forces: np.ndarray | None = None
+    ) -> dict[int, np.ndarray]:
+        """A backward's seeds: ``d_energy`` on the energy unless it is zero,
+        ``d_forces`` on the direct forces, and a zero energy seed where
+        neither remains. A bad force seed raises ValueError here, before
+        any walk begins."""
+        seeds = {}
+        if d_energy != 0.0:
+            seeds[self.energy] = np.array([[d_energy]], dtype=np.float64)
+        if d_forces is not None:
+            if self.forces is None:
+                raise ValueError("a force seed needs the force head of the force-centric variant")
+            d_forces = np.asarray(d_forces, dtype=np.float64)
+            shape = tape.value(self.forces).shape
+            if d_forces.shape != shape:
+                raise ValueError(f"force seed has shape {d_forces.shape}, expected {shape}")
+            seeds[self.forces] = d_forces
+        return seeds or {self.energy: np.zeros((1, 1), dtype=np.float64)}
+
+    def gradients(self, tape: Tape, grads: list) -> GradientBundle:
+        """The parameter and position gradients of a walk of ``tape``, zeros
+        where none reached."""
+        d_positions = grads[self.positions]
+        if d_positions is None:
+            d_positions = np.zeros_like(tape.value(self.positions))
+        return GradientBundle(self.param_leaves.gradients(grads), d_positions)
+
+
+def _shared(tape: Tape, x: int, stage: str, level: str, block: int, rows=None, num=None):
+    """The whole buffer of which ``x`` holds the rows ``rows`` of ``num``,
+    or all of it where ``rows`` is None, as a generator. It yields
+    ``(buffer, where)``: the rows placed in a zero buffer unless they are
+    the whole of it, and the keywords that label the buffer's collective.
+    It returns the handle of the total it is resumed with, recorded as a
+    collective node. Resumed with None, as ``run_alone`` does for the one
+    owner of every row, it returns ``x`` and records nothing."""
+    buffer = tape.value(x)
+    if rows is not None and buffer.shape[0] != num:
+        buffer = np.zeros((num,) + buffer.shape[1:], dtype=np.float64)
+        buffer[rows] = tape.value(x)
+    where = {"block": block, "stage": stage, "level": level}
+    total = yield buffer, {"phase": "forward", **where}
+    if total is None:
+        return x
+    return tape.allreduce(x, total, rows, {"phase": "backward", **where})
+
 
 def record_model(
     tape: Tape,
     params: ModelParams,
     topology: GraphTopology,
+    positions: int,
     basis: BasisFeatures,
     enter=lambda stage: None,
 ):
-    """The block pipeline from the basis to the readout: the one definition
-    of the model forward, as a generator that returns the ``ModelHandles``.
+    """The block pipeline from the basis, recorded from the ``positions``
+    leaf, to the readout: the one definition of the model forward, as a
+    generator that returns the ``ModelHandles``.
 
     The forward owns the center atoms J of ``basis.plan``, every atom
     sequentially and a contiguous range on a runtime worker; its edge rows
-    are J's out-edges O_J and its node rows are J. For each buffer these
-    rows only partly compute it yields ``(x, stage, level, block, rows,
-    shape)``, ``x`` to be placed at ``rows`` of a buffer of ``shape`` (or
-    taken whole where they are None), and resumes with the handle of the
-    whole buffer: ``x`` itself for the one owner, an all-reduce in the
-    runtime. ``enter(stage)`` is called as each stage begins. The initial
-    edge embedding, the symmetric coupling and the force head run over all
-    rows.
+    are J's out-edges O_J and its node rows are J. It shares a buffer by
+    the rows or partial sums it owns, or computes the whole buffer itself
+    and shares nothing. Per block:
+
+      * triplet update of J over J's edges only: gates and C_l at the
+        in-edges rev[O_J], summed into O_J, gated and up-projected there,
+        |O_J| complete rows, not shared;
+      * edge update over O_J, shared as N_e x d_e;
+      * edge aggregation and node update of J, shared as N_v x d_v;
+      * gemnet-style, the second edge update over O_J, shared as N_e x
+        d_e, then the symmetric coupling over all edges;
+      * global head: J's node sum projected to d_u, shared as 1 x d_u, and
+        its tail finished whole.
+
+    The initial edge embedding and the force head run over all rows too.
+    Each shared buffer is one step of ``_shared``: the generator yields
+    ``(buffer, where)`` and is resumed with the buffer's total, an
+    all-reduce in the runtime, or with None by ``run_alone`` for the one
+    owner. ``enter(stage)`` is called as each stage begins.
     """
     config = params.config
     gemnet = config.variant == GEMNET
-    edges, atoms = basis.plan.edges, basis.plan.atoms
+    plan = basis.plan
+    edges, atoms = plan.edges, plan.atoms
+    num_edges, num_nodes = topology.num_edges, topology.num_nodes
     pl = ParamLeaves(tape, params)
-    nodes = receiver_plan(topology, basis.plan)
-    edge_shape = (topology.num_edges, config.d_e)
 
     m_id = record_edge_init(tape, pl, basis.edge_rbf)
     u_id = tape.leaf(np.zeros((1, config.d_u)))
@@ -315,19 +374,19 @@ def record_model(
         ta_id = record_tu(tape, pl, b, config, m_id, basis)
         enter(f"block{b}.eu")
         m_id = record_eu(tape, pl, b, m_id, ta_id, edges)
-        m_id = yield m_id, "eu", "edge", b, edges, edge_shape
+        m_id = yield from _shared(tape, m_id, "eu", "edge", b, edges, num_edges)
         enter(f"block{b}.nu")
-        v_id = record_ea_nu(tape, pl, b, m_id, *nodes)
-        v_id = yield v_id, "nu", "node", b, atoms, (topology.num_nodes, config.d_v)
+        v_id = record_ea_nu(tape, pl, b, m_id, plan)
+        v_id = yield from _shared(tape, v_id, "nu", "node", b, atoms, num_nodes)
         if gemnet:
             enter(f"block{b}.eu2")
             m_id = record_eu2(tape, pl, b, m_id, v_id, edges, topology)
-            m_id = yield m_id, "eu2", "edge", b, edges, edge_shape
+            m_id = yield from _shared(tape, m_id, "eu2", "edge", b, edges, num_edges)
             enter(f"block{b}.sym")
             m_id = record_sym(tape, pl, b, m_id, topology.reverse_edges())
         enter(f"block{b}.gu")
         z_id = record_gu_head(tape, pl, b, v_id, atoms)
-        z_id = yield z_id, "gu", "global", b, None, None
+        z_id = yield from _shared(tape, z_id, "gu", "global", b)
         u_id = record_gu_tail(tape, pl, b, z_id, u_id)
 
     enter("readout")
@@ -335,85 +394,48 @@ def record_model(
     forces_id = None
     if gemnet:
         forces_id = record_force_head(tape, pl, m_id, basis.edge_units, topology)
-    return ModelHandles(pl, m_id, v_id, u_id, energy_id, forces_id)
+    return ModelHandles(pl, positions, m_id, v_id, u_id, energy_id, forces_id)
 
 
-def record_system(
-    tape: Tape, system: AtomicSystem, params: ModelParams
-) -> tuple[int, ModelHandles]:
+def record_system(tape: Tape, system: AtomicSystem, params: ModelParams) -> ModelHandles:
     """The sequential forward over a whole system, the one owner of every
-    atom, whose rows compute each buffer whole. Returns (the positions
-    leaf, the model's handles)."""
+    atom, whose rows compute each buffer whole."""
     topology, _ = build_graph(system, params.config.cutoff)
     pos_id = tape.leaf(system.positions)
     basis = compute_basis(tape, pos_id, topology, params.config, slice(None))
-    return pos_id, run_alone(record_model(tape, params, topology, basis))
+    return run_alone(record_model(tape, params, topology, pos_id, basis))
 
 
-def force_seed(d_forces: np.ndarray | None, config: ModelConfig, n: int) -> np.ndarray | None:
-    """A backward's force seed as float64, or None for none; one check for
-    sequential and multi-worker passes alike, before any backward begins."""
-    if d_forces is None:
-        return None
-    if config.variant != GEMNET:
-        raise ValueError("a force seed needs the force head of the force-centric variant")
-    d_forces = np.asarray(d_forces, dtype=np.float64)
-    if d_forces.shape != (n, 3):
-        raise ValueError(f"force seed has shape {d_forces.shape}, expected {(n, 3)}")
-    return d_forces
+def network_config(params: ModelParams) -> ModelConfig:
+    """``params.config``, which must describe the graph network. A
+    diagnostic config names the quadratic well of ``egn.tasks``, which
+    only ``predict`` and ``relax`` run, so a pass of the network over it
+    would run another model than they do."""
+    if params.config.diagnostic:
+        raise ValueError("a diagnostic config is the quadratic well, which only predict and relax run")
+    return params.config
 
 
 class ModelTape:
     """One recorded sequential forward pass over a system.
 
-    Exposes the energy, the direct forces for the force-centric variant,
-    the final feature buffers, and a backward() that yields parameter and
-    position gradients. Inference that needs no backward runs
-    ``record_system`` on an ``Evaluator`` instead.
+    Holds the energy, the direct forces for the force-centric variant and
+    the final feature buffers as values, as a ``ParallelRunResult`` does,
+    and a backward() that yields parameter and position gradients.
+    Inference that needs no backward runs ``record_system`` on an
+    ``Evaluator`` instead.
     """
 
     def __init__(self, system: AtomicSystem, params: ModelParams):
         self.system = system
         self.params = params
-        self.config = params.config
+        self.config = network_config(params)
         self.tape = Tape()
-        self.positions_id, self.handles = record_system(self.tape, system, params)
-        self.energy_id = self.handles.energy
-        self.forces_id = self.handles.forces
-
-    @property
-    def energy(self) -> float:
-        return float(self.tape.value(self.energy_id)[0, 0])
-
-    @property
-    def forces(self) -> np.ndarray | None:
-        if self.forces_id is None:
-            return None
-        return self.tape.value(self.forces_id)
-
-    @property
-    def state(self) -> FeatureState:
-        h = self.handles
-        return FeatureState(
-            global_features=self.tape.value(h.u),
-            node_features=self.tape.value(h.v),
-            edge_features=self.tape.value(h.m),
-        )
+        self.handles = record_system(self.tape, system, params)
+        self.energy, self.forces, self.state = self.handles.outputs(self.tape)
 
     def backward(
         self, d_energy: float = 1.0, d_forces: np.ndarray | None = None
     ) -> GradientBundle:
-        seeds: dict[int, np.ndarray] = {}
-        if d_energy != 0.0:
-            seeds[self.energy_id] = np.array([[d_energy]], dtype=np.float64)
-        d_forces = force_seed(d_forces, self.config, self.system.n)
-        if d_forces is not None:
-            seeds[self.forces_id] = d_forces
-        if not seeds:
-            seeds[self.energy_id] = np.zeros((1, 1), dtype=np.float64)
-        grads = self.tape.backward(seeds)
-        d_params = self.handles.param_leaves.gradients(grads)
-        d_pos = grads[self.positions_id]
-        if d_pos is None:
-            d_pos = np.zeros_like(self.system.positions)
-        return GradientBundle(d_params, d_pos)
+        grads = self.tape.backward(self.handles.seeds(self.tape, d_energy, d_forces))
+        return self.handles.gradients(self.tape, grads)

@@ -155,6 +155,7 @@ class TripletPlan:
     atoms: slice  # J, the center atoms
     edges: slice  # O_J, their out-edges, contiguous
     in_edges: np.ndarray  # rev[O_J], their in-edges, ascending within each atom
+    receivers: np.ndarray  # each in-edge's receiver, local to J
     buckets: tuple[DegreeBucket, ...]
     rows: int  # rows of the block layout
 
@@ -174,7 +175,9 @@ def triplet_plan(topology: GraphTopology, atoms: slice) -> TripletPlan:
         offset = rows.stop
     rev = topology.reverse_edges()
     in_edges = rev[edges].view(type(rev))
-    return TripletPlan(slice(lo, hi), edges, in_edges, tuple(buckets), offset)
+    # rev[e] of out-edge e = (j -> i) is (i -> j), received by e's source j.
+    receivers = topology.edge_src[edges] - lo
+    return TripletPlan(slice(lo, hi), edges, in_edges, receivers, tuple(buckets), offset)
 
 
 def edge_vectors(positions: np.ndarray, src: np.ndarray, recv: np.ndarray) -> np.ndarray:

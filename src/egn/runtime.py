@@ -11,27 +11,13 @@ rank's stage clock runs only while it is stepped, so stage times are its
 own compute and no worker ever waits.
 
 A worker owns a contiguous range of center atoms J (see
-``egn.partition``); its edge rows are J's out-edges O_J and its node rows
-are J. It records its geometry and basis with ``compute_basis``: edge
-vectors, distances, unit vectors and rbf over every edge, and the triplet
-basis of J only. It then runs the engine's block pipeline
-``record_model``, the one definition of the model forward, over those
-rows; each buffer the pipeline yields is all-reduced, and an ``enter``
-hook marks the stages. A worker gets every shared buffer by all-reducing
-the rows or partial sums it owns, or computes the whole buffer itself with
-no collective. Per block (dimenet-style):
-  * triplet update of J over J's edges only: gates and C_l at the
-    in-edges rev[O_J], summed into O_J, gated and up-projected there:
-    |O_J| complete rows, no collective;
-  * edge update over O_J, all-reduce (N_e * d_e elements);
-  * edge aggregation + node update for J, all-reduce (N_v * d_v
-    elements);
-  * global head: J's node sum projected to d_u, all-reduce (d_u
-    elements), tail finished by every worker.
-The gemnet-style variant adds the second edge update over O_J and its
-edge all-reduce, then every worker forms the symmetric coupling over all
-edges. The initial edge embedding and the force head also run over all
-rows on every worker.
+``egn.partition``); its edge and node rows derive from them. It records
+its geometry and basis with ``compute_basis``: edge vectors, distances,
+unit vectors and rbf over every edge, and the triplet basis of J only.
+It then runs the engine's block pipeline ``record_model``, the one
+definition of the model forward and of which buffers it shares; the
+worker all-reduces each buffer the pipeline yields and resumes it with the
+total, and an ``enter`` hook marks its stages.
 
 A recording worker keeps its geometry and every stage on one tape, where
 each all-reduce is a collective node (see ``egn.tape``). Its backward is
@@ -40,11 +26,12 @@ of the whole buffer; the group sums the workers' adjoints as in the
 forward, and each worker takes its rows of the sum. Every VJP is linear
 in its adjoint, so the collectives and the final all-reduce of position
 and parameter gradients sum the partials to the exact gradient; only rank
-0 seeds the energy and the forces. Boundary nodes book the backward's
-time to the forward's stages, the geometry's VJPs to
-``backward.geometry``. Each center atom's triplet blocks are
-differentiated by their owner alone, and triplet features never enter a
-collective in either direction.
+0 seeds the energy and the forces. The engine's ``ModelHandles`` read
+out, seed and differentiate the pass, as for the sequential engine.
+Boundary nodes book the backward's time to the forward's stages, the
+geometry's VJPs to ``backward.geometry``. Each center atom's triplet
+blocks are differentiated by their owner alone, and triplet features
+never enter a collective in either direction.
 
 ``WorkerGroup.record()`` runs a forward and returns its
 ``ParallelRunResult`` holding each worker's tape, whose ``backward()``
@@ -64,7 +51,7 @@ from functools import partial
 import numpy as np
 
 from .basis import compute_basis
-from .engine import FeatureState, GradientBundle, force_seed, record_model
+from .engine import GradientBundle, network_config, record_model
 from .graph import build_graph
 from .params import ModelParams
 from .partition import partition_graph
@@ -186,11 +173,11 @@ class ParallelRunResult:
 
     energy: float
     forces: np.ndarray | None
-    state: FeatureState
+    state: object  # the engine's FeatureState, the final feature buffers
     comm_log: CommLog
     rank_stage_seconds: list[dict[str, float]]  # one per rank: its compute per stage
-    # (group, collective, worker contexts, each worker's (tape, positions
-    # leaf, model handles)) of a recorded pass until its backward.
+    # (group, collective, worker contexts, each worker's (model handles,
+    # tape)) of a recorded pass until its backward.
     _pending: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -206,10 +193,11 @@ class ParallelRunResult:
                 "this pass kept no tapes or has already run its backward; record() a new pass"
             )
         group, collective, contexts, recorded = self._pending
-        d_forces = force_seed(d_forces, group.config, group.system.n)
+        handles, tape = recorded[0]
+        seeds = handles.seeds(tape, d_energy, d_forces)  # checked before any worker runs
         self._pending = None
         steps = [
-            group._worker_backward(ctx, recorded[ctx.rank], d_energy, d_forces)
+            group._worker_backward(ctx, recorded[ctx.rank], seeds if ctx.rank == 0 else {})
             for ctx in contexts
         ]
         return group._run(collective, contexts, steps)[0]
@@ -262,7 +250,7 @@ class WorkerGroup:
     """
 
     def __init__(self, system: AtomicSystem, params: ModelParams):
-        config = params.config
+        config = network_config(params)
         self.system = system
         self.params = params
         self.config = config
@@ -295,25 +283,19 @@ class WorkerGroup:
         contexts = [_WorkerContext(rank) for rank in range(self.workers)]
         steps = [self._worker_forward(ctx, record) for ctx in contexts]
         outputs = self._run(collective, contexts, steps)
-        fwd0 = outputs[0]
         # Bit patterns, not values: identical NaNs agree, since NaN != NaN.
-        energies = {np.float64(out["energy"]).tobytes() for out in outputs}
+        energies = {tape.value(handles.energy).tobytes() for handles, tape in outputs}
         if len(energies) != 1:
             raise WorkerGroupError("finalize", 0, AssertionError("worker outputs diverged"))
-
-        state = FeatureState(
-            global_features=fwd0["u"],
-            node_features=fwd0["v"],
-            edge_features=fwd0["m"],
-        )
-        recorded = [out["recorded"] for out in outputs]
+        handles, tape = outputs[0]
+        energy, forces, state = handles.outputs(tape)
         return ParallelRunResult(
-            energy=float(fwd0["energy"]),
-            forces=fwd0["forces"],
+            energy=energy,
+            forces=forces,
             state=state,
             comm_log=log,
             rank_stage_seconds=[ctx.stage_seconds for ctx in contexts],
-            _pending=(self, collective, contexts, recorded) if record else None,
+            _pending=(self, collective, contexts, outputs) if record else None,
         )
 
     def _run(self, collective: Collective, contexts: list[_WorkerContext], steps: list) -> list:
@@ -365,10 +347,10 @@ class WorkerGroup:
     def _worker_forward(self, ctx: _WorkerContext, record: bool):
         """This worker's shard of the model: its geometry and basis, then
         the block pipeline over its rows, all on one tape when ``record``
-        (a backward follows), otherwise on an Evaluator. Yields each
-        buffer the pipeline shares, placed in a zero buffer where the
-        worker holds only some of its rows, and records the total it
-        resumes with as a collective node."""
+        (a backward follows), otherwise on an Evaluator. Returns (the
+        model's handles, the tape); the tape is not kept on the context,
+        since its boundary nodes refer to the context, and that cycle would
+        hold every pass's tape until the cyclic garbage collector ran."""
         tape = Tape() if record else Evaluator()
 
         def enter(stage: str) -> None:
@@ -379,59 +361,27 @@ class WorkerGroup:
         pos = tape.leaf(self.system.positions)
         basis = compute_basis(tape, pos, self.topology, self.config, self.partition[ctx.rank])
         tape.boundary(partial(ctx.set_stage, "backward.geometry"))
-        model = record_model(tape, self.params, self.topology, basis, enter)
-        handle = None
-        try:
-            while True:
-                x, stage, level, block, rows, shape = model.send(handle)
-                buffer = tape.value(x)
-                if rows is not None:
-                    buffer = np.zeros(shape, dtype=np.float64)
-                    buffer[rows] = tape.value(x)
-                where = {"block": block, "stage": stage, "level": level}
-                total = yield buffer, {"phase": "forward", **where}
-                handle = tape.allreduce(x, total, rows, {"phase": "backward", **where})
-        except StopIteration as stop:
-            h = stop.value
-        val = tape.value
-        return {
-            "energy": float(val(h.energy)[0, 0]),
-            "forces": None if h.forces is None else val(h.forces),
-            "m": val(h.m),
-            "v": val(h.v),
-            "u": val(h.u),
-            # Not kept on the context: the tape's boundary nodes refer to
-            # it, and that cycle would hold every pass's tape until the
-            # cyclic garbage collector ran.
-            "recorded": (tape, pos, h) if record else None,
-        }
+        handles = yield from record_model(tape, self.params, self.topology, pos, basis, enter)
+        return handles, tape
 
     # -- worker backward -----------------------------------------------
 
-    def _worker_backward(
-        self, ctx: _WorkerContext, recorded: tuple, d_energy: float, d_forces: np.ndarray | None
-    ):
-        """One walk of the worker's tape, whose collective nodes yield their
-        adjoints to be summed across workers, then the all-reduce of the
-        partial position and parameter gradients. Only rank 0 seeds the
-        energy and forces."""
-        tape, pos, h = recorded
+    def _worker_backward(self, ctx: _WorkerContext, recorded: tuple, seeds: dict):
+        """One walk of the worker's tape from ``seeds``, whose collective
+        nodes yield their adjoints to be summed across workers, then the
+        all-reduce of the partial position and parameter gradients."""
+        handles, tape = recorded
         ctx.set_stage("backward.readout")
-        seeds = {}
-        if ctx.rank == 0 and d_energy != 0.0:
-            seeds[h.energy] = np.array([[d_energy]], dtype=np.float64)
-        if ctx.rank == 0 and d_forces is not None:
-            seeds[h.forces] = d_forces
         grads = yield from tape.walk(seeds)
 
         ctx.set_stage("backward.reduce")
-        where = {"phase": "backward", "block": -1}
-        pos_grad = yield grads[pos], {**where, "stage": "positions", "level": "position"}
-        d_params = h.param_leaves.gradients(grads)
-        flat = np.concatenate([g.ravel() for g in d_params.values()])
+        bundle = handles.gradients(tape, grads)
+        where = {"phase": "backward", "block": -1, "stage": "positions", "level": "position"}
+        bundle.d_positions = yield bundle.d_positions, where
+        flat = np.concatenate([g.ravel() for g in bundle.d_params.values()])
         flat = yield flat, {**where, "stage": "params", "level": "param"}
         offset = 0
-        for name, g in d_params.items():
-            d_params[name] = flat[offset : offset + g.size].reshape(g.shape)
+        for name, g in bundle.d_params.items():
+            bundle.d_params[name] = flat[offset : offset + g.size].reshape(g.shape)
             offset += g.size
-        return GradientBundle(d_params, pos_grad)
+        return bundle

@@ -16,9 +16,9 @@ gaussian_rbf, triplet_contract, allreduce and boundary.
 scales), and their adjoints sum over the broadcast axes. A gather takes an
 index array or, for a contiguous range of rows, a slice; a gather by slice
 is a view of its input, so recorded values may alias each other. A gather
-by ``egn.graph.DistinctRows``, indices that never repeat, assigns its
-adjoint into zeros where a general index scatters it with ``scatter_add``;
-both give the same bits.
+by a slice or by ``egn.graph.DistinctRows``, indices that never repeat,
+assigns its adjoint into zeros where a general index scatters it with
+``scatter_add``; both give the same bits.
 Positions enter once, through ``edge_vectors`` (x_recv - x_src per edge),
 whose adjoint is the one geometry adjoint that scatters into atoms.
 Triplets are dense per-atom blocks in the layout of an
@@ -49,10 +49,10 @@ model split across workers:
 
 The backward is one walk, ``Tape.walk``, a generator that yields
 ``(adjoint, where)`` at each ``allreduce`` node and resumes with the sum
-of that adjoint over the workers; ``Tape.backward`` drives it alone, where
-each adjoint is its own sum. A walk runs both kinds of node even where no
-adjoint reached them, so all workers yield the same collectives in the
-same order.
+of that adjoint over the workers; ``Tape.backward`` drives it alone and
+resumes with None: each adjoint is its own sum. A walk runs both kinds
+of node even where no adjoint reached them, so all workers yield the
+same collectives in the same order.
 """
 
 from __future__ import annotations
@@ -202,17 +202,11 @@ def _gather_fwd(vals, aux):
 
 def _gather_vjp(g, vals, out, aux):
     rows = aux["idx"]
-    if isinstance(rows, slice):
-        # Added into zeros, not assigned: -0.0 becomes +0.0, as in scatter_add.
+    if isinstance(rows, (slice, _graph.DistinctRows)):
+        # Each row is written once; g + 0.0 has the bits of scatter_add's
+        # sum into zeros, -0.0 included.
         grad = np.zeros_like(vals[0])
-        grad[rows] += g
-        return (grad,)
-    if isinstance(rows, _graph.DistinctRows):
-        # Each row is written once; + 0.0 has the bits of scatter_add's sum
-        # into zeros, -0.0 included.
-        grad = np.zeros_like(vals[0])
-        grad[rows] = g
-        grad += 0.0
+        grad[rows] = g + 0.0
         return (grad,)
     return (scatter_add(rows, g, vals[0].shape[0]),)
 
@@ -345,13 +339,12 @@ _ALWAYS_RUN = frozenset({"allreduce", "boundary"})
 
 
 def run_alone(steps):
-    """Run a generator that yields ``(buffer, ...)`` at each all-reduce and
-    resumes with the sum, as the only worker: each buffer is its own sum.
-    Returns the generator's return value."""
+    """Run a generator that yields at each all-reduce and resumes with the
+    sum, as the only worker: it resumes with None, which reads as "each
+    buffer is its own sum". Returns the generator's return value."""
     try:
-        request = next(steps)
         while True:
-            request = steps.send(request[0])
+            steps.send(None)
     except StopIteration as stop:
         return stop.value
 
@@ -449,8 +442,9 @@ class Tape:
         ``seeds`` maps node id to the upstream gradient of that node's
         output. At each ``allreduce`` node the walk yields ``(g, where)``,
         the adjoint of the node's whole buffer and the label it was recorded
-        with, and resumes with the sum of ``g`` over the workers. It returns
-        a per-node list in which only leaf entries hold gradients: a leaf's
+        with, and resumes with the sum of ``g`` over the workers, or with
+        None where ``g`` is its own sum. It returns a per-node list in
+        which only leaf entries hold gradients: a leaf's
         accumulated adjoint, or None where none flowed to it. Every non-leaf
         entry is None, since each non-leaf adjoint is dropped once its
         node's VJP has run; the walk then holds only the adjoints of its
@@ -477,7 +471,9 @@ class Tape:
             if g is None or node.op == "leaf":
                 continue
             if node.op == "allreduce":
-                g = yield g, node.aux["where"]
+                total = yield g, node.aux["where"]
+                if total is not None:
+                    g = total
             vals = [self._nodes[i].value for i in node.inputs]
             input_grads = _VJP[node.op](g, vals, node.value, node.aux)
             grads[nid] = g = None

@@ -68,7 +68,7 @@ def predict(
         return _predict_diagnostic(system, config)
     if config.variant == GEMNET:
         if p == 1:
-            _, out = record_system(Evaluator(), system, params)
+            out = record_system(Evaluator(), system, params)
             return float(out.energy[0, 0]), out.forces
         result = WorkerGroup(system, _at_workers(params, p)).forward()
         return result.energy, result.forces

@@ -160,6 +160,23 @@ def test_cli_verify_rejects_empty_list(flag, name, tmp_path, capsys):
     assert captured.err == f"egn: error: {name} must not be empty\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--p-list", "1,2", "--seeds", "1"], ["bench", "--p-list", "1", "--repeats", "1"]],
+    ids=["verify", "bench"],
+)
+def test_cli_rejects_diagnostic_config_for_network_passes(argv, tmp_path, capsys):
+    """verify and bench run the graph network, which a diagnostic config
+    does not name: one error line, exit status 2, and no check reported."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(ModelConfig(diagnostic=True).to_json())
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("egn: error: a diagnostic config is the quadratic well")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_relax_diagnostic(tmp_path, capsys):
     xyz = tmp_path / "dimer.xyz"
     xyz.write_text("2\ndimer\nH 0 0 0\nH 0 0 2.0\n")

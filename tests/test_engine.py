@@ -482,7 +482,7 @@ def test_model_never_lists_triplets(variant, monkeypatch):
 
 def argsort_receiver_plan(topology, nodes):
     """Edges grouped by receiver through a stable argsort of the receivers:
-    the order receiver_plan must reproduce."""
+    the order a plan's in-edges and receivers must reproduce."""
     lo, hi, _ = nodes.indices(topology.num_nodes)
     order = np.argsort(topology.edge_recv, kind="stable")
     bounds = np.searchsorted(topology.edge_recv[order], np.arange(topology.num_nodes + 1))
@@ -493,13 +493,15 @@ def argsort_receiver_plan(topology, nodes):
 @pytest.mark.parametrize("atoms", [40, 100, 300])
 def test_receiver_plan_is_a_slice_of_the_reverse_edges(atoms):
     """For every atom and for each worker's atoms of a 3-way partition, the
-    plan read from the reverse-edge map, the plan's in-edges rev[O_J], has
-    the bits of the argsort plan."""
+    receiver plan read from the reverse-edge map, the triplet plan's
+    in-edges rev[O_J] and their local receivers, has the bits of the
+    argsort plan."""
     from egn.partition import partition_graph
 
     topo, _ = build_graph(random_cloud(atoms, 0.9, np.random.default_rng(atoms)), 2.0)
     for nodes in [slice(None), *partition_graph(topo, 3)]:
-        got = engine.receiver_plan(topo, triplet_plan(topo, nodes))
+        plan = triplet_plan(topo, nodes)
+        got = (plan.in_edges, plan.receivers, plan.atoms.stop - plan.atoms.start)
         want = argsort_receiver_plan(topo, nodes)
         assert got[2] == want[2]
         for a, b in zip(got[:2], want[:2]):

@@ -15,7 +15,7 @@ from egn import engine
 from egn import tape as tape_module
 from egn.config import DIMENET, GEMNET, ModelConfig
 from egn.engine import ModelTape
-from egn.params import ModelParams, init_params
+from egn.params import ModelParams, init_params, param_specs
 from egn.partition import CommModel, comm_volume
 from egn.runtime import (
     Collective,
@@ -710,6 +710,53 @@ def test_force_seed_is_checked_with_one_set_of_messages(workers):
     message = "a force seed needs the force head of the force-centric variant"
     with pytest.raises(ValueError, match=re.escape(message)):
         recorded(DIMENET).backward(d_forces=np.ones((6, 3)))
+
+
+@pytest.mark.parametrize("variant", [DIMENET, GEMNET])
+def test_sequential_and_parallel_passes_share_one_contract(variant):
+    """A sequential ModelTape and a two-worker recorded pass hold their
+    energy, forces and state as plain values of the same types and shapes,
+    and backward(0.0) with no force seed returns zero position gradients
+    and a zero gradient of every declared parameter, in declaration order."""
+    system = random_cloud(10, 0.9, np.random.default_rng(4))
+    params = init_params(ModelConfig(variant=variant, blocks=2, workers=2))
+    passes = [ModelTape(system, params), WorkerGroup(system, params).record()]
+    shapes = []
+    for run in passes:
+        assert {"energy", "forces", "state"} <= vars(run).keys()
+        assert type(run.energy) is float
+        assert isinstance(run.state, engine.FeatureState)
+        if variant == GEMNET:
+            assert type(run.forces) is np.ndarray and run.forces.shape == (system.n, 3)
+        else:
+            assert run.forces is None
+        state = run.state
+        buffers = (state.global_features, state.node_features, state.edge_features)
+        assert all(type(b) is np.ndarray for b in buffers)
+        shapes.append([b.shape for b in buffers])
+    assert shapes[0] == shapes[1]
+
+    specs = [(s.name, s.shape) for s in param_specs(params.config)]
+    for run in passes:
+        bundle = run.backward(0.0)
+        assert bundle.d_positions.shape == (system.n, 3)
+        assert not bundle.d_positions.any()
+        assert [(name, g.shape) for name, g in bundle.d_params.items()] == specs
+        assert not any(g.any() for g in bundle.d_params.values())
+
+
+def test_diagnostic_config_runs_no_network_pass(medium_system, monkeypatch):
+    """A diagnostic config names the quadratic well that predict and relax
+    run, so ModelTape and WorkerGroup reject it before any worker starts."""
+    started = []
+    monkeypatch.setattr(WorkerGroup, "_worker_forward", lambda *args: started.append(args))
+    for workers in (1, 2):
+        params = init_params(ModelConfig(diagnostic=True, workers=workers))
+        with pytest.raises(ValueError, match="diagnostic config is the quadratic well"):
+            ModelTape(medium_system, params)
+        with pytest.raises(ValueError, match="diagnostic config is the quadratic well"):
+            WorkerGroup(medium_system, params)
+    assert not started
 
 
 def test_recorded_pass_runs_one_backward(medium_system):

@@ -1,5 +1,6 @@
 import ast
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from egn.tape import (
 )
 from egn.tasks import predict
 
-from conftest import block_rows, collinear_chain, dimer, rel_err
+from conftest import block_rows, collinear_chain, dimer, load_perfbench_layers, rel_err
 
 
 def numeric_vjp(build, x0, seed, h=1e-6):
@@ -699,9 +700,9 @@ def test_backward_never_writes_into_its_inputs(variant, rng):
     # Gathers by slice are views that alias other recorded values.
     views = [n for n in model.tape._nodes if n.op == "gather" and isinstance(n.aux["idx"], slice)]
     assert views and all(n.value.base is not None for n in views)
-    seeds = {model.energy_id: np.array([[0.7]])}
-    if model.forces_id is not None:
-        seeds[model.forces_id] = rng.standard_normal(model.forces.shape)
+    seeds = {model.handles.energy: np.array([[0.7]])}
+    if model.handles.forces is not None:
+        seeds[model.handles.forces] = rng.standard_normal(model.forces.shape)
     expected = model.tape.backward(seeds)
     actual = model.tape.backward(_frozen(model.tape, seeds))
     assert len(actual) == len(expected)
@@ -736,9 +737,9 @@ def test_backward_keeps_only_leaf_adjoints(variant, rng):
     the bits of a walk that holds every adjoint."""
     cfg = ModelConfig(variant=variant, blocks=2)
     model = ModelTape(random_cloud(12, 0.9, rng), init_params(cfg))
-    seeds = {model.energy_id: np.array([[0.7]])}
-    if model.forces_id is not None:
-        seeds[model.forces_id] = rng.standard_normal(model.forces.shape)
+    seeds = {model.handles.energy: np.array([[0.7]])}
+    if model.handles.forces is not None:
+        seeds[model.handles.forces] = rng.standard_normal(model.forces.shape)
     got = model.tape.backward(seeds)
     want = keep_all_backward(model.tape, seeds)
     assert len(got) == len(want)
@@ -790,25 +791,30 @@ def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monk
 
 
 def test_distinct_gathers_match_scatter_add_bitwise(rng):
-    """On the reference topology, the adjoint of a gather by rev, or by the
-    in-edges rev[O_J] of each worker at P=4, has the bits of scatter_add,
-    with -0.0 and NaN rows."""
+    """On the reference topology, the adjoint of a gather by rows that are
+    written once has the bits of scatter_add, with -0.0 and NaN rows: by
+    rev, and for each worker at P=4 by its in-edges rev[O_J], and by the
+    slices of its out-edges O_J and its atoms J."""
     topo, _ = build_graph(random_cloud(300, 0.9, np.random.default_rng(0)), 2.0)
     payload_nan = np.array([0xFFF8000000000123], dtype=np.uint64).view(np.float64)[0]
-    indices = [topo.reverse_edges()]
-    indices += [triplet_plan(topo, atoms).in_edges for atoms in partition_graph(topo, 4)]
+    gathers = [(topo.reverse_edges(), topo.num_edges)]
+    for atoms in partition_graph(topo, 4):
+        plan = triplet_plan(topo, atoms)
+        gathers += [(plan.in_edges, topo.num_edges), (plan.edges, topo.num_edges)]
+        gathers += [(plan.atoms, topo.num_nodes)]
     assert np.isnan(payload_nan) and np.signbit(payload_nan)
-    for idx in indices:
-        assert isinstance(idx, DistinctRows)
-        g = rng.standard_normal((idx.size, 32))
+    for idx, num in gathers:
+        assert isinstance(idx, (DistinctRows, slice))
+        rows = np.arange(num)[idx]
+        g = rng.standard_normal((rows.size, 32))
         g[0::6] = -0.0
         g[1::6] = np.nan
         g[2::6] = payload_nan
         tape = Tape()
-        x = tape.leaf(np.zeros((topo.num_edges, 32)))
+        x = tape.leaf(np.zeros((num, 32)))
         got = tape.backward({tape.gather(x, idx): g})[x]
-        want = scatter_add(np.asarray(idx), g, topo.num_edges)
-        assert not np.signbit(want[np.asarray(idx)[0::6]]).any()  # -0.0 + 0.0 is +0.0
+        want = scatter_add(rows, g, num)
+        assert not np.signbit(want[rows[0::6]]).any()  # -0.0 + 0.0 is +0.0
         assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
 
 
@@ -876,6 +882,32 @@ def test_no_threads_or_timeouts_under_src():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_unused_imports_under_src():
+    """Every name a module imports is used in it, listed in its
+    ``__all__``, or patched on it by the benchmark's ``perfbench/layers.py``."""
+    patched: dict[str, set] = {}
+    for owner, attribute, *_ in load_perfbench_layers().patches():
+        if isinstance(owner, types.ModuleType):
+            patched.setdefault(owner.__name__.rpartition(".")[2], set()).add(attribute)
+    found = []
+    for path, tree in _source_trees():
+        imported = {}
+        used = set(patched.get(path.stem, ()))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and "__all__" in [
+                getattr(target, "id", None) for target in node.targets
+            ]:
+                used.update(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not found, f"unused imports: {found}"
 
 
 def test_no_arange_over_whole_buffers_under_src():
