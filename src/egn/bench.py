@@ -62,55 +62,72 @@ class CheckResult:
     detail: str = ""
 
 
-def _rel_close(a, b, rtol=1e-9, atol=1e-12) -> bool:
-    return bool(np.allclose(a, b, rtol=rtol, atol=atol))
+# Levels each phase may all-reduce: triplet features never enter a collective.
+_LEVELS = {"forward": {"edge", "node", "global"}}
+_LEVELS["backward"] = _LEVELS["forward"] | {"position", "param"}
 
 
-def _max_rel(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.abs(b), 1e-8)
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+def _pass_values(run, grads, variant: str) -> dict[str, np.ndarray]:
+    """Energy, forces and every parameter gradient of a pass, by label."""
+    forces = run.forces if variant == GEMNET else -grads.d_positions
+    d_params = {f"gradient {name}": g for name, g in grads.d_params.items()}
+    values = {"energy": run.energy, "forces": forces, **d_params}
+    return {label: np.asarray(v, dtype=np.float64) for label, v in values.items()}
 
 
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+def _mismatch(got: dict, want: dict, exact: bool) -> str:
+    """The first label whose values differ: by their bytes where ``exact``,
+    otherwise beyond 1e-9 relative."""
+    for label, a in got.items():
+        b = want[label]
+        if (a.tobytes() != b.tobytes()) if exact else not np.allclose(a, b, rtol=1e-9, atol=1e-12):
+            rel = float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-8)))
+            return f"{label} mismatch, rel {rel:.3e}" + (" (bytes must match)" if exact else "")
+    return ""
 
 
-def _equivalence_check(config, seeds, p_list) -> CheckResult:
+def _accounting_mismatch(group: WorkerGroup, log) -> str:
+    """Forward elements per block measured against ``comm_volume``."""
+    config = group.config
+    predicted = comm_volume(CommModel.from_graph(group.topology, config), config.blocks).per_block
+    measured = log.forward_blocks()
+    if measured != dict.fromkeys(range(config.blocks), predicted):
+        return f"forward elements per block {measured} != predicted {predicted} in each"
+    return ""
+
+
+def _level_mismatch(log) -> str:
+    """Records of either phase at a level that phase may not all-reduce."""
+    bad = sorted({f"{rec.phase} {rec.level}" for rec in log.records
+                  if rec.level not in _LEVELS[rec.phase]})
+    return f"levels {bad} entered a collective" if bad else ""
+
+
+def _runtime_checks(config, seeds, p_list) -> list[CheckResult]:
+    """``parallel-vs-sequential``, ``comm-accounting`` and
+    ``no-triplet-communication``, all read off one ``forward_backward`` per
+    seed and worker count on the seed's cloud of 8 to 23 atoms. One worker
+    must match the sequential engine bit for bit, more to 1e-9 relative."""
+    names = ("parallel-vs-sequential", "comm-accounting", "no-triplet-communication")
+    failures: dict[str, str] = {}
     for seed in seeds:
         rng = np.random.default_rng(seed)
         system = random_cloud(int(rng.integers(8, 24)), 0.9, rng)
         params = init_params(config.replace(seed=seed))
         model = ModelTape(system, params)
-        seq_e = model.energy
-        seq_grad = model.backward(d_energy=1.0)
-        seq_f = model.forces if config.variant == GEMNET else -seq_grad.d_positions
+        want = _pass_values(model, model.backward(d_energy=1.0), config.variant)
         for p in p_list:
-            run = ModelParams(params.config.replace(workers=p), params.arrays)
-            group = WorkerGroup(system, run)
+            group = WorkerGroup(system, ModelParams(params.config.replace(workers=p), params.arrays))
             result, bundle = group.forward_backward(d_energy=1.0)
-            par_f = result.forces if config.variant == GEMNET else -bundle.d_positions
-            if not _rel_close(result.energy, seq_e):
-                return CheckResult(
-                    "parallel-vs-sequential", False,
-                    f"seed={seed} P={p} energy differs by rel {_max_rel(result.energy, seq_e):.3e}",
-                )
-            if not _rel_close(par_f, seq_f):
-                return CheckResult(
-                    "parallel-vs-sequential", False,
-                    f"seed={seed} P={p} forces differ by rel {_max_rel(par_f, seq_f):.3e}",
-                )
-            for name, g in seq_grad.d_params.items():
-                if not _rel_close(bundle.d_params[name], g):
-                    return CheckResult(
-                        "parallel-vs-sequential", False,
-                        f"seed={seed} P={p} gradient {name} differs",
-                    )
-    return CheckResult("parallel-vs-sequential", True)
+            details = (
+                _mismatch(_pass_values(result, bundle, config.variant), want, exact=p == 1),
+                _accounting_mismatch(group, result.comm_log),
+                _level_mismatch(result.comm_log),
+            )
+            for name, detail in zip(names, details):
+                if detail:
+                    failures.setdefault(name, f"seed={seed} P={p} {detail}")
+    return [CheckResult(name, name not in failures, failures.get(name, "")) for name in names]
 
 
 def _fd_forces_check(config, seeds) -> CheckResult:
@@ -137,74 +154,36 @@ def _fd_forces_check(config, seeds) -> CheckResult:
     return CheckResult("finite-difference-forces", True)
 
 
-def _rigid_motion_check(config, seeds) -> CheckResult:
+def _rigid_motion(system: AtomicSystem, forces: np.ndarray, rng: np.random.Generator):
+    """A random rotation, then a shift: the moved system and its forces."""
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    if np.linalg.det(rot) < 0:
+        rot[:, 0] = -rot[:, 0]
+    shift = rng.uniform(-3, 3, size=3)
+    return AtomicSystem(system.positions @ rot.T + shift, system.atomic_numbers), forces @ rot.T
+
+
+def _permutation(system: AtomicSystem, forces: np.ndarray, rng: np.random.Generator):
+    """A random reordering of the atoms, each keeping its species."""
+    perm = rng.permutation(system.n)
+    return AtomicSystem(system.positions[perm], system.atomic_numbers[perm]), forces[perm]
+
+
+def _invariance_check(name: str, n: int, move, config, seeds) -> CheckResult:
+    """The energy is unchanged and the forces move along when ``move``
+    carries a seed's cloud of ``n`` atoms and its forces elsewhere."""
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        system = random_cloud(12, 0.9, rng)
+        system = random_cloud(n, 0.9, rng)
         params = init_params(config.replace(seed=seed, workers=1))
         e0, f0 = predict(system, params, workers=1)
-        rot = _random_rotation(rng)
-        shift = rng.uniform(-3, 3, size=3)
-        moved = AtomicSystem(system.positions @ rot.T + shift, system.atomic_numbers)
+        moved, f_moved = move(system, f0, rng)
         e1, f1 = predict(moved, params, workers=1)
         if abs(e1 - e0) > 1e-9 * max(1.0, abs(e0)):
-            return CheckResult("rigid-motion-invariance", False, f"seed={seed} dE={e1 - e0:.3e}")
-        if not np.allclose(f1, f0 @ rot.T, rtol=1e-9, atol=1e-9):
-            return CheckResult("rigid-motion-invariance", False, f"seed={seed} forces not equivariant")
-    return CheckResult("rigid-motion-invariance", True)
-
-
-def _permutation_check(config, seeds) -> CheckResult:
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        system = random_cloud(10, 0.9, rng)
-        numbers = np.full(system.n, 6, dtype=np.int64)  # one species so any permutation applies
-        system = AtomicSystem(system.positions, numbers)
-        params = init_params(config.replace(seed=seed, workers=1))
-        e0, f0 = predict(system, params, workers=1)
-        perm = rng.permutation(system.n)
-        permuted = AtomicSystem(system.positions[perm], numbers[perm])
-        e1, f1 = predict(permuted, params, workers=1)
-        if abs(e1 - e0) > 1e-9 * max(1.0, abs(e0)):
-            return CheckResult("permutation-invariance", False, f"seed={seed} dE={e1 - e0:.3e}")
-        if not np.allclose(f1, f0[perm], rtol=1e-9, atol=1e-9):
-            return CheckResult("permutation-invariance", False, f"seed={seed} forces not permuted")
-    return CheckResult("permutation-invariance", True)
-
-
-def _comm_accounting_check(config, seeds, p_list) -> CheckResult:
-    for seed in seeds[:1]:
-        rng = np.random.default_rng(seed)
-        system = random_cloud(14, 0.9, rng)
-        for p in p_list:
-            params = init_params(config.replace(seed=seed, workers=p))
-            group = WorkerGroup(system, params)
-            result, _ = group.forward_backward(d_energy=1.0)
-            model = CommModel.from_graph(group.topology, params.config)
-            expected = comm_volume(model, config.blocks)
-            per_block = result.comm_log.forward_blocks()
-            if sorted(per_block) != list(range(config.blocks)):
-                return CheckResult("comm-accounting", False, f"P={p} missing block records")
-            for block, elems in per_block.items():
-                if elems != expected.per_block:
-                    return CheckResult(
-                        "comm-accounting", False,
-                        f"P={p} block={block} measured {elems} != predicted {expected.per_block}",
-                    )
-    return CheckResult("comm-accounting", True)
-
-
-def _triplet_isolation_check(config, seeds, p_list) -> CheckResult:
-    rng = np.random.default_rng(seeds[0])
-    system = random_cloud(14, 0.9, rng)
-    for p in p_list:
-        params = init_params(config.replace(workers=p))
-        group = WorkerGroup(system, params)
-        result, _ = group.forward_backward(d_energy=1.0)
-        levels = {rec.level for rec in result.comm_log.records if rec.phase == "forward"}
-        if not levels <= {"edge", "node", "global"}:
-            return CheckResult("no-triplet-communication", False, f"P={p} levels={sorted(levels)}")
-    return CheckResult("no-triplet-communication", True)
+            return CheckResult(name, False, f"seed={seed} dE={e1 - e0:.3e}")
+        if not np.allclose(f1, f_moved, rtol=1e-9, atol=1e-9):
+            return CheckResult(name, False, f"seed={seed} forces did not move along")
+    return CheckResult(name, True)
 
 
 def verify_suite(
@@ -218,13 +197,14 @@ def verify_suite(
         raise ValueError("seeds must not be empty")
     if not p_list:
         raise ValueError("p_list must not be empty")
+    equivalence, accounting, isolation = _runtime_checks(config, seeds, p_list)
     return [
-        _equivalence_check(config, seeds, p_list),
+        equivalence,
         _fd_forces_check(config, seeds[:2]),
-        _rigid_motion_check(config, seeds[:2]),
-        _permutation_check(config, seeds[:2]),
-        _comm_accounting_check(config, seeds, p_list),
-        _triplet_isolation_check(config, seeds, p_list),
+        _invariance_check("rigid-motion-invariance", 12, _rigid_motion, config, seeds[:2]),
+        _invariance_check("permutation-invariance", 10, _permutation, config, seeds[:2]),
+        accounting,
+        isolation,
     ]
 
 

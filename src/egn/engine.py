@@ -421,9 +421,9 @@ class ModelTape:
 
     Holds the energy, the direct forces for the force-centric variant and
     the final feature buffers as values, as a ``ParallelRunResult`` does,
-    and a backward() that yields parameter and position gradients.
-    Inference that needs no backward runs ``record_system`` on an
-    ``Evaluator`` instead.
+    and a backward() that yields parameter and position gradients, as
+    often as it is called. Inference that needs no backward runs
+    ``record_system`` on an ``Evaluator`` instead.
     """
 
     def __init__(self, system: AtomicSystem, params: ModelParams):

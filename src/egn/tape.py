@@ -3,8 +3,11 @@
 Every primitive stores its inputs, auxiliary constants, and output value, so
 the tape can be walked backward with exact adjoints. Re-running a node's
 forward rule on its recorded inputs gives its value bit for bit; the tests
-check this with a replay helper over ``_FORWARD``. One tape belongs to a
-single forward/backward pair. Where no backward follows, an ``Evaluator``
+check this with a replay helper over ``_FORWARD``. One tape holds one
+forward; a walk backward leaves the tape as it was, so it may be walked
+again, from the same seeds or others. A runtime pass walks each worker's
+tape once, so that its comm log holds one forward and one backward.
+Where no backward follows, an ``Evaluator``
 runs the same recording calls through the same forward rules and keeps
 nothing, so a forward is written once and yields the same bits either way.
 
@@ -358,7 +361,8 @@ class _Node:
 
 
 class Tape:
-    """Records primitives during a forward pass; owns one backward pass."""
+    """Records primitives during a forward pass. A walk backward reads the
+    tape and changes nothing in it, so it can be walked any number of times."""
 
     def __init__(self):
         self._nodes: list[_Node] = []
@@ -462,7 +466,7 @@ class Tape:
                     f"seed shape {seed.shape} does not match node {nid} "
                     f"value shape {self._nodes[nid].value.shape}"
                 )
-            grads[nid] = seed if grads[nid] is None else grads[nid] + seed
+            grads[nid] = seed
         for nid in range(len(self._nodes) - 1, -1, -1):
             g = grads[nid]
             node = self._nodes[nid]

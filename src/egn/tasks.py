@@ -68,8 +68,9 @@ def predict(
         return _predict_diagnostic(system, config)
     if config.variant == GEMNET:
         if p == 1:
-            out = record_system(Evaluator(), system, params)
-            return float(out.energy[0, 0]), out.forces
+            tape = Evaluator()
+            energy, forces, _ = record_system(tape, system, params).outputs(tape)
+            return energy, forces
         result = WorkerGroup(system, _at_workers(params, p)).forward()
         return result.energy, result.forces
     model = _record(system, _at_workers(params, p))

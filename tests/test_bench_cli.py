@@ -2,7 +2,7 @@ import re
 import numpy as np
 import pytest
 
-from egn import cli, runtime
+from egn import bench, cli, runtime
 from egn.bench import (
     CSV_HEADER,
     gen_xyz,
@@ -11,9 +11,10 @@ from egn.bench import (
     weak_scaling,
 )
 from egn.cli import main
-from egn.config import ModelConfig
+from egn.config import VARIANTS, ModelConfig
 from egn.graph import build_graph
-from egn.partition import CommModel, comm_volume
+from egn.partition import CommModel, CommVolume, comm_volume
+from egn.runtime import Collective, CommRecord
 from egn.system import parse_xyz
 
 from conftest import DropLastCollective
@@ -77,6 +78,70 @@ def test_verify_suite_detects_corrupted_reduction(monkeypatch):
     equiv = next(r for r in results if r.name == "parallel-vs-sequential")
     assert not equiv.passed
     assert "P=2" in equiv.detail
+
+
+class NudgeCollective(Collective):
+    """An all-reduce whose every total is one ulp above the true sum."""
+
+    def sum_slots(self, slots):
+        return np.nextafter(super().sum_slots(slots), np.inf)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_verify_suite_one_worker_must_match_bit_for_bit(variant, monkeypatch):
+    """One worker is the sequential engine: a one-ulp difference fails."""
+    monkeypatch.setattr(runtime, "Collective", NudgeCollective)
+    results = verify_suite(SMALL.replace(variant=variant), seeds=[0], p_list=[1])
+    equiv = next(r for r in results if r.name == "parallel-vs-sequential")
+    assert not equiv.passed
+    assert equiv.detail.startswith("seed=0 P=1 ")
+
+
+def test_verify_suite_runs_one_pass_per_seed_and_worker_count(monkeypatch):
+    calls = []
+    forward_backward = runtime.WorkerGroup.forward_backward
+
+    def counted(group, *args, **kwargs):
+        calls.append(group.workers)
+        return forward_backward(group, *args, **kwargs)
+
+    monkeypatch.setattr(runtime.WorkerGroup, "forward_backward", counted)
+    results = verify_suite(SMALL, seeds=[0, 1], p_list=[1, 3])
+    assert all(res.passed for res in results), [(r.name, r.detail) for r in results]
+    assert calls == [1, 3, 1, 3]
+
+
+def test_verify_suite_comm_accounting_fails_on_a_wrong_prediction(monkeypatch):
+    def one_more(model, blocks):
+        volume = comm_volume(model, blocks)
+        return CommVolume(volume.per_block + 1, volume.total + blocks)
+
+    monkeypatch.setattr(bench, "comm_volume", one_more)
+    results = {res.name: res for res in verify_suite(SMALL, seeds=[0], p_list=[1, 2])}
+    assert not results["comm-accounting"].passed
+    assert results["comm-accounting"].detail.startswith("seed=0 P=1 ")
+    assert results["parallel-vs-sequential"].passed
+
+
+def test_verify_suite_triplet_isolation_reads_the_backward(monkeypatch):
+    """A triplet-level record logged in the backward fails the check,
+    though the numbers and the forward's records are untouched."""
+
+    class TripletLeakCollective(Collective):
+        def allreduce_sum(self, rank, buffer, **where):
+            total = super().allreduce_sum(rank, buffer, **where)
+            if total is not None and where["phase"] == "backward":
+                self.log.records.append(
+                    CommRecord("backward", where["block"], where["stage"], "triplet", 1)
+                )
+            return total
+
+    monkeypatch.setattr(runtime, "Collective", TripletLeakCollective)
+    results = {res.name: res for res in verify_suite(SMALL, seeds=[0], p_list=[2])}
+    isolation = results.pop("no-triplet-communication")
+    assert not isolation.passed
+    assert "backward triplet" in isolation.detail
+    assert all(res.passed for res in results.values()), results
 
 
 def test_weak_scaling_structure():
@@ -158,6 +223,19 @@ def test_cli_verify_rejects_empty_list(flag, name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"egn: error: {name} must not be empty\n"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_cli_verify_passes_at_its_defaults(variant, tmp_path, capsys):
+    """The gate as a user runs it: seeds 0,1 and P in 1,2,3."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(ModelConfig(variant=variant).to_json())
+    assert main(["verify", "--config", str(cfg)]) == 0
+    names = [
+        "parallel-vs-sequential", "finite-difference-forces", "rigid-motion-invariance",
+        "permutation-invariance", "comm-accounting", "no-triplet-communication",
+    ]
+    assert capsys.readouterr().out.splitlines() == [f"PASS {name}" for name in names]
 
 
 @pytest.mark.parametrize(
