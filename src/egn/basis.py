@@ -41,8 +41,6 @@ class BasisFeatures:
 def rbf_centers(k_rbf: int, cutoff: float) -> np.ndarray:
     if k_rbf < 1:
         raise ValueError("k_rbf must be >= 1")
-    if k_rbf == 1:
-        return np.zeros(1, dtype=np.float64)
     return np.linspace(0.0, cutoff, k_rbf)
 
 

@@ -8,14 +8,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import compute_basis
 from .config import DIMENET, GEMNET, ModelConfig
 from .engine import ModelTape
-from .graph import build_graph, edge_distances, edge_vectors, gram_blocks, triplet_plan
+from .graph import build_graph
 from .neighbours import neighbour_pairs
-from .params import ModelParams, init_params
+from .params import init_params
 from .partition import CommModel, comm_volume
-from .runtime import WorkerGroup
+from .runtime import COLLECTIVE_LEVELS, WorkerGroup
 from .system import AtomicSystem, format_xyz, random_cloud
+from .tape import Evaluator
 from .tasks import predict
 
 CSV_HEADER = "P,label,params,median_ms,throughput_graphs_per_s,allreduced_elements,efficiency"
@@ -34,17 +36,16 @@ def sample_smooth_system(rng: np.random.Generator, n: int, cutoff: float) -> Ato
     """Random cloud at density 0.9 whose pair distances sit at least 1e-3
     from the cutoff and whose angles sit at least 0.05 rad from collinear,
     so small finite-difference steps stay smooth; up to 200 draws."""
+    config = ModelConfig(cutoff=cutoff)
     for _ in range(200):
         system = random_cloud(n, 0.9, rng)
         topology, _ = build_graph(system, cutoff)
         _, _, dist = neighbour_pairs(system.positions, cutoff + 1e-3)
         if np.any(np.abs(dist - cutoff) < 1e-3):
             continue
-        vectors = edge_vectors(system.positions, topology.edge_src, topology.edge_recv)
-        units = vectors / edge_distances(vectors)[:, None]
-        plan = triplet_plan(topology, slice(None))
-        cosines = gram_blocks(units[plan.edges], plan)
-        if np.any(np.abs(cosines) > np.cos(0.05)):
+        basis = compute_basis(Evaluator(), system.positions, topology, config, slice(None))
+        # Column 1 is T_1, the cosine itself, zero where k == i.
+        if np.any(np.abs(basis.triplet_basis[:, 1]) > np.cos(0.05)):
             continue
         return system
     raise RuntimeError("could not sample a smooth system within the retry budget")
@@ -60,11 +61,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
-
-
-# Levels each phase may all-reduce: triplet features never enter a collective.
-_LEVELS = {"forward": {"edge", "node", "global"}}
-_LEVELS["backward"] = _LEVELS["forward"] | {"position", "param"}
 
 
 def _pass_values(run, grads, variant: str) -> dict[str, np.ndarray]:
@@ -99,7 +95,7 @@ def _accounting_mismatch(group: WorkerGroup, log) -> str:
 def _level_mismatch(log) -> str:
     """Records of either phase at a level that phase may not all-reduce."""
     bad = sorted({f"{rec.phase} {rec.level}" for rec in log.records
-                  if rec.level not in _LEVELS[rec.phase]})
+                  if rec.level not in COLLECTIVE_LEVELS[rec.phase]})
     return f"levels {bad} entered a collective" if bad else ""
 
 
@@ -117,7 +113,7 @@ def _runtime_checks(config, seeds, p_list) -> list[CheckResult]:
         model = ModelTape(system, params)
         want = _pass_values(model, model.backward(d_energy=1.0), config.variant)
         for p in p_list:
-            group = WorkerGroup(system, ModelParams(params.config.replace(workers=p), params.arrays))
+            group = WorkerGroup(system, params.at_workers(p))
             result, bundle = group.forward_backward(d_energy=1.0)
             details = (
                 _mismatch(_pass_values(result, bundle, config.variant), want, exact=p == 1),
@@ -278,16 +274,13 @@ def weak_scaling(
         for _ in range(warmup):
             group.forward_backward(d_energy=1.0)
         times = []
-        measured = None
         for _ in range(repeats):
             tic = time.perf_counter()
             result, _ = group.forward_backward(d_energy=1.0)
             times.append((time.perf_counter() - tic) * 1000.0)
-            measured = result.comm_log.elements(phase="forward")
-        model = CommModel.from_graph(group.topology, config)
-        predicted = comm_volume(model, config.blocks).total
-        if measured != predicted:
-            raise AssertionError(f"measured all-reduce elements {measured} != predicted {predicted}")
+        detail = _accounting_mismatch(group, result.comm_log)
+        if detail:
+            raise AssertionError(detail)
         median_ms = float(np.median(times))
         if base_ms is None:
             base_ms = median_ms
@@ -298,7 +291,7 @@ def weak_scaling(
                 params=params.num_params(),
                 median_ms=median_ms,
                 throughput_graphs_per_s=1000.0 / median_ms,
-                allreduced_elements=measured,
+                allreduced_elements=result.comm_log.elements(phase="forward"),
                 efficiency=base_ms / median_ms,
             )
         )

@@ -40,9 +40,7 @@ def _resolve_params(args, config: ModelConfig) -> ModelParams:
     if getattr(args, "params", None) is None:
         return init_params(config)
     params = load_checkpoint(args.params)
-    if args.workers is None:
-        return params
-    return ModelParams(params.config.replace(workers=args.workers), params.arrays)
+    return params if args.workers is None else params.at_workers(args.workers)
 
 
 # Flags that take a float. argparse reads a token that starts with "-" as an

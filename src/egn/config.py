@@ -48,10 +48,6 @@ class ModelConfig:
         if not isinstance(self.diagnostic, bool):
             raise ValueError(f"diagnostic must be true or false, got {self.diagnostic!r}")
 
-    @property
-    def energy_centric(self) -> bool:
-        return self.variant == DIMENET
-
     def replace(self, **kwargs) -> "ModelConfig":
         data = asdict(self)
         data.update(kwargs)

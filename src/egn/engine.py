@@ -30,7 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisFeatures, compute_basis
+from . import basis as _basis
+from .basis import BasisFeatures
 from .config import GEMNET, ModelConfig
 from .graph import GraphTopology, TripletPlan, build_graph
 from .params import ModelParams
@@ -402,7 +403,7 @@ def record_system(tape: Tape, system: AtomicSystem, params: ModelParams) -> Mode
     atom, whose rows compute each buffer whole."""
     topology, _ = build_graph(system, params.config.cutoff)
     pos_id = tape.leaf(system.positions)
-    basis = compute_basis(tape, pos_id, topology, params.config, slice(None))
+    basis = _basis.compute_basis(tape, pos_id, topology, params.config, slice(None))
     return run_alone(record_model(tape, params, topology, pos_id, basis))
 
 

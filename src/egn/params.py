@@ -85,6 +85,12 @@ class ModelParams:
     def num_params(self) -> int:
         return sum(a.size for a in self.arrays.values())
 
+    def at_workers(self, workers: int) -> "ModelParams":
+        """These arrays with the config's worker count set to ``workers``."""
+        if self.config.workers == workers:
+            return self
+        return ModelParams(self.config.replace(workers=workers), self.arrays)
+
     def validate(self) -> None:
         specs = param_specs(self.config)
         if [s.name for s in specs] != list(self.arrays):

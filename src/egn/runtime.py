@@ -38,8 +38,10 @@ never enter a collective in either direction.
 runs the workers again over those tapes on the same collective, after the
 caller has read the energy and forces it seeds from. ``forward()`` keeps
 no tape. A rank that raises fails the pass at once with its rank and
-stage; ranks that disagree on a collective fail it with a
-``CollectiveError``.
+stage. ``COLLECTIVE_LEVELS`` is the one table of the levels each phase
+may all-reduce; the ``Collective`` rejects a buffer of any other level,
+and a collective whose ranks disagree with rank 0 on its labels (phase,
+block, stage and level) fails with a ``CollectiveError``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ from .partition import partition_graph
 from .system import AtomicSystem
 from .tape import Evaluator, Tape
 
-ALLOWED_LEVELS = frozenset({"edge", "node", "global", "position", "param"})
+# The levels each phase may all-reduce: triplet features never enter a collective.
+COLLECTIVE_LEVELS = {"forward": frozenset({"edge", "node", "global"})}
+COLLECTIVE_LEVELS["backward"] = COLLECTIVE_LEVELS["forward"] | {"position", "param"}
 
 
 class CollectiveError(RuntimeError):
@@ -132,8 +136,8 @@ class Collective:
         """Rank ``rank``'s buffer for the open collective. Returns None until
         the last rank's call, which returns the rank-ordered sum of all
         buffers, read-only: the one total every worker reads."""
-        if level not in ALLOWED_LEVELS:
-            raise ValueError(f"buffers of level {level!r} must never enter a collective")
+        if level not in COLLECTIVE_LEVELS.get(phase, ()):
+            raise ValueError(f"{phase} buffers of level {level!r} must never enter a collective")
         if rank != len(self._slots):
             raise CollectiveError(
                 f"rank {rank} entered collective {stage!r} of block {block}, "
@@ -306,8 +310,9 @@ class WorkerGroup:
         A generator yields ``(buffer, where)``, ``where`` the keywords of
         ``Collective.allreduce_sum`` besides rank and buffer. A rank that
         raises fails the group at once as a WorkerGroupError naming its rank
-        and stage; a rank that returns while others wait at a collective
-        fails it as a CollectiveError. Either way every generator is closed.
+        and stage; a rank that returns while others wait at a collective, or
+        labels it otherwise than rank 0 does, fails it as a CollectiveError.
+        Either way every generator is closed.
         """
         outputs: list = [None] * self.workers
         total = None
@@ -336,7 +341,14 @@ class WorkerGroup:
                         f"ranks {done} returned while ranks {waiting} wait at collective "
                         f"{where['stage']!r} of block {where['block']}"
                     )
-                for rank, (buffer, where) in enumerate(requests):
+                where = requests[0][1]
+                differ = [rank for rank, request in enumerate(requests) if request[1] != where]
+                if differ:
+                    raise CollectiveError(
+                        f"ranks {differ} disagree with rank 0 on collective "
+                        f"{where['stage']!r} of block {where['block']}"
+                    )
+                for rank, (buffer, _) in enumerate(requests):
                     total = collective.allreduce_sum(rank, buffer, **where)
         finally:
             for step in steps:

@@ -77,7 +77,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)), from e = exp(-|x|) <= 1, which never overflows.
     min(x, -x) is -|x| that keeps a NaN's sign bit, as exp does."""
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def _silu_grad(x: np.ndarray) -> np.ndarray:
@@ -482,8 +482,6 @@ class Tape:
             input_grads = _VJP[node.op](g, vals, node.value, node.aux)
             grads[nid] = g = None
             for iid, ig in zip(node.inputs, input_grads):
-                if ig is None:
-                    continue
                 # Never accumulate in place: gradients may alias seeds,
                 # each other and views of recorded values.
                 grads[iid] = ig if grads[iid] is None else grads[iid] + ig

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import GEMNET, ModelConfig
+from .config import DIMENET, GEMNET, ModelConfig
 from .engine import ModelTape, record_system
 from .graph import build_graph
 from .params import ModelParams, load_params, param_specs, save_params
@@ -32,14 +32,6 @@ def _predict_diagnostic(system: AtomicSystem, config: ModelConfig) -> tuple[floa
     d_pos = grads[pos]
     forces = -d_pos if d_pos is not None else np.zeros_like(system.positions)
     return energy, forces
-
-
-def _at_workers(params: ModelParams, workers: int) -> ModelParams:
-    """``params`` with its config's worker count set to ``workers``."""
-    config = params.config
-    if config.workers == workers:
-        return params
-    return ModelParams(config.replace(workers=workers), params.arrays)
 
 
 def _record(system: AtomicSystem, params: ModelParams):
@@ -71,9 +63,9 @@ def predict(
             tape = Evaluator()
             energy, forces, _ = record_system(tape, system, params).outputs(tape)
             return energy, forces
-        result = WorkerGroup(system, _at_workers(params, p)).forward()
+        result = WorkerGroup(system, params.at_workers(p)).forward()
         return result.energy, result.forces
-    model = _record(system, _at_workers(params, p))
+    model = _record(system, params.at_workers(p))
     bundle = model.backward(d_energy=1.0)
     return model.energy, -bundle.d_positions
 
@@ -108,7 +100,7 @@ def relax(
         raise ValueError("max_steps must be >= 0")
     if not (np.isfinite(step_size) and step_size > 0):
         raise ValueError(f"step_size must be finite and positive, got {step_size}")
-    guard = params.config.energy_centric or params.config.diagnostic
+    guard = params.config.variant == DIMENET or params.config.diagnostic
     eta = step_size
     x = system.positions.copy()
     trajectory = [x.copy()]
@@ -183,7 +175,7 @@ def loss_and_grads(
             raise ValueError(
                 f"sample {index}: force target must be a ({system.n}, 3) array, got {got}"
             )
-    run_params = _at_workers(params, p)
+    run_params = params.at_workers(p)
     total_loss = 0.0
     grad_sum = {s.name: np.zeros(s.shape, dtype=np.float64) for s in param_specs(config)}
     for system, e_target, f_target in dataset:

@@ -430,7 +430,7 @@ def test_edge_projection_matches_gather_then_project(variant, make_system, monke
 
     model, grads = run()
     topology = build_graph(system, cfg.cutoff)[0]
-    monkeypatch.setattr(engine, "compute_basis", per_triplet_radial_basis)
+    monkeypatch.setattr("egn.basis.compute_basis", per_triplet_radial_basis)
     monkeypatch.setattr(engine, "record_tu", partial(gather_then_project_tu, topology=topology))
     ref, ref_grads = run()
     monkeypatch.setattr(engine, "record_tu", partial(triplet_rows_tu, topology=topology))

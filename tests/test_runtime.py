@@ -98,6 +98,44 @@ def test_triplet_level_buffers_are_rejected():
         col.allreduce_sum(0, np.zeros(3), phase="forward", block=0, stage="t", level="triplet")
 
 
+def test_positions_and_parameters_are_all_reduced_in_the_backward_only():
+    col = Collective(1, CommLog())
+    for level in ("position", "param"):
+        with pytest.raises(ValueError, match=f"forward buffers of level '{level}'"):
+            col.allreduce_sum(0, np.ones(3), phase="forward", block=-1, stage="s", level=level)
+        total = col.allreduce_sum(0, np.ones(3), phase="backward", block=-1, stage="s", level=level)
+        np.testing.assert_array_equal(total, np.ones(3))
+    assert [rec.level for rec in col.log.records] == ["position", "param"]
+
+
+def test_ranks_that_label_a_collective_apart_fail_it(monkeypatch):
+    """Rank 1 labels its edge-update collective as the node update's: the
+    pass fails there with a CollectiveError naming the rank, the stage and
+    the block, before anything is summed or logged."""
+    system = random_cloud(20, 0.9, np.random.default_rng(0))
+    group = WorkerGroup(system, init_params(ModelConfig(workers=2)))
+    worker_forward = WorkerGroup._worker_forward
+
+    def relabelled(self, ctx, record):
+        step, total = worker_forward(self, ctx, record), None
+        while True:
+            try:
+                buffer, where = step.send(total)
+            except StopIteration as stop:
+                return stop.value
+            if ctx.rank == 1 and where["stage"] == "eu":
+                where = {**where, "stage": "nu"}
+            total = yield buffer, where
+
+    monkeypatch.setattr(WorkerGroup, "_worker_forward", relabelled)
+    log = CommLog()
+    monkeypatch.setattr("egn.runtime.CommLog", lambda: log)
+    want = "ranks [1] disagree with rank 0 on collective 'eu' of block 0"
+    with pytest.raises(CollectiveError, match=re.escape(want)):
+        group.forward()
+    assert not log.records
+
+
 def test_empty_buffers_allreduce():
     results, log = run_collective([np.zeros((0, 4)), np.zeros((0, 4))])
     assert results[1].shape == (0, 4)

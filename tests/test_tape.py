@@ -623,6 +623,26 @@ def test_sigmoid_has_the_bits_of_the_masked_branches(rng):
     assert _sigmoid(x.reshape(-1, 5)).tobytes() == want.tobytes()
 
 
+def where_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The np.where of two quotients, the former form of _sigmoid."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_divides_once_with_the_bits_of_two_quotients():
+    """max(e, x >= 0) / (1 + e) has the bits of the np.where of 1 / (1 + e)
+    and e / (1 + e): magnitudes 1e-300 to 800 of both signs, signed zeros,
+    infinities, the smallest subnormal, exp's overflow and underflow edges
+    at 709 and 745, and NaNs with three payloads, one of them signalling."""
+    from egn.tape import _sigmoid
+
+    mags = np.logspace(-300.0, np.log10(800.0), 3001)
+    edges = np.array([0.0, np.inf, 5e-324, 709.0, 745.0])
+    payloads = np.array([0x7FF8000000000000, 0x7FF8000000000123, 0xFFF4000000000001], dtype=np.uint64)
+    x = np.concatenate([mags, -mags, edges, np.negative(edges), payloads.view(np.float64)])
+    assert _sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+
+
 def test_multiple_consumers_accumulate(rng):
     x0 = rng.standard_normal((3, 3))
     tape = Tape()
@@ -761,12 +781,13 @@ def test_backward_scatters_only_scattered_rows(variant, by_index, by_slice, monk
     adjoint without scatter_add.
 
     ``by_index`` is the count when contiguous rows are gathered through
-    arange index arrays; with slices, only receiver plans, rev and the
-    edge-vector VJP scatter. The triplet path scatters nothing: the
+    arange index arrays; with slices, only gathers by the in-edges, by rev
+    and the edge-vector VJP scatter. The triplet path scatters nothing: the
     contraction's adjoint writes each row of C once and the triplet
     basis's adjoint each out-edge row once. So dimenet-style scatters 10
-    times: per block the receiver plan and the triplet update's gathers of
-    m and of the rbf at the in-edges rev[O_J], then the edge_vectors VJP
+    times: per block ``record_ea_nu``'s gather of m by ``plan.in_edges``
+    and the triplet update's gathers of m and of the rbf at the in-edges
+    rev[O_J], then the edge_vectors VJP
     into atoms. The triplet update gathers its out-edges O_J by a slice.
     rev and rev[O_J] are ``DistinctRows``, whose gathers assign their
     adjoint, so only scatters into atoms remain: the edge_vectors VJP and,
