@@ -15,13 +15,12 @@ from .system import format_xyz, parse_xyz, random_cloud
 from .tasks import load_checkpoint, predict, relax, save_checkpoint, train_simple
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None, help="JSON model config path")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--workers", type=int, default=None, help="override the worker count")
-    common.add_argument("--out", type=Path, default=None, help="output path")
-    return common
+_SHARED_FLAGS = {  # each subcommand takes --config and those of the rest it reads
+    "--config": {"type": Path, "help": "JSON model config path"},
+    "--seed": {"type": int, "help": "override the config seed"},
+    "--workers": {"type": int, "help": "override the worker count"},
+    "--out": {"type": Path, "help": "output path"},
+}
 
 
 def _resolve_config(args) -> ModelConfig:
@@ -29,9 +28,9 @@ def _resolve_config(args) -> ModelConfig:
         config = ModelConfig.from_json(Path(args.config).read_text())
     else:
         config = ModelConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = config.replace(seed=args.seed)
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         config = config.replace(workers=args.workers)
     return config
 
@@ -72,23 +71,29 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = argparse.ArgumentParser(prog="egn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate a random XYZ system")
+    def command(name: str, summary: str, *flags: str, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, **kwargs)
+        for flag in ("--config", *flags):
+            p.add_argument(flag, default=None, **_SHARED_FLAGS[flag])
+        return p
+
+    p_gen = command("gen", "generate a random XYZ system", "--seed", "--out")
     p_gen.add_argument("--n", type=int, default=20)
     p_gen.add_argument("--density", type=float, default=0.9)
 
-    p_run = sub.add_parser("run", parents=[common], help="predict energy and forces")
+    p_run = command("run", "predict energy and forces", "--seed", "--workers")
     p_run.add_argument("xyz", type=Path)
     p_run.add_argument("--params", type=Path, default=None, help="checkpoint to load")
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the invariant suite")
+    # No abbreviations: --seed is not --seeds, which it reads with --p-list.
+    p_verify = command("verify", "run the invariant suite", allow_abbrev=False)
     p_verify.add_argument("--p-list", type=_parse_int_list, default=[1, 2, 3])
     p_verify.add_argument("--seeds", type=_parse_int_list, default=[0, 1])
 
-    p_relax = sub.add_parser("relax", parents=[common], help="relax a structure")
+    p_relax = command("relax", "relax a structure", "--seed", "--workers", "--out")
     p_relax.add_argument("xyz", type=Path)
     p_relax.add_argument("--fmax", type=float, required=True, help="convergence force threshold")
     p_relax.add_argument("--max-steps", type=int, default=200)
@@ -96,14 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_relax.add_argument("--params", type=Path, default=None)
     p_relax.add_argument("--diagnostic", action="store_true", help="quadratic well model")
 
-    p_train = sub.add_parser("train", parents=[common], help="fit a toy fixture")
+    p_train = command("train", "fit a toy fixture", "--seed", "--workers", "--out")
     p_train.add_argument("--samples", type=int, default=5)
     p_train.add_argument("--steps", type=int, default=200)
     p_train.add_argument("--lr", type=float, default=0.1)
     p_train.add_argument("--w-energy", type=float, default=1.0)
     p_train.add_argument("--w-forces", type=float, default=0.0)
 
-    p_bench = sub.add_parser("bench", parents=[common], help="weak-scaling benchmark CSV")
+    p_bench = command("bench", "weak-scaling benchmark CSV", "--seed", "--out")
     p_bench.add_argument("--p-list", type=_parse_int_list, default=[1, 2, 4, 8])
     p_bench.add_argument("--n-atoms", type=int, default=40)
     p_bench.add_argument("--repeats", type=int, default=10)

@@ -8,16 +8,17 @@ update (GU). The dimenet-style variant is energy-centric (forces come from
 the position gradient); the gemnet-style variant adds a direct force head.
 
 Each stage has one ``record_*`` definition that takes the tape first, and
-``record_model`` chains them from the basis (``egn.basis.compute_basis``)
-to the readout. A forward owns the center atoms of its basis's plan, and
-its edge and node rows derive from them; ``record_tu`` runs over the owned
-atoms' edges only, their in-edges and out-edges. ``record_model`` is a
-generator that yields each buffer its rows only partly compute, as
-``(buffer, where)``, and resumes with the buffer's total. The sequential
-forward ``record_system`` is the one owner of every atom: it resumes with
-None and its tape holds no collective node. A runtime worker owns a range
-of atoms and resumes with the all-reduced total, which the engine records
-as a collective node, so one worker reproduces this engine bit for bit.
+``record_model``, the one recorder of a pass, chains them from the
+positions through the basis (``egn.basis.compute_basis``) to the readout.
+A forward owns a range of center atoms, and its edge and node rows derive
+from them; ``record_tu`` runs over the owned atoms' edges only, their
+in-edges and out-edges. ``record_model`` is a generator that yields each
+buffer its rows only partly compute, as ``(buffer, where)``, and resumes
+with the buffer's total. The sequential forward ``record_system`` owns
+every atom: it resumes with None and its tape holds no collective node. A
+runtime worker owns a range of atoms and resumes with the all-reduced
+total, which the engine records as a collective node, so one worker
+reproduces this engine bit for bit.
 ``ModelHandles`` reads out, seeds and differentiates a pass for both.
 Without a backward (inference) the stages run on an ``Evaluator``, which
 computes the same values and keeps no tape.
@@ -331,19 +332,19 @@ def record_model(
     tape: Tape,
     params: ModelParams,
     topology: GraphTopology,
-    positions: int,
-    basis: BasisFeatures,
+    positions: np.ndarray,
+    atoms: slice,
     enter=lambda stage: None,
 ):
-    """The block pipeline from the basis, recorded from the ``positions``
-    leaf, to the readout: the one definition of the model forward, as a
-    generator that returns the ``ModelHandles``.
+    """The model forward from the ``positions`` array, through the geometry
+    and basis of ``egn.basis.compute_basis``, to the readout: the one
+    recorder of a pass, as a generator that returns the ``ModelHandles``.
 
-    The forward owns the center atoms J of ``basis.plan``, every atom
-    sequentially and a contiguous range on a runtime worker; its edge rows
-    are J's out-edges O_J and its node rows are J. It shares a buffer by
-    the rows or partial sums it owns, or computes the whole buffer itself
-    and shares nothing. Per block:
+    The forward owns the center atoms J ``atoms``, every atom sequentially
+    and a contiguous range on a runtime worker; its edge rows are J's
+    out-edges O_J and its node rows are J. It shares a buffer by the rows
+    or partial sums it owns, or computes the whole buffer itself and
+    shares nothing. Per block:
 
       * triplet update of J over J's edges only: gates and C_l at the
         in-edges rev[O_J], summed into O_J, gated and up-projected there,
@@ -359,52 +360,59 @@ def record_model(
     Each shared buffer is one step of ``_shared``: the generator yields
     ``(buffer, where)`` and is resumed with the buffer's total, an
     all-reduce in the runtime, or with None by ``run_alone`` for the one
-    owner. ``enter(stage)`` is called as each stage begins.
+    owner. Each stage, ``geometry``, ``init``, ``block{b}.tu`` ... ``readout``,
+    labels the nodes it records (``tape.stage``) and calls ``enter(stage)``.
     """
     config = params.config
     gemnet = config.variant == GEMNET
-    plan = basis.plan
-    edges, atoms = plan.edges, plan.atoms
     num_edges, num_nodes = topology.num_edges, topology.num_nodes
-    pl = ParamLeaves(tape, params)
 
+    def open_stage(stage: str) -> None:
+        tape.stage = stage
+        enter(stage)
+
+    open_stage("geometry")
+    pos_id = tape.leaf(positions)
+    basis = _basis.compute_basis(tape, pos_id, topology, config, atoms)
+    plan = basis.plan
+    edges, atoms = plan.edges, plan.atoms  # atoms as the plan bounds them
+    open_stage("init")
+    pl = ParamLeaves(tape, params)
     m_id = record_edge_init(tape, pl, basis.edge_rbf)
     u_id = tape.leaf(np.zeros((1, config.d_u)))
     for b in range(config.blocks):
-        enter(f"block{b}.tu")
+        open_stage(f"block{b}.tu")
         ta_id = record_tu(tape, pl, b, config, m_id, basis)
-        enter(f"block{b}.eu")
+        open_stage(f"block{b}.eu")
         m_id = record_eu(tape, pl, b, m_id, ta_id, edges)
         m_id = yield from _shared(tape, m_id, "eu", "edge", b, edges, num_edges)
-        enter(f"block{b}.nu")
+        open_stage(f"block{b}.nu")
         v_id = record_ea_nu(tape, pl, b, m_id, plan)
         v_id = yield from _shared(tape, v_id, "nu", "node", b, atoms, num_nodes)
         if gemnet:
-            enter(f"block{b}.eu2")
+            open_stage(f"block{b}.eu2")
             m_id = record_eu2(tape, pl, b, m_id, v_id, edges, topology)
             m_id = yield from _shared(tape, m_id, "eu2", "edge", b, edges, num_edges)
-            enter(f"block{b}.sym")
+            open_stage(f"block{b}.sym")
             m_id = record_sym(tape, pl, b, m_id, topology.reverse_edges())
-        enter(f"block{b}.gu")
+        open_stage(f"block{b}.gu")
         z_id = record_gu_head(tape, pl, b, v_id, atoms)
         z_id = yield from _shared(tape, z_id, "gu", "global", b)
         u_id = record_gu_tail(tape, pl, b, z_id, u_id)
 
-    enter("readout")
+    open_stage("readout")
     energy_id = record_energy(tape, pl, u_id)
     forces_id = None
     if gemnet:
         forces_id = record_force_head(tape, pl, m_id, basis.edge_units, topology)
-    return ModelHandles(pl, positions, m_id, v_id, u_id, energy_id, forces_id)
+    return ModelHandles(pl, pos_id, m_id, v_id, u_id, energy_id, forces_id)
 
 
 def record_system(tape: Tape, system: AtomicSystem, params: ModelParams) -> ModelHandles:
     """The sequential forward over a whole system, the one owner of every
     atom, whose rows compute each buffer whole."""
     topology, _ = build_graph(system, params.config.cutoff)
-    pos_id = tape.leaf(system.positions)
-    basis = _basis.compute_basis(tape, pos_id, topology, params.config, slice(None))
-    return run_alone(record_model(tape, params, topology, pos_id, basis))
+    return run_alone(record_model(tape, params, topology, system.positions, slice(None)))
 
 
 def network_config(params: ModelParams) -> ModelConfig:

@@ -11,15 +11,13 @@ rank's stage clock runs only while it is stepped, so stage times are its
 own compute and no worker ever waits.
 
 A worker owns a contiguous range of center atoms J (see
-``egn.partition``); its edge and node rows derive from them. It records
-its geometry and basis with ``compute_basis``: edge vectors, distances,
-unit vectors and rbf over every edge, and the triplet basis of J only.
-It then runs the engine's block pipeline ``record_model``, the one
-definition of the model forward and of which buffers it shares; the
-worker all-reduces each buffer the pipeline yields and resumes it with the
-total, and an ``enter`` hook marks its stages.
+``egn.partition``); its edge and node rows derive from them. Its forward
+is the engine's ``record_model`` over J: the geometry (over every edge,
+the triplet basis of J only), then the blocks, yielding each buffer to
+share; the worker all-reduces it, resumes the pass with the total and
+clocks each stage as the pass opens it.
 
-A recording worker keeps its geometry and every stage on one tape, where
+A recording worker keeps its whole pass on one tape, where
 each all-reduce is a collective node (see ``egn.tape``). Its backward is
 one walk of that tape, which yields at each collective node the adjoint
 of the whole buffer; the group sums the workers' adjoints as in the
@@ -28,8 +26,9 @@ in its adjoint, so the collectives and the final all-reduce of position
 and parameter gradients sum the partials to the exact gradient; only rank
 0 seeds the energy and the forces. The engine's ``ModelHandles`` read
 out, seed and differentiate the pass, as for the sequential engine.
-Boundary nodes book the backward's time to the forward's stages, the
-geometry's VJPs to ``backward.geometry``. Each center atom's triplet
+The walk reports each stage label it reaches, and the worker books the
+backward's time to ``backward.<stage>``, the geometry's VJPs to
+``backward.geometry``. Each center atom's triplet
 blocks are differentiated by their owner alone, and triplet features
 never enter a collective in either direction.
 
@@ -48,10 +47,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
+# Unused here; kept as the attribute perfbench/layers.py patches.
 from .basis import compute_basis
 from .engine import GradientBundle, network_config, record_model
 from .graph import build_graph
@@ -357,23 +356,15 @@ class WorkerGroup:
     # -- worker forward ----------------------------------------------------
 
     def _worker_forward(self, ctx: _WorkerContext, record: bool):
-        """This worker's shard of the model: its geometry and basis, then
-        the block pipeline over its rows, all on one tape when ``record``
-        (a backward follows), otherwise on an Evaluator. Returns (the
-        model's handles, the tape); the tape is not kept on the context,
-        since its boundary nodes refer to the context, and that cycle would
-        hold every pass's tape until the cyclic garbage collector ran."""
+        """This worker's shard of the model, ``record_model`` over its
+        atoms, on a Tape when ``record`` (a backward follows), otherwise on
+        an Evaluator; returns (handles, tape). Its clock books the geometry
+        to ``init``, with the edge embedding."""
         tape = Tape() if record else Evaluator()
-
-        def enter(stage: str) -> None:
-            tape.boundary(partial(ctx.set_stage, "backward." + ctx.stage))
-            ctx.set_stage(stage)
-
-        ctx.set_stage("init")
-        pos = tape.leaf(self.system.positions)
-        basis = compute_basis(tape, pos, self.topology, self.config, self.partition[ctx.rank])
-        tape.boundary(partial(ctx.set_stage, "backward.geometry"))
-        handles = yield from record_model(tape, self.params, self.topology, pos, basis, enter)
+        handles = yield from record_model(
+            tape, self.params, self.topology, self.system.positions, self.partition[ctx.rank],
+            lambda stage: ctx.set_stage("init" if stage == "geometry" else stage),
+        )
         return handles, tape
 
     # -- worker backward -----------------------------------------------
@@ -383,8 +374,7 @@ class WorkerGroup:
         nodes yield their adjoints to be summed across workers, then the
         all-reduce of the partial position and parameter gradients."""
         handles, tape = recorded
-        ctx.set_stage("backward.readout")
-        grads = yield from tape.walk(seeds)
+        grads = yield from tape.walk(seeds, lambda stage: ctx.set_stage("backward." + stage))
 
         ctx.set_stage("backward.reduce")
         bundle = handles.gradients(tape, grads)

@@ -13,7 +13,7 @@ nothing, so a forward is written once and yields the same bits either way.
 
 Primitives: leaf, add, mul, concat, linear, silu, gather, segment_sum,
 sum_rows, edge_vectors, edge_distances, edge_units, triplet_basis,
-gaussian_rbf, triplet_contract, allreduce and boundary.
+gaussian_rbf, triplet_contract and allreduce.
 
 ``add`` and ``mul`` broadcast as numpy does (a bias row, a column of row
 scales), and their adjoints sum over the broadcast axes. A gather takes an
@@ -39,23 +39,22 @@ Triplets are dense per-atom blocks in the layout of an
     blocks a bucket gathers are at most the rows of ``c``; the adjoint
     writes each row of ``c`` once.
 
-``allreduce`` and ``boundary`` serve a worker that records its shard of a
-model split across workers:
+``allreduce(x, total, rows, where)`` serves a worker that records its
+shard of a model split across workers. It records ``total``, the sum over
+the workers of ``x`` placed at ``rows`` of a zero buffer of total's shape
+(or of ``x`` whole), summed by the caller; its adjoint is this worker's
+rows of the sum over the workers of their adjoints.
 
-  * ``allreduce(x, total, rows, where)`` records ``total``, the sum over
-    the workers of ``x`` placed at ``rows`` of a zero buffer of total's
-    shape (or of ``x`` whole), summed by the caller; its adjoint is this
-    worker's rows of the sum over the workers of their adjoints;
-  * ``boundary(enter)`` takes no input and changes no number; its adjoint
-    calls ``enter()``, so a worker's backward can book its time to the
-    forward stage the boundary closed.
+Every node carries a label, the tape's ``stage`` when it was recorded,
+which changes no number; no node holds a callable, so a tape is plain data.
 
 The backward is one walk, ``Tape.walk``, a generator that yields
 ``(adjoint, where)`` at each ``allreduce`` node and resumes with the sum
 of that adjoint over the workers; ``Tape.backward`` drives it alone and
-resumes with None: each adjoint is its own sum. A walk runs both kinds
-of node even where no adjoint reached them, so all workers yield the
-same collectives in the same order.
+resumes with None: each adjoint is its own sum. A walk runs every
+``allreduce`` node even where no adjoint reached it, so all workers yield
+the same collectives in the same order, and calls ``enter(label)`` at
+each new label, so a worker books its backward to the forward's stages.
 """
 
 from __future__ import annotations
@@ -329,17 +328,6 @@ _op("allreduce")(
     )
 )
 
-_NO_VALUE = np.zeros(0)
-
-
-def _boundary_vjp(g, vals, out, aux):
-    aux["enter"]()
-    return ()
-
-
-_op("boundary")((lambda vals, aux: _NO_VALUE, _boundary_vjp))
-_ALWAYS_RUN = frozenset({"allreduce", "boundary"})
-
 
 def run_alone(steps):
     """Run a generator that yields at each all-reduce and resumes with the
@@ -358,14 +346,17 @@ class _Node:
     inputs: tuple[int, ...]
     value: np.ndarray
     aux: dict
+    stage: str | None
 
 
 class Tape:
-    """Records primitives during a forward pass. A walk backward reads the
-    tape and changes nothing in it, so it can be walked any number of times."""
+    """Records primitives during a forward pass, each labelled with
+    ``stage`` as it stands then. A walk backward reads the tape and changes
+    nothing in it, so it can be walked any number of times."""
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self.stage: str | None = None
 
     def value(self, nid: int) -> np.ndarray:
         return self._nodes[nid].value
@@ -373,7 +364,7 @@ class Tape:
     def _record(self, op: str, inputs: tuple[int, ...], aux: dict) -> int:
         vals = [self._nodes[i].value for i in inputs]
         value = _FORWARD[op](vals, aux)
-        self._nodes.append(_Node(op, inputs, value, aux))
+        self._nodes.append(_Node(op, inputs, value, aux, self.stage))
         return len(self._nodes) - 1
 
     # -- recording API ------------------------------------------------
@@ -434,29 +425,29 @@ class Tape:
     ) -> int:
         return self._record("allreduce", (x,), {"total": total, "rows": rows, "where": where})
 
-    def boundary(self, enter) -> int:
-        return self._record("boundary", (), {"enter": enter})
-
     # -- backward -----------------------------------------------------
 
-    def walk(self, seeds: dict[int, np.ndarray]):
+    def walk(self, seeds: dict[int, np.ndarray], enter=lambda label: None):
         """The backward walk, as a generator: accumulate adjoints for every
         node reachable from the seeds.
 
         ``seeds`` maps node id to the upstream gradient of that node's
         output. At each ``allreduce`` node the walk yields ``(g, where)``,
-        the adjoint of the node's whole buffer and the label it was recorded
-        with, and resumes with the sum of ``g`` over the workers, or with
-        None where ``g`` is its own sum. It returns a per-node list in
-        which only leaf entries hold gradients: a leaf's
+        the adjoint of the node's whole buffer and the keywords it was
+        recorded with, and resumes with the sum of ``g`` over the workers,
+        or with None where ``g`` is its own sum. It returns a per-node list
+        in which only leaf entries hold gradients: a leaf's
         accumulated adjoint, or None where none flowed to it. Every non-leaf
         entry is None, since each non-leaf adjoint is dropped once its
         node's VJP has run; the walk then holds only the adjoints of its
         live frontier, not one per node of the tape. Accumulation runs in
         reverse recording order, which makes the result deterministic.
-        Collective and boundary nodes run even where no gradient reached
-        them, on a zero adjoint. The gradients may share memory with the
-        seeds, the sums and each other, so treat them as read-only.
+        Collective nodes run even where no gradient reached them, on a zero
+        adjoint. Each time the walk reaches a node labelled otherwise than
+        the node before it (the first node against None), it calls
+        ``enter(label)``, whether an adjoint reached the node or not. The
+        gradients may share memory with the seeds, the sums and each other,
+        so treat them as read-only.
         """
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
         for nid, seed in seeds.items():
@@ -467,10 +458,14 @@ class Tape:
                     f"value shape {self._nodes[nid].value.shape}"
                 )
             grads[nid] = seed
+        label = None
         for nid in range(len(self._nodes) - 1, -1, -1):
             g = grads[nid]
             node = self._nodes[nid]
-            if g is None and node.op in _ALWAYS_RUN:
+            if node.stage != label:
+                label = node.stage
+                enter(label)
+            if g is None and node.op == "allreduce":
                 g = np.zeros_like(node.value)
             if g is None or node.op == "leaf":
                 continue

@@ -85,14 +85,14 @@ def relax(
     fmax_threshold: float,
     max_steps: int = 200,
     step_size: float = 0.05,
-    workers: int | None = None,
 ) -> RelaxationResult:
     """Iterate x <- x + eta * F until the largest force drops below the
     threshold or the step cap is reached.
 
     For energy-based models the step is rejected and eta halved whenever the
     proposed position raises the energy, which makes the energy sequence
-    non-increasing. The neighbor graph is rebuilt at every evaluation.
+    non-increasing. The neighbor graph is rebuilt at every evaluation. It
+    runs at ``params.config.workers``; ``params.at_workers(p)`` sets another.
     """
     if not (np.isfinite(fmax_threshold) and fmax_threshold > 0):
         raise ValueError(f"fmax_threshold must be finite and positive, got {fmax_threshold}")
@@ -109,7 +109,7 @@ def relax(
     steps = 0
     converged = False
 
-    energy, forces = predict(system.with_positions(x), params, workers)
+    energy, forces = predict(system.with_positions(x), params)
     while True:
         if not (np.isfinite(energy) and np.all(np.isfinite(forces))):
             raise RuntimeError(f"non-finite prediction at step {steps}")
@@ -123,7 +123,7 @@ def relax(
             break
         proposal = x + eta * forces
         steps += 1
-        new_energy, new_forces = predict(system.with_positions(proposal), params, workers)
+        new_energy, new_forces = predict(system.with_positions(proposal), params)
         if guard and new_energy > energy:
             eta *= 0.5
         else:

@@ -437,6 +437,29 @@ def test_cli_run_missing_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "5"],
+        ["verify", "--workers", "7"],
+        ["verify", "--out", "v.txt"],
+        ["run", "x.xyz", "--out", "f"],
+        ["gen", "--workers", "9"],
+        ["bench", "--workers", "5"],
+    ],
+    ids=lambda argv: argv[0] + argv[-2],
+)
+def test_cli_rejects_a_flag_its_subcommand_does_not_read(argv, tmp_path, capsys, monkeypatch):
+    """Each subcommand takes only the flags it reads: argparse exits 2 on
+    the rest, before anything runs or is written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_bench_seed_draws_the_cloud(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(SMALL.replace(variant="gemnet-style").to_json())

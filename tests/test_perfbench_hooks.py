@@ -48,7 +48,8 @@ def test_every_public_name_resolves():
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_benchmark_workload_smoke(workload):
     """A short traced run of each declared workload exits cleanly with a
-    correct result and no failed op (about 1-2 s each)."""
+    correct result and no failed op (about 1-2 s each), and its graph
+    build and geometry spans both read time: no pass goes around them."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0.3", "--trace", "1"],
@@ -58,3 +59,5 @@ def test_benchmark_workload_smoke(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, result
     assert result["failed"] == 0, result
+    for name in ("basis.compute_ms", "graph.build_ms"):
+        assert result["metrics"][name]["value"] > 0, name

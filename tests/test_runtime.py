@@ -680,17 +680,39 @@ def _recorded_tapes(monkeypatch) -> list:
 
 @pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
 def test_one_forward_definition(variant, medium_system, monkeypatch):
-    """A one-worker runtime tape is the sequential tape, op for op, plus
-    its collective and stage-boundary nodes."""
+    """A one-worker runtime tape is the sequential tape, op for op and
+    label for label, plus its collective nodes."""
     cfg = ModelConfig(variant=variant, blocks=2)
     params = init_params(cfg)
-    sequential = [node.op for node in ModelTape(medium_system, params).tape._nodes]
+    sequential = [(node.op, node.stage) for node in ModelTape(medium_system, params).tape._nodes]
     made = _recorded_tapes(monkeypatch)
     WorkerGroup(medium_system, params).record()
     (worker,) = made
-    ops = [node.op for node in worker._nodes]
-    assert [op for op in ops if op not in ("allreduce", "boundary")] == sequential
-    assert ops.count("boundary") == 1 + cfg.blocks * (6 if variant == GEMNET else 4) + 1
+    ops = [(node.op, node.stage) for node in worker._nodes]
+    assert [op for op in ops if op[0] != "allreduce"] == sequential
+    stages = list(dict.fromkeys(stage for _, stage in ops))
+    assert len(stages) == 2 + cfg.blocks * (6 if variant == GEMNET else 4) + 1
+
+
+@pytest.mark.parametrize("variant", ["dimenet-style", "gemnet-style"])
+def test_recorded_tapes_hold_no_callable(variant, medium_system, monkeypatch):
+    """A tape is plain data: no node of the sequential tape, nor of any
+    worker tape at P=1, 2 and 3, holds a callable in its aux."""
+    cfg = ModelConfig(variant=variant, blocks=2)
+    tapes = [ModelTape(medium_system, init_params(cfg)).tape]
+    made = _recorded_tapes(monkeypatch)
+    for workers in (1, 2, 3):
+        WorkerGroup(medium_system, init_params(cfg.replace(workers=workers))).forward_backward()
+    tapes += made
+    assert len(tapes) == 1 + 1 + 2 + 3
+    held = [
+        (node.op, key)
+        for tape in tapes
+        for node in tape._nodes
+        for key, value in node.aux.items()
+        if callable(value)
+    ]
+    assert not held, held
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -703,9 +725,9 @@ def test_one_tape_per_worker(workers, medium_system, monkeypatch):
     walks = []
     walk = tape_module.Tape.walk
 
-    def counted(self, seeds):
+    def counted(self, *args):
         walks.append(self)
-        return walk(self, seeds)
+        return walk(self, *args)
 
     monkeypatch.setattr(tape_module.Tape, "walk", counted)
     group.forward_backward()
@@ -833,23 +855,26 @@ def test_passes_leave_no_reference_cycles(medium_system):
         gc.enable()
 
 
-def test_backward_failure_names_rank_and_stage(medium_system, monkeypatch):
+@pytest.mark.parametrize(
+    "op, stage", [("triplet_contract", "backward.block0.tu"), ("triplet_basis", "backward.geometry")]
+)
+def test_backward_failure_names_rank_and_stage(op, stage, medium_system, monkeypatch):
     cfg = ModelConfig(variant="dimenet-style", blocks=1, workers=2)
     group = WorkerGroup(medium_system, init_params(cfg))
     recorded = group.record()
     records = len(recorded.comm_log.records)
-    original = tape_module._VJP["triplet_contract"]
+    original = tape_module._VJP[op]
 
     def broken(g, vals, out, aux):
         if aux["plan"].atoms == group.partition[1]:
             raise FloatingPointError("synthetic backward failure")
         return original(g, vals, out, aux)
 
-    monkeypatch.setitem(tape_module._VJP, "triplet_contract", broken)
+    monkeypatch.setitem(tape_module._VJP, op, broken)
     with pytest.raises(WorkerGroupError) as info:
         recorded.backward()
     assert info.value.rank == 1
-    assert info.value.stage == "backward.block0.tu"
+    assert info.value.stage == stage
     assert isinstance(info.value.__cause__, FloatingPointError)
     # At once: the backward's last collectives, of positions and
     # parameters, never ran.

@@ -18,11 +18,11 @@ from egn.params import ModelParams, init_params
 from egn.runtime import Collective, CommLog, WorkerGroup
 from egn.system import AtomicSystem, random_cloud
 from egn.tape import (
-    _ALWAYS_RUN,
     _FORWARD,
     _VJP,
     Evaluator,
     Tape,
+    run_alone,
     scatter_add,
 )
 from egn.tasks import predict
@@ -271,9 +271,9 @@ def test_positions_are_read_only_by_edge_vectors(monkeypatch):
     walked = []
     walk = Tape.walk
 
-    def keep(self, seeds):
+    def keep(self, *args):
         walked.append(self)
-        return walk(self, seeds)
+        return walk(self, *args)
 
     monkeypatch.setattr(Tape, "walk", keep)
     for variant in (DIMENET, GEMNET):
@@ -505,7 +505,6 @@ def _every_primitive(tape, system, topo, w, b) -> dict:
     own = h["gather:slice"] = tape.gather(lin, rows)
     total = _one_worker_total(tape.value(own), rows, (topo.num_edges, 3))
     h["allreduce"] = tape.allreduce(own, total, rows)
-    h["boundary"] = tape.boundary(lambda: None)
     return h
 
 
@@ -740,7 +739,7 @@ def keep_all_backward(tape: Tape, seeds: dict) -> list:
         grads[nid] = np.asarray(seed, dtype=np.float64)
     for nid in range(len(nodes) - 1, -1, -1):
         g, node = grads[nid], nodes[nid]
-        if g is None and node.op in _ALWAYS_RUN:
+        if g is None and node.op == "allreduce":
             g = np.zeros_like(node.value)
         if g is None or node.op == "leaf":
             continue
@@ -749,6 +748,22 @@ def keep_all_backward(tape: Tape, seeds: dict) -> list:
             if ig is not None:
                 grads[iid] = ig if grads[iid] is None else grads[iid] + ig
     return grads
+
+
+@pytest.mark.parametrize("variant", [DIMENET, GEMNET])
+def test_walk_reports_each_label_once_in_reverse(variant, rng):
+    """A sequential walk calls ``enter`` once per stage label, in reverse
+    recording order, from the readout to the geometry."""
+    cfg = ModelConfig(variant=variant, blocks=2)
+    model = ModelTape(random_cloud(12, 0.9, rng), init_params(cfg))
+    per_block = ["tu", "eu", "nu", "eu2", "sym", "gu"] if variant == GEMNET else ["tu", "eu", "nu", "gu"]
+    stages = ["geometry", "init", *(f"block{b}.{s}" for b in range(2) for s in per_block), "readout"]
+    assert list(dict.fromkeys(node.stage for node in model.tape._nodes)) == stages
+    reported = []
+    grads = run_alone(model.tape.walk(model.handles.seeds(model.tape), reported.append))
+    assert reported == stages[::-1]
+    want = model.tape.backward(model.handles.seeds(model.tape))
+    assert _bits(grads[model.handles.positions]) == _bits(want[model.handles.positions])
 
 
 @pytest.mark.parametrize("variant", [DIMENET, GEMNET])

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from egn import runtime
+from egn import basis
 from egn.bench import sample_smooth_system
 from egn.config import ModelConfig
 from egn.params import ModelParams, init_params, param_specs
@@ -323,13 +323,13 @@ def test_loss_and_grads_runs_one_forward_per_sample(rng, monkeypatch):
     cfg = ModelConfig(variant="gemnet-style", blocks=1)
     dataset = _toy_dataset(rng, cfg, samples=2)
     calls = []
-    compute_basis = runtime.compute_basis
+    compute_basis = basis.compute_basis
 
     def spy(tape, pos, topology, config, atoms):
         calls.append((topology.num_nodes, atoms))
         return compute_basis(tape, pos, topology, config, atoms)
 
-    monkeypatch.setattr(runtime, "compute_basis", spy)
+    monkeypatch.setattr(basis, "compute_basis", spy)
     loss_and_grads(dataset, init_params(cfg), 1.0, 1.0, workers=2)
     # Per sample, rank 0 then rank 1, each over its own atoms.
     want = []
